@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -44,7 +45,6 @@ from .errors import (
 from .factor_map import semiconjugacy_defect
 from .hc_lab import construct_hc_approx, orbit_density_report
 from .measure_system import MeasureSystem
-from .rationals import format_fraction
 from .sampling import random_step_function
 from .shift_space import BILATERAL, SeqVector, WeightSequence, derive_weights
 
@@ -107,17 +107,17 @@ def _telescoping_report(system: MeasureSystem, horizon: int) -> CriterionReport:
     if deep_ratio <= 1:
         return CriterionReport(
             "telescoping_bound", Verdict.INCONCLUSIVE,
-            {"deep_right_ratio": format_fraction(deep_ratio)},
+            {"deep_right_ratio": str(deep_ratio)},
             "deep one-step ratios do not exceed 1, so no block constant > 1 applies",
         )
-    n_k = min(8, max(1, horizon))
+    n_k = min(8, horizon)
     j = system.k_max + n_k
     cp = (1 + deep_ratio) / 2
     result = telescoping_bound_check(system, j, n_k, 1, cp)
     return CriterionReport(
         "telescoping_bound",
         Verdict.SATISFIED if result.holds else Verdict.VIOLATED,
-        {**result.to_dict(), "j": j, "n_k": n_k, "n": 1, "cp": format_fraction(cp)},
+        {**result.to_dict(), "j": j, "n_k": n_k, "n": 1, "cp": str(cp)},
         "deep backward mass ratio dominates the block bound",
     )
 
@@ -140,28 +140,28 @@ def _experiment(system: MeasureSystem, w: WeightSequence, *, eps: float, horizon
 
 def _system_section(system: MeasureSystem, c: Fraction, big_k: Fraction) -> dict:
     return {
-        "p": format_fraction(system.p),
+        "p": str(system.p),
         "window": [system.k_min, system.k_max],
         "cells": list(system.cells),
         "tails": (
-            {"left": format_fraction(system.left_tail), "right": format_fraction(system.right_tail)}
+            {"left": str(system.left_tail), "right": str(system.right_tail)}
             if system.has_tails
             else None
         ),
-        "star_c": format_fraction(c),
-        "distortion_K": format_fraction(big_k),
+        "star_c": str(c),
+        "distortion_K": str(big_k),
     }
 
 
 def _weights_section(w: WeightSequence) -> dict:
     return {
         "side": w.side,
-        "p": format_fraction(w.p),
+        "p": str(w.p),
         "lo": w.lo,
         "hi": w.hi,
-        "wp": {str(k): format_fraction(w.wp_at(k)) for k in range(w.lo, w.hi + 1)},
-        "left_tail": [format_fraction(v) for v in w.left_tail] if w.left_tail else None,
-        "right_tail": [format_fraction(v) for v in w.right_tail] if w.right_tail else None,
+        "wp": {str(k): str(w.wp_at(k)) for k in range(w.lo, w.hi + 1)},
+        "left_tail": [str(v) for v in w.left_tail] if w.left_tail else None,
+        "right_tail": [str(v) for v in w.right_tail] if w.right_tail else None,
     }
 
 
@@ -184,7 +184,7 @@ def _criterion_reports(
     ]
 
 
-def _semicheck_section(system: MeasureSystem, *, seed: int, samples: int) -> dict:
+def _semicheck_section(system: MeasureSystem, w: WeightSequence, *, seed: int, samples: int) -> dict:
     # without tails the image of the window floor has no measure, so keep
     # sampled supports one level above it
     floor = None if system.has_tails else system.k_min + 1
@@ -194,7 +194,7 @@ def _semicheck_section(system: MeasureSystem, *, seed: int, samples: int) -> dic
     rng = random.Random(seed)
     for index in range(samples):
         phi = random_step_function(rng, system, min_level=floor)
-        defect = semiconjugacy_defect(system, phi)
+        defect = semiconjugacy_defect(system, phi, w)
         if not (isinstance(defect, Fraction) and defect == 0):
             raise InconsistentWitness(
                 f"factor identity defect {defect!r} on sample {index}"
@@ -224,7 +224,7 @@ def run_command(
         reports = _criterion_reports(system, w, seed=seed, horizon=horizon, samples=samples)
         result["reports"] = [r.to_dict() for r in reports]
     if command in ("semicheck", "report"):
-        result["semicheck"] = _semicheck_section(system, seed=seed, samples=samples)
+        result["semicheck"] = _semicheck_section(system, w, seed=seed, samples=samples)
     if command in ("orbit", "report"):
         result["experiment"] = _experiment(system, w, eps=eps, horizon=horizon)
     return result
@@ -263,6 +263,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not 0 <= args.seed < 2**64:
             parser.error("--seed must fit in an unsigned 64-bit integer")
+        if not (math.isfinite(args.eps) and args.eps > 0):
+            parser.error("--eps must be a finite number > 0")
+        if args.samples < 0:
+            parser.error("--samples must be >= 0")
+        if args.horizon < 1:
+            parser.error("--horizon must be >= 1")
     except UsageError as exc:
         print(f"shiftlab: {exc}", file=sys.stderr)
         return 64

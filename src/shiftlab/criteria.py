@@ -51,15 +51,18 @@ The certificates:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .errors import HypothesisViolated, InconsistentWitness, NoAdmissibleLevels
 from .lp_space import StepFunction, apply_Tf, apply_Tf_inverse, gs_decay_check
 from .measure_system import MeasureSystem
-from .rationals import abs_pow, format_fraction, pow_maybe_exact
+from .rationals import abs_pow, pow_maybe_exact
 from .shift_space import UNILATERAL, WeightSequence, wp_product
 
 
@@ -87,7 +90,7 @@ class CriterionReport:
 
 def _frac_or_float(v: Fraction | float) -> str | float:
     """Witness encoding: exact rationals as strings, floats as numbers."""
-    return format_fraction(v) if isinstance(v, Fraction) else float(v)
+    return str(v) if isinstance(v, Fraction) else float(v)
 
 
 # -- hypercyclicity ---------------------------------------------------------
@@ -102,7 +105,6 @@ def hypercyclicity_report(system: MeasureSystem) -> CriterionReport:
     step schedule.  Under geometric tails both statements hold for every
     schedule when both tail ratios are < 1 and for no schedule otherwise.
     """
-    system.validate_star()
     if not system.has_tails:
         return CriterionReport(
             criterion="hypercyclicity",
@@ -114,8 +116,8 @@ def hypercyclicity_report(system: MeasureSystem) -> CriterionReport:
     decay_left = system.left_tail < 1
     decay_right = system.right_tail < 1
     witness = {
-        "left_ratio": format_fraction(system.left_tail),
-        "right_ratio": format_fraction(system.right_tail),
+        "left_ratio": str(system.left_tail),
+        "right_ratio": str(system.right_tail),
         "decay_left": decay_left,
         "decay_right": decay_right,
     }
@@ -153,10 +155,8 @@ def shift_hypercyclicity_report(w: WeightSequence) -> CriterionReport:
         )
     if w.side == UNILATERAL:
         assert w.right_tail is not None
-        pi = Fraction(1)
-        for v in w.right_tail:
-            pi *= v
-        witness = {"period_product_wp": format_fraction(pi)}
+        pi = math.prod(w.right_tail, start=Fraction(1))
+        witness = {"period_product_wp": str(pi)}
         if pi > 1:
             return CriterionReport(
                 "shift_hypercyclicity", Verdict.SATISFIED, witness,
@@ -167,15 +167,11 @@ def shift_hypercyclicity_report(w: WeightSequence) -> CriterionReport:
             "partial weight products stay bounded",
         )
     assert w.left_tail is not None and w.right_tail is not None
-    pi_left = Fraction(1)
-    for v in w.left_tail:
-        pi_left *= v
-    pi_right = Fraction(1)
-    for v in w.right_tail:
-        pi_right *= v
+    pi_left = math.prod(w.left_tail, start=Fraction(1))
+    pi_right = math.prod(w.right_tail, start=Fraction(1))
     witness = {
-        "left_period_product_wp": format_fraction(pi_left),
-        "right_period_product_wp": format_fraction(pi_right),
+        "left_period_product_wp": str(pi_left),
+        "right_period_product_wp": str(pi_right),
     }
     if pi_left < 1 and pi_right > 1:
         return CriterionReport(
@@ -287,14 +283,12 @@ def menet_unilateral(
         )
     period = w.right_tail
     L = len(period)
-    pi = Fraction(1)
-    for v in period:
-        pi *= v
+    pi = math.prod(period, start=Fraction(1))
     if pi > 1:
         return CriterionReport(
             criterion="menet_unilateral",
             verdict=Verdict.VIOLATED,
-            witness={"period_product_wp": format_fraction(pi)},
+            witness={"period_product_wp": str(pi)},
             notes="tail period product > 1: the inner infima diverge, the supremum is infinite",
         )
     n_enum = max(w.hi, 1) + L - 1
@@ -313,21 +307,16 @@ def menet_unilateral(
         q_n = min(wp_product(w, k + 1, k + n) for k in range(1, k_hi + 1))
         if q_n > sup_pp:
             sup_pp, arg_n = q_n, n
-    prefix = Fraction(1)
-    bound_pp = Fraction(1)
-    for v in period[:-1]:
-        prefix *= v
-        bound_pp = max(bound_pp, prefix)
-    bound_pp = max(bound_pp, sup_pp)
+    bound_pp = max(sup_pp, *accumulate(period[:-1], mul, initial=Fraction(1)))
     inv_p = 1 / w.p
     return CriterionReport(
         criterion="menet_unilateral",
         verdict=Verdict.SATISFIED,
         witness={
-            "period_product_wp": format_fraction(pi),
-            "sup_inf_wp": format_fraction(sup_pp),
+            "period_product_wp": str(pi),
+            "sup_inf_wp": str(sup_pp),
             "attained_at_n": arg_n,
-            "bound_wp": format_fraction(bound_pp),
+            "bound_wp": str(bound_pp),
             "sup_inf": _frac_or_float(pow_maybe_exact(sup_pp, inv_p)),
             "bound": _frac_or_float(pow_maybe_exact(bound_pp, inv_p)),
         },
@@ -355,7 +344,6 @@ def conditionmix_lhs(
     forms: constant (a = b = 1), monotone with a computable limit (exactly
     one of a, b equals 1), or divergent (both > 1, supremum infinite).
     """
-    system.validate_star()
     if not system.has_tails:
         return CriterionReport(
             criterion="conditionmix",
@@ -375,8 +363,8 @@ def conditionmix_lhs(
         return best
 
     witness: dict = {
-        "left_step": format_fraction(a),
-        "right_step": format_fraction(b),
+        "left_step": str(a),
+        "right_step": str(b),
     }
     small = min(a, b)
     if small < 1:
@@ -387,7 +375,7 @@ def conditionmix_lhs(
             if n_cap is not None and n > n_cap:
                 return CriterionReport(
                     "conditionmix", Verdict.INCONCLUSIVE,
-                    {**witness, "partial_best": format_fraction(best), "n_cap": n_cap},
+                    {**witness, "partial_best": str(best), "n_cap": n_cap},
                     "enumeration cap reached before the tail bound closed the supremum",
                 )
             v = inf_for(n)
@@ -433,7 +421,7 @@ def conditionmix_lhs(
                 "both step ratios exceed 1: every candidate ratio diverges with n, the supremum is infinite",
             )
     witness.update({
-        "value": format_fraction(value),
+        "value": str(value),
         "attained": attained,
     })
     if attained:
@@ -473,10 +461,10 @@ class CofiniteWitness:
         return {
             "shift": self.shift,
             "levels": list(self.levels),
-            "coeffs": [format_fraction(v) for v in self.coeffs],
-            "level_ratios": [format_fraction(v) for v in self.level_ratios],
+            "coeffs": [str(v) for v in self.coeffs],
+            "level_ratios": [str(v) for v in self.level_ratios],
             "quotient_pp": _frac_or_float(self.quotient_pp),
-            "pairings": [format_fraction(v) for v in self.pairings],
+            "pairings": [str(v) for v in self.pairings],
         }
 
 
@@ -595,11 +583,11 @@ class TelescopingBound:
     def to_dict(self) -> dict:
         return {
             "holds": self.holds,
-            "lhs": format_fraction(self.lhs),
-            "rhs": format_fraction(self.rhs),
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
             "blocks": self.blocks,
             "remainder": self.remainder,
-            "star_c": format_fraction(self.star_c),
+            "star_c": str(self.star_c),
             "checked_range": list(self.checked_range),
         }
 

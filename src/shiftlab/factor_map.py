@@ -21,7 +21,15 @@ from fractions import Fraction
 from .lp_space import StepFunction, apply_Tf
 from .measure_system import MeasureSystem
 from .rationals import pow_maybe_exact
-from .shift_space import BILATERAL, SeqVector, WeightSequence, derive_weights, lp_norm_seq
+from .shift_space import (
+    BILATERAL,
+    SeqVector,
+    WeightSequence,
+    _check_sides,
+    derive_weights,
+    lp_norm_seq,
+    wp_product,
+)
 
 
 @dataclass
@@ -111,17 +119,13 @@ def tagged_backward(w: WeightSequence, x: ExactSeqVector, steps: int = 1) -> Exa
     value multiplies its rho tag by the weight's p-th power."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if w.side != x.side:
-        raise ValueError(f"weight side {w.side} does not match vector side {x.side}")
+    _check_sides(w, x)
     out: dict[int, tuple[Fraction, Fraction]] = {}
     for j, (q, rho) in x.entries.items():
         n = j - steps
         if w.side != BILATERAL and n < 0:
             continue
-        factor = Fraction(1)
-        for nu in range(n + 1, j + 1):
-            factor *= w.wp_at(nu)
-        out[n] = (q, rho * factor)
+        out[n] = (q, rho * wp_product(w, n + 1, j))
     return ExactSeqVector(p=x.p, side=x.side, entries=out)
 
 

@@ -35,10 +35,6 @@ class StepFunction:
         """Indicator of the whole level k."""
         return cls({(k, i): Fraction(1) for i in range(len(system.cells))})
 
-    @classmethod
-    def indicator_cell(cls, k: int, i: int) -> "StepFunction":
-        return cls({(k, i): Fraction(1)})
-
     def value(self, k: int, i: int) -> Coefficient:
         return self.coeffs.get((k, i), Fraction(0))
 

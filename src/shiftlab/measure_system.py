@@ -14,7 +14,8 @@ Two constants summarise how wild the measures are:
 * the least K >= 1 bounding how far any cell's share of its level drifts
   from its share of W (``distortion_constant``).
 
-All arithmetic is exact.
+A model is checked once, at construction: a malformed, non-positive or
+empty one is never built.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ConfigError, EmptyWindow, NonPositiveMeasure, TailRuleMissing
-from .rationals import as_fraction, format_fraction
+from .rationals import as_fraction
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,8 @@ class MeasureSystem:
 
     ``mu[k]`` holds the cell measures of level k, ordered like ``cells``.
     ``left_tail`` / ``right_tail`` are the per-step ratios applied below
-    ``k_min`` and above ``k_max``; both present or both absent.
+    ``k_min`` and above ``k_max``; both present or both absent.  Every
+    cell measure and tail ratio must be positive.
     """
 
     p: Fraction
@@ -53,10 +56,8 @@ class MeasureSystem:
             raise ConfigError("cells: names must be distinct")
         if (self.left_tail is None) != (self.right_tail is None):
             raise ConfigError("tails: left and right must be given together")
-        if self.window_empty:
-            if self.mu:
-                raise ConfigError("mu: empty window admits no level data")
-            return
+        if self.k_min > self.k_max:
+            raise EmptyWindow("the level window is empty")
         if not self.k_min <= 0 <= self.k_max:
             raise ConfigError(
                 f"window: must contain level 0, got [{self.k_min}, {self.k_max}]"
@@ -67,12 +68,14 @@ class MeasureSystem:
         for k, row in self.mu.items():
             if len(row) != len(self.cells):
                 raise ConfigError(f"mu[{k}]: expected {len(self.cells)} cell measures")
+        for k in self.levels():
+            for name, v in zip(self.cells, self.mu[k]):
+                if v <= 0:
+                    raise NonPositiveMeasure(f"mu[{k}][{name}] = {v} is not positive")
+        if self.has_tails and (self.left_tail <= 0 or self.right_tail <= 0):
+            raise NonPositiveMeasure("tail ratios must be positive")
 
     # -- accessors ---------------------------------------------------------
-
-    @property
-    def window_empty(self) -> bool:
-        return self.k_min > self.k_max
 
     @property
     def has_tails(self) -> bool:
@@ -96,45 +99,31 @@ class MeasureSystem:
     def mu_cell(self, k: int, i: int) -> Fraction:
         """Measure of cell i at level k, tail-extended when k is outside
         the window."""
-        if self.window_empty:
-            raise EmptyWindow("the level window is empty")
         base, factor = self._tail_factor(k)
         return self.mu[base][i] * factor
 
+    @cached_property
+    def _level_mass(self) -> dict[int, Fraction]:
+        """Total measure of each window level, summed on first use."""
+        return {k: sum(row, Fraction(0)) for k, row in self.mu.items()}
+
     def mu_W(self, k: int) -> Fraction:
         """Total measure of level k."""
-        if self.window_empty:
-            raise EmptyWindow("the level window is empty")
         base, factor = self._tail_factor(k)
-        return sum(self.mu[base], Fraction(0)) * factor
+        return self._level_mass[base] * factor
 
     # -- structural constants ---------------------------------------------
 
     def validate_star(self) -> Fraction:
-        """Check the model and return the least two-sided one-step constant.
+        """The least two-sided one-step constant.
 
-        Raises EmptyWindow when there are no levels and NonPositiveMeasure
-        when any cell measure or tail ratio fails to be positive.  The
-        returned c >= 1 bounds mu(level k, cell i) / mu(level k+1, cell i)
-        and its reciprocal over every adjacent pair, tails included.
+        The returned c >= 1 bounds mu(level k, cell i) / mu(level k+1, cell i)
+        and its reciprocal over every adjacent pair, tails included.  It is
+        computed afresh on every call.
         """
-        if self.window_empty:
-            raise EmptyWindow("the level window is empty")
-        for k in self.levels():
-            for i, name in enumerate(self.cells):
-                if self.mu[k][i] <= 0:
-                    raise NonPositiveMeasure(
-                        f"mu[{k}][{name}] = {self.mu[k][i]} is not positive"
-                    )
-        ratios: list[Fraction] = []
-        if self.has_tails:
-            assert self.left_tail is not None and self.right_tail is not None
-            if self.left_tail <= 0 or self.right_tail <= 0:
-                raise NonPositiveMeasure("tail ratios must be positive")
-            ratios += [self.left_tail, self.right_tail]
+        ratios = [self.left_tail, self.right_tail] if self.has_tails else []
         for k in range(self.k_min, self.k_max):
-            for i in range(len(self.cells)):
-                ratios.append(self.mu[k][i] / self.mu[k + 1][i])
+            ratios += [a / b for a, b in zip(self.mu[k], self.mu[k + 1])]
         c = Fraction(1)
         for t in ratios:
             c = max(c, t, 1 / t)
@@ -146,7 +135,6 @@ class MeasureSystem:
 
         Tail levels copy the boundary proportions, so they never enlarge K.
         """
-        self.validate_star()
         mu_w0 = self.mu_W(0)
         K = Fraction(1)
         for k in self.levels():
@@ -171,7 +159,7 @@ class MeasureSystem:
         if not isinstance(window, dict) or "min" not in window or "max" not in window:
             raise ConfigError("window: expected an object with min and max")
         k_min, k_max = window["min"], window["max"]
-        if not isinstance(k_min, int) or not isinstance(k_max, int):
+        if type(k_min) is not int or type(k_max) is not int:
             raise ConfigError("window: min and max must be integers")
         if not isinstance(cells, list) or not all(isinstance(c, str) for c in cells):
             raise ConfigError("cells: expected a list of names")
@@ -205,20 +193,16 @@ class MeasureSystem:
 
     def to_dict(self) -> dict:
         doc: dict = {
-            "p": format_fraction(self.p),
+            "p": str(self.p),
             "window": {"min": self.k_min, "max": self.k_max},
             "cells": list(self.cells),
             "mu": {
-                str(k): [format_fraction(v) for v in self.mu[k]]
+                str(k): [str(v) for v in self.mu[k]]
                 for k in sorted(self.mu)
             },
         }
         if self.has_tails:
-            assert self.left_tail is not None and self.right_tail is not None
-            doc["tails"] = {
-                "left": format_fraction(self.left_tail),
-                "right": format_fraction(self.right_tail),
-            }
+            doc["tails"] = {"left": str(self.left_tail), "right": str(self.right_tail)}
         return doc
 
     @classmethod

@@ -33,11 +33,6 @@ def as_fraction(value: object, field: str = "value") -> Fraction:
     raise ConfigError(f"{field}: expected a rational string, got {type(value).__name__}")
 
 
-def format_fraction(q: Fraction) -> str:
-    """Canonical string form, "num/den" or "num" when the denominator is 1."""
-    return str(q)
-
-
 def int_nthroot(n: int, k: int) -> int | None:
     """Exact k-th root of a nonnegative integer, or None if n is not a
     perfect k-th power."""
@@ -45,12 +40,17 @@ def int_nthroot(n: int, k: int) -> int | None:
         raise ValueError("int_nthroot needs n >= 0 and k >= 1")
     if n in (0, 1) or k == 1:
         return n
-    r = round(n ** (1.0 / k))
-    # float seed can be off by a few for large n; walk to the bracket
-    while r > 1 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        # integer Newton from 2**ceil(bits/k), which is above the root; the
+        # iterates fall monotonically to floor(n ** (1/k))
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
     return r if r**k == n else None
 
 

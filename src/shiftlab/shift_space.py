@@ -105,7 +105,6 @@ def derive_weights(system: MeasureSystem) -> WeightSequence:
     so outside the window the powers are constant: the left tail ratio on
     the left and the reciprocal of the right tail ratio on the right.
     """
-    system.validate_star()
     lo, hi = system.k_min + 1, system.k_max
     wp = {k: system.mu_W(k - 1) / system.mu_W(k) for k in range(lo, hi + 1)}
     left = right = None
@@ -155,9 +154,6 @@ class SeqVector:
                     raise ConfigError(f"entries: unilateral index {n} is negative")
                 cleaned[n] = z
         self.entries = cleaned
-
-    def value_at(self, n: int) -> complex:
-        return self.entries.get(n, 0j)
 
     def support(self) -> list[int]:
         return sorted(self.entries)

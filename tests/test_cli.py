@@ -148,6 +148,13 @@ def test_zero_measure_is_validation_error(tmp_path, capsys):
         ("criteria", "--config", "x.json", "--output", "pdf"),
         ("report", "--config", "x.json", "--seed", "-1"),
         ("report", "--config", "x.json", "--seed", str(2**64)),
+        ("report", "--config", "x.json", "--eps", "0"),
+        ("report", "--config", "x.json", "--eps", "-0.5"),
+        ("report", "--config", "x.json", "--eps", "nan"),
+        ("report", "--config", "x.json", "--eps", "inf"),
+        ("report", "--config", "x.json", "--samples", "-3"),
+        ("report", "--config", "x.json", "--horizon", "0"),
+        ("report", "--config", "x.json", "--horizon", "-5"),
         ("frobnicate",),
     ],
 )

@@ -66,33 +66,27 @@ def test_missing_tail_rule_raises():
 
 
 def test_zero_measure_is_caught_by_validation():
-    system = MeasureSystem(
-        p=Fraction(2),
-        k_min=0,
-        k_max=1,
-        cells=("B1", "B2"),
-        mu={0: (Fraction(1, 2), Fraction(0)), 1: (Fraction(1, 2), Fraction(1, 4))},
-    )
     with pytest.raises(NonPositiveMeasure):
-        system.validate_star()
+        MeasureSystem(
+            p=Fraction(2),
+            k_min=0,
+            k_max=1,
+            cells=("B1", "B2"),
+            mu={0: (Fraction(1, 2), Fraction(0)), 1: (Fraction(1, 2), Fraction(1, 4))},
+        )
 
 
 def test_nonpositive_tail_is_caught_by_validation():
-    system = MeasureSystem(
-        p=Fraction(2), k_min=0, k_max=0, cells=("B1",), mu={0: (Fraction(1),)},
-        left_tail=Fraction(0), right_tail=Fraction(1, 2),
-    )
     with pytest.raises(NonPositiveMeasure):
-        system.validate_star()
+        MeasureSystem(
+            p=Fraction(2), k_min=0, k_max=0, cells=("B1",), mu={0: (Fraction(1),)},
+            left_tail=Fraction(0), right_tail=Fraction(1, 2),
+        )
 
 
 def test_empty_window():
-    system = MeasureSystem(p=Fraction(2), k_min=1, k_max=0, cells=("B1",), mu={})
-    assert system.window_empty
     with pytest.raises(EmptyWindow):
-        system.validate_star()
-    with pytest.raises(EmptyWindow):
-        system.mu_W(0)
+        MeasureSystem(p=Fraction(2), k_min=1, k_max=0, cells=("B1",), mu={})
 
 
 @pytest.mark.parametrize(
@@ -148,6 +142,9 @@ def test_from_dict_validation_messages():
             {"window": {"min": 0, "max": 0}, "cells": ["B1"], "mu": {"0": ["1"]},
              "tails": {"left": "1/2"}}
         )
+    for bounds in ({"min": False, "max": True}, {"min": 0, "max": True}, {"min": 0.0, "max": 0}):
+        with pytest.raises(ConfigError, match="window"):
+            MeasureSystem.from_dict({"window": bounds, "cells": ["B1"], "mu": {"0": ["1"]}})
 
 
 def test_star_constant_bounds_every_adjacent_ratio():

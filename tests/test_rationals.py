@@ -7,7 +7,6 @@ from shiftlab.errors import ConfigError
 from shiftlab.rationals import (
     abs_pow,
     as_fraction,
-    format_fraction,
     fraction_pow,
     fraction_root,
     int_nthroot,
@@ -30,7 +29,7 @@ def test_as_fraction_rejects_inexact_or_malformed(bad):
 
 def test_format_round_trips():
     for q in [Fraction(3, 4), Fraction(-7, 2), Fraction(5)]:
-        assert as_fraction(format_fraction(q)) == q
+        assert as_fraction(str(q)) == q
 
 
 def test_int_nthroot():
@@ -40,6 +39,17 @@ def test_int_nthroot():
     assert int_nthroot(2**60, 5) == 2**12
     assert int_nthroot(10, 2) is None
     assert int_nthroot(3**40 + 1, 4) is None
+    # exact integer iteration: no float seed, no walk, no float overflow
+    r70, r80 = 2**70 - 35, 2**80 - 3
+    assert int_nthroot(r70**3, 3) == r70
+    assert int_nthroot(r80**3, 3) == r80
+    assert int_nthroot(r80**3 + 1, 3) is None
+    assert int_nthroot(r80**2, 2) == r80
+    assert int_nthroot(r80**2 - 1, 2) is None
+    assert int_nthroot(2**1500, 3) == 2**500
+    assert int_nthroot(2**1500 + 1, 5) is None
+    assert fraction_pow(Fraction(1, 2**700), Fraction(2, 3)) is None
+    assert fraction_pow(Fraction(1, 2**699), Fraction(2, 3)) == Fraction(1, 2**466)
     with pytest.raises(ValueError):
         int_nthroot(-1, 2)
 
