@@ -132,9 +132,11 @@ def _experiment(system: MeasureSystem, w: WeightSequence, *, eps: float, horizon
     ]
     try:
         approx = construct_hc_approx(w, targets, eps=eps, horizon=horizon)
+        density = orbit_density_report(w, approx.vector, targets, eps=eps, horizon=horizon)
     except ShiftlabError as exc:
         return {"error": str(exc)}
-    density = orbit_density_report(w, approx.vector, targets, eps=eps, horizon=horizon)
+    except (OverflowError, ZeroDivisionError) as exc:
+        return {"error": f"weight products leave the float range within {horizon} steps: {exc}"}
     return {"approx": approx.to_dict(), "orbit": density.to_dict()}
 
 

@@ -89,7 +89,12 @@ def pow_maybe_exact(q: Fraction, expo: Fraction) -> Fraction | float:
     exact = fraction_pow(q, expo)
     if exact is not None:
         return exact
-    return math.exp(float(expo) * math.log(float(q)))
+    try:
+        log_q = math.log(float(q))
+    except (OverflowError, ValueError):
+        # float(q) overflows, or underflows to 0.0; math.log takes big ints
+        log_q = math.log(q.numerator) - math.log(q.denominator)
+    return math.exp(float(expo) * log_q)
 
 
 def abs_pow(value: Fraction | float | complex, expo: Fraction) -> Fraction | float:

@@ -8,12 +8,23 @@ the float boundary, or exactly when the power happens to be a perfect one.
 A weight sequence holds an explicit block of powers on [lo, hi] plus an
 optional periodic tail per side.  ``hi == lo - 1`` is allowed and means the
 tails carry everything.
+
+Every block product goes through ``wp_product``, which costs O(1) in the
+block length: the window part is a quotient of two entries of a prefix
+table, and each tail run is a power of its period product times fewer than
+one period of leftover entries.  The table is built on first use, not at
+construction, because validating a model or printing its weights never
+reads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
+from itertools import accumulate
+from operator import mul
 
 from .errors import ConfigError, TailRuleMissing
 from .measure_system import MeasureSystem
@@ -74,6 +85,16 @@ class WeightSequence:
             raise TailRuleMissing(f"weight index {k} lies below lo and no tail rule is set")
         return self.left_tail[(self.lo - 1 - k) % len(self.left_tail)]
 
+    @cached_property
+    def _prefix(self) -> tuple[Fraction, ...]:
+        """Products wp[lo] * ... * wp[k] for k = lo - 1, ..., hi, the empty
+        product first.  Derived powers telescope, wp(k) = mass(k-1)/mass(k),
+        so each entry is mass(lo-1)/mass(k) and stays the size of a mass
+        ratio, however long the window."""
+        return tuple(accumulate(
+            (self.wp[k] for k in range(self.lo, self.hi + 1)), mul, initial=Fraction(1),
+        ))
+
     def weight_at(self, k: int) -> Fraction | float:
         """The weight itself, exact when its p-th root is rational."""
         return pow_maybe_exact(self.wp_at(k), 1 / self.p)
@@ -118,13 +139,51 @@ def derive_weights(system: MeasureSystem) -> WeightSequence:
     )
 
 
+def _tail_run(tail: tuple[Fraction, ...], phase: int, m: int) -> Fraction:
+    """Product of m >= 1 consecutive entries of a periodic tail, the first
+    at position ``phase`` of the period: the whole periods as one power,
+    then the fewer than one period of entries left over."""
+    period = len(tail)
+    if m == 1:
+        return tail[phase % period]
+    whole, rest = divmod(m, period)
+    out = math.prod(tail) ** whole
+    for t in range(phase, phase + rest):
+        out *= tail[t % period]
+    return out
+
+
 def wp_product(w: WeightSequence, i: int, j: int) -> Fraction:
     """Exact product of weight powers over the inclusive block [i, j];
-    empty blocks give 1."""
-    out = Fraction(1)
-    for k in range(i, j + 1):
-        out *= w.wp_at(k)
-    return out
+    empty blocks give 1.
+
+    O(1) in the block length: the block splits into a left-tail run, a
+    window part read from the lazily built prefix table, and a right-tail
+    run in closed form.  Raises what ``wp_at`` raises on the first index of
+    the block it cannot read.
+    """
+    if j < i:
+        return Fraction(1)
+    if w.side == UNILATERAL and i < 1:
+        raise ValueError(f"unilateral weights are indexed from 1, got {i}")
+    lo, hi = w.lo, w.hi
+    parts = []
+    if i < lo:
+        if w.left_tail is None:
+            raise TailRuleMissing(f"weight index {i} lies below lo and no tail rule is set")
+        end = min(j, lo - 1)
+        parts.append(_tail_run(w.left_tail, lo - 1 - end, end - i + 1))
+    a, b = max(i, lo), min(j, hi)
+    if a < b:
+        parts.append(w._prefix[b - lo + 1] / w._prefix[a - lo])
+    elif a == b:
+        parts.append(w.wp[a])
+    if j > hi:
+        start = max(i, hi + 1)
+        if w.right_tail is None:
+            raise TailRuleMissing(f"weight index {start} lies beyond hi and no tail rule is set")
+        parts.append(_tail_run(w.right_tail, start - hi - 1, j - start + 1))
+    return reduce(mul, parts)
 
 
 def weight_product(w: WeightSequence, i: int, j: int) -> Fraction | float:

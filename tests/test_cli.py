@@ -6,6 +6,7 @@ import pytest
 from shiftlab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *args):
@@ -68,6 +69,21 @@ def test_orbit_experiment(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["experiment"]["orbit"]["fraction"] == 1.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in JSON output")
+
+
+@pytest.mark.parametrize("horizon", ["3000", "20000"])
+def test_orbit_experiment_reports_an_error_where_weights_leave_the_float_range(capsys, horizon):
+    # the weight products of this window underflow a float long before the
+    # horizon; the experiment must report an error entry instead of raising
+    code, out, _ = run(capsys, "orbit", "--config", str(GOLDEN / "wide100.json"),
+                       "--horizon", horizon)
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert "error" in doc["experiment"]
 
 
 def test_report_aggregates_every_section(capsys):

@@ -1,9 +1,15 @@
 """Byte lock on the ``report`` documents.
 
 The files under ``tests/golden/`` are the JSON and CSV output of
-``shiftlab report --seed 5`` for the three sample configs and one flat
-half-span-20 window (``wide020.json``, tails 1/2 and 1), on which
-``menet_unilateral`` enumerates.  Refactors must reproduce them exactly.
+``shiftlab report --seed 5`` for the three sample configs and three flat
+4-cell windows, on which ``menet_unilateral`` enumerates at length:
+
+- ``wide020.json``: half-span 20, p = 1, tails 1/2 and 1;
+- ``wide100.json``: half-span 100, p = 3/2, tails 1/2 and 3/2;
+- ``wide200.json``: half-span 200, p = 1, tails 1/2 and 1.
+
+Each window's masses are drawn by perfbench's flat-window generator from
+``random.Random(half_span)``.  Refactors must reproduce them exactly.
 """
 
 import contextlib
@@ -21,6 +27,8 @@ CONFIGS = {
     "flat": ROOT / "configs" / "flat.json",
     "window_only": ROOT / "configs" / "window_only.json",
     "wide020": GOLDEN / "wide020.json",
+    "wide100": GOLDEN / "wide100.json",
+    "wide200": GOLDEN / "wide200.json",
 }
 
 

@@ -69,6 +69,11 @@ def test_pow_maybe_exact_float_fallback():
     assert isinstance(v, float)
     assert v == pytest.approx(math.sqrt(2))
     assert pow_maybe_exact(Fraction(9, 4), Fraction(1, 2)) == Fraction(3, 2)
+    # float(q) underflows to 0.0 or overflows, the root does not
+    tiny = pow_maybe_exact(Fraction(2, 3) ** 2000, Fraction(2, 3))
+    assert tiny == pytest.approx(math.exp(2000 * 2 / 3 * math.log(2 / 3)))
+    huge = pow_maybe_exact(Fraction(3, 2) ** 5000, Fraction(1, 7))
+    assert huge == pytest.approx(math.exp(5000 / 7 * math.log(3 / 2)))
 
 
 def test_abs_pow_handles_sign_zero_and_complex():

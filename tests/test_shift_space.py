@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import (
     BILATERAL,
@@ -205,3 +208,56 @@ def test_weight_product_telescopes_to_measure_ratio():
             j = rng.randint(-6, 6)
             n = rng.randint(1, 5)
             assert wp_product(w, j - n + 1, j) == system.mu_W(j - n) / system.mu_W(j)
+
+
+def _loop_product(w, i, j):
+    """Reference block product: one wp_at per term."""
+    return math.prod((w.wp_at(k) for k in range(i, j + 1)), start=Fraction(1))
+
+
+_power = st.builds(Fraction, st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9))
+_tail = st.one_of(st.none(), st.lists(_power, min_size=1, max_size=3).map(tuple))
+
+
+@st.composite
+def _weight_sequences(draw):
+    side = draw(st.sampled_from([BILATERAL, UNILATERAL]))
+    lo = 1 if side == UNILATERAL else draw(st.integers(min_value=-4, max_value=4))
+    hi = draw(st.integers(min_value=lo - 1, max_value=lo + 5))
+    return WeightSequence(
+        p=Fraction(draw(st.sampled_from(["1", "3/2", "2"]))),
+        side=side,
+        lo=lo,
+        hi=hi,
+        wp={k: draw(_power) for k in range(lo, hi + 1)},
+        left_tail=None if side == UNILATERAL else draw(_tail),
+        right_tail=draw(_tail),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w=_weight_sequences(),
+    picks=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=1, max_size=8),
+)
+def test_wp_product_matches_the_per_term_loop(w, picks):
+    """Blocks [i, j] with lo - 8 <= i <= hi + 12 and i - 1 <= j <= hi + 12,
+    the empty block included; an error must be the one the loop raises."""
+    for a, b in picks:
+        i = w.lo - 8 + a % (w.hi - w.lo + 21)
+        j = i - 1 + b % (w.hi + 14 - i)
+        try:
+            expected = _loop_product(w, i, j)
+        except (ValueError, TailRuleMissing) as exc:
+            with pytest.raises(type(exc)) as raised:
+                wp_product(w, i, j)
+            assert type(raised.value) is type(exc)
+        else:
+            assert wp_product(w, i, j) == expected
+
+
+def test_deriving_weights_leaves_the_prefix_table_unbuilt(dyadic):
+    w = derive_weights(dyadic)
+    assert "_prefix" not in vars(w)
+    assert wp_product(w, -3, 2) == dyadic.mu_W(-4) / dyadic.mu_W(2)
+    assert "_prefix" in vars(w)
