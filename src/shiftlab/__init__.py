@@ -3,9 +3,7 @@ backward shifts they factor onto, and decidable dynamics certificates."""
 
 from ._version import __version__
 from .criteria import (
-    CofiniteWitness,
     CriterionReport,
-    TelescopingBound,
     Verdict,
     cofinite_quotient_witness,
     conditionmix_lhs,
@@ -28,12 +26,7 @@ from .errors import (
     UsageError,
 )
 from .factor_map import ExactSeqVector, project, semiconjugacy_defect, tagged_backward
-from .hc_lab import (
-    HCApproxResult,
-    OrbitDensityReport,
-    construct_hc_approx,
-    orbit_density_report,
-)
+from .hc_lab import construct_hc_approx, orbit_density_report
 from .lp_space import (
     StepFunction,
     apply_Tf,
@@ -58,24 +51,20 @@ from .shift_space import (
 __all__ = [
     "BILATERAL",
     "UNILATERAL",
-    "CofiniteWitness",
     "ConfigError",
     "CriterionReport",
     "EmptyWindow",
     "ExactSeqVector",
-    "HCApproxResult",
     "HorizonExhausted",
     "HypothesisViolated",
     "InconsistentWitness",
     "MeasureSystem",
     "NoAdmissibleLevels",
     "NonPositiveMeasure",
-    "OrbitDensityReport",
     "SeqVector",
     "ShiftlabError",
     "StepFunction",
     "TailRuleMissing",
-    "TelescopingBound",
     "UsageError",
     "Verdict",
     "WeightSequence",

@@ -76,9 +76,10 @@ def build_parser() -> _Parser:
         cmd.add_argument("--output", choices=("json", "csv"), default="json")
         cmd.add_argument("--out", default=None, help="write to this file instead of stdout")
         cmd.add_argument("--seed", type=int, default=0, help="sampling seed (unsigned 64-bit)")
-        cmd.add_argument("--horizon", type=int, default=64)
-        cmd.add_argument("--samples", type=int, default=100)
-        cmd.add_argument("--eps", type=float, default=1e-2)
+        cmd.add_argument("--horizon", type=int, default=64, help="step budget of the orbit experiment")
+        cmd.add_argument("--samples", type=int, default=100,
+                         help="step functions sampled by the weak-mixing trial and by semicheck")
+        cmd.add_argument("--eps", type=float, default=1e-2, help="approximation budget of the orbit experiment")
         cmd.add_argument("--strict", action="store_true",
                          help="exit 3 when any verdict is InconclusiveWindow")
     return parser
@@ -96,7 +97,7 @@ def _cofinite_report(system: MeasureSystem) -> CriterionReport:
     )
 
 
-def _telescoping_report(system: MeasureSystem, horizon: int) -> CriterionReport:
+def _telescoping_report(system: MeasureSystem) -> CriterionReport:
     if not system.has_tails:
         return CriterionReport(
             "telescoping_bound", Verdict.INCONCLUSIVE, {},
@@ -110,7 +111,7 @@ def _telescoping_report(system: MeasureSystem, horizon: int) -> CriterionReport:
             {"deep_right_ratio": str(deep_ratio)},
             "deep one-step ratios do not exceed 1, so no block constant > 1 applies",
         )
-    n_k = min(8, horizon)
+    n_k = 8
     j = system.k_max + n_k
     cp = (1 + deep_ratio) / 2
     result = telescoping_bound_check(system, j, n_k, 1, cp)
@@ -172,17 +173,16 @@ def _criterion_reports(
     w: WeightSequence,
     *,
     seed: int,
-    horizon: int,
     samples: int,
 ) -> list[CriterionReport]:
     return [
         hypercyclicity_report(system),
         shift_hypercyclicity_report(w),
-        weak_mixing_consistency(system, seed=seed, samples=samples, horizon=horizon),
+        weak_mixing_consistency(system, seed=seed, samples=samples),
         menet_unilateral(w),
         conditionmix_lhs(system),
         _cofinite_report(system),
-        _telescoping_report(system, horizon),
+        _telescoping_report(system),
     ]
 
 
@@ -223,7 +223,7 @@ def run_command(
     if command in ("weights", "report"):
         result["weights"] = _weights_section(w)
     if command in ("criteria", "report"):
-        reports = _criterion_reports(system, w, seed=seed, horizon=horizon, samples=samples)
+        reports = _criterion_reports(system, w, seed=seed, samples=samples)
         result["reports"] = [r.to_dict() for r in reports]
     if command in ("semicheck", "report"):
         result["semicheck"] = _semicheck_section(system, w, seed=seed, samples=samples)

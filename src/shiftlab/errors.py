@@ -23,8 +23,9 @@ class TailRuleMissing(ShiftlabError):
 
 
 class InconsistentWitness(ShiftlabError):
-    """A criterion certified decay, but sampled norms did not fall below the
-    threshold within the horizon.  Signals the horizon is too small; never
+    """An identity that holds exactly failed on a sample: a round trip of
+    compositions, or the factor identity.  It signals a defect in the
+    code, never a short horizon or another user-set extent; never
     swallowed."""
 
 

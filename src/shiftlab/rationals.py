@@ -84,17 +84,21 @@ def fraction_pow(q: Fraction, expo: Fraction) -> Fraction | None:
     return fraction_root(powered, b)
 
 
+def log_fraction(q: Fraction | float) -> float:
+    """Natural log of a positive rational, even where float(q) is out of range."""
+    try:
+        return math.log(float(q))
+    except (OverflowError, ValueError):
+        # float(q) overflows, or underflows to 0.0; math.log takes big ints
+        return math.log(q.numerator) - math.log(q.denominator)
+
+
 def pow_maybe_exact(q: Fraction, expo: Fraction) -> Fraction | float:
     """q**expo, exact when possible, float otherwise.  q must be positive."""
     exact = fraction_pow(q, expo)
     if exact is not None:
         return exact
-    try:
-        log_q = math.log(float(q))
-    except (OverflowError, ValueError):
-        # float(q) overflows, or underflows to 0.0; math.log takes big ints
-        log_q = math.log(q.numerator) - math.log(q.denominator)
-    return math.exp(float(expo) * log_q)
+    return math.exp(float(expo) * log_fraction(q))
 
 
 def abs_pow(value: Fraction | float | complex, expo: Fraction) -> Fraction | float:

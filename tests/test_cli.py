@@ -86,6 +86,37 @@ def test_orbit_experiment_reports_an_error_where_weights_leave_the_float_range(c
     assert "error" in doc["experiment"]
 
 
+def test_no_certificate_reads_the_horizon(capsys):
+    witnesses = []
+    for horizon in ("1", "3", "20", "64"):
+        code, out, _ = run(capsys, "criteria", "--config", str(CONFIGS / "dyadic.json"),
+                           "--samples", "5", "--seed", "1", "--horizon", horizon)
+        assert code == 0
+        reports = {r["criterion"]: r for r in json.loads(out)["reports"]}
+        witnesses.append(reports["weak_mixing"]["witness"])
+    assert all(w == witnesses[0] for w in witnesses)
+
+
+@pytest.mark.parametrize("mass, tail, at_least", [
+    ("1", "999999/1000000", 10**7),
+    ("1", f"{10**400 - 1}/{10**400}", 10**400),
+    (str(10**400), "1/2", 1300),
+], ids=["tail_one_minus_1e-6", "tail_one_minus_1e-400", "mass_1e400"])
+def test_weak_mixing_decay_step_on_extreme_configs(tmp_path, capsys, mass, tail, at_least):
+    # decay steps far past anything a step-by-step search could reach; a
+    # tail so close to 1 that 1 - tail underflows a float; norms beyond the
+    # float range, which are compared with the tolerance exactly
+    config = tmp_path / "extreme.json"
+    config.write_text(json.dumps({
+        "p": "1", "window": {"min": 0, "max": 0}, "cells": ["B1"], "mu": {"0": [mass]},
+        "tails": {"left": tail, "right": tail},
+    }))
+    code, out, _ = run(capsys, "criteria", "--config", str(config), "--samples", "3")
+    assert code == 0
+    reports = {r["criterion"]: r for r in json.loads(out)["reports"]}
+    assert reports["weak_mixing"]["witness"]["worst_first_decay_step"] > at_least
+
+
 def test_report_aggregates_every_section(capsys):
     code, out, _ = run(capsys, "report", "--config", str(CONFIGS / "dyadic.json"))
     assert code == 0

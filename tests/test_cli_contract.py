@@ -1,21 +1,32 @@
-"""Property test of the exit-code contract: whatever the command and flags,
-``main`` returns 0, 1, 2, 3 or 64, never raises, and writes strict JSON."""
+"""Property tests of the exit-code contract: whatever the command, flags and
+valid config, ``main`` returns 0, 2, 3 or 64, never raises, and writes strict
+JSON.  Exit 1 means a certified identity failed, which no input may cause."""
 
 import contextlib
 import io
 import json
+import random
+import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.cli import COMMANDS, main
+from shiftlab.sampling import random_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in JSON output")
+
+
+def _run(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue()
 
 
 _eps = st.one_of(
@@ -42,13 +53,22 @@ def test_exit_codes_and_strict_json(command, config, seed, samples, horizon, eps
     ]
     if strict:
         argv.append("--strict")
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    out = stdout.getvalue()
-    assert code in (0, 1, 2, 3, 64)
+    code, out = _run(argv)
+    assert code in (0, 2, 3, 64)
     if code in (0, 3):
         doc = json.loads(out, parse_constant=_reject_constant)
         assert doc["command"] == command
     else:
         assert out == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_report_exits_0_on_generated_configs(seed):
+    system = random_system(random.Random(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "system.json"
+        config.write_text(system.to_json())
+        code, out = _run(["report", "--config", str(config), "--samples", "3"])
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["command"] == "report"

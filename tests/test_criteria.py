@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import (
     BILATERAL,
     UNILATERAL,
     MeasureSystem,
+    StepFunction,
     Verdict,
     WeightSequence,
     cofinite_quotient_witness,
@@ -18,8 +22,10 @@ from shiftlab import (
     telescoping_bound_check,
     weak_mixing_consistency,
 )
-from shiftlab.errors import HypothesisViolated, InconsistentWitness, NoAdmissibleLevels
-from shiftlab.sampling import random_functional
+from shiftlab.criteria import DECAY_TOL, _first_decay_step
+from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels
+from shiftlab.lp_space import gs_decay_check
+from shiftlab.sampling import random_functional, random_step_function, random_system
 
 
 def single_cell(masses: dict[int, Fraction], left, right, p="1") -> MeasureSystem:
@@ -86,14 +92,47 @@ def test_weak_mixing_inherits_negative_verdict():
 
 
 def test_weak_mixing_consistency_on_dyadic(dyadic):
-    report = weak_mixing_consistency(dyadic, seed=11, samples=8, horizon=64)
+    report = weak_mixing_consistency(dyadic, seed=11, samples=8)
     assert report.verdict is Verdict.SATISFIED
     assert 0 < report.witness["worst_first_decay_step"] <= 64
 
 
-def test_weak_mixing_raises_when_horizon_too_small(dyadic):
-    with pytest.raises(InconsistentWitness):
-        weak_mixing_consistency(dyadic, seed=11, samples=4, horizon=1)
+DECAYING_TAILS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_first_decay_step_matches_the_step_by_step_search(seed):
+    # the reference tries every n with the predicate of the window zone;
+    # the closed form must agree with it through the tails as well
+    rng = random.Random(seed)
+    system = random_system(rng, tail_pool=DECAYING_TAILS)
+    phi = random_step_function(rng, system)
+    if phi.is_zero():
+        return
+    reference = next(
+        n for n in count(1)
+        if all(v <= DECAY_TOL for v in gs_decay_check(system, phi, n))
+    )
+    assert _first_decay_step(system, phi) == reference
+
+
+def test_first_decay_step_inside_the_window():
+    # masses 4**-|k| on [-12, 12]: the level-0 indicator decays below
+    # DECAY_TOL at n = 10 (4**-10 < 1e-6 < 4**-9), before its support
+    # leaves the window at n = 13
+    system = single_cell({k: Fraction(1, 4 ** abs(k)) for k in range(-12, 13)},
+                         left=Fraction(1, 4), right=Fraction(1, 4))
+    assert _first_decay_step(system, StepFunction.indicator_level(system, 0)) == 10
+
+
+def test_first_decay_step_keeps_its_digits_for_a_tail_near_one():
+    # the level-0 indicator decays as tail ** n both ways, so the answer is
+    # the least n with tail ** n <= DECAY_TOL; to 60 digits, ln(DECAY_TOL)
+    # / ln(tail) is 13815510557957.366...
+    tail = Fraction(10**12 - 1, 10**12)
+    system = single_cell({0: Fraction(1)}, left=tail, right=tail)
+    assert _first_decay_step(system, StepFunction.indicator_level(system, 0)) == 13815510557958
 
 
 # -- menet ------------------------------------------------------------------
@@ -197,8 +236,6 @@ def test_conditionmix_finite_value_never_exceeds_one():
     # a deep-tail candidate ratio min(a, b)**n caps every infimum, so a
     # finite supremum is automatically <= 1; only divergence violates
     rng = random.Random(31)
-    from shiftlab.sampling import random_system
-
     for _ in range(40):
         system = random_system(rng)
         report = conditionmix_lhs(system)
@@ -211,11 +248,6 @@ def test_conditionmix_finite_value_never_exceeds_one():
 def test_conditionmix_inconclusive_without_tails():
     system = single_cell({0: Fraction(1)}, left=None, right=None)
     assert conditionmix_lhs(system).verdict is Verdict.INCONCLUSIVE
-
-
-def test_conditionmix_cap_reports_inconclusive(dyadic):
-    report = conditionmix_lhs(dyadic, n_cap=0)
-    assert report.verdict is Verdict.INCONCLUSIVE
 
 
 # -- cofinite witness -------------------------------------------------------

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import MeasureSystem
 from shiftlab.errors import ConfigError, EmptyWindow, NonPositiveMeasure, TailRuleMissing
@@ -126,6 +128,13 @@ def test_json_round_trip_is_stable(dyadic):
     again = MeasureSystem.from_json(text)
     assert again == dyadic
     assert again.to_json() == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_json_round_trip_on_generated_systems(seed):
+    system = random_system(random.Random(seed), max_half_span=8, max_cells=4)
+    assert MeasureSystem.from_json(system.to_json()) == system
 
 
 def test_from_dict_validation_messages():
