@@ -51,6 +51,7 @@ The certificates:
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -60,7 +61,9 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import HypothesisViolated, InconsistentWitness, NoAdmissibleLevels
-from .lp_space import StepFunction, apply_Tf, apply_Tf_inverse, gs_decay_check
+from .lp_space import (
+    CellMass, StepFunction, apply_Tf, apply_Tf_inverse, lp_powers, shifted_log_norm, shifted_norm,
+)
 from .measure_system import MeasureSystem
 from .rationals import abs_pow, log_fraction, pow_maybe_exact
 from .shift_space import UNILATERAL, WeightSequence, wp_product
@@ -192,29 +195,56 @@ def shift_hypercyclicity_report(w: WeightSequence) -> CriterionReport:
 DECAY_TOL = 1e-6  # a sampled norm counts as decayed once it is at most this
 
 
-def _first_decay_step(system: MeasureSystem, phi: StepFunction) -> int:
+def _first_decay_step(system: MeasureSystem, phi: StepFunction, mass: CellMass | None = None) -> int:
     """Least n >= 1 at which both n-step norms of a nonzero phi, forward and
     inverse, are at most DECAY_TOL; both tail ratios must be < 1.
 
     Steps are tried one by one while part of the support lands in the
-    window.  From n0 on it all lies in the tails, where each norm falls by
+    window.  The coefficient powers are taken once, so a step costs one
+    multiply-add per support term for the forward norm, and the inverse
+    norm is summed only once the forward one has decayed: at most two roots
+    per step.  ``mass`` is ``system.mu_cell`` or a cached copy of it.
+
+    From n0 on the support lies in the tails, where each norm falls by
     ratio ** (1 / p) per step (left tail forward, right tail inverse), so
     the rest is solved with logs, never building ratio ** n: with a tail
-    near 1 the answer passes 10**13.
+    near 1 the answer passes 10**13.  A norm outside the float range is
+    compared and extrapolated through its log.
     """
-    levels = phi.levels()
-    n0 = max(levels[-1] - system.k_min, system.k_max - levels[0]) + 1
+    powers = lp_powers(system, phi)
+    mass = mass or system.mu_cell
+    log_tol = math.log(DECAY_TOL)
+
+    def norm(shift: int) -> Fraction | float:
+        """The shifted norm, or inf where it leaves the float range."""
+        try:
+            return shifted_norm(system, powers, shift, mass)
+        except OverflowError:
+            return math.inf
+
+    def decayed(shift: int) -> bool:
+        value = norm(shift)
+        if value == math.inf:
+            return shifted_log_norm(system, powers, shift, mass) <= log_tol
+        return value <= DECAY_TOL
+
+    levels = [k for k, _, _ in powers]
+    n0 = max(max(levels) - system.k_min, system.k_max - min(levels)) + 1
     for n in range(1, n0):
-        fwd, bwd = gs_decay_check(system, phi, n)
-        if fwd <= DECAY_TOL and bwd <= DECAY_TOL:
+        if decayed(-n) and decayed(n):
             return n
     steps = [0]
-    for norm, ratio in zip(gs_decay_check(system, phi, n0), (system.left_tail, system.right_tail)):
-        if norm > DECAY_TOL:
+    for shift, ratio in ((-n0, system.left_tail), (n0, system.right_tail)):
+        value = norm(shift)
+        if value > DECAY_TOL:
+            log_norm = (
+                shifted_log_norm(system, powers, shift, mass) if value == math.inf
+                else log_fraction(value)
+            )
             # near 1, -log(ratio) comes from 1 - ratio so that its digits
             # survive, and 1 - ratio stands in where even that underflows
             drop = -math.log1p(float(ratio - 1)) if ratio > Fraction(1, 2) else -log_fraction(ratio)
-            excess = log_fraction(norm) - math.log(DECAY_TOL)
+            excess = log_norm - log_tol
             steps.append(math.ceil(system.p * Fraction(excess) / (Fraction(drop) or 1 - ratio)))
     return n0 + max(steps)
 
@@ -243,6 +273,7 @@ def weak_mixing_consistency(
             notes="inherited: the doubled operator mixes weakly exactly when the operator itself has dense orbits",
         )
     rng = random.Random(seed)
+    mass = functools.cache(system.mu_cell)  # for this call only; the samples share levels
     worst_n = 0
     for index in range(samples):
         phi = random_step_function(rng, system)
@@ -253,7 +284,7 @@ def weak_mixing_consistency(
             raise InconsistentWitness(
                 f"sample {index}: inverse composition did not undo the forward one"
             )
-        worst_n = max(worst_n, _first_decay_step(system, phi))
+        worst_n = max(worst_n, _first_decay_step(system, phi, mass))
     return CriterionReport(
         criterion="weak_mixing",
         verdict=Verdict.SATISFIED,
@@ -618,7 +649,15 @@ def telescoping_bound_check(
         raise ValueError("cp must be >= 1")
     c = system.validate_star()
     k_first, k_last = j - max(n_k, n), j - n
-    for k in range(k_first, k_last + 1):
+    # below k_min - n and above k_max both levels of a ratio lie in one
+    # tail, where the ratio is constant: those zones are checked at their
+    # first level only, still in increasing order
+    checked = list(range(max(k_first, system.k_min - n), min(k_last, system.k_max) + 1))
+    if k_first < system.k_min - n:
+        checked.insert(0, k_first)
+    if max(k_first, system.k_max + 1) <= k_last:
+        checked.append(max(k_first, system.k_max + 1))
+    for k in checked:
         ratio = system.mu_W(k) / system.mu_W(k + n)
         if ratio <= cp:
             raise HypothesisViolated(

@@ -1,9 +1,17 @@
+import decimal
 import json
+import random
+from decimal import Decimal
+from fractions import Fraction
+from itertools import count
 from pathlib import Path
 
 import pytest
 
+from shiftlab import MeasureSystem
 from shiftlab.cli import main
+from shiftlab.criteria import DECAY_TOL
+from shiftlab.sampling import random_step_function
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -115,6 +123,49 @@ def test_weak_mixing_decay_step_on_extreme_configs(tmp_path, capsys, mass, tail,
     assert code == 0
     reports = {r["criterion"]: r for r in json.loads(out)["reports"]}
     assert reports["weak_mixing"]["witness"]["worst_first_decay_step"] > at_least
+
+
+def _decimal_decay_step(phi, mass, p: Fraction) -> int:
+    """Least n >= 1 at which both n-step norms of phi are at most DECAY_TOL,
+    tried one n at a time in 50-digit decimals on a one-cell window at
+    level 0 with both tails 1/2 (so level k has mass * 2**-|k|)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exponent = Decimal(p.numerator) / Decimal(p.denominator)
+        # norm <= DECAY_TOL exactly when the sum of the p-th powers is at
+        # most DECAY_TOL ** p
+        bound = Decimal(DECAY_TOL) ** exponent
+        terms = [
+            (k, (Decimal(abs(v.numerator)) / Decimal(v.denominator)) ** exponent * Decimal(mass))
+            for (k, _), v in phi.coeffs.items()
+        ]
+
+        def decayed(shift):
+            return sum(a / Decimal(2) ** abs(k + shift) for k, a in terms) <= bound
+
+        return next(n for n in count(1) if decayed(-n) and decayed(n))
+
+
+@pytest.mark.parametrize("p, mass", [("3/2", 10**309), ("2", 10**700)],
+                         ids=["float_powers_mass_1e309", "exact_powers_mass_1e700"])
+@pytest.mark.parametrize("command", ["criteria", "report"])
+def test_weak_mixing_norms_beyond_the_float_range(tmp_path, capsys, command, p, mass):
+    # a norm past the float range used to raise OverflowError, from the
+    # float * Fraction of a term (p = 3/2) or the float root (p = 2); the
+    # decay step must match a step-by-step decimal search
+    doc = {"p": p, "window": {"min": 0, "max": 0}, "cells": ["B1"], "mu": {"0": [str(mass)]},
+           "tails": {"left": "1/2", "right": "1/2"}}
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, command, "--config", str(config), "--samples", "3")
+    assert code == 0
+    reports = json.loads(out, parse_constant=_reject_constant)["reports"]
+    witness = {r["criterion"]: r for r in reports}["weak_mixing"]["witness"]
+    system = MeasureSystem.from_dict(doc)
+    rng = random.Random(0)
+    samples = [random_step_function(rng, system) for _ in range(3)]
+    expected = max(_decimal_decay_step(phi, mass, system.p) for phi in samples if not phi.is_zero())
+    assert witness["worst_first_decay_step"] == expected
 
 
 def test_report_aggregates_every_section(capsys):

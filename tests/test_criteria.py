@@ -23,7 +23,7 @@ from shiftlab import (
     weak_mixing_consistency,
 )
 from shiftlab.criteria import DECAY_TOL, _first_decay_step
-from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels
+from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabError
 from shiftlab.lp_space import gs_decay_check
 from shiftlab.sampling import random_functional, random_step_function, random_system
 
@@ -124,6 +124,24 @@ def test_first_decay_step_inside_the_window():
     system = single_cell({k: Fraction(1, 4 ** abs(k)) for k in range(-12, 13)},
                          left=Fraction(1, 4), right=Fraction(1, 4))
     assert _first_decay_step(system, StepFunction.indicator_level(system, 0)) == 10
+
+
+def test_first_decay_step_waits_for_the_inverse_norm():
+    # masses 16**k below level 0 and 2**-k above it: the level-0 indicator
+    # decays forward at n = 5 but inversely only at n = 20 (2**-20 < 1e-6
+    # < 2**-19), still inside the window
+    masses = {k: Fraction(16) ** k if k < 0 else Fraction(1, 2**k) for k in range(-12, 25)}
+    system = single_cell(masses, left=Fraction(1, 16), right=Fraction(1, 2))
+    assert _first_decay_step(system, StepFunction.indicator_level(system, 0)) == 20
+
+
+def test_first_decay_step_compares_out_of_range_norms_through_logs():
+    # every window mass is 10**309, past the float range, and the
+    # coefficient is 1e-320: float arithmetic overflows on each term, yet
+    # each norm is about 1e-11, so both have decayed at n = 1
+    system = single_cell({k: Fraction(10**309) for k in range(-2, 3)}, left="1/2", right="1/2")
+    assert Fraction(1e-320) * 10**309 <= DECAY_TOL
+    assert _first_decay_step(system, StepFunction({(0, 0): 1e-320})) == 1
 
 
 def test_first_decay_step_keeps_its_digits_for_a_tail_near_one():
@@ -347,6 +365,44 @@ def test_telescoping_hypothesis_violation_names_level(dyadic):
     with pytest.raises(HypothesisViolated) as info:
         telescoping_bound_check(dyadic, 0, 5, 1, Fraction(2))
     assert info.value.level == -5
+
+
+def _telescoping_per_level(system, j, n_k, n, cp):
+    """The hypothesis loop of telescoping_bound_check, one level at a time."""
+    for k in range(j - max(n_k, n), j - n + 1):
+        ratio = system.mu_W(k) / system.mu_W(k + n)
+        if ratio <= cp:
+            raise HypothesisViolated(f"n-step ratio at level {k} is {ratio}, not above {cp}", level=k)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ShiftlabError as exc:
+        return type(exc), str(exc), getattr(exc, "level", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       tails=st.booleans(),
+       j=st.integers(min_value=-16, max_value=24),
+       n_k=st.integers(min_value=1, max_value=30),
+       n=st.integers(min_value=1, max_value=6),
+       cp=st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(2), Fraction(9, 2)]))
+def test_telescoping_tail_zones_match_the_per_level_loop(seed, tails, j, n_k, n, cp):
+    # the tail zones are checked at their first level only; the outcome,
+    # down to the offending level and the message, must be the per-level one
+    system = random_system(random.Random(seed), max_half_span=4)
+    if not tails:
+        system = MeasureSystem(p=system.p, k_min=system.k_min, k_max=system.k_max,
+                               cells=system.cells, mu=system.mu)
+    result = _outcome(lambda: telescoping_bound_check(system, j, n_k, n, cp))
+    reference = _outcome(lambda: _telescoping_per_level(system, j, n_k, n, cp))
+    if isinstance(reference, tuple):
+        assert result == reference
+    else:
+        assert not isinstance(result, tuple)
+        assert result.checked_range == (j - max(n_k, n), j - n)
 
 
 def test_telescoping_argument_validation(dyadic):

@@ -1,14 +1,21 @@
 """Byte lock on the ``report`` documents.
 
 The files under ``tests/golden/`` are the JSON and CSV output of
-``shiftlab report --seed 5`` for the three sample configs and three flat
+``shiftlab report --seed 5`` for the three sample configs, three flat
 4-cell windows, on which ``menet_unilateral`` enumerates at length:
 
 - ``wide020.json``: half-span 20, p = 1, tails 1/2 and 1;
 - ``wide100.json``: half-span 100, p = 3/2, tails 1/2 and 3/2;
-- ``wide200.json``: half-span 200, p = 1, tails 1/2 and 1.
+- ``wide200.json``: half-span 200, p = 1, tails 1/2 and 1;
 
-Each window's masses are drawn by perfbench's flat-window generator from
+and two decaying windows, on which the weak-mixing decay search runs
+through float coefficient powers and inexact roots:
+
+- ``decay32.json``: half-span 6, p = 3/2, 3 cells, tails 1/2 and 1/3;
+- ``decay2.json``: half-span 8, p = 2, 4 cells, tails 1/3 and 1/2.
+
+The flat windows' masses are drawn by perfbench's flat-window generator and
+the decaying ones by its decaying-window generator, each from
 ``random.Random(half_span)``.  Refactors must reproduce them exactly.
 """
 
@@ -23,6 +30,8 @@ from shiftlab.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = {
+    "decay2": GOLDEN / "decay2.json",
+    "decay32": GOLDEN / "decay32.json",
     "dyadic": ROOT / "configs" / "dyadic.json",
     "flat": ROOT / "configs" / "flat.json",
     "window_only": ROOT / "configs" / "window_only.json",

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import (
     MeasureSystem,
@@ -12,7 +14,9 @@ from shiftlab import (
     gs_decay_check,
     lp_norm_step,
 )
-from shiftlab.rationals import abs_pow
+from shiftlab.criteria import weak_mixing_consistency
+from shiftlab.lp_space import lp_powers, shifted_norm
+from shiftlab.rationals import abs_pow, pow_maybe_exact
 from shiftlab.sampling import random_step_function, random_system
 
 
@@ -122,3 +126,47 @@ def test_constant_system_norms_never_decay():
         fwd, bwd = gs_decay_check(flat, phi, n)
         assert fwd == base
         assert bwd == base
+
+
+def _norm_by_terms(system, phi):
+    """The norm summed term by term in coefficient order, then rooted."""
+    total = Fraction(0)
+    for (k, i), v in phi.coeffs.items():
+        total += abs_pow(v, system.p) * system.mu_cell(k, i)
+    if isinstance(total, Fraction):
+        return total if total == 0 else pow_maybe_exact(total, 1 / system.p)
+    return total ** (1.0 / float(system.p))
+
+
+def _same_norm(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       kind=st.sampled_from(["fraction", "float", "complex"]),
+       n=st.integers(min_value=0, max_value=12))
+def test_shifted_norm_matches_the_norm_of_the_shifted_function(seed, kind, n):
+    # the powers are taken once and shifted; the norm of the moved step
+    # function must come out the same, bit for bit
+    rng = random.Random(seed)
+    system = random_system(rng)
+    phi = random_step_function(rng, system)
+    if kind == "float":
+        phi = StepFunction({key: float(v) for key, v in phi.coeffs.items()})
+    elif kind == "complex":
+        phi = StepFunction({key: complex(float(v), rng.randint(-3, 3) / 4) for key, v in phi.coeffs.items()})
+    powers = lp_powers(system, phi)
+    for shift, moved in ((-n, apply_Tf(phi, n)), (n, apply_Tf_inverse(phi, n))):
+        norm = shifted_norm(system, powers, shift)
+        assert _same_norm(norm, lp_norm_step(system, moved))
+        assert _same_norm(norm, _norm_by_terms(system, moved))
+
+
+def test_weak_mixing_leaves_no_memo_on_the_system(dyadic_p2):
+    # the cell-mass cache lives for one certificate call only
+    before = dict(vars(dyadic_p2))
+    weak_mixing_consistency(dyadic_p2, seed=3, samples=10)
+    assert vars(dyadic_p2) == before
