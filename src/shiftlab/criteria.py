@@ -35,9 +35,11 @@ The certificates:
     finite enumeration plus a per-period product sign.
 
 ``conditionmix_lhs``
-    The supremum over n of the worst n-step level mass ratio.  Geometric
-    tails make the supremum computable exactly; at most a window-sized
-    stretch of n must be enumerated and the rest follows a closed form.
+    The supremum over n of the worst n-step level mass ratio.  Up to the
+    window span the infima are enumerated; past it they follow the closed
+    form min(alpha * a**n, beta * b**n) in the two tail steps, whose
+    supremum sits where the growing term meets the other, located by float
+    logs and settled by exact comparisons.
 
 ``cofinite_quotient_witness``
     Constructive spaceability evidence: a nonzero step function killed by
@@ -65,7 +67,7 @@ from .lp_space import (
     CellMass, StepFunction, apply_Tf, apply_Tf_inverse, lp_powers, shifted_log_norm, shifted_norm,
 )
 from .measure_system import MeasureSystem
-from .rationals import abs_pow, log_fraction, pow_maybe_exact
+from .rationals import abs_pow, log_fraction, log_ratio, pow_maybe_exact
 from .shift_space import UNILATERAL, WeightSequence, wp_product
 
 
@@ -241,9 +243,8 @@ def _first_decay_step(system: MeasureSystem, phi: StepFunction, mass: CellMass |
                 shifted_log_norm(system, powers, shift, mass) if value == math.inf
                 else log_fraction(value)
             )
-            # near 1, -log(ratio) comes from 1 - ratio so that its digits
-            # survive, and 1 - ratio stands in where even that underflows
-            drop = -math.log1p(float(ratio - 1)) if ratio > Fraction(1, 2) else -log_fraction(ratio)
+            # 1 - ratio stands in where even log1p of ratio - 1 underflows
+            drop = -log_ratio(ratio)
             excess = log_norm - log_tol
             steps.append(math.ceil(system.p * Fraction(excess) / (Fraction(drop) or 1 - ratio)))
     return n0 + max(steps)
@@ -372,103 +373,92 @@ def menet_unilateral(
 
 # -- sup-inf mass ratio -----------------------------------------------------
 
+# rounding bound of a computed log per unit of the logs it is made from: 8 ulps
+_LOG_ERR = 2.0**-50
+
+
+def _log_sign(k: Fraction, r: Fraction, e: int) -> int:
+    """Sign of k * r**e - 1 for an integer e >= 0.  For r between 1/2 and 2
+    the float gap log k + e * log r decides past _LOG_ERR times the logs of
+    k's numerator and denominator plus e * (|log r| + 2**-1022, its
+    underflow); otherwise, and for other r, where e is small, exact values do."""
+    if Fraction(1, 2) < r < 2:
+        log_num, log_den, log_r = math.log(k.numerator), math.log(k.denominator), log_ratio(r)
+        gap = log_num - log_den + e * log_r
+        if abs(gap) > _LOG_ERR * (log_num + log_den + 2 + e * (abs(log_r) + 2.0**-1022)):
+            return 1 if gap > 0 else -1
+    if e * (r.numerator.bit_length() + r.denominator.bit_length()) > 2**25:
+        raise ArithmeticError("a tie within float rounding needs an exact power past reach")
+    x = k * r**e
+    return (x > 1) - (x < 1)
+
 
 def conditionmix_lhs(system: MeasureSystem) -> CriterionReport:
     """Exact value of sup over n >= 1 of inf over all k of
-    mass(level k) / mass(level k + n), and the verdict "<= 1".
+    mass(level k) / mass(level k + n), the least n attaining it, and the
+    verdict "<= 1".
 
-    Let a be the left tail ratio and b the reciprocal of the right one;
-    the infimum for fixed n is min(a**n, b**n, window-straddling ratios).
-    When min(a, b) < 1 the infima die geometrically and the supremum is
-    attained early: enumeration stops as soon as the remaining infima are
-    provably below the best value seen.  When min(a, b) >= 1 the infima
-    settle once n exceeds the window span S into one of three closed
-    forms: constant (a = b = 1), monotone with a computable limit (exactly
-    one of a, b equals 1), or divergent (both > 1, supremum infinite).
+    With a the left tail ratio and b the reciprocal of the right one, deep
+    tail pairs cap every infimum by min(a, b)**n: the supremum is infinite
+    (Violated) exactly when a > 1 and b > 1, else at most 1.  Up to the
+    window span S the infima are enumerated until min(a, b)**(n + 1) is at
+    most the best.  Past S each pair has an end in a tail, so the infimum
+    is min(alpha * a**n, beta * b**n), alpha and beta taken at n = S + 1:
+    log-concave, its supremum is at S + 1 or where the growing term meets
+    the other.  Float logs locate that n, _log_sign settles it exactly, and
+    past their reach the witness says "attained": false with no value.
     """
     if not system.has_tails:
         return CriterionReport(
-            criterion="conditionmix",
-            verdict=Verdict.INCONCLUSIVE,
-            witness={"window": [system.k_min, system.k_max]},
-            notes="no tail rule: window ratios bound the infima from above only, so neither verdict is certifiable",
+            "conditionmix", Verdict.INCONCLUSIVE, {"window": [system.k_min, system.k_max]},
+            "no tail rule: window ratios bound the infima from above only, so neither verdict is certifiable",
         )
     assert system.left_tail is not None and system.right_tail is not None
-    a = system.left_tail
-    b = 1 / system.right_tail
-    span = system.k_max - system.k_min
+    a, b = system.left_tail, 1 / system.right_tail
+    witness: dict = {"left_step": str(a), "right_step": str(b)}
+    if a > 1 and b > 1:
+        return CriterionReport(
+            "conditionmix", Verdict.VIOLATED, {**witness, "unbounded": True},
+            "both step ratios exceed 1: every candidate ratio diverges with n, the supremum is infinite",
+        )
+    k_min, k_max = system.k_min, system.k_max
 
-    def inf_for(n: int) -> Fraction:
-        best = min(a**n, b**n)
-        for k in range(system.k_min - n, system.k_max + 1):
-            best = min(best, system.mu_W(k) / system.mu_W(k + n))
-        return best
+    def worst(n: int, ks: range) -> Fraction:
+        return min(system.mu_W(k) / system.mu_W(k + n) for k in ks)
 
-    witness: dict = {
-        "left_step": str(a),
-        "right_step": str(b),
-    }
-    small = min(a, b)
-    if small < 1:
-        best = Fraction(0)
-        best_n = 0
-        n = 1
-        while True:
-            v = inf_for(n)
-            if v > best:
-                best, best_n = v, n
-            if small ** (n + 1) <= best:
-                break
-            n += 1
-        value, attained, arg = best, True, best_n
+    best, arg, value = Fraction(0), 0, None
+    for n in range(1, k_max - k_min + 1):
+        v = worst(n, range(k_min - n, k_max + 1))
+        if v > best:
+            best, arg = v, n
+        if min(a, b) ** (n + 1) <= best:
+            break
     else:
-        best = Fraction(0)
-        best_n = 0
-        for n in range(1, span + 1):
-            v = inf_for(n)
-            if v > best:
-                best, best_n = v, n
-        if a == 1 and b == 1:
-            settled = inf_for(span + 1)
-            if settled >= best:
-                value, attained, arg = settled, True, span + 1
-            else:
-                value, attained, arg = best, True, best_n
-        elif a == 1 or b == 1:
-            # the infimum is eventually nondecreasing toward a finite limit
-            if a == 1:
-                limit = min(
-                    [Fraction(1)]
-                    + [system.mu_W(system.k_min) / system.mu_W(j) for j in system.levels()]
-                )
-            else:
-                limit = min(
-                    [Fraction(1)]
-                    + [system.mu_W(h) / system.mu_W(system.k_max) for h in system.levels()]
-                )
-            if best >= limit:
-                value, attained, arg = best, True, best_n
-            else:
-                value, attained, arg = limit, False, -1
-        else:
-            return CriterionReport(
-                "conditionmix", Verdict.VIOLATED,
-                {**witness, "unbounded": True},
-                "both step ratios exceed 1: every candidate ratio diverges with n, the supremum is infinite",
-            )
-    witness.update({
-        "value": str(value),
-        "attained": attained,
-    })
-    if attained:
-        witness["attained_at_n"] = arg
-    verdict = Verdict.SATISFIED if value <= 1 else Verdict.VIOLATED
-    notes = (
-        "supremum of worst-case mass ratios is <= 1"
-        if verdict is Verdict.SATISFIED
-        else "supremum of worst-case mass ratios exceeds 1"
-    )
-    return CriterionReport("conditionmix", verdict, witness, notes)
+        n0 = k_max - k_min + 1
+        # from n0 on a pair with k < k_min scales by a per step (its right end fixed), any other by b
+        (s_lo, lo), (s_hi, hi) = sorted([(a, worst(n0, range(k_min - n0, k_min))),
+                                         (b, worst(n0, range(k_min, k_max + 1)))])
+        coef, step, m = min(lo, hi), Fraction(1), 0
+        try:
+            if s_hi > 1 and hi < lo:
+                # hi * s_hi**m grows to meet lo * s_lo**m: the supremum is at the last m up to it or the next
+                k, r = hi / lo, s_hi / s_lo
+                log_num, log_den, log_r = math.log(k.numerator), math.log(k.denominator), log_ratio(r)
+                if log_r <= 4 * _LOG_ERR * (log_num + log_den + 2):  # else j is off by less than 1/2
+                    raise ArithmeticError("the meeting point lies past the steps' float logs")
+                j = max(0, math.floor((log_den - log_num) / log_r))
+                m = next(i for i in (j + 1, j, j - 1) if i <= 0 or _log_sign(k, r, i) <= 0)
+                coef, step, m = (hi, s_hi, m) if _log_sign(k / s_lo, r, m) >= 0 else (lo, s_lo, m + 1)
+            if arg == 0 or _log_sign(coef / best, step, m) > 0:
+                # a product where bit lengths allow more digits than int-to-str's 4300
+                bits = max(coef.numerator.bit_length() + m * step.numerator.bit_length(),
+                           coef.denominator.bit_length() + m * step.denominator.bit_length())
+                value, arg = (str(coef * step**m) if bits * 0.30103 < 4299 else f"{coef}*({step})**{m}"), n0 + m
+        except ArithmeticError as exc:
+            return CriterionReport("conditionmix", Verdict.SATISFIED, {**witness, "attained": False},
+                                   f"the supremum is finite, so <= 1, but {exc}")
+    witness.update({"value": value or str(best), "attained": True, "attained_at_n": arg})
+    return CriterionReport("conditionmix", Verdict.SATISFIED, witness, "supremum of worst-case mass ratios is <= 1")
 
 
 # -- constructive subspace witness ------------------------------------------

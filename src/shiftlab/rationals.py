@@ -93,6 +93,11 @@ def log_fraction(q: Fraction | float) -> float:
         return math.log(q.numerator) - math.log(q.denominator)
 
 
+def log_ratio(q: Fraction) -> float:
+    """log q, by log1p(q - 1) between 1/2 and 2, where log(float(q)) loses digits."""
+    return math.log1p(float(q - 1)) if Fraction(1, 2) < q < 2 else log_fraction(q)
+
+
 def pow_maybe_exact(q: Fraction, expo: Fraction) -> Fraction | float:
     """q**expo, exact when possible, float otherwise.  q must be positive."""
     exact = fraction_pow(q, expo)

@@ -1,6 +1,9 @@
 import decimal
 import json
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import count
@@ -13,7 +16,8 @@ from shiftlab.cli import main
 from shiftlab.criteria import DECAY_TOL
 from shiftlab.sampling import random_step_function
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -166,6 +170,44 @@ def test_weak_mixing_norms_beyond_the_float_range(tmp_path, capsys, command, p, 
     samples = [random_step_function(rng, system) for _ in range(3)]
     expected = max(_decimal_decay_step(phi, mass, system.p) for phi in samples if not phi.is_zero())
     assert witness["worst_first_decay_step"] == expected
+
+
+@pytest.mark.parametrize("masses, tails, value, at_n", [
+    (["1", "2"], ["999/1000", "999/1000"], Fraction(1, 2), 1),
+    ([f"1/{10**321}", str(10**50)], ["2/3", "1"], Fraction(1, 10**371), 1),
+    (["1", "1/100", "1"], ["999/1000", "999/1000"], Fraction(999, 1000) ** 2302, 2302),
+], ids=["tails_999_over_1000", "masses_over_371_orders", "tails_meet_at_2302"])
+def test_conditionmix_on_configs_that_used_to_hang(tmp_path, capsys, masses, tails, value, at_n):
+    # tails near 1 or masses far apart once made the enumeration of n run
+    # for minutes; in the last config the tail terms meet past the window,
+    # and the value, 6,900 digits long, is printed as "c*(r)**e"
+    config = tmp_path / "hard.json"
+    config.write_text(json.dumps({
+        "p": "1", "window": {"min": 0, "max": len(masses) - 1}, "cells": ["B1"],
+        "mu": {str(k): [m] for k, m in enumerate(masses)},
+        "tails": {"left": tails[0], "right": tails[1]},
+    }))
+    code, out, _ = run(capsys, "criteria", "--config", str(config), "--samples", "3")
+    assert code == 0
+    reports = json.loads(out, parse_constant=_reject_constant)["reports"]
+    witness = {r["criterion"]: r for r in reports}["conditionmix"]["witness"]
+    assert witness["attained_at_n"] == at_n
+    if "*" in witness["value"]:
+        c, rest = witness["value"].split("*(")
+        r, e = rest.split(")**")
+        assert Fraction(c) * Fraction(r) ** int(e) == value
+    else:
+        assert Fraction(witness["value"]) == value
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftlab", "validate", "--config", str(CONFIGS / "dyadic.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["command"] == "validate"
 
 
 def test_report_aggregates_every_section(capsys):

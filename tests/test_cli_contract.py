@@ -7,13 +7,16 @@ import io
 import json
 import random
 import tempfile
+from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.cli import COMMANDS, main
-from shiftlab.sampling import random_system
+from shiftlab.measure_system import MeasureSystem
+from shiftlab.sampling import P_POOL, random_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -72,3 +75,36 @@ def test_report_exits_0_on_generated_configs(seed):
         code, out = _run(["report", "--config", str(config), "--samples", "3"])
     assert code == 0
     assert json.loads(out, parse_constant=_reject_constant)["command"] == "report"
+
+
+# masses from 10**-321 to 10**321, tails within 10**-1 to 10**-6 of 1 on
+# either side: meetings of the tail terms far past the window, and values
+# far outside the float range
+_masses = st.builds(lambda m, e: Fraction(m) * Fraction(10) ** e,
+                    st.integers(1, 9), st.integers(-321, 321))
+_tails = st.builds(lambda sign, m, d: 1 + sign * Fraction(m, 10**d),
+                   st.sampled_from([-1, 1]), st.integers(1, 9), st.integers(1, 6))
+
+
+@st.composite
+def _extreme_systems(draw):
+    levels = range(-draw(st.integers(0, 3)), draw(st.integers(0, 3)) + 1)
+    cells = draw(st.integers(1, 2))
+    return MeasureSystem(
+        p=draw(st.sampled_from(P_POOL)),
+        k_min=levels.start, k_max=levels.stop - 1,
+        cells=tuple(f"B{i + 1}" for i in range(cells)),
+        mu={k: tuple(draw(_masses) for _ in range(cells)) for k in levels},
+        left_tail=draw(_tails), right_tail=draw(_tails),
+    )
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(system=_extreme_systems(), command=st.sampled_from(["criteria", "report"]))
+def test_extreme_configs_exit_0_within_the_deadline(system, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "system.json"
+        config.write_text(system.to_json())
+        code, out = _run([command, "--config", str(config), "--samples", "3"])
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["command"] == command

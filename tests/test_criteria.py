@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (
@@ -242,12 +242,14 @@ def test_conditionmix_one_sided_flat_limit():
     assert report.witness["attained"]
 
 
-def test_conditionmix_limit_not_attained_in_window():
+def test_conditionmix_one_sided_limit_attained_at_first_step():
+    # a = 1 and b = 2: the infimum is 1 from n = 1 on, a finite n attains it
     system = single_cell({0: Fraction(1)}, left=1, right=Fraction(1, 2))
     report = conditionmix_lhs(system)
     assert report.verdict is Verdict.SATISFIED
     assert Fraction(report.witness["value"]) == 1
-    assert report.witness["attained"] is False
+    assert report.witness["attained"] is True
+    assert report.witness["attained_at_n"] == 1
 
 
 def test_conditionmix_finite_value_never_exceeds_one():
@@ -266,6 +268,92 @@ def test_conditionmix_finite_value_never_exceeds_one():
 def test_conditionmix_inconclusive_without_tails():
     system = single_cell({0: Fraction(1)}, left=None, right=None)
     assert conditionmix_lhs(system).verdict is Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10**12), Fraction(1, 10**15), Fraction(1, 10**400)])
+def test_conditionmix_meeting_point_past_float_reach(eps):
+    # the tail terms meet near n = 10**12, 10**15 or 10**400, where float
+    # logs cannot settle the comparisons: the verdict stays exact and the
+    # witness says that no n is given
+    system = single_cell({0: Fraction(1), 1: Fraction(1, 100), 2: Fraction(1)}, left=1 - eps, right=1 - eps)
+    report = conditionmix_lhs(system)
+    assert report.verdict is Verdict.SATISFIED
+    assert report.witness["attained"] is False
+    assert "value" not in report.witness and "attained_at_n" not in report.witness
+
+
+def conditionmix_value(text: str) -> Fraction:
+    """A conditionmix value: a rational string or the product "c*(r)**e"."""
+    if "*" not in text:
+        return Fraction(text)
+    c, rest = text.split("*(")
+    r, e = rest.split(")**")
+    return Fraction(c) * Fraction(r) ** int(e)
+
+
+def brute_conditionmix(system: MeasureSystem, bound: int) -> tuple[Fraction, int]:
+    """Max over n <= bound of the min over k in [k_min - n - 1, k_max + 1]
+    of mass(k) / mass(k + n), and the least n attaining it."""
+    mass = {k: system.mu_W(k) for k in range(system.k_min - bound - 1, system.k_max + bound + 2)}
+    best, arg = Fraction(0), 0
+    for n in range(1, bound + 1):
+        v = min(mass[k] / mass[k + n] for k in range(system.k_min - n - 1, system.k_max + 2))
+        if v > best:
+            best, arg = v, n
+    return best, arg
+
+
+CROSSING_STEPS = tuple(Fraction(v) for v in ("1/2", "4/5", "9/10", "1", "10/9", "5/4", "2"))
+
+
+@st.composite
+def stepped_systems(draw, masses, steps):
+    """One-cell systems of half-span <= 2 whose steps a (left tail) and b
+    (reciprocal of the right tail) are drawn from ``steps``."""
+    levels = range(-draw(st.integers(0, 2)), draw(st.integers(0, 2)) + 1)
+    return single_cell(
+        {k: draw(masses) for k in levels},
+        left=draw(st.sampled_from(steps)), right=1 / draw(st.sampled_from(steps)),
+    )
+
+
+def check_against_brute_force(system: MeasureSystem) -> None:
+    report = conditionmix_lhs(system)
+    a, b = system.left_tail, 1 / system.right_tail
+    assert (report.verdict is Verdict.VIOLATED) == (a > 1 and b > 1)
+    if report.verdict is Verdict.VIOLATED:
+        return
+    # masses within 2**12 of each other and steps at least 10/9 away from 1
+    # put any meeting of the tail terms below n = 120
+    bound = system.k_max - system.k_min + 120
+    assert report.witness["attained"] is True
+    assert report.witness["attained_at_n"] < bound
+    value, arg = brute_conditionmix(system, bound)
+    assert conditionmix_value(report.witness["value"]) == value
+    assert report.witness["attained_at_n"] == arg
+
+
+@settings(max_examples=100, deadline=None)
+@given(stepped_systems(
+    st.builds(Fraction, st.integers(1, 64), st.sampled_from([1, 2, 4, 8, 16, 32, 64])), CROSSING_STEPS,
+))
+def test_conditionmix_closed_form_matches_brute_force(system):
+    # steps on both sides of 1 put the meeting of the tail terms past S + 1
+    check_against_brute_force(system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stepped_systems(
+    st.integers(-6, 6).map(lambda i: Fraction(2) ** i), (Fraction(1, 2), Fraction(1), Fraction(2)),
+))
+@example(single_cell({-1: Fraction(1, 2), 0: Fraction(4), 1: Fraction(1, 2)}, left=2, right=1))
+@example(single_cell({-1: Fraction(4, 5) ** 3, 0: Fraction(5, 4) ** 6, 1: Fraction(4, 5) ** 6},
+                     left=Fraction(5, 4), right=1))
+def test_conditionmix_exact_ties_match_brute_force(system):
+    # powers of 2 make ties exact, where only the exact comparison may
+    # decide; in the examples the growing term meets the flat one exactly,
+    # at n = 4, and at n = 10 through float logs of 5/4 that do not cancel
+    check_against_brute_force(system)
 
 
 # -- cofinite witness -------------------------------------------------------
