@@ -320,3 +320,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -64,7 +64,7 @@ from operator import mul
 
 from .errors import HypothesisViolated, InconsistentWitness, NoAdmissibleLevels
 from .lp_space import (
-    CellMass, StepFunction, apply_Tf, apply_Tf_inverse, lp_powers, shifted_log_norm, shifted_norm,
+    CellMass, StepFunction, apply_Tf, apply_Tf_inverse, lp_powers, shifted_power_sum,
 )
 from .measure_system import MeasureSystem
 from .rationals import abs_pow, log_fraction, log_ratio, pow_maybe_exact
@@ -201,52 +201,42 @@ def _first_decay_step(system: MeasureSystem, phi: StepFunction, mass: CellMass |
     """Least n >= 1 at which both n-step norms of a nonzero phi, forward and
     inverse, are at most DECAY_TOL; both tail ratios must be < 1.
 
-    Steps are tried one by one while part of the support lands in the
-    window.  The coefficient powers are taken once, so a step costs one
-    multiply-add per support term for the forward norm, and the inverse
-    norm is summed only once the forward one has decayed: at most two roots
-    per step.  ``mass`` is ``system.mu_cell`` or a cached copy of it.
+    A norm is decided from its p-th-power total, with no root: for p = x/y
+    an exact total t passes when t ** y <= DECAY_TOL ** x, a log total when
+    it is at most p * log DECAY_TOL.  Steps are tried one by one while part
+    of the support lands in the window, each one multiply-add per support
+    term, and the inverse total is summed only once the forward one has
+    decayed.  ``mass`` is ``system.mu_cell`` or a cached copy of it.
 
-    From n0 on the support lies in the tails, where each norm falls by
-    ratio ** (1 / p) per step (left tail forward, right tail inverse), so
-    the rest is solved with logs, never building ratio ** n: with a tail
-    near 1 the answer passes 10**13.  A norm outside the float range is
-    compared and extrapolated through its log.
+    From n0 on the support lies in the tails, where each total falls by the
+    tail ratio per step (left tail forward, right tail inverse), so the
+    rest is solved from the log of the total at n0, never building
+    ratio ** n: with a tail near 1 the answer passes 10**13.
     """
     powers = lp_powers(system, phi)
-    mass = mass or system.mu_cell
-    log_tol = math.log(DECAY_TOL)
+    p = system.p
+    tol_x = Fraction(DECAY_TOL) ** p.numerator
+    log_bound = p * Fraction(math.log(DECAY_TOL))
 
-    def norm(shift: int) -> Fraction | float:
-        """The shifted norm, or inf where it leaves the float range."""
-        try:
-            return shifted_norm(system, powers, shift, mass)
-        except OverflowError:
-            return math.inf
-
-    def decayed(shift: int) -> bool:
-        value = norm(shift)
-        if value == math.inf:
-            return shifted_log_norm(system, powers, shift, mass) <= log_tol
-        return value <= DECAY_TOL
+    def above_tol(shift: int) -> Fraction | float | None:
+        """The total at this shift while its norm exceeds DECAY_TOL, else None."""
+        total = shifted_power_sum(system, powers, shift, mass)
+        exceeds = total ** p.denominator > tol_x if isinstance(total, Fraction) else total > log_bound
+        return total if exceeds else None
 
     levels = [k for k, _, _ in powers]
     n0 = max(max(levels) - system.k_min, system.k_max - min(levels)) + 1
     for n in range(1, n0):
-        if decayed(-n) and decayed(n):
+        if above_tol(-n) is None and above_tol(n) is None:
             return n
     steps = [0]
     for shift, ratio in ((-n0, system.left_tail), (n0, system.right_tail)):
-        value = norm(shift)
-        if value > DECAY_TOL:
-            log_norm = (
-                shifted_log_norm(system, powers, shift, mass) if value == math.inf
-                else log_fraction(value)
-            )
+        total = above_tol(shift)
+        if total is not None:
+            log_total = log_fraction(total) if isinstance(total, Fraction) else total
             # 1 - ratio stands in where even log1p of ratio - 1 underflows
             drop = -log_ratio(ratio)
-            excess = log_norm - log_tol
-            steps.append(math.ceil(system.p * Fraction(excess) / (Fraction(drop) or 1 - ratio)))
+            steps.append(math.ceil((Fraction(log_total) - log_bound) / (Fraction(drop) or 1 - ratio)))
     return n0 + max(steps)
 
 

@@ -60,15 +60,15 @@ class ExactSeqVector:
     def values_equal(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction], p: Fraction) -> bool:
         """Decide q1 * rho1**(1/p) == q2 * rho2**(1/p) without roots.
 
-        Signs must agree; magnitudes are compared through the p-th power,
-        cleared of denominators: with p = x/y the comparison becomes
-        |q1|**x * rho1**y == |q2|**x * rho2**y.
+        Signs must agree; unless the tags are equal, magnitudes are compared
+        through the p-th power, cleared of denominators: with p = x/y the
+        comparison becomes |q1|**x * rho1**y == |q2|**x * rho2**y.
         """
         (q1, rho1), (q2, rho2) = a, b
         if (q1 > 0) != (q2 > 0) or (q1 < 0) != (q2 < 0):
             return False
         x, y = p.numerator, p.denominator
-        return abs(q1) ** x * rho1**y == abs(q2) ** x * rho2**y
+        return a == b or abs(q1) ** x * rho1**y == abs(q2) ** x * rho2**y
 
     def equals(self, other: "ExactSeqVector") -> bool:
         if self.p != other.p or self.side != other.side:

@@ -10,6 +10,7 @@ cross term fits the budget, checked a posteriori by direct iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Sequence
 
 from .errors import HorizonExhausted
@@ -19,6 +20,7 @@ from .shift_space import (
     apply_backward,
     apply_forward_inverse,
     lp_norm_seq,
+    weight_product,
 )
 
 
@@ -123,6 +125,7 @@ def orbit_density_report(
     if eps <= 0:
         raise ValueError("eps must be positive")
     best: list[tuple[int, float]] = [(0, float("inf"))] * len(targets)
+    product = cache(partial(weight_product, w))  # each one-step weight's root once per call
     current = x
     for t in range(horizon + 1):
         for idx, y in enumerate(targets):
@@ -130,7 +133,7 @@ def orbit_density_report(
             if d < best[idx][1]:
                 best[idx] = (t, d)
         if t < horizon:
-            current = apply_backward(w, current, 1)
+            current = apply_backward(w, current, 1, product)
     hits = tuple(
         OrbitHit(idx, step, dist, dist <= eps)
         for idx, (step, dist) in enumerate(best)

@@ -6,12 +6,13 @@ one level and composing with its inverse pushes them up; both actions are
 purely symbolic.  Measures enter only through the norm.
 
 A norm splits in two: ``lp_powers`` takes the p-th power of each
-coefficient once, and ``shifted_norm`` sums those powers against the cell
-masses of the levels they land on after a shift, then takes the root.  So
-a search over shifts pays for the powers once and for each step only one
-multiply-add per term; ``lp_norm_step`` and ``gs_decay_check`` are the
-shift-0 and the forward/inverse cases of the same loop.  Where a norm
-leaves the float range, ``shifted_log_norm`` gives its log instead.
+coefficient once, and ``shifted_power_sum`` sums those powers against the
+cell masses of the levels they land on after a shift, with no root taken.
+So a search over shifts pays for the powers once and for each step only
+one multiply-add per term.  A power is the exact ``Fraction`` where it is
+rational and otherwise its natural log ``p * log|v|``, finite for every
+nonzero coefficient and every p; a sum with a log term is itself a log,
+taken as one log-sum-exp, so nothing overflows or underflows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .measure_system import MeasureSystem
-from .rationals import abs_pow, log_fraction, pow_maybe_exact
+from .rationals import fraction_pow, log_fraction, pow_maybe_exact
 
 Coefficient = Fraction | float | complex
 
@@ -70,53 +71,50 @@ def apply_Tf_inverse(phi: StepFunction, steps: int = 1) -> StepFunction:
     return StepFunction({(k + steps, i): v for (k, i), v in phi.coeffs.items()})
 
 
-Power = tuple[int, int, Fraction | float]  # (level, cell, |coefficient| ** p)
+Power = tuple[int, int, Fraction | float]  # (level, cell, |v| ** p as a Fraction, or p * log|v|)
 CellMass = Callable[[int, int], Fraction]  # (level, cell) -> measure
 
 
+def _power(v: Coefficient, p: Fraction) -> Fraction | float:
+    """|v| ** p as an exact Fraction, or its natural log where it is irrational."""
+    exact = fraction_pow(abs(v), p) if isinstance(v, Fraction) else None
+    return float(p) * log_fraction(abs(v)) if exact is None else exact
+
+
 def lp_powers(system: MeasureSystem, phi: StepFunction) -> list[Power]:
-    """(level, cell, |coefficient| ** p) for each term of phi, in coefficient
-    order: the part of the norm that no shift changes."""
-    return [(k, i, abs_pow(v, system.p)) for (k, i), v in phi.coeffs.items()]
+    """(level, cell, power) for each term of phi, in coefficient order: the
+    part of the norm that no shift changes."""
+    return [(k, i, _power(v, system.p)) for (k, i), v in phi.coeffs.items()]
 
 
-def shifted_norm(
+def shifted_power_sum(
     system: MeasureSystem, powers: list[Power], shift: int = 0, mass: CellMass | None = None,
 ) -> Fraction | float:
-    """p-norm of the step function with these coefficient powers once every
-    term has moved shift levels up (down for shift < 0), exact whenever the
-    powers and the final root stay rational.
+    """p-th power of the norm of the step function with these powers once
+    every term has moved shift levels up (down for shift < 0): the exact
+    Fraction when every power is exact, else the natural log of the sum.
 
     ``mass(k, i)`` is the measure of cell i at level k, ``system.mu_cell``
-    unless the caller passes a cached copy.  Where a term, the total or the
-    root leaves the float range, it raises OverflowError or returns inf.
+    unless the caller passes a cached copy.
     """
     mass = mass or system.mu_cell
-    total: Fraction | float = Fraction(0)
-    for k, i, a in powers:
-        total += a * mass(k + shift, i)
-    if isinstance(total, Fraction):
-        if total == 0:
-            return Fraction(0)
-        return pow_maybe_exact(total, 1 / system.p)
-    return total ** (1.0 / float(system.p))
-
-
-def shifted_log_norm(system: MeasureSystem, powers: list[Power], shift: int, mass: CellMass) -> float:
-    """Natural log of ``shifted_norm``, for norms outside the float range.
-
-    The terms are summed as a log-sum-exp of their logs, so neither a huge
-    mass nor the total overflows.  Some power must be nonzero.
-    """
-    logs = [log_fraction(a) + log_fraction(mass(k + shift, i)) for k, i, a in powers if a]
+    if all(isinstance(a, Fraction) for _, _, a in powers):
+        return sum((a * mass(k + shift, i) for k, i, a in powers), Fraction(0))
+    logs = [
+        log_fraction(a * mass(k + shift, i)) if isinstance(a, Fraction) else a + log_fraction(mass(k + shift, i))
+        for k, i, a in powers
+    ]
     top = max(logs)
-    return (top + math.log(math.fsum(math.exp(t - top) for t in logs))) / float(system.p)
+    return top + math.log(math.fsum(math.exp(t - top) for t in logs))
 
 
 def lp_norm_step(system: MeasureSystem, phi: StepFunction) -> Fraction | float:
     """p-norm of a step function, exact whenever the coefficient powers and
     the final root stay rational."""
-    return shifted_norm(system, lp_powers(system, phi))
+    total = shifted_power_sum(system, lp_powers(system, phi))
+    if isinstance(total, float):
+        return math.exp(total / float(system.p))
+    return total if total == 0 else pow_maybe_exact(total, 1 / system.p)
 
 
 def gs_decay_check(system: MeasureSystem, phi: StepFunction, n: int) -> tuple[Fraction | float, Fraction | float]:
@@ -126,7 +124,4 @@ def gs_decay_check(system: MeasureSystem, phi: StepFunction, n: int) -> tuple[Fr
     hypercyclicity certificate; the round trip being the identity is
     immediate here because the map is invertible on the model.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    powers = lp_powers(system, phi)
-    return shifted_norm(system, powers, -n), shifted_norm(system, powers, n)
+    return lp_norm_step(system, apply_Tf(phi, n)), lp_norm_step(system, apply_Tf_inverse(phi, n))

@@ -20,9 +20,10 @@ reads it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import accumulate
 from operator import mul
 
@@ -264,19 +265,21 @@ def _check_sides(w: WeightSequence, x: SeqVector) -> None:
         raise ValueError(f"weight side {w.side} does not match vector side {x.side}")
 
 
-def apply_backward(w: WeightSequence, x: SeqVector, steps: int = 1) -> SeqVector:
+def apply_backward(w: WeightSequence, x: SeqVector, steps: int = 1, product: Callable | None = None) -> SeqVector:
     """steps-fold weighted backward shift: the new value at n is the old
-    value at n + steps times the weights at n+1 .. n+steps.  On the
-    unilateral side, mass shifted past index 0 is discarded."""
+    value at n + steps times ``product(n + 1, n + steps)``, the weights'
+    product (``weight_product`` on w, or a cached copy).  On the unilateral
+    side, mass shifted past index 0 is discarded."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_sides(w, x)
+    product = product or partial(weight_product, w)
     out: dict[int, complex] = {}
     for j, v in x.entries.items():
         n = j - steps
         if w.side == UNILATERAL and n < 0:
             continue
-        out[n] = v * float(weight_product(w, n + 1, j))
+        out[n] = v * float(product(n + 1, j))
     return SeqVector(x.side, out)
 
 

@@ -150,24 +150,31 @@ def _decimal_decay_step(phi, mass, p: Fraction) -> int:
         return next(n for n in count(1) if decayed(-n) and decayed(n))
 
 
-@pytest.mark.parametrize("p, mass", [("3/2", 10**309), ("2", 10**700)],
-                         ids=["float_powers_mass_1e309", "exact_powers_mass_1e700"])
+@pytest.mark.parametrize("p, mass, seed, samples", [
+    ("3/2", 10**309, 0, 3),
+    ("2", 10**700, 0, 3),
+    ("1401/2", 10**297, 43, 1),
+    ("801/2", 1, 0, 20),
+], ids=["float_powers_mass_1e309", "exact_powers_mass_1e700", "powers_below_floats_mass_1e297",
+        "powers_above_floats_mass_1"])
 @pytest.mark.parametrize("command", ["criteria", "report"])
-def test_weak_mixing_norms_beyond_the_float_range(tmp_path, capsys, command, p, mass):
+def test_weak_mixing_norms_beyond_the_float_range(tmp_path, capsys, command, p, mass, seed, samples):
     # a norm past the float range used to raise OverflowError, from the
-    # float * Fraction of a term (p = 3/2) or the float root (p = 2); the
-    # decay step must match a step-by-step decimal search
+    # float * Fraction of a term (p = 3/2) or the float root (p = 2), as did
+    # a coefficient power past it (6 ** (801/2)), and a power below it
+    # (p = 1401/2) dropped out of the sum as 0.0, giving 1; the decay step
+    # must match a step-by-step decimal search
     doc = {"p": p, "window": {"min": 0, "max": 0}, "cells": ["B1"], "mu": {"0": [str(mass)]},
            "tails": {"left": "1/2", "right": "1/2"}}
     config = tmp_path / "huge.json"
     config.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, command, "--config", str(config), "--samples", "3")
+    code, out, _ = run(capsys, command, "--config", str(config), "--samples", str(samples), "--seed", str(seed))
     assert code == 0
     reports = json.loads(out, parse_constant=_reject_constant)["reports"]
     witness = {r["criterion"]: r for r in reports}["weak_mixing"]["witness"]
     system = MeasureSystem.from_dict(doc)
-    rng = random.Random(0)
-    samples = [random_step_function(rng, system) for _ in range(3)]
+    rng = random.Random(seed)
+    samples = [random_step_function(rng, system) for _ in range(samples)]
     expected = max(_decimal_decay_step(phi, mass, system.p) for phi in samples if not phi.is_zero())
     assert witness["worst_first_decay_step"] == expected
 
@@ -202,12 +209,13 @@ def test_conditionmix_on_configs_that_used_to_hang(tmp_path, capsys, masses, tai
 
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftlab", "validate", "--config", str(CONFIGS / "dyadic.json")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["command"] == "validate"
+    for module in ("shiftlab", "shiftlab.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "validate", "--config", str(CONFIGS / "dyadic.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["command"] == "validate"
 
 
 def test_report_aggregates_every_section(capsys):

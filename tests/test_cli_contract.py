@@ -78,8 +78,9 @@ def test_report_exits_0_on_generated_configs(seed):
 
 
 # masses from 10**-321 to 10**321, tails within 10**-1 to 10**-6 of 1 on
-# either side: meetings of the tail terms far past the window, and values
-# far outside the float range
+# either side, p up to 1001/2: meetings of the tail terms far past the
+# window, and values and coefficient powers far outside the float range
+_large_p = (Fraction(301, 3), Fraction(801, 2), Fraction(1001, 2))
 _masses = st.builds(lambda m, e: Fraction(m) * Fraction(10) ** e,
                     st.integers(1, 9), st.integers(-321, 321))
 _tails = st.builds(lambda sign, m, d: 1 + sign * Fraction(m, 10**d),
@@ -91,7 +92,7 @@ def _extreme_systems(draw):
     levels = range(-draw(st.integers(0, 3)), draw(st.integers(0, 3)) + 1)
     cells = draw(st.integers(1, 2))
     return MeasureSystem(
-        p=draw(st.sampled_from(P_POOL)),
+        p=draw(st.sampled_from(P_POOL + _large_p)),
         k_min=levels.start, k_max=levels.stop - 1,
         cells=tuple(f"B{i + 1}" for i in range(cells)),
         mu={k: tuple(draw(_masses) for _ in range(cells)) for k in levels},

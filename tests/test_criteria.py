@@ -126,6 +126,15 @@ def test_first_decay_step_inside_the_window():
     assert _first_decay_step(system, StepFunction.indicator_level(system, 0)) == 10
 
 
+def test_first_decay_step_decides_exact_totals_without_a_root():
+    # p = 3/2 and coefficient 4: the power 8 is exact, and so is each total
+    # 8 * 4**-n; the norm is at most DECAY_TOL when total ** 2 <= DECAY_TOL
+    # ** 3, first at n = 17 (8 * 4**-17 < 1e-9 < 8 * 4**-16), in the window
+    system = single_cell({k: Fraction(1, 4 ** abs(k)) for k in range(-20, 21)},
+                         left=Fraction(1, 4), right=Fraction(1, 4), p="3/2")
+    assert _first_decay_step(system, StepFunction({(0, 0): Fraction(4)})) == 17
+
+
 def test_first_decay_step_waits_for_the_inverse_norm():
     # masses 16**k below level 0 and 2**-k above it: the level-0 indicator
     # decays forward at n = 5 but inversely only at n = 20 (2**-20 < 1e-6
@@ -142,6 +151,15 @@ def test_first_decay_step_compares_out_of_range_norms_through_logs():
     system = single_cell({k: Fraction(10**309) for k in range(-2, 3)}, left="1/2", right="1/2")
     assert Fraction(1e-320) * 10**309 <= DECAY_TOL
     assert _first_decay_step(system, StepFunction({(0, 0): 1e-320})) == 1
+
+
+def test_first_decay_step_keeps_powers_below_the_float_range():
+    # (1/3) ** (1401/2) is about 10**-334, below the smallest float, and the
+    # mass 10**340 is above the largest: as floats the only term would drop
+    # out of the sum.  In logs the total is about 10**5.79 * 2**-n, which
+    # falls below DECAY_TOL ** (1401/2) = 10**-4203 at n = 13982
+    system = single_cell({0: Fraction(10**340)}, left="1/2", right="1/2", p="1401/2")
+    assert _first_decay_step(system, StepFunction({(0, 0): Fraction(1, 3)})) == 13982
 
 
 def test_first_decay_step_keeps_its_digits_for_a_tail_near_one():

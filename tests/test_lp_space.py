@@ -15,8 +15,8 @@ from shiftlab import (
     lp_norm_step,
 )
 from shiftlab.criteria import weak_mixing_consistency
-from shiftlab.lp_space import lp_powers, shifted_norm
-from shiftlab.rationals import abs_pow, pow_maybe_exact
+from shiftlab.lp_space import lp_powers, shifted_power_sum
+from shiftlab.rationals import abs_pow, fraction_pow, log_fraction
 from shiftlab.sampling import random_step_function, random_system
 
 
@@ -128,17 +128,25 @@ def test_constant_system_norms_never_decay():
         assert bwd == base
 
 
-def _norm_by_terms(system, phi):
-    """The norm summed term by term in coefficient order, then rooted."""
-    total = Fraction(0)
+def _total_by_terms(system, phi):
+    """The p-th-power total summed term by term in coefficient order: exact
+    while every power is rational, else the log of the sum."""
+    p = system.p
+    terms = []
     for (k, i), v in phi.coeffs.items():
-        total += abs_pow(v, system.p) * system.mu_cell(k, i)
-    if isinstance(total, Fraction):
-        return total if total == 0 else pow_maybe_exact(total, 1 / system.p)
-    return total ** (1.0 / float(system.p))
+        exact = fraction_pow(abs(v), p) if isinstance(v, Fraction) else None
+        log_power = None if exact is not None else float(p) * (
+            log_fraction(abs(v)) if isinstance(v, Fraction) else math.log(abs(v)))
+        terms.append((exact, log_power, system.mu_cell(k, i)))
+    if all(exact is not None for exact, _, _ in terms):
+        return sum((exact * m for exact, _, m in terms), Fraction(0))
+    logs = [log_power + log_fraction(m) if exact is None else log_fraction(exact * m)
+            for exact, log_power, m in terms]
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(t - top) for t in logs))
 
 
-def _same_norm(a, b) -> bool:
+def _same_total(a, b) -> bool:
     if type(a) is not type(b):
         return False
     return a.hex() == b.hex() if isinstance(a, float) else a == b
@@ -148,9 +156,10 @@ def _same_norm(a, b) -> bool:
 @given(seed=st.integers(min_value=0, max_value=2**32),
        kind=st.sampled_from(["fraction", "float", "complex"]),
        n=st.integers(min_value=0, max_value=12))
-def test_shifted_norm_matches_the_norm_of_the_shifted_function(seed, kind, n):
-    # the powers are taken once and shifted; the norm of the moved step
-    # function must come out the same, bit for bit
+def test_shifted_power_sum_matches_the_total_of_the_shifted_function(seed, kind, n):
+    # the powers are taken once and shifted; the total of the moved step
+    # function must come out the same, bit for bit, and a log total must
+    # be the log of the plain float sum of the powers
     rng = random.Random(seed)
     system = random_system(rng)
     phi = random_step_function(rng, system)
@@ -160,9 +169,13 @@ def test_shifted_norm_matches_the_norm_of_the_shifted_function(seed, kind, n):
         phi = StepFunction({key: complex(float(v), rng.randint(-3, 3) / 4) for key, v in phi.coeffs.items()})
     powers = lp_powers(system, phi)
     for shift, moved in ((-n, apply_Tf(phi, n)), (n, apply_Tf_inverse(phi, n))):
-        norm = shifted_norm(system, powers, shift)
-        assert _same_norm(norm, lp_norm_step(system, moved))
-        assert _same_norm(norm, _norm_by_terms(system, moved))
+        total = shifted_power_sum(system, powers, shift)
+        assert _same_total(total, shifted_power_sum(system, lp_powers(system, moved)))
+        assert _same_total(total, _total_by_terms(system, moved))
+        if isinstance(total, float):
+            plain = math.fsum(float(abs_pow(v, system.p)) * float(system.mu_cell(k, i))
+                              for (k, i), v in moved.coeffs.items())
+            assert total == pytest.approx(math.log(plain), rel=1e-12, abs=1e-12)
 
 
 def test_weak_mixing_leaves_no_memo_on_the_system(dyadic_p2):
