@@ -310,7 +310,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is None:
         sys.stdout.write(rendered)
     else:
-        Path(args.out).write_text(rendered)
+        try:
+            Path(args.out).write_text(rendered)
+        except OSError as exc:
+            print(f"shiftlab: cannot write output: {exc}", file=sys.stderr)
+            return 64
     if args.strict and any(
         rep["verdict"] == Verdict.INCONCLUSIVE.value for rep in result.get("reports", [])
     ):

@@ -292,12 +292,10 @@ def weak_mixing_consistency(
 # -- spaceability: unilateral weight product test ---------------------------
 
 
-def menet_unilateral(
-    w: WeightSequence,
-    *,
-    n_budget: int = 4096,
-    k_budget: int = 4096,
-) -> CriterionReport:
+MENET_N_BUDGET = MENET_K_BUDGET = 4096  # largest n and k menet_unilateral enumerates
+
+
+def menet_unilateral(w: WeightSequence) -> CriterionReport:
     """Boundedness of sup over n of inf over k >= 1 of the product of n
     consecutive weights starting after k.
 
@@ -330,12 +328,12 @@ def menet_unilateral(
         )
     n_enum = max(w.hi, 1) + L - 1
     k_hi = w.hi + L
-    if n_enum > n_budget or k_hi > k_budget:
+    if n_enum > MENET_N_BUDGET or k_hi > MENET_K_BUDGET:
         return CriterionReport(
             criterion="menet_unilateral",
             verdict=Verdict.INCONCLUSIVE,
             witness={"needed_n": n_enum, "needed_k": k_hi,
-                     "n_budget": n_budget, "k_budget": k_budget},
+                     "n_budget": MENET_N_BUDGET, "k_budget": MENET_K_BUDGET},
             notes="enumeration exceeds the stated budget",
         )
     sup_pp = Fraction(0)

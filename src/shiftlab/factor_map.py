@@ -27,7 +27,7 @@ from .shift_space import (
     WeightSequence,
     _check_sides,
     derive_weights,
-    lp_norm_seq,
+    lp_distance,
     wp_product,
 )
 
@@ -52,9 +52,6 @@ class ExactSeqVector:
             if q != 0:
                 cleaned[n] = (q, rho)
         self.entries = cleaned
-
-    def support(self) -> list[int]:
-        return sorted(self.entries)
 
     @staticmethod
     def values_equal(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction], p: Fraction) -> bool:
@@ -94,24 +91,20 @@ class ExactSeqVector:
 def project(system: MeasureSystem, phi: StepFunction) -> ExactSeqVector:
     """Factor map: level k contributes the tag
 
-        q_k = (sum over cells of coefficient * cell mass at level 0) / mass of W
+        q_k = (sum of coefficient * cell mass at level 0 over its terms) / mass of W
         rho_k = mass of level k.
 
-    Coefficients must be rational; float data has no exact image.
+    Each coefficient is read once, in order, so the entries follow the order
+    the levels first appear in.  Coefficients must be rational; float data
+    has no exact image.
     """
-    for key, v in phi.coeffs.items():
+    sums: dict[int, Fraction] = {}
+    for (k, i), v in phi.coeffs.items():
         if not isinstance(v, (Fraction, int)):
-            raise TypeError(f"coefficient at {key} is not rational; exact projection needs Fraction data")
+            raise TypeError(f"coefficient at {(k, i)} is not rational; exact projection needs Fraction data")
+        sums[k] = sums.get(k, 0) + v * system.mu_cell(0, i)
     mu_w = system.mu_W(0)
-    entries: dict[int, tuple[Fraction, Fraction]] = {}
-    for k in phi.levels():
-        q = sum(
-            (Fraction(phi.value(k, i)) * system.mu_cell(0, i) for i in range(len(system.cells))),
-            Fraction(0),
-        ) / mu_w
-        if q != 0:
-            entries[k] = (q, system.mu_W(k))
-    return ExactSeqVector(p=system.p, side=BILATERAL, entries=entries)
+    return ExactSeqVector(system.p, BILATERAL, {k: (q / mu_w, system.mu_W(k)) for k, q in sums.items()})
 
 
 def tagged_backward(w: WeightSequence, x: ExactSeqVector, steps: int = 1) -> ExactSeqVector:
@@ -147,6 +140,4 @@ def semiconjugacy_defect(
     rhs = tagged_backward(w, project(system, phi))
     if lhs.equals(rhs):
         return Fraction(0)
-    a, b = lhs.collapse(), rhs.collapse()
-    diff = a.plus(b.scaled(-1.0))
-    return lp_norm_seq(diff, system.p)
+    return lp_distance(lhs.collapse(), rhs.collapse(), system.p)

@@ -19,7 +19,7 @@ from .shift_space import (
     WeightSequence,
     apply_backward,
     apply_forward_inverse,
-    lp_norm_seq,
+    lp_distance,
     weight_product,
 )
 
@@ -69,7 +69,7 @@ def construct_hc_approx(
         for m, y in zip(schedule, targets):
             x = x.plus(apply_forward_inverse(w, y, m))
         defects = tuple(
-            lp_norm_seq(apply_backward(w, x, m).plus(y.scaled(-1)), w.p)
+            lp_distance(apply_backward(w, x, m), y, w.p)
             for m, y in zip(schedule, targets)
         )
         if all(d <= eps for d in defects):
@@ -129,7 +129,7 @@ def orbit_density_report(
     current = x
     for t in range(horizon + 1):
         for idx, y in enumerate(targets):
-            d = lp_norm_seq(current.plus(y.scaled(-1)), w.p)
+            d = lp_distance(current, y, w.p)
             if d < best[idx][1]:
                 best[idx] = (t, d)
         if t < horizon:

@@ -46,9 +46,6 @@ class StepFunction:
         """Indicator of the whole level k."""
         return cls({(k, i): Fraction(1) for i in range(len(system.cells))})
 
-    def value(self, k: int, i: int) -> Coefficient:
-        return self.coeffs.get((k, i), Fraction(0))
-
     def levels(self) -> list[int]:
         return sorted({k for k, _ in self.coeffs})
 

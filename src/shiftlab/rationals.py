@@ -40,6 +40,8 @@ def int_nthroot(n: int, k: int) -> int | None:
         raise ValueError("int_nthroot needs n >= 0 and k >= 1")
     if n in (0, 1) or k == 1:
         return n
+    if k >= n.bit_length():
+        return None  # 1 < root < 2, as 2 ** k > n
     if k == 2:
         r = math.isqrt(n)
     else:

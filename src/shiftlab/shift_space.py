@@ -215,9 +215,6 @@ class SeqVector:
                 cleaned[n] = z
         self.entries = cleaned
 
-    def support(self) -> list[int]:
-        return sorted(self.entries)
-
     def plus(self, other: "SeqVector") -> "SeqVector":
         if other.side != self.side:
             raise ValueError("cannot add vectors of different sides")
@@ -225,9 +222,6 @@ class SeqVector:
         for n, v in other.entries.items():
             merged[n] = merged.get(n, 0j) + v
         return SeqVector(self.side, merged)
-
-    def scaled(self, a: complex) -> "SeqVector":
-        return SeqVector(self.side, {n: a * v for n, v in self.entries.items()})
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SeqVector":
@@ -248,16 +242,25 @@ class SeqVector:
             "side": self.side,
             "entries": [
                 {"n": n, "re": self.entries[n].real, "im": self.entries[n].imag}
-                for n in self.support()
+                for n in sorted(self.entries)
             ],
         }
 
 
+def lp_distance(x: SeqVector, y: SeqVector, p: Fraction | float) -> float:
+    """Float p-norm of x - y over the union of the supports, x's indices
+    first and then y's others: the term order of ``plus``, bit for bit."""
+    if x.side != y.side:
+        raise ValueError("cannot compare vectors of different sides")
+    pf, ys = float(p), y.entries
+    gaps = [abs(v - ys.get(n, 0)) for n, v in x.entries.items()]
+    gaps += [abs(v) for n, v in ys.items() if n not in x.entries]
+    return sum(g**pf for g in gaps) ** (1.0 / pf)
+
+
 def lp_norm_seq(x: SeqVector, p: Fraction | float) -> float:
     """Float p-norm of a finitely supported sequence."""
-    pf = float(p)
-    total = sum(abs(v) ** pf for v in x.entries.values())
-    return total ** (1.0 / pf)
+    return lp_distance(x, SeqVector(x.side), p)
 
 
 def _check_sides(w: WeightSequence, x: SeqVector) -> None:

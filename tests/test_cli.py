@@ -311,6 +311,31 @@ def test_usage_errors_exit_64(capsys, args):
     assert code == 64
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "absent" / "x.json" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "validate", "--config", str(CONFIGS / "dyadic.json"),
+                         "--out", str(target))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("shiftlab: cannot write output: ")
+    assert "Traceback" not in err
+
+
+def test_orbit_with_a_huge_exponent_finishes(tmp_path, capsys):
+    # p = 10**400: every weight root is a 10**400-th root, which has no
+    # integer answer and must not be searched for by Newton steps
+    config = tmp_path / "huge_p.json"
+    config.write_text(json.dumps({
+        "p": "1e400", "window": {"min": -1, "max": 1}, "cells": ["B1"],
+        "mu": {"-1": ["1/2"], "0": ["1"], "1": ["1/2"]},
+        "tails": {"left": "1/2", "right": "1/2"},
+    }))
+    code, out, _ = run(capsys, "orbit", "--config", str(config))
+    assert code == 0
+    assert "error" in json.loads(out)["experiment"]
+
+
 def test_out_file_written(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run(capsys, "report", "--config", str(CONFIGS / "dyadic.json"),

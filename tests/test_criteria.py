@@ -22,7 +22,7 @@ from shiftlab import (
     telescoping_bound_check,
     weak_mixing_consistency,
 )
-from shiftlab.criteria import DECAY_TOL, _first_decay_step
+from shiftlab.criteria import DECAY_TOL, MENET_N_BUDGET, _first_decay_step
 from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabError
 from shiftlab.lp_space import gs_decay_check
 from shiftlab.sampling import random_functional, random_step_function, random_system
@@ -216,11 +216,15 @@ def test_menet_restricts_bilateral_input(dyadic):
 
 
 def test_menet_budget_and_missing_tail():
+    # hi past the budget: the check runs before any enumeration
+    hi = MENET_N_BUDGET + 1
     wide = WeightSequence(
-        p=Fraction(1), side=UNILATERAL, lo=1, hi=20,
-        wp={k: Fraction(1, 2) for k in range(1, 21)}, right_tail=(Fraction(1, 2),),
+        p=Fraction(1), side=UNILATERAL, lo=1, hi=hi,
+        wp={k: Fraction(1, 2) for k in range(1, hi + 1)}, right_tail=(Fraction(1, 2),),
     )
-    assert menet_unilateral(wide, n_budget=4).verdict is Verdict.INCONCLUSIVE
+    report = menet_unilateral(wide)
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.witness["n_budget"] == report.witness["k_budget"] == 4096
     bare = WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=1,
                           wp={1: Fraction(2)})
     assert menet_unilateral(bare).verdict is Verdict.INCONCLUSIVE

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import (
     BILATERAL,
@@ -136,3 +138,41 @@ def test_projection_energy_bounded_by_distortion():
             Fraction(0),
         )
         assert lhs <= big_k * rhs
+
+
+def _project_on_the_grid(system, phi):
+    """Reference image: every level of phi times every cell of the model,
+    zero coefficients included, zero sums dropped."""
+    mu_w = system.mu_W(0)
+    entries = {}
+    for k in sorted({k for k, _ in phi.coeffs}):
+        q = sum(
+            (Fraction(phi.coeffs.get((k, i), 0)) * system.mu_cell(0, i) for i in range(len(system.cells))),
+            Fraction(0),
+        ) / mu_w
+        if q != 0:
+            entries[k] = (q, system.mu_W(k))
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), integral=st.booleans(), cancel=st.booleans())
+def test_project_matches_the_level_by_cell_grid(seed, integral, cancel):
+    rng = random.Random(seed)
+    system = random_system(rng)
+    coeffs = dict(random_step_function(rng, system).coeffs)
+    if integral:
+        coeffs = {key: int(4 * v) for key, v in coeffs.items()}
+    k = rng.randint(system.k_min - 2, system.k_max + 2)
+    if cancel and len(system.cells) > 1:
+        # integer coefficients on cells 0 and 1 whose level sum is zero
+        m0, m1 = system.mu_cell(0, 0), system.mu_cell(0, 1)
+        coeffs = {key: v for key, v in coeffs.items() if key[0] != k}
+        coeffs[(k, 0)] = m1.numerator * m0.denominator
+        coeffs[(k, 1)] = -m0.numerator * m1.denominator
+    phi = StepFunction(coeffs)
+    image = project(system, phi)
+    assert image.entries == _project_on_the_grid(system, phi)
+    assert all(type(q) is Fraction and type(rho) is Fraction for q, rho in image.entries.values())
+    if cancel and len(system.cells) > 1:
+        assert k not in image.entries

@@ -17,6 +17,10 @@ through float coefficient powers and inexact roots:
 The flat windows' masses are drawn by perfbench's flat-window generator and
 the decaying ones by its decaying-window generator, each from
 ``random.Random(half_span)``.  Refactors must reproduce them exactly.
+
+``*.orbit2000.json`` lock the ``orbit --horizon 2000 --seed 5`` documents of
+``dyadic`` and ``wide020``, so the orbit experiment is pinned over a long
+run as well as at the default horizon inside ``report``.
 """
 
 import contextlib
@@ -49,3 +53,12 @@ def test_report_matches_golden_bytes(name, fmt):
         code = main(["report", "--config", str(CONFIGS[name]), "--seed", "5", "--output", fmt])
     assert code == 0
     assert buf.getvalue() == (GOLDEN / f"{name}.report.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("name", ["dyadic", "wide020"])
+def test_orbit_matches_golden_bytes_at_horizon_2000(name):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["orbit", "--config", str(CONFIGS[name]), "--seed", "5", "--horizon", "2000"])
+    assert code == 0
+    assert buf.getvalue() == (GOLDEN / f"{name}.orbit2000.json").read_text()

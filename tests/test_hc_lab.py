@@ -30,7 +30,8 @@ def test_approx_on_dyadic_weights(dyadic):
     assert all(d <= 1e-2 for d in result.defects)
     # the defects really are the iterated-shift distances
     for m, y, d in zip(result.schedule, canonical_targets(), result.defects):
-        direct = lp_norm_seq(apply_backward(w, result.vector, m).plus(y.scaled(-1)), w.p)
+        minus_y = SeqVector(y.side, {n: -v for n, v in y.entries.items()})
+        direct = lp_norm_seq(apply_backward(w, result.vector, m).plus(minus_y), w.p)
         assert direct == pytest.approx(d)
 
 

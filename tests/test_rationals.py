@@ -54,6 +54,14 @@ def test_int_nthroot():
         int_nthroot(-1, 2)
 
 
+def test_int_nthroot_with_an_index_past_the_bit_length():
+    # 2 ** k > n leaves no integer root between 1 and 2: answered at once
+    assert int_nthroot(2**64 + 1, 10**400) is None
+    assert int_nthroot(2**64, 65) is None
+    assert int_nthroot(2**64, 64) == 2
+    assert int_nthroot(3, 2) is None
+
+
 def test_fraction_root_and_pow_exact_cases():
     assert fraction_root(Fraction(4, 9), 2) == Fraction(2, 3)
     assert fraction_root(Fraction(10), 2) is None

@@ -15,12 +15,13 @@ from shiftlab import (
     apply_backward,
     apply_forward_inverse,
     derive_weights,
+    lp_distance,
     lp_norm_seq,
     weight_product,
     wp_product,
 )
 from shiftlab.errors import ConfigError, TailRuleMissing
-from shiftlab.sampling import random_system
+from shiftlab.sampling import P_POOL, random_system
 
 
 def test_derived_dyadic_weights(dyadic):
@@ -150,6 +151,38 @@ def test_lp_norm_seq_values():
     assert lp_norm_seq(x, Fraction(1)) == pytest.approx(7.0)
     assert lp_norm_seq(x, Fraction(2)) == pytest.approx(5.0)
     assert lp_norm_seq(SeqVector(BILATERAL, {}), Fraction(2)) == 0.0
+
+
+_entry = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.dictionaries(st.integers(-6, 6), _entry, max_size=6),
+    y=st.dictionaries(st.integers(-6, 6), _entry, max_size=6),
+    support=st.sampled_from(["as drawn", "disjoint", "equal", "equal values"]),
+    p=st.sampled_from(P_POOL),
+)
+def test_lp_distance_matches_the_norm_of_the_difference(x, y, support, p):
+    """Bit for bit against the norm of x - y built the old way: y negated
+    entry by entry, then added to x."""
+    if support == "disjoint":
+        y = {n + 20: v for n, v in y.items()}
+    elif support == "equal":
+        y = {n: y.get(n, 1 + 1j) for n in x}
+    elif support == "equal values":
+        y = {**y, **x}
+    a, b = SeqVector(BILATERAL, x), SeqVector(BILATERAL, y)
+    diff = a.plus(SeqVector(BILATERAL, {n: -1 * v for n, v in y.items()}))
+    old = sum(abs(v) ** float(p) for v in diff.entries.values()) ** (1.0 / float(p))
+    assert lp_norm_seq(diff, p).hex() == old.hex()
+    assert lp_distance(a, b, p).hex() == old.hex()
+    assert lp_distance(a, SeqVector(BILATERAL), p).hex() == lp_norm_seq(a, p).hex()
+
+
+def test_lp_distance_rejects_mixed_sides():
+    with pytest.raises(ValueError):
+        lp_distance(SeqVector(BILATERAL, {0: 1.0}), SeqVector(UNILATERAL, {0: 1.0}), 1)
 
 
 def test_side_mismatch_rejected(dyadic):
