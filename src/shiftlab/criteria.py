@@ -56,6 +56,8 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -64,7 +66,7 @@ from operator import mul
 
 from .errors import HypothesisViolated, InconsistentWitness, NoAdmissibleLevels
 from .lp_space import (
-    CellMass, StepFunction, apply_Tf, apply_Tf_inverse, lp_powers, shifted_power_sum,
+    EXACT_POWER_BITS, Power, StepFunction, apply_Tf, apply_Tf_inverse, is_exact, lp_powers, shifted_power_sum,
 )
 from .measure_system import MeasureSystem
 from .rationals import abs_pow, log_fraction, log_ratio, pow_maybe_exact
@@ -196,47 +198,220 @@ def shift_hypercyclicity_report(w: WeightSequence) -> CriterionReport:
 
 DECAY_TOL = 1e-6  # a sampled norm counts as decayed once it is at most this
 
+_U = 2.0**-53  # unit roundoff of a double
+_TINY = 2.0**-1074  # least subnormal double
+_LSE_ERROR = 2.0**-39  # log-sum-exp error on the filter's range (lp_space docstring)
 
-def _first_decay_step(system: MeasureSystem, phi: StepFunction, mass: CellMass | None = None) -> int:
+
+def _normal_float(q: Fraction) -> float | None:
+    """float(q), correctly rounded, or None where that is not a normal float."""
+    try:
+        f = float(q)
+    except OverflowError:
+        return None
+    return f if f >= sys.float_info.min else None
+
+
+def _log_error(q: Fraction, log_q: float) -> float:
+    """Bound on |log_fraction(q) - ln q|, with u = 2**-53: 2u * (|ln q| + 1)
+    through a normal float (one rounding of q, a faithful log), else
+    3u * (ln num + ln den + 4) + u * |ln q| through math.log of the two
+    ints (a rounded leading part and the bit count times log 2 each)."""
+    if _normal_float(q) is not None:
+        return (abs(log_q) + 1) * 2.0**-51
+    return (q.numerator.bit_length() + q.denominator.bit_length() + abs(log_q) + 4) * 2.0**-50
+
+
+def _tail_drop(ratio: Fraction) -> tuple[float, float]:
+    """drop = -log ratio as a float, and a bound on its error relative to
+    -ln ratio: 2**-50 for 1/2 < ratio < 1, through float(ratio - 1) and
+    log1p (where that float is normal), else _log_error / drop."""
+    drop = -log_ratio(ratio)
+    return drop, 2.0**-50 if ratio > Fraction(1, 2) else _log_error(ratio, drop) / drop
+
+
+def _undecided(shift: int) -> None:
+    return None
+
+
+class _DecaySearch:
+    """What one weak_mixing_consistency call builds once for its decay
+    searches: exact and float cell masses, the thresholds and a float
+    bracket of DECAY_TOL ** p; nothing is stored on the system."""
+
+    def __init__(self, system: MeasureSystem) -> None:
+        self.system = system
+        mass = self.mass = functools.cache(system.mu_cell)
+        # closes over mass, not self: no cycle keeps a finished call's tables alive
+        self.float_mass = functools.cache(lambda k, i: _normal_float(mass(k, i)))
+        self.tail_drop = functools.cache(_tail_drop)
+        self.log_bound = system.p * Fraction(math.log(DECAY_TOL))
+        self.float_log_bound = float(self.log_bound) if system.p < 2**1000 else -math.inf
+        self.bracket = self._bracket()
+
+    @functools.cached_property
+    def tol_x(self) -> Fraction:
+        """DECAY_TOL ** x for p = x/y, built only once an exact total needs it."""
+        return Fraction(DECAY_TOL) ** self.system.p.numerator
+
+    def _bracket(self) -> tuple[float, float] | None:
+        """The adjacent floats t_lo <= DECAY_TOL ** p <= t_hi (one float where
+        it is one), checked exactly as t ** y against DECAY_TOL ** x; None
+        where DECAY_TOL ** p is not a normal float."""
+        p = self.system.p
+        t = DECAY_TOL ** float(p) if p.numerator <= 512 else 0.0
+        if t < 2 * sys.float_info.min:
+            return None
+        y, tol_x = p.denominator, self.tol_x
+        while Fraction(t) ** y > tol_x:
+            t = math.nextafter(t, 0)
+        while Fraction(up := math.nextafter(t, math.inf)) ** y <= tol_x:
+            t = up
+        return t, t if Fraction(t) ** y == tol_x else math.nextafter(t, math.inf)
+
+    def float_test(self, powers: list[Power], exact: bool) -> Callable[[int], bool | None]:
+        """One sample's filter: shift -> True where its norm has certainly
+        decayed, False where it certainly has not, None where the exact
+        predicate must decide (bounds in _first_decay_step)."""
+        if self.bracket is None:
+            return _undecided
+        t_lo, t_hi = self.bracket
+        p = float(self.system.p)
+        terms = []
+        for k, i, a in powers:
+            if isinstance(a, Fraction):
+                f = _normal_float(a)
+            else:
+                f = math.exp(p * a) if abs(p * a) < 700 else None
+            if f is None:
+                return _undecided
+            terms.append((k, i, f, not exact and isinstance(a, Fraction)))
+        err = (len(terms) + 8) * _U + (0 if exact else 2 * (_LSE_ERROR + p * 2.0**-49))
+        up, down, slack = 1 + err, 1 - err, (len(terms) + 1) * _TINY
+        float_mass = self.float_mass
+
+        def test(shift: int) -> bool | None:
+            s = 0.0
+            for k, i, f, in_log_total in terms:
+                m = float_mass(k + shift, i)
+                if m is None:
+                    return None
+                t = f * m
+                if in_log_total and not 2.0**-1021 <= t <= 2.0**1023:
+                    return None  # the exact path would log a product outside the normal range
+                s += t
+            if s * up + slack < t_lo:
+                return True
+            if s * down - slack > t_hi:
+                return False
+            return None
+
+        return test
+
+    def tail_steps(self, total: Fraction | float, exact: bool, ratio: Fraction) -> int:
+        """Least m >= 1 with total * ratio ** m at most the threshold, for a
+        total above it: m = ceil(q), q = D / drop, D the log of the total
+        over the threshold and drop = -log ratio, from float logs.
+
+        q is certified when m - q and q - (m - 1) both exceed twice its error
+        bound, q * (D error / D + drop error / drop + 2u).  D errs by the
+        roundings of float(log_bound) and of D, and for an exact total also
+        by _log_error and the p * 2**-49 of log_bound against p ln DECAY_TOL
+        (a log total is the log the window compares, so D is exact there);
+        drop errs as _tail_drop says.  Otherwise m is the ceil in rationals
+        over the float logs, and an exact total is walked to its exact
+        answer while ratio ** m stays within EXACT_POWER_BITS; past that
+        the float ceil stands.
+        """
+        log_total = log_fraction(total) if exact else total
+        drop, drop_err = self.tail_drop(ratio)
+        if isinstance(log_total, float) and drop >= 2.0**-1020:
+            d = log_total - self.float_log_bound
+            q = d / drop
+            if 0 < q < 2.0**52:
+                d_err = _U * (abs(log_total) + abs(self.float_log_bound) + abs(d))
+                if exact:
+                    d_err += _log_error(total, log_total) + float(self.system.p) * 2.0**-49
+                m, margin = math.ceil(q), 2 * q * (d_err / d + drop_err + 2 * _U)
+                if m - q > margin and (m == 1 or q - (m - 1) > margin):
+                    return m
+        m = max(1, math.ceil((Fraction(log_total) - self.log_bound) / (Fraction(drop) or 1 - ratio)))
+        if exact and m * max(ratio.numerator.bit_length(), ratio.denominator.bit_length()) <= EXACT_POWER_BITS:
+            y = self.system.p.denominator
+
+            def gone(j: int) -> bool:
+                return (total * ratio**j) ** y <= self.tol_x
+
+            while not gone(m):
+                m += 1
+            while m > 1 and gone(m - 1):
+                m -= 1
+        return m
+
+
+def _first_decay_step(system: MeasureSystem, phi: StepFunction, search: _DecaySearch | None = None) -> int:
     """Least n >= 1 at which both n-step norms of a nonzero phi, forward and
     inverse, are at most DECAY_TOL; both tail ratios must be < 1.
 
     A norm is decided from its p-th-power total, with no root: for p = x/y
     an exact total t passes when t ** y <= DECAY_TOL ** x, a log total when
-    it is at most p * log DECAY_TOL.  Steps are tried one by one while part
-    of the support lands in the window, each one multiply-add per support
-    term, and the inverse total is summed only once the forward one has
-    decayed.  ``mass`` is ``system.mu_cell`` or a cached copy of it.
+    it is at most log_bound = p * log DECAY_TOL.  Steps are tried one by one
+    while part of the support lands in the window, and the inverse total is
+    summed only once the forward one has decayed.  ``search`` holds what
+    one weak_mixing_consistency call builds once.
+
+    Each such step is first put to a float filter: s, the float sum over
+    the support of float(power) * float(mass), a log power L entering as
+    exp(L) (|L| < 700), against floats t_lo <= DECAY_TOL ** p <= t_hi.
+    With u = 2**-53, n terms, all conversions correctly rounded and normal
+    and exp faithful, each product is within 4u of its term, or, where it
+    underflows, 2**-1075 more; summation adds (n - 1)u of the total S.  So
+    |s - S| <= g * S + n * 2**-1075, g = (n + 3)u / (1 - (n + 3)u).  With
+    E = (n + 8)u and slack (n + 1) * 2**-1074, which also cover the
+    roundings of 1 +- E and of the tests themselves (n < 2**26), a step has
+    decayed where s * (1 + E) + slack < t_lo and not where s * (1 - E) -
+    slack > t_hi; for an exact total that is the exact predicate's answer.
+    A log total's predicate compares its log-sum-exp, within 2**-39 of
+    ln S here (lp_space docstring; exact terms whose products with their
+    masses are not normal are left to it), with log_bound, within p * 2**-49
+    of ln DECAY_TOL ** p (math.log faithful); E grows by twice the sum of
+    the two, so the filter answers as that predicate does.  Where it cannot
+    tell, or any power or mass is not a normal float, or DECAY_TOL ** p is
+    not (p past about 51), the exact predicate decides.
 
     From n0 on the support lies in the tails, where each total falls by the
     tail ratio per step (left tail forward, right tail inverse), so the
     rest is solved from the log of the total at n0, never building
-    ratio ** n: with a tail near 1 the answer passes 10**13.
+    ratio ** n (with a tail near 1 the answer passes 10**13), and certified
+    by _DecaySearch.tail_steps.
     """
+    search = search or _DecaySearch(system)
     powers = lp_powers(system, phi)
-    p = system.p
-    tol_x = Fraction(DECAY_TOL) ** p.numerator
-    log_bound = p * Fraction(math.log(DECAY_TOL))
+    exact = is_exact(powers)
+    y, mass, log_bound = system.p.denominator, search.mass, search.log_bound
 
     def above_tol(shift: int) -> Fraction | float | None:
         """The total at this shift while its norm exceeds DECAY_TOL, else None."""
         total = shifted_power_sum(system, powers, shift, mass)
-        exceeds = total ** p.denominator > tol_x if isinstance(total, Fraction) else total > log_bound
+        exceeds = total**y > search.tol_x if exact else total > log_bound
         return total if exceeds else None
+
+    float_test = search.float_test(powers, exact)
+
+    def decayed(shift: int) -> bool:
+        verdict = float_test(shift)
+        return above_tol(shift) is None if verdict is None else verdict
 
     levels = [k for k, _, _ in powers]
     n0 = max(max(levels) - system.k_min, system.k_max - min(levels)) + 1
     for n in range(1, n0):
-        if above_tol(-n) is None and above_tol(n) is None:
+        if decayed(-n) and decayed(n):
             return n
     steps = [0]
     for shift, ratio in ((-n0, system.left_tail), (n0, system.right_tail)):
         total = above_tol(shift)
         if total is not None:
-            log_total = log_fraction(total) if isinstance(total, Fraction) else total
-            # 1 - ratio stands in where even log1p of ratio - 1 underflows
-            drop = -log_ratio(ratio)
-            steps.append(math.ceil((Fraction(log_total) - log_bound) / (Fraction(drop) or 1 - ratio)))
+            steps.append(search.tail_steps(total, exact, ratio))
     return n0 + max(steps)
 
 
@@ -264,7 +439,7 @@ def weak_mixing_consistency(
             notes="inherited: the doubled operator mixes weakly exactly when the operator itself has dense orbits",
         )
     rng = random.Random(seed)
-    mass = functools.cache(system.mu_cell)  # for this call only; the samples share levels
+    search = _DecaySearch(system)  # for this call only; the samples share levels
     worst_n = 0
     for index in range(samples):
         phi = random_step_function(rng, system)
@@ -275,7 +450,7 @@ def weak_mixing_consistency(
             raise InconsistentWitness(
                 f"sample {index}: inverse composition did not undo the forward one"
             )
-        worst_n = max(worst_n, _first_decay_step(system, phi, mass))
+        worst_n = max(worst_n, _first_decay_step(system, phi, search))
     return CriterionReport(
         criterion="weak_mixing",
         verdict=Verdict.SATISFIED,

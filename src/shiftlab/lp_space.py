@@ -10,9 +10,24 @@ coefficient once, and ``shifted_power_sum`` sums those powers against the
 cell masses of the levels they land on after a shift, with no root taken.
 So a search over shifts pays for the powers once and for each step only
 one multiply-add per term.  A power is the exact ``Fraction`` where it is
-rational and otherwise its natural log ``p * log|v|``, finite for every
-nonzero coefficient and every p; a sum with a log term is itself a log,
-taken as one log-sum-exp, so nothing overflows or underflows.
+rational and its exact form stays within ``EXACT_POWER_BITS`` bits;
+otherwise it is kept as the float ``log|v|``, finite for every nonzero
+coefficient, and the sum scales it by p.  A sum with a log term is itself
+a log, taken as one log-sum-exp, so nothing overflows or underflows; it is
+a float, or, for a p past ``2 ** 1000``, where ``p * log|v|`` could leave
+the float range, an exact ``Fraction`` built from ``Fraction(p)``.
+
+Error of a float log total.  With u = 2**-53 and ``math.log`` and
+``math.exp`` faithful (relative error below 2u), let Lambda bound |ln m|
+for each mass, |L| for each log power L = float(p) * log|v|, and the log
+l_j of each term, ln(a * m) or L + ln m, and let float(m) and, for an
+exact term, float(a * m) be normal.  Each term log t_j is then within
+3u * Lambda + 3u of l_j; subtracting max t rounds by 2u * Lambda at most;
+the exps add 2u relative, ``fsum`` u, the final log 2u * ln n and the final
+sum u * (Lambda + ln n).  So the log total is within
+u * (6 * Lambda + 8 + 3 * ln n) of ln(sum of exp(l_j)): below 2**-39 for
+Lambda <= 1410 and n < 2**26, the range of the weak-mixing decay filter
+(``criteria._first_decay_step``).
 """
 
 from __future__ import annotations
@@ -46,9 +61,6 @@ class StepFunction:
         """Indicator of the whole level k."""
         return cls({(k, i): Fraction(1) for i in range(len(system.cells))})
 
-    def levels(self) -> list[int]:
-        return sorted({k for k, _ in self.coeffs})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -68,14 +80,27 @@ def apply_Tf_inverse(phi: StepFunction, steps: int = 1) -> StepFunction:
     return StepFunction({(k + steps, i): v for (k, i), v in phi.coeffs.items()})
 
 
-Power = tuple[int, int, Fraction | float]  # (level, cell, |v| ** p as a Fraction, or p * log|v|)
+Power = tuple[int, int, Fraction | float]  # (level, cell, |v| ** p as a Fraction, or log|v|)
 CellMass = Callable[[int, int], Fraction]  # (level, cell) -> measure
+
+EXACT_POWER_BITS = 1 << 13  # bound on the bits of the exact q ** p.numerator a power may build
+_FLOAT_P = 2**1000  # below this p, p * log|v| + log(mass) is a finite float
 
 
 def _power(v: Coefficient, p: Fraction) -> Fraction | float:
-    """|v| ** p as an exact Fraction, or its natural log where it is irrational."""
-    exact = fraction_pow(abs(v), p) if isinstance(v, Fraction) else None
-    return float(p) * log_fraction(abs(v)) if exact is None else exact
+    """|v| ** p as an exact Fraction, or log|v| where that is irrational or
+    its exact form would pass EXACT_POWER_BITS."""
+    if isinstance(v, Fraction):
+        bits = p.numerator * max(v.numerator.bit_length(), v.denominator.bit_length())
+        exact = fraction_pow(abs(v), p) if bits <= EXACT_POWER_BITS else None
+        if exact is not None:
+            return exact
+    return log_fraction(abs(v))
+
+
+def is_exact(powers: list[Power]) -> bool:
+    """Whether shifted_power_sum gives these powers' total exactly, not its log."""
+    return all(isinstance(a, Fraction) for _, _, a in powers)
 
 
 def lp_powers(system: MeasureSystem, phi: StepFunction) -> list[Power]:
@@ -89,28 +114,33 @@ def shifted_power_sum(
 ) -> Fraction | float:
     """p-th power of the norm of the step function with these powers once
     every term has moved shift levels up (down for shift < 0): the exact
-    Fraction when every power is exact, else the natural log of the sum.
+    Fraction when every power is exact (``is_exact``), else the natural log
+    of the sum.
 
     ``mass(k, i)`` is the measure of cell i at level k, ``system.mu_cell``
     unless the caller passes a cached copy.
     """
     mass = mass or system.mu_cell
-    if all(isinstance(a, Fraction) for _, _, a in powers):
+    if is_exact(powers):
         return sum((a * mass(k + shift, i) for k, i, a in powers), Fraction(0))
+    p, real = (float(system.p), float) if system.p < _FLOAT_P else (system.p, Fraction)
     logs = [
-        log_fraction(a * mass(k + shift, i)) if isinstance(a, Fraction) else a + log_fraction(mass(k + shift, i))
+        real(log_fraction(a * mass(k + shift, i))) if isinstance(a, Fraction)
+        else p * real(a) + real(log_fraction(mass(k + shift, i)))
         for k, i, a in powers
     ]
     top = max(logs)
-    return top + math.log(math.fsum(math.exp(t - top) for t in logs))
+    # exp of anything below -1000 is 0.0; the clamp keeps a Fraction gap in float range
+    return top + real(math.log(math.fsum(math.exp(max(t - top, -1000)) for t in logs)))
 
 
 def lp_norm_step(system: MeasureSystem, phi: StepFunction) -> Fraction | float:
     """p-norm of a step function, exact whenever the coefficient powers and
     the final root stay rational."""
-    total = shifted_power_sum(system, lp_powers(system, phi))
-    if isinstance(total, float):
-        return math.exp(total / float(system.p))
+    powers = lp_powers(system, phi)
+    total = shifted_power_sum(system, powers)
+    if not is_exact(powers):
+        return math.exp(total / (float(system.p) if isinstance(total, float) else system.p))
     return total if total == 0 else pow_maybe_exact(total, 1 / system.p)
 
 

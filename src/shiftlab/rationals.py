@@ -8,6 +8,7 @@ expected to fall back to floats explicitly.  No silent precision loss.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -87,12 +88,19 @@ def fraction_pow(q: Fraction, expo: Fraction) -> Fraction | None:
 
 
 def log_fraction(q: Fraction | float) -> float:
-    """Natural log of a positive rational, even where float(q) is out of range."""
+    """Natural log of a positive rational, even where float(q) is out of range.
+
+    A Fraction whose float would overflow, or lose digits below the normal
+    range, is taken as log(numerator) - log(denominator), which math.log
+    computes for big ints from their leading bits and bit count.
+    """
     try:
-        return math.log(float(q))
-    except (OverflowError, ValueError):
-        # float(q) overflows, or underflows to 0.0; math.log takes big ints
-        return math.log(q.numerator) - math.log(q.denominator)
+        f = float(q)
+        if f >= sys.float_info.min or not isinstance(q, Fraction):
+            return math.log(f)
+    except OverflowError:
+        pass
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def log_ratio(q: Fraction) -> float:

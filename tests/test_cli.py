@@ -4,9 +4,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
-from itertools import count
 from pathlib import Path
 
 import pytest
@@ -131,10 +131,13 @@ def test_weak_mixing_decay_step_on_extreme_configs(tmp_path, capsys, mass, tail,
 
 def _decimal_decay_step(phi, mass, p: Fraction) -> int:
     """Least n >= 1 at which both n-step norms of phi are at most DECAY_TOL,
-    tried one n at a time in 50-digit decimals on a one-cell window at
-    level 0 with both tails 1/2 (so level k has mass * 2**-|k|)."""
+    in 50-digit decimals on a one-cell window at level 0 with both tails
+    1/2 (so level k has mass * 2**-|k|): tried one n at a time while the
+    support meets level 0, then by bisection, as past that both norms only
+    fall."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
+        ctx.Emin, ctx.Emax = -(10**12), 10**12
         exponent = Decimal(p.numerator) / Decimal(p.denominator)
         # norm <= DECAY_TOL exactly when the sum of the p-th powers is at
         # most DECAY_TOL ** p
@@ -147,7 +150,20 @@ def _decimal_decay_step(phi, mass, p: Fraction) -> int:
         def decayed(shift):
             return sum(a / Decimal(2) ** abs(k + shift) for k, a in terms) <= bound
 
-        return next(n for n in count(1) if decayed(-n) and decayed(n))
+        def both(n):
+            return decayed(-n) and decayed(n)
+
+        span = max(abs(k) for k, _ in terms) + 1
+        n = next((n for n in range(1, span + 1) if both(n)), None)
+        if n is not None:
+            return n
+        lo, hi = span, 2 * span
+        while not both(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if both(mid) else (mid, hi)
+        return hi
 
 
 @pytest.mark.parametrize("p, mass, seed, samples", [
@@ -320,6 +336,32 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
     assert out == ""
     assert err.startswith("shiftlab: cannot write output: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", ["1e400", "1000001/2"])
+@pytest.mark.parametrize("command", ["criteria", "report"])
+def test_a_huge_exponent_finishes_every_certificate(tmp_path, capsys, command, p):
+    # exact powers of either size would have millions of digits (and
+    # float(1e400) overflows): the powers are kept as logs, DECAY_TOL ** p
+    # is never built, and for p = 1000001/2 the decay step, past 10**7,
+    # must match a decimal search
+    doc = {"p": p, "window": {"min": -1, "max": 1}, "cells": ["B1"],
+           "mu": {"-1": ["1/2"], "0": ["1"], "1": ["1/2"]}, "tails": {"left": "1/2", "right": "1/2"}}
+    config = tmp_path / "huge_p.json"
+    config.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, command, "--config", str(config), "--samples", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    reports = {r["criterion"]: r for r in json.loads(out, parse_constant=_reject_constant)["reports"]}
+    step = reports["weak_mixing"]["witness"]["worst_first_decay_step"]
+    if p == "1e400":
+        assert step > 10**400
+        return
+    system = MeasureSystem.from_dict(doc)
+    rng = random.Random(0)
+    samples = [random_step_function(rng, system) for _ in range(3)]
+    assert step == max(_decimal_decay_step(phi, 1, system.p) for phi in samples if not phi.is_zero())
 
 
 def test_orbit_with_a_huge_exponent_finishes(tmp_path, capsys):

@@ -78,9 +78,10 @@ def test_report_exits_0_on_generated_configs(seed):
 
 
 # masses from 10**-321 to 10**321, tails within 10**-1 to 10**-6 of 1 on
-# either side, p up to 1001/2: meetings of the tail terms far past the
-# window, and values and coefficient powers far outside the float range
-_large_p = (Fraction(301, 3), Fraction(801, 2), Fraction(1001, 2))
+# either side, p up to 1000001/2: meetings of the tail terms far past the
+# window, and values and coefficient powers far outside the float range;
+# p = 1000001/2 has exact powers of millions of digits, kept as logs
+_large_p = (Fraction(301, 3), Fraction(801, 2), Fraction(1001, 2), Fraction(1000001, 2))
 _masses = st.builds(lambda m, e: Fraction(m) * Fraction(10) ** e,
                     st.integers(1, 9), st.integers(-321, 321))
 _tails = st.builds(lambda sign, m, d: 1 + sign * Fraction(m, 10**d),
