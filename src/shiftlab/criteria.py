@@ -38,8 +38,8 @@ The certificates:
     The supremum over n of the worst n-step level mass ratio.  Up to the
     window span the infima are enumerated; past it they follow the closed
     form min(alpha * a**n, beta * b**n) in the two tail steps, whose
-    supremum sits where the growing term meets the other, located by float
-    logs and settled by exact comparisons.
+    supremum sits where the growing term meets the other, found exactly by
+    ``rationals.LogGap`` however far out that is.
 
 ``cofinite_quotient_witness``
     Constructive spaceability evidence: a nonzero step function killed by
@@ -65,11 +65,9 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import HypothesisViolated, InconsistentWitness, NoAdmissibleLevels
-from .lp_space import (
-    EXACT_POWER_BITS, Power, StepFunction, apply_Tf, apply_Tf_inverse, is_exact, lp_powers, shifted_power_sum,
-)
+from .lp_space import Power, StepFunction, apply_Tf, apply_Tf_inverse, is_exact, lp_powers, shifted_power_sum
 from .measure_system import MeasureSystem
-from .rationals import abs_pow, log_fraction, log_ratio, pow_maybe_exact
+from .rationals import LogGap, abs_pow, pow_maybe_exact
 from .shift_space import UNILATERAL, WeightSequence, wp_product
 
 
@@ -212,28 +210,6 @@ def _normal_float(q: Fraction) -> float | None:
     return f if f >= sys.float_info.min else None
 
 
-def _log_error(q: Fraction, log_q: float) -> float:
-    """Bound on |log_fraction(q) - ln q|, with u = 2**-53: 2u * (|ln q| + 1)
-    through a normal float (one rounding of q, a faithful log), else
-    3u * (ln num + ln den + 4) + u * |ln q| through math.log of the two
-    ints (a rounded leading part and the bit count times log 2 each)."""
-    if _normal_float(q) is not None:
-        return (abs(log_q) + 1) * 2.0**-51
-    return (q.numerator.bit_length() + q.denominator.bit_length() + abs(log_q) + 4) * 2.0**-50
-
-
-def _tail_drop(ratio: Fraction) -> tuple[float, float]:
-    """drop = -log ratio as a float, and a bound on its error relative to
-    -ln ratio: 2**-50 for 1/2 < ratio < 1, through float(ratio - 1) and
-    log1p (where that float is normal), else _log_error / drop."""
-    drop = -log_ratio(ratio)
-    return drop, 2.0**-50 if ratio > Fraction(1, 2) else _log_error(ratio, drop) / drop
-
-
-def _undecided(shift: int) -> None:
-    return None
-
-
 class _DecaySearch:
     """What one weak_mixing_consistency call builds once for its decay
     searches: exact and float cell masses, the thresholds and a float
@@ -244,9 +220,7 @@ class _DecaySearch:
         mass = self.mass = functools.cache(system.mu_cell)
         # closes over mass, not self: no cycle keeps a finished call's tables alive
         self.float_mass = functools.cache(lambda k, i: _normal_float(mass(k, i)))
-        self.tail_drop = functools.cache(_tail_drop)
         self.log_bound = system.p * Fraction(math.log(DECAY_TOL))
-        self.float_log_bound = float(self.log_bound) if system.p < 2**1000 else -math.inf
         self.bracket = self._bracket()
 
     @functools.cached_property
@@ -274,7 +248,7 @@ class _DecaySearch:
         decayed, False where it certainly has not, None where the exact
         predicate must decide (bounds in _first_decay_step)."""
         if self.bracket is None:
-            return _undecided
+            return lambda shift: None
         t_lo, t_hi = self.bracket
         p = float(self.system.p)
         terms = []
@@ -284,7 +258,7 @@ class _DecaySearch:
             else:
                 f = math.exp(p * a) if abs(p * a) < 700 else None
             if f is None:
-                return _undecided
+                return lambda shift: None
             terms.append((k, i, f, not exact and isinstance(a, Fraction)))
         err = (len(terms) + 8) * _U + (0 if exact else 2 * (_LSE_ERROR + p * 2.0**-49))
         up, down, slack = 1 + err, 1 - err, (len(terms) + 1) * _TINY
@@ -309,44 +283,14 @@ class _DecaySearch:
         return test
 
     def tail_steps(self, total: Fraction | float, exact: bool, ratio: Fraction) -> int:
-        """Least m >= 1 with total * ratio ** m at most the threshold, for a
-        total above it: m = ceil(q), q = D / drop, D the log of the total
-        over the threshold and drop = -log ratio, from float logs.
-
-        q is certified when m - q and q - (m - 1) both exceed twice its error
-        bound, q * (D error / D + drop error / drop + 2u).  D errs by the
-        roundings of float(log_bound) and of D, and for an exact total also
-        by _log_error and the p * 2**-49 of log_bound against p ln DECAY_TOL
-        (a log total is the log the window compares, so D is exact there);
-        drop errs as _tail_drop says.  Otherwise m is the ceil in rationals
-        over the float logs, and an exact total is walked to its exact
-        answer while ratio ** m stays within EXACT_POWER_BITS; past that
-        the float ceil stands.
-        """
-        log_total = log_fraction(total) if exact else total
-        drop, drop_err = self.tail_drop(ratio)
-        if isinstance(log_total, float) and drop >= 2.0**-1020:
-            d = log_total - self.float_log_bound
-            q = d / drop
-            if 0 < q < 2.0**52:
-                d_err = _U * (abs(log_total) + abs(self.float_log_bound) + abs(d))
-                if exact:
-                    d_err += _log_error(total, log_total) + float(self.system.p) * 2.0**-49
-                m, margin = math.ceil(q), 2 * q * (d_err / d + drop_err + 2 * _U)
-                if m - q > margin and (m == 1 or q - (m - 1) > margin):
-                    return m
-        m = max(1, math.ceil((Fraction(log_total) - self.log_bound) / (Fraction(drop) or 1 - ratio)))
-        if exact and m * max(ratio.numerator.bit_length(), ratio.denominator.bit_length()) <= EXACT_POWER_BITS:
-            y = self.system.p.denominator
-
-            def gone(j: int) -> bool:
-                return (total * ratio**j) ** y <= self.tol_x
-
-            while not gone(m):
-                m += 1
-            while m > 1 and gone(m - 1):
-                m -= 1
-        return m
+        """Least m >= 1 with total * ratio ** m at most the threshold, for a total
+        above it: for a log total, (total - log_bound) + m * ln ratio <= 0; for
+        an exact one and p = x/y, k * ratio**(y * m) <= 1 with k = total**y /
+        DECAY_TOL**x, so m = ceil(M / y) for the least such exponent M."""
+        if not exact:
+            return LogGap(Fraction(1), ratio, Fraction(total) - self.log_bound).least_crossing()
+        y = self.system.p.denominator
+        return -(-LogGap((total if y == 1 else total**y) / self.tol_x, ratio).least_crossing() // y)
 
 
 def _first_decay_step(system: MeasureSystem, phi: StepFunction, search: _DecaySearch | None = None) -> int:
@@ -380,10 +324,9 @@ def _first_decay_step(system: MeasureSystem, phi: StepFunction, search: _DecaySe
     not (p past about 51), the exact predicate decides.
 
     From n0 on the support lies in the tails, where each total falls by the
-    tail ratio per step (left tail forward, right tail inverse), so the
-    rest is solved from the log of the total at n0, never building
-    ratio ** n (with a tail near 1 the answer passes 10**13), and certified
-    by _DecaySearch.tail_steps.
+    tail ratio per step (left tail forward, right tail inverse): the rest is
+    _DecaySearch.tail_steps's least crossing from the total at n0, which
+    never builds ratio ** n (a tail near 1 puts it past 10**13).
     """
     search = search or _DecaySearch(system)
     powers = lp_powers(system, phi)
@@ -536,26 +479,6 @@ def menet_unilateral(w: WeightSequence) -> CriterionReport:
 
 # -- sup-inf mass ratio -----------------------------------------------------
 
-# rounding bound of a computed log per unit of the logs it is made from: 8 ulps
-_LOG_ERR = 2.0**-50
-
-
-def _log_sign(k: Fraction, r: Fraction, e: int) -> int:
-    """Sign of k * r**e - 1 for an integer e >= 0.  For r between 1/2 and 2
-    the float gap log k + e * log r decides past _LOG_ERR times the logs of
-    k's numerator and denominator plus e * (|log r| + 2**-1022, its
-    underflow); otherwise, and for other r, where e is small, exact values do."""
-    if Fraction(1, 2) < r < 2:
-        log_num, log_den, log_r = math.log(k.numerator), math.log(k.denominator), log_ratio(r)
-        gap = log_num - log_den + e * log_r
-        if abs(gap) > _LOG_ERR * (log_num + log_den + 2 + e * (abs(log_r) + 2.0**-1022)):
-            return 1 if gap > 0 else -1
-    if e * (r.numerator.bit_length() + r.denominator.bit_length()) > 2**25:
-        raise ArithmeticError("a tie within float rounding needs an exact power past reach")
-    x = k * r**e
-    return (x > 1) - (x < 1)
-
-
 def conditionmix_lhs(system: MeasureSystem) -> CriterionReport:
     """Exact value of sup over n >= 1 of inf over all k of
     mass(level k) / mass(level k + n), the least n attaining it, and the
@@ -568,8 +491,8 @@ def conditionmix_lhs(system: MeasureSystem) -> CriterionReport:
     most the best.  Past S each pair has an end in a tail, so the infimum
     is min(alpha * a**n, beta * b**n), alpha and beta taken at n = S + 1:
     log-concave, its supremum is at S + 1 or where the growing term meets
-    the other.  Float logs locate that n, _log_sign settles it exactly, and
-    past their reach the witness says "attained": false with no value.
+    the other.  rationals.LogGap finds that n and compares the values
+    there and with the window's best, all exactly.
     """
     if not system.has_tails:
         return CriterionReport(
@@ -602,24 +525,17 @@ def conditionmix_lhs(system: MeasureSystem) -> CriterionReport:
         (s_lo, lo), (s_hi, hi) = sorted([(a, worst(n0, range(k_min - n0, k_min))),
                                          (b, worst(n0, range(k_min, k_max + 1)))])
         coef, step, m = min(lo, hi), Fraction(1), 0
-        try:
-            if s_hi > 1 and hi < lo:
-                # hi * s_hi**m grows to meet lo * s_lo**m: the supremum is at the last m up to it or the next
-                k, r = hi / lo, s_hi / s_lo
-                log_num, log_den, log_r = math.log(k.numerator), math.log(k.denominator), log_ratio(r)
-                if log_r <= 4 * _LOG_ERR * (log_num + log_den + 2):  # else j is off by less than 1/2
-                    raise ArithmeticError("the meeting point lies past the steps' float logs")
-                j = max(0, math.floor((log_den - log_num) / log_r))
-                m = next(i for i in (j + 1, j, j - 1) if i <= 0 or _log_sign(k, r, i) <= 0)
-                coef, step, m = (hi, s_hi, m) if _log_sign(k / s_lo, r, m) >= 0 else (lo, s_lo, m + 1)
-            if arg == 0 or _log_sign(coef / best, step, m) > 0:
-                # a product where bit lengths allow more digits than int-to-str's 4300
-                bits = max(coef.numerator.bit_length() + m * step.numerator.bit_length(),
-                           coef.denominator.bit_length() + m * step.denominator.bit_length())
-                value, arg = (str(coef * step**m) if bits * 0.30103 < 4299 else f"{coef}*({step})**{m}"), n0 + m
-        except ArithmeticError as exc:
-            return CriterionReport("conditionmix", Verdict.SATISFIED, {**witness, "attained": False},
-                                   f"the supremum is finite, so <= 1, but {exc}")
+        if s_hi > 1 and hi < lo:
+            # hi * s_hi**m grows to meet lo * s_lo**m: the supremum is at the last m up to it or the next
+            meet = LogGap(lo / hi, s_lo / s_hi)
+            m = meet.least_crossing()  # the first m with hi * s_hi**m >= lo * s_lo**m
+            m -= meet.sign(m) < 0
+            coef, step, m = (hi, s_hi, m) if LogGap(hi / lo / s_lo, s_hi / s_lo).sign(m) >= 0 else (lo, s_lo, m + 1)
+        if arg == 0 or LogGap(coef / best, step).sign(m) > 0:
+            # a product where bit lengths allow more digits than int-to-str's 4300
+            bits = max(coef.numerator.bit_length() + m * step.numerator.bit_length(),
+                       coef.denominator.bit_length() + m * step.denominator.bit_length())
+            value, arg = (str(coef * step**m) if bits * 30103 < 4299 * 10**5 else f"{coef}*({step})**{m}"), n0 + m
     witness.update({"value": value or str(best), "attained": True, "attained_at_n": arg})
     return CriterionReport("conditionmix", Verdict.SATISFIED, witness, "supremum of worst-case mass ratios is <= 1")
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftlab import MeasureSystem
+from shiftlab import MeasureSystem, conditionmix_lhs
 from shiftlab.cli import main
 from shiftlab.criteria import DECAY_TOL
 from shiftlab.sampling import random_step_function
@@ -111,22 +111,48 @@ def test_no_certificate_reads_the_horizon(capsys):
 
 @pytest.mark.parametrize("mass, tail, at_least", [
     ("1", "999999/1000000", 10**7),
+    ("1", f"{10**15 - 1}/{10**15}", 10**16),
     ("1", f"{10**400 - 1}/{10**400}", 10**400),
     (str(10**400), "1/2", 1300),
-], ids=["tail_one_minus_1e-6", "tail_one_minus_1e-400", "mass_1e400"])
+], ids=["tail_one_minus_1e-6", "tail_one_minus_1e-15", "tail_one_minus_1e-400", "mass_1e400"])
 def test_weak_mixing_decay_step_on_extreme_configs(tmp_path, capsys, mass, tail, at_least):
     # decay steps far past anything a step-by-step search could reach; a
     # tail so close to 1 that 1 - tail underflows a float; norms beyond the
-    # float range, which are compared with the tolerance exactly
+    # float range, which are compared with the tolerance exactly.  Each
+    # step is the least one, as a decimal closed form finds it
+    doc = {"p": "1", "window": {"min": 0, "max": 0}, "cells": ["B1"], "mu": {"0": [mass]},
+           "tails": {"left": tail, "right": tail}}
     config = tmp_path / "extreme.json"
-    config.write_text(json.dumps({
-        "p": "1", "window": {"min": 0, "max": 0}, "cells": ["B1"], "mu": {"0": [mass]},
-        "tails": {"left": tail, "right": tail},
-    }))
+    config.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "criteria", "--config", str(config), "--samples", "3")
     assert code == 0
     reports = {r["criterion"]: r for r in json.loads(out)["reports"]}
-    assert reports["weak_mixing"]["witness"]["worst_first_decay_step"] > at_least
+    step = reports["weak_mixing"]["witness"]["worst_first_decay_step"]
+    assert step > at_least
+    rng = random.Random(0)
+    samples = [random_step_function(rng, MeasureSystem.from_dict(doc)) for _ in range(3)]
+    assert step == max(_decimal_tail_decay_step(phi, Fraction(mass), Fraction(tail))
+                       for phi in samples if not phi.is_zero())
+
+
+def _decimal_tail_decay_step(phi, mass: Fraction, tail: Fraction) -> int:
+    """Least n >= 1 at which both n-step norms of phi are at most DECAY_TOL
+    on a one-cell window at level 0 with both tails ``tail`` (level k has
+    mass * tail**|k|) and p = 1, for an answer past phi's support: there
+    each total is tail**n times the sum of |v| * mass * tail**-k forward
+    and |v| * mass * tail**k inverse, so n is a ceil of a ratio of logs,
+    taken in decimals with 60 digits more than the cancellation in
+    ln tail and the size of n need."""
+    totals = [sum(abs(v) * mass * tail ** (side * k) for (k, _), v in phi.coeffs.items()) for side in (-1, 1)]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * len(str(tail.denominator)) + len(str(mass.numerator)) + 60
+
+        def ln(q: Fraction) -> Decimal:
+            return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
+
+        steps = [(ln(total / Fraction(DECAY_TOL)) / -ln(tail)).to_integral_value(decimal.ROUND_CEILING)
+                 for total in totals]
+    return max(1, *map(int, steps))
 
 
 def _decimal_decay_step(phi, mass, p: Fraction) -> int:
@@ -221,6 +247,24 @@ def test_conditionmix_on_configs_that_used_to_hang(tmp_path, capsys, masses, tai
         assert Fraction(c) * Fraction(r) ** int(e) == value
     else:
         assert Fraction(witness["value"]) == value
+
+
+@pytest.mark.parametrize("eps", [10**12, 10**400], ids=["tails_one_minus_1e-12", "tails_one_minus_1e-400"])
+def test_conditionmix_meeting_point_past_float_reach_in_the_cli(tmp_path, capsys, eps):
+    # the tail terms meet near n = 2.3 * 10**12 or 2.3 * 10**400; the CLI
+    # gives the witness of the library, whose n and value
+    # test_criteria.py checks against a decimal search
+    doc = {"p": "1", "window": {"min": 0, "max": 2}, "cells": ["B1"], "mu": {"0": ["1"], "1": ["1/100"], "2": ["1"]},
+           "tails": {"left": f"{eps - 1}/{eps}", "right": f"{eps - 1}/{eps}"}}
+    config = tmp_path / "meet.json"
+    config.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "criteria", "--config", str(config), "--samples", "3")
+    assert time.perf_counter() - start < (1 if eps == 10**12 else 5)
+    assert code == 0
+    report = {r["criterion"]: r for r in json.loads(out, parse_constant=_reject_constant)["reports"]}["conditionmix"]
+    assert report["witness"] == conditionmix_lhs(MeasureSystem.from_dict(doc)).witness
+    assert report["witness"]["attained"] is True
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,4 +1,6 @@
+import decimal
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import count
 
@@ -171,6 +173,33 @@ def test_first_decay_step_keeps_its_digits_for_a_tail_near_one():
     assert _first_decay_step(system, StepFunction.indicator_level(system, 0)) == 13815510557958
 
 
+@pytest.mark.parametrize("tail", [Fraction(1, 2), Fraction(999, 1000), 1 - Fraction(1, 10**400)])
+def test_first_decay_step_with_exact_totals_and_p_three_halves(tail):
+    # 4 ** (3/2) = 8, so the total 8 * tail**n is exact and decays where
+    # (8 * tail**n) ** 2 <= DECAY_TOL ** 3: the least n is
+    # ceil(ln(64 / DECAY_TOL**3) / (-2 ln tail)), here in decimals
+    system = single_cell({0: Fraction(1)}, left=tail, right=tail, p="3/2")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * len(str(tail.denominator)) + 60
+        ln_tail = Decimal(tail.numerator).ln() - Decimal(tail.denominator).ln()
+        crossing = (Decimal(64).ln() - 3 * Decimal(DECAY_TOL).ln()) / (-2 * ln_tail)
+        expected = int(crossing.to_integral_value(decimal.ROUND_CEILING))
+    assert _first_decay_step(system, StepFunction({(0, 0): Fraction(4)})) == expected
+
+
+def test_first_decay_step_is_exact_for_a_tail_within_1e_400_of_one():
+    # the indicator of level 0 has total (1 - 10**-400) ** n at n steps; the
+    # least n with that at most DECAY_TOL is ceil(ln DECAY_TOL / ln(1 - 10**-400)),
+    # here in decimals at twice the 800 digits it needs
+    tail = 1 - Fraction(1, 10**400)
+    system = single_cell({0: Fraction(1)}, left=tail, right=tail)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1700
+        ln_tail = Decimal(tail.numerator).ln() - Decimal(tail.denominator).ln()
+        expected = int((Decimal(DECAY_TOL).ln() / ln_tail).to_integral_value(decimal.ROUND_CEILING))
+    assert _first_decay_step(system, StepFunction.indicator_level(system, 0)) == expected
+
+
 # -- menet ------------------------------------------------------------------
 
 
@@ -292,16 +321,65 @@ def test_conditionmix_inconclusive_without_tails():
     assert conditionmix_lhs(system).verdict is Verdict.INCONCLUSIVE
 
 
+def decimal_conditionmix(system: MeasureSystem, digits: int) -> tuple[int, Decimal]:
+    """The least n attaining the sup over n of the inf over k of
+    mass(k) / mass(k + n), and the log of that supremum, in decimals at
+    ``digits`` digits.  For one n, log mass(k) - log mass(k + n) is linear
+    in k while neither k nor k + n meets the window, so its infimum is taken
+    at k within one level of those places.  Past the window span S the log
+    infimum is concave in n (a minimum of linear terms), so its maximum
+    there is found by doubling and bisecting on log inf(n + 1) <= log inf(n)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+
+        def ln(q: Fraction) -> Decimal:
+            return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
+
+        lo, hi = system.k_min, system.k_max
+        ln_window = {k: ln(system.mu_W(k)) for k in range(lo, hi + 1)}
+        ln_left, ln_right = ln(system.left_tail), ln(system.right_tail)
+
+        def ln_mass(k: int) -> Decimal:
+            if k < lo:
+                return ln_window[lo] + (lo - k) * ln_left
+            return ln_window[hi] + (k - hi) * ln_right if k > hi else ln_window[k]
+
+        def f(n: int) -> Decimal:
+            ks = {*range(lo - 1, hi + 2), *range(lo - 1 - n, hi + 2 - n), lo - 2 - n, hi + 2}
+            return min(ln_mass(k) - ln_mass(k + n) for k in ks)
+
+        span = hi - lo
+        below, above = span + 1, span + 1
+        while f(above + 1) > f(above):
+            below, above = above, 2 * above
+        while above - below > 1:  # f(below + 1) > f(below) unless below = S + 1; f(above + 1) <= f(above)
+            mid = (below + above) // 2
+            below, above = (below, mid) if f(mid + 1) <= f(mid) else (mid, above)
+        tail_n = below if f(below + 1) <= f(below) else above
+        best = max(range(1, span + 1), key=lambda n: (f(n), -n), default=tail_n)
+        n = best if span and f(best) >= f(tail_n) else tail_n
+        return n, f(n)
+
+
 @pytest.mark.parametrize("eps", [Fraction(1, 10**12), Fraction(1, 10**15), Fraction(1, 10**400)])
 def test_conditionmix_meeting_point_past_float_reach(eps):
     # the tail terms meet near n = 10**12, 10**15 or 10**400, where float
-    # logs cannot settle the comparisons: the verdict stays exact and the
-    # witness says that no n is given
+    # logs cannot place the meeting point: the witness still gives the
+    # least n attaining the supremum, and its exact value as "c*(r)**e",
+    # as a decimal search at three times those digits finds them
     system = single_cell({0: Fraction(1), 1: Fraction(1, 100), 2: Fraction(1)}, left=1 - eps, right=1 - eps)
     report = conditionmix_lhs(system)
     assert report.verdict is Verdict.SATISFIED
-    assert report.witness["attained"] is False
-    assert "value" not in report.witness and "attained_at_n" not in report.witness
+    assert report.witness["attained"] is True
+    digits = 3 * len(str(eps.denominator)) + 60
+    n, ln_value = decimal_conditionmix(system, digits)
+    assert report.witness["attained_at_n"] == n
+    c, rest = report.witness["value"].split("*(")
+    r, e = rest.split(")**")
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        ln_c, ln_r = (Decimal(q.numerator).ln() - Decimal(q.denominator).ln() for q in map(Fraction, (c, r)))
+        assert abs(ln_c + int(e) * ln_r - ln_value) < Decimal(10) ** (10 - digits)
 
 
 def conditionmix_value(text: str) -> Fraction:

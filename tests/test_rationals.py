@@ -1,10 +1,19 @@
+import decimal
 import math
+import signal
+from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
+from itertools import count
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shiftlab.errors import ConfigError
 from shiftlab.rationals import (
+    LogGap,
+    _float_log,
     abs_pow,
     as_fraction,
     fraction_pow,
@@ -89,3 +98,127 @@ def test_abs_pow_handles_sign_zero_and_complex():
     assert abs_pow(Fraction(0), Fraction(3, 2)) == 0
     assert abs_pow(complex(3, 4), Fraction(2)) == pytest.approx(25.0)
     assert abs_pow(-1.5, Fraction(1)) == pytest.approx(1.5)
+
+
+# -- LogGap: the sign and least crossing of d + ln(k * r**m) -----------------
+
+
+@contextmanager
+def undecided_after(seconds: float):
+    """Fail, instead of hanging, where a search never decides."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no decision within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def decimal_ln(q: Fraction) -> Decimal:
+    return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
+
+
+def decimal_gap(k: Fraction, r: Fraction, m: int, d: Fraction, digits: int) -> Decimal:
+    """d + ln(k * r**m) in decimals at ``digits`` digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return Decimal(d.numerator) / d.denominator + decimal_ln(k) + m * decimal_ln(r)
+
+
+smooth = st.builds(lambda a, b, c: Fraction(2) ** a * Fraction(3) ** b * Fraction(5) ** c,
+                   st.integers(-12, 12), st.integers(-8, 8), st.integers(-5, 5))
+nudges = st.one_of(
+    st.just(Fraction(1)),  # an exact tie
+    st.builds(lambda e, s: 1 + Fraction(s, 10**e), st.integers(10, 200), st.sampled_from([-1, 1])),
+    smooth,
+)
+
+
+@st.composite
+def gaps(draw):
+    """(k, r, m) with r and k products of powers of 2, 3 and 5: k is r**-m
+    times 1 (an exact tie), 1 +- 10**-e (a near tie, past the floats and
+    the first decimal precision for e >= 20) or another such product."""
+    r, m = draw(smooth), draw(st.integers(0, 40))
+    return r ** -m * draw(nudges), r, m
+
+
+TIE = (Fraction(3, 2) ** 7, Fraction(2, 3), 7)
+NEAR_TIE = (Fraction(3, 2) ** 7 * (1 - Fraction(1, 10**60)), Fraction(2, 3), 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps())
+@example(TIE)
+@example(NEAR_TIE)
+@example((Fraction(1), Fraction(1), 0))
+def test_log_gap_sign_matches_exact_rationals(case):
+    k, r, m = case
+    exact = k * r**m - 1
+    with undecided_after(5):
+        assert LogGap(k, r).sign(m) == (exact > 0) - (exact < 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaps().filter(lambda case: case[1] < 1))
+@example(TIE)
+@example(NEAR_TIE)
+def test_least_crossing_matches_a_linear_scan(case):
+    k, r, _ = case
+    x, expected = k, 0
+    while x > 1:
+        x, expected = x * r, expected + 1
+    with undecided_after(5):
+        assert LogGap(k, r).least_crossing() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaps(), st.integers(12, 120), st.sampled_from([-1, 1]))
+def test_log_gap_sign_with_a_rational_offset(case, e, side):
+    # d is -ln(k * r**m) rounded to e digits and moved by 10**-e, so the
+    # gap lies between 10**-e / 2 and 3 * 10**-e / 2; no tie is possible
+    k, r, m = case
+    g = Fraction(decimal_gap(k, r, m, Fraction(0), 2 * e + 40))
+    d = Fraction(side - round(g * 10**e), 10**e)
+    with undecided_after(5):
+        sign = LogGap(k, r, d).sign(m)
+    assert sign == (1 if decimal_gap(k, r, m, d, 2 * e + 40) > 0 else -1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(digits=st.integers(16, 300), k=st.fractions(min_value=2, max_value=10**30),
+       as_log=st.booleans(), offset=st.integers(-2, 2))
+@example(digits=400, k=Fraction(10**6), as_log=True, offset=0)
+def test_least_crossing_far_out_matches_decimals(digits, k, as_log, offset):
+    # r = 1 - 10**-digits puts the crossing near 10**digits; the reference
+    # takes the logs at twice the digits that needs.  A log total enters as
+    # d with k = 1
+    r = 1 - Fraction(1, 10**digits)
+    d = Fraction(0)
+    if as_log:
+        d, k = Fraction(decimal_gap(k, Fraction(1), 0, Fraction(0), 60)), Fraction(1)
+    prec = 4 * digits + 60
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        crossing = (Decimal(d.numerator) / d.denominator + decimal_ln(k)) / -decimal_ln(r)
+        expected = int(crossing.to_integral_value(decimal.ROUND_CEILING))
+    gap = LogGap(k, r, d)
+    assert gap.least_crossing() == expected
+    m = expected + offset
+    assert gap.sign(m) == (1 if decimal_gap(k, r, m, d, prec) > 0 else -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10**400), max_value=10**400).filter(lambda q: q > 0))
+@example(Fraction(10**400 - 1, 10**400))
+@example(Fraction(2**1100 + 1, 2**1100))
+@example(Fraction(1, 3**700))
+def test_float_log_is_within_its_bound(q):
+    # 11u |ln q| + 2**-1073, u = 2**-53, as the _float_log docstring derives;
+    # |q - 1| >= 1 / den, so the reference loses fewer digits than den has
+    exact = decimal_gap(q, Fraction(1), 0, Fraction(0), 60 + q.denominator.bit_length() // 3)
+    error = abs(Decimal(_float_log(q)) - exact)
+    assert error <= Decimal(11 * 2.0**-53) * abs(exact) + Decimal(2.0**-1073)
