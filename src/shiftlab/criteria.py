@@ -29,17 +29,15 @@ The certificates:
     additionally cross-examined on random step functions, whose forward and
     inverse iterates must decay; the tails give the decay step in closed form.
 
-``menet_unilateral``
-    Boundedness of sup over n of inf over k of n-fold weight products,
-    the unilateral spaceability test.  Periodic tails collapse it to a
-    finite enumeration plus a per-period product sign.
-
-``conditionmix_lhs``
-    The supremum over n of the worst n-step level mass ratio.  Up to the
-    window span the infima are enumerated; past it they follow the closed
-    form min(alpha * a**n, beta * b**n) in the two tail steps, whose
-    supremum sits where the growing term meets the other, found exactly by
-    ``rationals.LogGap`` however far out that is.
+``menet_unilateral`` and ``conditionmix_lhs``
+    One engine, ``_sup_inf``: sup over n of inf over k of n-fold weight
+    products, stopped once a deep-tail cap shows no later n does better.
+    menet, the unilateral spaceability test, takes k >= 1 and periodic
+    tails; conditionmix takes k over all of Z on derived weights, where the
+    product is the mass ratio of levels k and k + n.  Past the window span
+    its infima follow min(alpha * a**n, beta * b**n) in the two tail steps,
+    whose supremum sits where the growing term meets the other, found
+    exactly by ``rationals.LogGap`` however far out that is.
 
 ``cofinite_quotient_witness``
     Constructive spaceability evidence: a nonzero step function killed by
@@ -68,7 +66,7 @@ from .errors import HypothesisViolated, InconsistentWitness, NoAdmissibleLevels
 from .lp_space import Power, StepFunction, apply_Tf, apply_Tf_inverse, is_exact, lp_powers, shifted_power_sum
 from .measure_system import MeasureSystem
 from .rationals import LogGap, abs_pow, pow_maybe_exact
-from .shift_space import UNILATERAL, WeightSequence, wp_product
+from .shift_space import UNILATERAL, WeightSequence, derive_weights, wp_product
 
 
 class Verdict(str, Enum):
@@ -407,59 +405,68 @@ def weak_mixing_consistency(
     )
 
 
-# -- spaceability: unilateral weight product test ---------------------------
+# -- spaceability: sup over n of inf over k of weight products --------------
 
 
-MENET_N_BUDGET = MENET_K_BUDGET = 4096  # largest n and k menet_unilateral enumerates
+def _sup_inf(w: WeightSequence, k_from: int | None, n_max: int) -> tuple[Fraction, int, bool]:
+    """Max over 1 <= n <= n_max of q(n) = inf over k >= k_from (all of Z
+    where k_from is None) of wp_product(w, k + 1, k + n), the least n
+    attaining it (0 if none), and whether the cap stopped the search early.
+
+    Each q(n) is a finite minimum.  From k_from = 1 (w unilateral, right
+    period of length L), k up to hi + L meets every phase of the tail.  On
+    Z (period-1 tails a and b) k runs from lo - 1 - n to hi: every block
+    meeting the window, the two end ones giving a**n and b**n.
+
+    The cap is the right period product Pi (min(a, b) on Z, L = 1), at most
+    1 wherever this is called.  The L deep-tail runs of length r, one per
+    phase, multiply to Pi**r, so q(r) <= Pi**(r / L) <= cap**(r // L).
+    Once cap ** ((n + 1) // L) is at most the best, no later n beats it
+    under the strict comparison that keeps the least n.
+    """
+    tail = w.right_tail
+    assert tail is not None
+    period = len(tail)
+    cap = min(w.left_tail[0], tail[0]) if k_from is None else math.prod(tail, start=Fraction(1))
+    best, arg = Fraction(0), 0
+    for n in range(1, n_max + 1):
+        ks = range(w.lo - 1 - n, w.hi + 1) if k_from is None else range(k_from, w.hi + period + 1)
+        v = min(wp_product(w, k + 1, k + n) for k in ks)
+        if v > best:
+            best, arg = v, n
+        if cap ** ((n + 1) // period) <= best:
+            return best, arg, True
+    return best, arg, False
 
 
 def menet_unilateral(w: WeightSequence) -> CriterionReport:
     """Boundedness of sup over n of inf over k >= 1 of the product of n
-    consecutive weights starting after k.
+    consecutive weights starting after k, by the engine conditionmix_lhs
+    shares, ``_sup_inf``.
 
     Bilateral input is restricted to indices >= 1 first.  Writing Pi for
     the product of one tail period: if Pi > 1 the inner infima grow
     geometrically and the supremum is infinite (Violated).  If Pi <= 1 the
     infimum is eventually periodic-monotone, so the supremum is attained
     within the first max(hi, 1) + L - 1 values of n and is computed
-    exactly.  The witness also carries a certified uniform bound valid for
-    every n: the larger of the supremum and the worst prefix product of one
-    tail period.
+    exactly, with no budget; the search stops early where Pi < 1.  The
+    witness also carries a certified uniform bound valid for every n: the
+    larger of the supremum and the worst prefix product of one tail period.
     """
     w = w.restrict_unilateral()
     if w.right_tail is None:
         return CriterionReport(
-            criterion="menet_unilateral",
-            verdict=Verdict.INCONCLUSIVE,
-            witness={"explicit_range": [w.lo, w.hi]},
-            notes="no tail rule: products beyond the explicit range are unknown",
+            "menet_unilateral", Verdict.INCONCLUSIVE, {"explicit_range": [w.lo, w.hi]},
+            "no tail rule: products beyond the explicit range are unknown",
         )
     period = w.right_tail
-    L = len(period)
     pi = math.prod(period, start=Fraction(1))
     if pi > 1:
         return CriterionReport(
-            criterion="menet_unilateral",
-            verdict=Verdict.VIOLATED,
-            witness={"period_product_wp": str(pi)},
-            notes="tail period product > 1: the inner infima diverge, the supremum is infinite",
+            "menet_unilateral", Verdict.VIOLATED, {"period_product_wp": str(pi)},
+            "tail period product > 1: the inner infima diverge, the supremum is infinite",
         )
-    n_enum = max(w.hi, 1) + L - 1
-    k_hi = w.hi + L
-    if n_enum > MENET_N_BUDGET or k_hi > MENET_K_BUDGET:
-        return CriterionReport(
-            criterion="menet_unilateral",
-            verdict=Verdict.INCONCLUSIVE,
-            witness={"needed_n": n_enum, "needed_k": k_hi,
-                     "n_budget": MENET_N_BUDGET, "k_budget": MENET_K_BUDGET},
-            notes="enumeration exceeds the stated budget",
-        )
-    sup_pp = Fraction(0)
-    arg_n = 0
-    for n in range(1, n_enum + 1):
-        q_n = min(wp_product(w, k + 1, k + n) for k in range(1, k_hi + 1))
-        if q_n > sup_pp:
-            sup_pp, arg_n = q_n, n
+    sup_pp, arg_n, _ = _sup_inf(w, 1, max(w.hi, 1) + len(period) - 1)
     bound_pp = max(sup_pp, *accumulate(period[:-1], mul, initial=Fraction(1)))
     inv_p = 1 / w.p
     return CriterionReport(
@@ -477,22 +484,21 @@ def menet_unilateral(w: WeightSequence) -> CriterionReport:
     )
 
 
-# -- sup-inf mass ratio -----------------------------------------------------
-
 def conditionmix_lhs(system: MeasureSystem) -> CriterionReport:
     """Exact value of sup over n >= 1 of inf over all k of
     mass(level k) / mass(level k + n), the least n attaining it, and the
-    verdict "<= 1".
+    verdict "<= 1".  On the derived weights that ratio is
+    wp_product(w, k + 1, k + n), so up to the window span S this is the
+    engine menet_unilateral shares, ``_sup_inf``, with k over all of Z.
 
     With a the left tail ratio and b the reciprocal of the right one, deep
     tail pairs cap every infimum by min(a, b)**n: the supremum is infinite
-    (Violated) exactly when a > 1 and b > 1, else at most 1.  Up to the
-    window span S the infima are enumerated until min(a, b)**(n + 1) is at
-    most the best.  Past S each pair has an end in a tail, so the infimum
-    is min(alpha * a**n, beta * b**n), alpha and beta taken at n = S + 1:
-    log-concave, its supremum is at S + 1 or where the growing term meets
-    the other.  rationals.LogGap finds that n and compares the values
-    there and with the window's best, all exactly.
+    (Violated) exactly when a > 1 and b > 1, else at most 1.  Past S, if
+    that cap never stopped the engine, each pair has an end in a tail, so
+    the infimum is min(alpha * a**n, beta * b**n), alpha and beta taken at
+    n = S + 1: log-concave, its supremum is at S + 1 or where the growing
+    term meets the other.  rationals.LogGap finds that n and compares the
+    values there and with the window's best, all exactly.
     """
     if not system.has_tails:
         return CriterionReport(
@@ -507,23 +513,14 @@ def conditionmix_lhs(system: MeasureSystem) -> CriterionReport:
             "conditionmix", Verdict.VIOLATED, {**witness, "unbounded": True},
             "both step ratios exceed 1: every candidate ratio diverges with n, the supremum is infinite",
         )
-    k_min, k_max = system.k_min, system.k_max
-
-    def worst(n: int, ks: range) -> Fraction:
-        return min(system.mu_W(k) / system.mu_W(k + n) for k in ks)
-
-    best, arg, value = Fraction(0), 0, None
-    for n in range(1, k_max - k_min + 1):
-        v = worst(n, range(k_min - n, k_max + 1))
-        if v > best:
-            best, arg = v, n
-        if min(a, b) ** (n + 1) <= best:
-            break
-    else:
+    w, k_min, k_max = derive_weights(system), system.k_min, system.k_max
+    best, arg, stopped = _sup_inf(w, None, k_max - k_min)
+    value = None
+    if not stopped:
         n0 = k_max - k_min + 1
         # from n0 on a pair with k < k_min scales by a per step (its right end fixed), any other by b
-        (s_lo, lo), (s_hi, hi) = sorted([(a, worst(n0, range(k_min - n0, k_min))),
-                                         (b, worst(n0, range(k_min, k_max + 1)))])
+        (s_lo, lo), (s_hi, hi) = sorted((s, min(wp_product(w, k + 1, k + n0) for k in ks)) for s, ks in
+                                        ((a, range(k_min - n0, k_min)), (b, range(k_min, k_max + 1))))
         coef, step, m = min(lo, hi), Fraction(1), 0
         if s_hi > 1 and hi < lo:
             # hi * s_hi**m grows to meet lo * s_lo**m: the supremum is at the last m up to it or the next

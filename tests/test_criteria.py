@@ -1,4 +1,5 @@
 import decimal
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -17,14 +18,16 @@ from shiftlab import (
     WeightSequence,
     cofinite_quotient_witness,
     conditionmix_lhs,
+    criteria,
     derive_weights,
     hypercyclicity_report,
     menet_unilateral,
     shift_hypercyclicity_report,
     telescoping_bound_check,
     weak_mixing_consistency,
+    wp_product,
 )
-from shiftlab.criteria import DECAY_TOL, MENET_N_BUDGET, _first_decay_step
+from shiftlab.criteria import DECAY_TOL, _first_decay_step
 from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabError
 from shiftlab.lp_space import gs_decay_check
 from shiftlab.sampling import random_functional, random_step_function, random_system
@@ -244,19 +247,101 @@ def test_menet_restricts_bilateral_input(dyadic):
     assert report.verdict is Verdict.VIOLATED
 
 
+def halves(hi: int) -> WeightSequence:
+    return WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=hi,
+                          wp={k: Fraction(1, 2) for k in range(1, hi + 1)}, right_tail=(Fraction(1, 2),))
+
+
 def test_menet_budget_and_missing_tail():
-    # hi past the budget: the check runs before any enumeration
-    hi = MENET_N_BUDGET + 1
-    wide = WeightSequence(
-        p=Fraction(1), side=UNILATERAL, lo=1, hi=hi,
-        wp={k: Fraction(1, 2) for k in range(1, hi + 1)}, right_tail=(Fraction(1, 2),),
-    )
-    report = menet_unilateral(wide)
-    assert report.verdict is Verdict.INCONCLUSIVE
-    assert report.witness["n_budget"] == report.witness["k_budget"] == 4096
+    # no enumeration budget: a window past the old 4096 gets the exact answer
+    report = menet_unilateral(halves(4097))
+    assert report.verdict is Verdict.SATISFIED
+    assert report.witness["sup_inf_wp"] == "1/2"
+    assert report.witness["attained_at_n"] == 1
     bare = WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=1,
                           wp={1: Fraction(2)})
     assert menet_unilateral(bare).verdict is Verdict.INCONCLUSIVE
+
+
+def brute_menet(w: WeightSequence) -> tuple[Fraction, int]:
+    """Max over n <= hi + L of min over k in [1, hi + L] of the weight-power
+    product over k + 1 .. k + n, one term at a time, and the least n
+    attaining it, for unilateral w with a right period of length L."""
+    span = w.hi + len(w.right_tail)
+    best, arg = Fraction(0), 0
+    for n in range(1, span + 1):
+        q = min(math.prod((w.wp_at(i) for i in range(k + 1, k + n + 1)), start=Fraction(1))
+                for k in range(1, span + 1))
+        if q > best:
+            best, arg = q, n
+    return best, arg
+
+
+def check_menet_against_brute_force(w: WeightSequence) -> None:
+    report = menet_unilateral(w)
+    u = w.restrict_unilateral()
+    if math.prod(u.right_tail, start=Fraction(1)) > 1:
+        assert report.verdict is Verdict.VIOLATED
+        return
+    assert report.verdict is Verdict.SATISFIED
+    best, arg = brute_menet(u)
+    assert (report.witness["sup_inf_wp"], report.witness["attained_at_n"]) == (str(best), arg)
+
+
+GENERIC_POOL = tuple(Fraction(n, d) for n in (1, 2, 3, 5, 7) for d in (1, 2, 3, 4, 5, 7))
+POW2_POOL = tuple(Fraction(2) ** e for e in range(-3, 4))  # products tie exactly
+
+
+@st.composite
+def unilateral_windows(draw) -> WeightSequence:
+    """hi <= 6 and a right period of length L <= 4, its product as drawn,
+    set to 1 or set below 1 by rescaling the last entry."""
+    pool = draw(st.sampled_from((GENERIC_POOL, POW2_POOL)))
+    hi = draw(st.integers(0, 6))
+    wp = {k: draw(st.sampled_from(pool)) for k in range(1, hi + 1)}
+    tail = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    target = draw(st.sampled_from((None, Fraction(1)) + tuple(v for v in pool if v < 1)))
+    if target is not None:
+        tail[-1] *= target / math.prod(tail)
+    return WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=hi, wp=wp, right_tail=tuple(tail))
+
+
+@settings(max_examples=400, deadline=None)
+@given(unilateral_windows())
+@example(uni_tail(Fraction(1, 3), Fraction(3, 2)))  # 1/2 at n = 2: a stop on Pi**(n + 1) gives 1/3
+@example(uni_tail(2, Fraction(1, 2)))
+@example(WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=3,  # cap**2 < sup <= cap**3
+                        wp={1: Fraction(1), 2: Fraction(1, 8), 3: Fraction(2)}, right_tail=(Fraction(1, 2),)))
+@example(WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=3,  # a three-way tie at n = 1, 2, 3
+                        wp={1: Fraction(1), 2: Fraction(1, 2), 3: Fraction(1)}, right_tail=(Fraction(1),)))
+def test_menet_matches_brute_force_on_periodic_tails(w):
+    check_menet_against_brute_force(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_menet_matches_brute_force_on_derived_weights(seed):
+    check_menet_against_brute_force(derive_weights(random_system(random.Random(seed))))
+
+
+def test_menet_stops_once_the_tail_caps_the_best(monkeypatch):
+    calls = count()
+
+    def counted(w, i, j):
+        next(calls)
+        return wp_product(w, i, j)
+
+    monkeypatch.setattr(criteria, "wp_product", counted)
+    hi = 4097
+    assert menet_unilateral(halves(hi)).witness["attained_at_n"] == 1
+    assert next(calls) <= hi + 2  # the k of n = 1 only
+    # a flat window with tails 1/2 and 3/2: right weight 2/3, extent n <= 40
+    w = derive_weights(single_cell({k: Fraction(1) for k in range(-40, 41)}, left=Fraction(1, 2),
+                                   right=Fraction(3, 2)))
+    calls = count()
+    report = menet_unilateral(w)
+    assert (report.witness["sup_inf_wp"], report.witness["attained_at_n"]) == ("2/3", 1)
+    assert next(calls) <= w.hi + 1  # one n of k in [1, hi + 1], not 40 of them
 
 
 # -- conditionmix -----------------------------------------------------------
