@@ -162,7 +162,7 @@ def _weights_section(w: WeightSequence) -> dict:
         "p": str(w.p),
         "lo": w.lo,
         "hi": w.hi,
-        "wp": {str(k): str(w.wp_at(k)) for k in range(w.lo, w.hi + 1)},
+        "wp": {str(k): str(v) for k, v in w.wp.items()},
         "left_tail": [str(v) for v in w.left_tail] if w.left_tail else None,
         "right_tail": [str(v) for v in w.right_tail] if w.right_tail else None,
     }
@@ -279,8 +279,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"shiftlab: cannot read config: {exc}", file=sys.stderr)
         return 2
+    # exact outputs may outgrow the int-to-str digit limit the parse runs under
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         system = MeasureSystem.from_json(raw.decode("utf-8"))
+        if limit:
+            sys.set_int_max_str_digits(0)
         result = {
             "command": args.command,
             "version": __version__,
@@ -300,13 +304,16 @@ def main(argv: list[str] | None = None) -> int:
             samples=args.samples,
             eps=args.eps,
         ))
+        rendered = render_json(result) if args.output == "json" else render_csv(result)
     except (UnicodeDecodeError, ConfigError, NonPositiveMeasure, EmptyWindow, TailRuleMissing) as exc:
         print(f"shiftlab: invalid config: {exc}", file=sys.stderr)
         return 2
     except InconsistentWitness as exc:
         print(f"shiftlab: {exc}", file=sys.stderr)
         return 1
-    rendered = render_json(result) if args.output == "json" else render_csv(result)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if args.out is None:
         sys.stdout.write(rendered)
     else:

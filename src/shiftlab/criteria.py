@@ -413,10 +413,10 @@ def _sup_inf(w: WeightSequence, k_from: int | None, n_max: int) -> tuple[Fractio
     where k_from is None) of wp_product(w, k + 1, k + n), the least n
     attaining it (0 if none), and whether the cap stopped the search early.
 
-    Each q(n) is a finite minimum.  From k_from = 1 (w unilateral, right
-    period of length L), k up to hi + L meets every phase of the tail.  On
-    Z (period-1 tails a and b) k runs from lo - 1 - n to hi: every block
-    meeting the window, the two end ones giving a**n and b**n.
+    Each q(n) is a finite minimum.  From k_from = 1 (right period of length
+    L; bilateral w read in place), k up to max(hi, 0) + L meets every phase
+    of the tail.  On Z (period-1 tails a and b) k runs from lo - 1 - n to
+    hi: every block meeting the window, the two end ones giving a**n, b**n.
 
     The cap is the right period product Pi (min(a, b) on Z, L = 1), at most
     1 wherever this is called.  The L deep-tail runs of length r, one per
@@ -430,7 +430,7 @@ def _sup_inf(w: WeightSequence, k_from: int | None, n_max: int) -> tuple[Fractio
     cap = min(w.left_tail[0], tail[0]) if k_from is None else math.prod(tail, start=Fraction(1))
     best, arg = Fraction(0), 0
     for n in range(1, n_max + 1):
-        ks = range(w.lo - 1 - n, w.hi + 1) if k_from is None else range(k_from, w.hi + period + 1)
+        ks = range(w.lo - 1 - n, w.hi + 1) if k_from is None else range(k_from, max(w.hi, 0) + period + 1)
         v = min(wp_product(w, k + 1, k + n) for k in ks)
         if v > best:
             best, arg = v, n
@@ -444,7 +444,8 @@ def menet_unilateral(w: WeightSequence) -> CriterionReport:
     consecutive weights starting after k, by the engine conditionmix_lhs
     shares, ``_sup_inf``.
 
-    Bilateral input is restricted to indices >= 1 first.  Writing Pi for
+    Bilateral input is read from index 1 on, in place: every block starts
+    at index 2 or later, so no restricted copy is built.  Writing Pi for
     the product of one tail period: if Pi > 1 the inner infima grow
     geometrically and the supremum is infinite (Violated).  If Pi <= 1 the
     infimum is eventually periodic-monotone, so the supremum is attained
@@ -453,10 +454,10 @@ def menet_unilateral(w: WeightSequence) -> CriterionReport:
     witness also carries a certified uniform bound valid for every n: the
     larger of the supremum and the worst prefix product of one tail period.
     """
-    w = w.restrict_unilateral()
+    hi = max(w.hi, 0)
     if w.right_tail is None:
         return CriterionReport(
-            "menet_unilateral", Verdict.INCONCLUSIVE, {"explicit_range": [w.lo, w.hi]},
+            "menet_unilateral", Verdict.INCONCLUSIVE, {"explicit_range": [1, hi]},
             "no tail rule: products beyond the explicit range are unknown",
         )
     period = w.right_tail
@@ -466,7 +467,7 @@ def menet_unilateral(w: WeightSequence) -> CriterionReport:
             "menet_unilateral", Verdict.VIOLATED, {"period_product_wp": str(pi)},
             "tail period product > 1: the inner infima diverge, the supremum is infinite",
         )
-    sup_pp, arg_n, _ = _sup_inf(w, 1, max(w.hi, 1) + len(period) - 1)
+    sup_pp, arg_n, _ = _sup_inf(w, 1, max(hi, 1) + len(period) - 1)
     bound_pp = max(sup_pp, *accumulate(period[:-1], mul, initial=Fraction(1)))
     inv_p = 1 / w.p
     return CriterionReport(

@@ -62,8 +62,7 @@ class MeasureSystem:
             raise ConfigError(
                 f"window: must contain level 0, got [{self.k_min}, {self.k_max}]"
             )
-        expected = set(range(self.k_min, self.k_max + 1))
-        if set(self.mu) != expected:
+        if len(self.mu) != self.k_max - self.k_min + 1 or not all(self.k_min <= k <= self.k_max for k in self.mu):
             raise ConfigError("mu: levels must cover the window exactly")
         for k, row in self.mu.items():
             if len(row) != len(self.cells):
@@ -169,8 +168,10 @@ class MeasureSystem:
         for key, row in mu_doc.items():
             try:
                 k = int(key)
-            except ValueError as exc:
-                raise ConfigError(f"mu: level key {key!r} is not an integer") from exc
+            except ValueError:
+                k = None
+            if k is None or str(k) != key:
+                raise ConfigError(f"mu: level key {key!r} is not a canonical integer")
             if not isinstance(row, list):
                 raise ConfigError(f"mu[{key}]: expected a list of measures")
             mu[k] = tuple(as_fraction(v, f"mu[{key}][{i}]") for i, v in enumerate(row))
@@ -209,8 +210,9 @@ class MeasureSystem:
     def from_json(cls, text: str) -> "MeasureSystem":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from exc
+        except (ValueError, RecursionError) as exc:
+            # bad syntax, deep nesting, or an integer past the digit limit (cut before its advice)
+            raise ConfigError(f"config: invalid JSON ({str(exc).partition(';')[0]})") from exc
         return cls.from_dict(doc)
 
     def to_json(self) -> str:

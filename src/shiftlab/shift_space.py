@@ -55,7 +55,7 @@ class WeightSequence:
             raise ConfigError(f"side: expected bilateral or unilateral, got {self.side!r}")
         if self.hi < self.lo - 1:
             raise ConfigError("weights: hi may not drop below lo - 1")
-        if set(self.wp) != set(range(self.lo, self.hi + 1)):
+        if len(self.wp) != self.hi - self.lo + 1 or not all(self.lo <= k <= self.hi for k in self.wp):
             raise ConfigError("weights: explicit powers must cover [lo, hi] exactly")
         for k, v in self.wp.items():
             if v <= 0:
@@ -74,17 +74,7 @@ class WeightSequence:
 
     def wp_at(self, k: int) -> Fraction:
         """p-th power of the weight at index k."""
-        if self.side == UNILATERAL and k < 1:
-            raise ValueError(f"unilateral weights are indexed from 1, got {k}")
-        if self.lo <= k <= self.hi:
-            return self.wp[k]
-        if k > self.hi:
-            if self.right_tail is None:
-                raise TailRuleMissing(f"weight index {k} lies beyond hi and no tail rule is set")
-            return self.right_tail[(k - self.hi - 1) % len(self.right_tail)]
-        if self.left_tail is None:
-            raise TailRuleMissing(f"weight index {k} lies below lo and no tail rule is set")
-        return self.left_tail[(self.lo - 1 - k) % len(self.left_tail)]
+        return wp_product(self, k, k)
 
     @cached_property
     def _prefix(self) -> tuple[Fraction, ...]:
@@ -98,26 +88,12 @@ class WeightSequence:
 
     def weight_at(self, k: int) -> Fraction | float:
         """The weight itself, exact when its p-th root is rational."""
-        return pow_maybe_exact(self.wp_at(k), 1 / self.p)
+        return weight_product(self, k, k)
 
     def has_tail_rules(self) -> bool:
         if self.side == UNILATERAL:
             return self.right_tail is not None
         return self.left_tail is not None and self.right_tail is not None
-
-    def restrict_unilateral(self) -> "WeightSequence":
-        """Forget everything at indices < 1 and reindex nothing."""
-        if self.side == UNILATERAL:
-            return self
-        hi = max(self.hi, 0)
-        return WeightSequence(
-            p=self.p,
-            side=UNILATERAL,
-            lo=1,
-            hi=hi,
-            wp={k: self.wp_at(k) for k in range(1, hi + 1)},
-            right_tail=self.right_tail,
-        )
 
 
 def derive_weights(system: MeasureSystem) -> WeightSequence:
@@ -160,8 +136,9 @@ def wp_product(w: WeightSequence, i: int, j: int) -> Fraction:
 
     O(1) in the block length: the block splits into a left-tail run, a
     window part read from the lazily built prefix table, and a right-tail
-    run in closed form.  Raises what ``wp_at`` raises on the first index of
-    the block it cannot read.
+    run in closed form.  Raises ``TailRuleMissing`` on the first index of
+    the block past a side with no tail rule, and ``ValueError`` below
+    index 1 on the unilateral side.
     """
     if j < i:
         return Fraction(1)
@@ -222,20 +199,6 @@ class SeqVector:
         for n, v in other.entries.items():
             merged[n] = merged.get(n, 0j) + v
         return SeqVector(self.side, merged)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SeqVector":
-        if not isinstance(doc, dict) or "entries" not in doc:
-            raise ConfigError("vector: expected an object with entries")
-        entries: dict[int, complex] = {}
-        for item in doc["entries"]:
-            if not isinstance(item, dict) or "n" not in item:
-                raise ConfigError("vector: each entry needs an index n")
-            n = item["n"]
-            if not isinstance(n, int):
-                raise ConfigError(f"vector: index {n!r} is not an integer")
-            entries[n] = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-        return cls(side=doc.get("side", BILATERAL), entries=entries)
 
     def to_dict(self) -> dict:
         return {

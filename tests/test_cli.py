@@ -334,6 +334,62 @@ def test_bad_json_is_validation_error(tmp_path, capsys):
     assert "invalid config" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 200_000,
+    '{"p": ' + "1" * 5001 + "}",
+], ids=["nested_200000_deep", "integer_of_5001_digits"])
+def test_json_past_the_parser_limits_is_validation_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "validate", "--config", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("shiftlab: invalid config: config: invalid JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "1_0", "\uff11", "None", ""])
+def test_every_level_key_names_one_level(tmp_path, capsys, key):
+    # int() reads each key as a level: "01" beside "1" would overwrite its row, and "1_0" is level 10
+    config = tmp_path / "keys.json"
+    config.write_text(json.dumps({
+        "window": {"min": 0, "max": 1},
+        "cells": ["B1"],
+        "mu": {"0": ["1"], "1": ["1/2"], key: ["1/4"]},
+    }))
+    code, out, err = run(capsys, "validate", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert f"level key {key!r} is not a canonical integer" in err
+
+
+def test_exact_outputs_past_the_digit_limit_print(tmp_path, capsys):
+    rng = random.Random(12)
+    m0, m1 = (Fraction(rng.randrange(10**3799, 10**4000), rng.randrange(10**3799, 10**4000)) for _ in range(2))
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit()
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps({
+        "window": {"min": 0, "max": 1},
+        "cells": ["B1"],
+        "mu": {"0": [str(m0)], "1": [str(m1)]},
+    }))
+    docs = {}
+    for command in ("validate", "weights"):
+        code, out, _ = run(capsys, command, "--config", str(config))
+        assert code == 0
+        assert get_limit() == limit
+        docs[command] = json.loads(out)
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        ratio = m0 / m1
+        assert docs["validate"]["system"]["star_c"] == str(max(ratio, 1 / ratio))
+        assert docs["weights"]["system"]["star_c"] == str(max(ratio, 1 / ratio))
+        assert docs["weights"]["weights"]["wp"] == {"1": str(ratio)}
+        assert len(str(ratio)) > 2 * 4300
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_zero_measure_is_validation_error(tmp_path, capsys):
     config = tmp_path / "zero.json"
     config.write_text(json.dumps({

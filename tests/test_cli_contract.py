@@ -3,6 +3,7 @@ valid config, ``main`` returns 0, 2, 3 or 64, never raises, and writes strict
 JSON.  Exit 1 means a certified identity failed, which no input may cause."""
 
 import contextlib
+import copy
 import io
 import json
 import random
@@ -29,7 +30,7 @@ def _run(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    return code, stdout.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 _eps = st.one_of(
@@ -56,7 +57,7 @@ def test_exit_codes_and_strict_json(command, config, seed, samples, horizon, eps
     ]
     if strict:
         argv.append("--strict")
-    code, out = _run(argv)
+    code, out, _ = _run(argv)
     assert code in (0, 2, 3, 64)
     if code in (0, 3):
         doc = json.loads(out, parse_constant=_reject_constant)
@@ -72,7 +73,7 @@ def test_report_exits_0_on_generated_configs(seed):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "system.json"
         config.write_text(system.to_json())
-        code, out = _run(["report", "--config", str(config), "--samples", "3"])
+        code, out, _ = _run(["report", "--config", str(config), "--samples", "3"])
     assert code == 0
     assert json.loads(out, parse_constant=_reject_constant)["command"] == "report"
 
@@ -107,6 +108,95 @@ def test_extreme_configs_exit_0_within_the_deadline(system, command):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "system.json"
         config.write_text(system.to_json())
-        code, out = _run([command, "--config", str(config), "--samples", "3"])
+        code, out, _ = _run([command, "--config", str(config), "--samples", "3"])
     assert code == 0
     assert json.loads(out, parse_constant=_reject_constant)["command"] == command
+
+
+# mutations of configs/dyadic.json that no config may pass: a required field
+# dropped; a field given a JSON type it may not take (ints are rationals, and
+# a null "tails" means no tails, so neither is a wrong type there); a level
+# key spelled off the canonical str(int) form, renamed or beside the right
+# one; a JSON integer past the 4300-digit int-string limit where no integer
+# is valid; nesting up to 100,000 deep; a declared window of up to 10**6
+# levels with the 11 rows of the original
+_DYADIC = json.loads((CONFIGS / "dyadic.json").read_text())
+_REQUIRED = [("window",), ("cells",), ("mu",), ("window", "min"), ("window", "max"), ("cells", 0),
+             ("mu", "2"), ("mu", "-5", 0), ("tails", "left"), ("tails", "right")]
+_RATIONAL, _LIST = "float bool null list dict", "float bool null int str dict"
+_WRONG_TYPES = {
+    ("p",): _RATIONAL, ("mu", "2", 0): _RATIONAL, ("tails", "left"): _RATIONAL, ("tails", "right"): _RATIONAL,
+    ("window",): "float bool null int str list", ("mu",): "float bool null int str list",
+    ("tails",): "float bool int str list",
+    ("window", "min"): "float bool null str list dict", ("window", "max"): "float bool null str list dict",
+    ("cells",): _LIST, ("mu", "2"): _LIST, ("cells", 0): "float bool null int list dict",
+}
+_NO_INTEGER = [path for path, types in _WRONG_TYPES.items() if "int" in types]
+_VALUES = {
+    "float": st.floats(), "bool": st.booleans(), "null": st.none(), "int": st.integers(),
+    "str": st.text(max_size=4), "list": st.lists(st.integers(), max_size=2),
+    "dict": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+_SPELLINGS = [
+    lambda s: "-0" + s[1:] if s[0] == "-" else "0" + s,
+    lambda s: "+" + s,
+    lambda s: " " + s,
+    lambda s: s + "\n",
+    lambda s: s + "_0",
+    lambda s: s.translate(str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))),  # fullwidth
+]
+_SLOT = "__slot__"
+
+
+def _at(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc, path[-1]
+
+
+@st.composite
+def _broken_configs(draw):
+    doc = copy.deepcopy(_DYADIC)
+    kind = draw(st.sampled_from(["drop", "retype", "key", "big_integer", "nesting", "window"]))
+    if kind == "drop":
+        parent, key = _at(doc, draw(st.sampled_from(_REQUIRED)))
+        del parent[key]
+    elif kind == "retype":
+        path = draw(st.sampled_from(list(_WRONG_TYPES)))
+        parent, key = _at(doc, path)
+        parent[key] = draw(st.one_of(*(_VALUES[t] for t in _WRONG_TYPES[path].split())))
+    elif kind == "key":
+        level = draw(st.sampled_from(sorted(doc["mu"])))
+        row = doc["mu"][level] if draw(st.booleans()) else doc["mu"].pop(level)
+        doc["mu"][draw(st.sampled_from(_SPELLINGS))(level)] = row
+    elif kind == "window":
+        side, sign = draw(st.sampled_from([("max", 1), ("min", -1)]))
+        doc["window"][side] = sign * draw(st.integers(6, 10**6 - 6))
+    else:
+        paths = _NO_INTEGER if kind == "big_integer" else list(_WRONG_TYPES) + [None]
+        path = draw(st.sampled_from(paths))
+        if path is None:
+            doc = _SLOT
+        else:
+            parent, key = _at(doc, path)
+            parent[key] = _SLOT
+    text = json.dumps(doc)
+    if kind == "big_integer":
+        digits = draw(st.sampled_from("123456789")) * draw(st.integers(4301, 6000))
+        text = text.replace(f'"{_SLOT}"', "-" * draw(st.booleans()) + digits)
+    elif kind == "nesting":
+        depth = draw(st.integers(1, 100_000))
+        text = text.replace(f'"{_SLOT}"', "[" * depth + "]" * depth)
+    return kind, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_broken_configs(), command=st.sampled_from(COMMANDS))
+def test_broken_configs_exit_2_with_one_line(case, command):
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "system.json"
+        config.write_text(text)
+        code, out, err = _run([command, "--config", str(config)])
+    assert (code, out) == (2, ""), (kind, err)
+    assert err.startswith("shiftlab: invalid config: ") and err.count("\n") == 1 and err.endswith("\n")

@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import count
@@ -28,7 +29,7 @@ from shiftlab import (
     wp_product,
 )
 from shiftlab.criteria import DECAY_TOL, _first_decay_step
-from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabError
+from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabError, TailRuleMissing
 from shiftlab.lp_space import gs_decay_check
 from shiftlab.sampling import random_functional, random_step_function, random_system
 
@@ -247,6 +248,20 @@ def test_menet_restricts_bilateral_input(dyadic):
     assert report.verdict is Verdict.VIOLATED
 
 
+def test_menet_reads_bilateral_input_from_index_one():
+    # blocks start at index 2: lo = 2 needs no left tail, lo = 3 does
+    two = WeightSequence(p=Fraction(1), side=BILATERAL, lo=2, hi=3, wp={2: Fraction(1, 2), 3: Fraction(2)},
+                         right_tail=(Fraction(1, 2),))
+    check_menet_against_brute_force(two)
+    assert menet_unilateral(replace(two, right_tail=None)).witness == {"explicit_range": [1, 3]}
+    with pytest.raises(TailRuleMissing, match="index 2 lies below lo"):
+        menet_unilateral(replace(two, lo=3, wp={3: Fraction(2)}))
+    # a window left of index 1: every block lies in the right tail, in each phase
+    check_menet_against_brute_force(WeightSequence(
+        p=Fraction(1), side=BILATERAL, lo=-3, hi=-2, wp={-3: Fraction(1, 2), -2: Fraction(2)},
+        left_tail=(Fraction(3),), right_tail=(Fraction(1, 3), Fraction(2))))
+
+
 def halves(hi: int) -> WeightSequence:
     return WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=hi,
                           wp={k: Fraction(1, 2) for k in range(1, hi + 1)}, right_tail=(Fraction(1, 2),))
@@ -264,10 +279,11 @@ def test_menet_budget_and_missing_tail():
 
 
 def brute_menet(w: WeightSequence) -> tuple[Fraction, int]:
-    """Max over n <= hi + L of min over k in [1, hi + L] of the weight-power
+    """Max over n <= span of min over k in [1, span] of the weight-power
     product over k + 1 .. k + n, one term at a time, and the least n
-    attaining it, for unilateral w with a right period of length L."""
-    span = w.hi + len(w.right_tail)
+    attaining it, for w read from index 1 with a right period of length L
+    and span = max(hi, 0) + L."""
+    span = max(w.hi, 0) + len(w.right_tail)
     best, arg = Fraction(0), 0
     for n in range(1, span + 1):
         q = min(math.prod((w.wp_at(i) for i in range(k + 1, k + n + 1)), start=Fraction(1))
@@ -279,12 +295,11 @@ def brute_menet(w: WeightSequence) -> tuple[Fraction, int]:
 
 def check_menet_against_brute_force(w: WeightSequence) -> None:
     report = menet_unilateral(w)
-    u = w.restrict_unilateral()
-    if math.prod(u.right_tail, start=Fraction(1)) > 1:
+    if math.prod(w.right_tail, start=Fraction(1)) > 1:
         assert report.verdict is Verdict.VIOLATED
         return
     assert report.verdict is Verdict.SATISFIED
-    best, arg = brute_menet(u)
+    best, arg = brute_menet(w)
     assert (report.witness["sup_inf_wp"], report.witness["attained_at_n"]) == (str(best), arg)
 
 

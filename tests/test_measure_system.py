@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from shiftlab import MeasureSystem
 from shiftlab.errors import ConfigError, EmptyWindow, NonPositiveMeasure, TailRuleMissing
 from shiftlab.sampling import random_system
+from shiftlab.shift_space import UNILATERAL, WeightSequence
 
 from conftest import make_dyadic
 
@@ -154,6 +156,22 @@ def test_from_dict_validation_messages():
     for bounds in ({"min": False, "max": True}, {"min": 0, "max": True}, {"min": 0.0, "max": 0}):
         with pytest.raises(ConfigError, match="window"):
             MeasureSystem.from_dict({"window": bounds, "cells": ["B1"], "mu": {"0": ["1"]}})
+
+
+def test_window_coverage_is_checked_in_the_row_count():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="cover the window"):
+            MeasureSystem.from_dict({"window": {"min": 0, "max": 10**6}, "cells": ["B1"], "mu": {"0": ["1"]}})
+        with pytest.raises(ConfigError, match="cover"):
+            WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=10**6, wp={1: Fraction(1)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    for mu in ({0: (Fraction(1),), 2: (Fraction(1),)}, {-1: (Fraction(1),), 0: (Fraction(1),)}):
+        with pytest.raises(ConfigError, match="cover the window"):
+            MeasureSystem(p=Fraction(1), k_min=0, k_max=1, cells=("B1",), mu=mu)
 
 
 def test_star_constant_bounds_every_adjacent_ratio():
