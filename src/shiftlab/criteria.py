@@ -31,7 +31,8 @@ The certificates:
 
 ``menet_unilateral`` and ``conditionmix_lhs``
     One engine, ``_sup_inf``: sup over n of inf over k of n-fold weight
-    products, stopped once a deep-tail cap shows no later n does better.
+    products, stopped once a deep-tail cap shows no later n does better; a
+    certified float filter picks the few products evaluated exactly.
     menet, the unilateral spaceability test, takes k >= 1 and periodic
     tails; conditionmix takes k over all of Z on derived weights, where the
     product is the mass ratio of levels k and k + n.  Past the window span
@@ -59,13 +60,13 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, compress, islice
+from operator import mul, sub
 
 from .errors import HypothesisViolated, InconsistentWitness, NoAdmissibleLevels
 from .lp_space import Power, StepFunction, apply_Tf, apply_Tf_inverse, is_exact, lp_powers, shifted_power_sum
 from .measure_system import MeasureSystem
-from .rationals import LogGap, abs_pow, pow_maybe_exact
+from .rationals import LogGap, _float_log, abs_pow, pow_maybe_exact
 from .shift_space import UNILATERAL, WeightSequence, derive_weights, wp_product
 
 
@@ -181,11 +182,7 @@ def shift_hypercyclicity_report(w: WeightSequence) -> CriterionReport:
             "shift_hypercyclicity", Verdict.SATISFIED, witness,
             "left block products vanish and right block products diverge",
         )
-    stuck = []
-    if pi_left >= 1:
-        stuck.append("left")
-    if pi_right <= 1:
-        stuck.append("right")
+    stuck = [side for side, bad in (("left", pi_left >= 1), ("right", pi_right <= 1)) if bad]
     return CriterionReport(
         "shift_hypercyclicity", Verdict.VIOLATED, {**witness, "stuck_sides": stuck},
         "a per-period product on the wrong side of 1 blocks orbit density",
@@ -408,6 +405,37 @@ def weak_mixing_consistency(
 # -- spaceability: sup over n of inf over k of weight products --------------
 
 
+class _LogTable:
+    """Float logs l(j) of the prefix products P(j) of w's powers, P(lo - 1) = 1, and their bound B (_sup_inf)."""
+
+    def __init__(self, w: WeightSequence, first: int, last: int) -> None:
+        def tail_logs(tail: tuple[Fraction, ...], count: int) -> tuple[list[float], float]:
+            # q * ln Pi + ln pp_r for the first m = q * L + r <= count entries, and a bound on the terms' sizes
+            heads = [_float_log(v) for v in accumulate(tail[:-1], mul, initial=Fraction(1))]
+            whole, period = _float_log(math.prod(tail, start=Fraction(1))), len(tail)
+            logs = [q * whole + heads[r] for q, r in (divmod(m, period) for m in range(1, count + 1))]
+            return logs, count // period * abs(whole) + max(map(abs, heads))
+
+        lo, hi = w.lo, w.hi
+        logs = [_float_log(v) for v in w._prefix]  # l(lo - 1) .. l(hi)
+        top, (run, size) = logs[-1], tail_logs(w.right_tail, last - hi)
+        logs, size = logs + [top + x for x in run], max(abs(top) + size, *map(abs, logs))
+        if first < lo - 1:
+            if w.left_tail is None:
+                wp_product(w, first + 1, lo - 1)  # raises TailRuleMissing on index first + 1
+            run, size_left = tail_logs(w.left_tail, lo - 1 - first)
+            logs, size = [-x for x in reversed(run)] + logs, max(size, size_left)
+        self.w, self.first, self.logs, self.bound = w, min(first, lo - 1), logs, 2.0**-47 * size + 2.0**-990
+
+    def min_product(self, n: int, ks: range, floor: float = -math.inf) -> Fraction | None:
+        """min over k in ks of wp_product(w, k + 1, k + n); None if below e**floor."""
+        a, b, logs = ks.start - self.first, ks.stop - self.first, self.logs
+        gaps = list(map(sub, logs[a + n:b + n], logs[a:b]))
+        if (low := min(gaps)) + self.bound < floor:
+            return None
+        return min(wp_product(self.w, k + 1, k + n) for k in compress(ks, map((low + 2 * self.bound).__ge__, gaps)))
+
+
 def _sup_inf(w: WeightSequence, k_from: int | None, n_max: int) -> tuple[Fraction, int, bool]:
     """Max over 1 <= n <= n_max of q(n) = inf over k >= k_from (all of Z
     where k_from is None) of wp_product(w, k + 1, k + n), the least n
@@ -423,17 +451,33 @@ def _sup_inf(w: WeightSequence, k_from: int | None, n_max: int) -> tuple[Fractio
     phase, multiply to Pi**r, so q(r) <= Pi**(r / L) <= cap**(r // L).
     Once cap ** ((n + 1) // L) is at most the best, no later n beats it
     under the strict comparison that keeps the least n.
+
+    A certified float filter (Shewchuk 1997) picks the products taken
+    exactly.  _LogTable's l(j) is a _float_log of a prefix entry or, in a
+    tail, l(hi) + q * ln Pi + ln pp_r (pp_r: r < L period entries; q < 2**53;
+    the last two negated left of lo).  With u = 2**-53, _float_log is within
+    11u|ln x| + 2**-1073, so 11.1u of its own size plus 2**-1072; the product
+    and two sums add u each of S, the largest sum of term sizes.  So f(k, n)
+    = l(k + n) - l(k), with 2.01u * S from the subtraction, is within 32.1u
+    * S + 2**-999 of ln wp_product(w, k + 1, k + n), and min_k f as close to
+    ln q(n).  B = 2**-47 * S + 2**-990 also covers the roundings of S, min f
+    + B and min f + 2B.  An n with min f + B below the float log of best less
+    2**-49 of its size and 2**-1000 (at most ln best) has q(n) < best and is
+    skipped; else the k with f <= min f + 2B, the exact argmin among them,
+    are taken exactly.
     """
     tail = w.right_tail
     assert tail is not None
     period = len(tail)
     cap = min(w.left_tail[0], tail[0]) if k_from is None else math.prod(tail, start=Fraction(1))
-    best, arg = Fraction(0), 0
+    k_last = w.hi if k_from is None else max(w.hi, 0) + period
+    table = _LogTable(w, w.lo - 1 - n_max if k_from is None else k_from, k_last + n_max)
+    best, arg, floor = Fraction(0), 0, -math.inf
     for n in range(1, n_max + 1):
-        ks = range(w.lo - 1 - n, w.hi + 1) if k_from is None else range(k_from, max(w.hi, 0) + period + 1)
-        v = min(wp_product(w, k + 1, k + n) for k in ks)
-        if v > best:
+        v = table.min_product(n, range(w.lo - 1 - n if k_from is None else k_from, k_last + 1), floor)
+        if v is not None and v > best:
             best, arg = v, n
+            floor = (log_best := _float_log(best)) - (2.0**-49 * abs(log_best) + 2.0**-1000)
         if cap ** ((n + 1) // period) <= best:
             return best, arg, True
     return best, arg, False
@@ -520,7 +564,8 @@ def conditionmix_lhs(system: MeasureSystem) -> CriterionReport:
     if not stopped:
         n0 = k_max - k_min + 1
         # from n0 on a pair with k < k_min scales by a per step (its right end fixed), any other by b
-        (s_lo, lo), (s_hi, hi) = sorted((s, min(wp_product(w, k + 1, k + n0) for k in ks)) for s, ks in
+        table = _LogTable(w, k_min - n0, k_max + n0)
+        (s_lo, lo), (s_hi, hi) = sorted((s, table.min_product(n0, ks)) for s, ks in
                                         ((a, range(k_min - n0, k_min)), (b, range(k_min, k_max + 1))))
         coef, step, m = min(lo, hi), Fraction(1), 0
         if s_hi > 1 and hi < lo:
@@ -584,12 +629,9 @@ def _admissible_levels(system: MeasureSystem, n: int, count: int) -> list[int]:
         candidates = range(system.k_min - (n + count), system.k_max + (n + count) + 1)
     else:
         candidates = range(system.k_min + n, system.k_max + 1)
-    found: list[int] = []
-    for k in candidates:
-        if system.mu_W(k - n) <= system.mu_W(k):
-            found.append(k)
-            if len(found) == count:
-                return found
+    found = list(islice((k for k in candidates if system.mu_W(k - n) <= system.mu_W(k)), count))
+    if len(found) == count:
+        return found
     raise NoAdmissibleLevels(
         f"fewer than {count} levels have a non-expanding {n}-step pullback"
     )
@@ -648,13 +690,8 @@ def cofinite_quotient_witness(
     ]
     coeffs = _rational_kernel_vector(rows, m + 1) if m else [Fraction(1)]
     ratios = [system.mu_W(k - n) / system.mu_W(k) for k in levels]
-    num: Fraction | float = Fraction(0)
-    den: Fraction | float = Fraction(0)
-    for k, a, ratio in zip(levels, coeffs, ratios):
-        weight = abs_pow(a, system.p) * system.mu_W(k)
-        num += weight * ratio
-        den += weight
-    quotient = num / den
+    weights = [abs_pow(a, system.p) * system.mu_W(k) for k, a in zip(levels, coeffs)]
+    quotient = sum(map(mul, weights, ratios), Fraction(0)) / sum(weights, Fraction(0))
     pairings = tuple(
         sum((row[j] * coeffs[j] for j in range(m + 1)), Fraction(0)) for row in rows
     )

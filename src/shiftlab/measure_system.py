@@ -21,12 +21,21 @@ empty one is never built.  All arithmetic is exact.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConfigError, EmptyWindow, NonPositiveMeasure, TailRuleMissing
 from .rationals import as_fraction
+
+
+def _unique_names(pairs: list[tuple[str, object]]) -> dict:
+    """Object hook of the JSON parse: json.loads keeps the last of a repeated name, a config rejects it."""
+    if len(doc := dict(pairs)) < len(pairs):
+        name = next(name for name, times in Counter(name for name, _ in pairs).items() if times > 1)
+        raise ConfigError(f"config: the name {name!r} appears twice in one JSON object")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -209,7 +218,9 @@ class MeasureSystem:
     @classmethod
     def from_json(cls, text: str) -> "MeasureSystem":
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_names)
+        except ConfigError:
+            raise
         except (ValueError, RecursionError) as exc:
             # bad syntax, deep nesting, or an integer past the digit limit (cut before its advice)
             raise ConfigError(f"config: invalid JSON ({str(exc).partition(';')[0]})") from exc

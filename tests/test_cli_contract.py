@@ -119,7 +119,9 @@ def test_extreme_configs_exit_0_within_the_deadline(system, command):
 # key spelled off the canonical str(int) form, renamed or beside the right
 # one; a JSON integer past the 4300-digit int-string limit where no integer
 # is valid; nesting up to 100,000 deep; a declared window of up to 10**6
-# levels with the 11 rows of the original
+# levels with the 11 rows of the original; a name written twice in one
+# object, at the top level or among the mu levels, with its own value or
+# another's
 _DYADIC = json.loads((CONFIGS / "dyadic.json").read_text())
 _REQUIRED = [("window",), ("cells",), ("mu",), ("window", "min"), ("window", "max"), ("cells", 0),
              ("mu", "2"), ("mu", "-5", 0), ("tails", "left"), ("tails", "right")]
@@ -157,7 +159,7 @@ def _at(doc, path):
 @st.composite
 def _broken_configs(draw):
     doc = copy.deepcopy(_DYADIC)
-    kind = draw(st.sampled_from(["drop", "retype", "key", "big_integer", "nesting", "window"]))
+    kind = draw(st.sampled_from(["drop", "retype", "key", "big_integer", "nesting", "window", "repeat"]))
     if kind == "drop":
         parent, key = _at(doc, draw(st.sampled_from(_REQUIRED)))
         del parent[key]
@@ -172,6 +174,15 @@ def _broken_configs(draw):
     elif kind == "window":
         side, sign = draw(st.sampled_from([("max", 1), ("min", -1)]))
         doc["window"][side] = sign * draw(st.integers(6, 10**6 - 6))
+    elif kind == "repeat":
+        inner = draw(st.booleans())
+        obj = doc["mu"] if inner else doc
+        name, value = draw(st.sampled_from(sorted(obj))), draw(st.sampled_from(list(obj.values())))
+        repeated = json.dumps(obj)[:-1] + f", {json.dumps(name)}: {json.dumps(value)}}}"
+        if inner:
+            doc["mu"] = _SLOT
+        else:
+            doc = _SLOT
     else:
         paths = _NO_INTEGER if kind == "big_integer" else list(_WRONG_TYPES) + [None]
         path = draw(st.sampled_from(paths))
@@ -187,6 +198,8 @@ def _broken_configs(draw):
     elif kind == "nesting":
         depth = draw(st.integers(1, 100_000))
         text = text.replace(f'"{_SLOT}"', "[" * depth + "]" * depth)
+    elif kind == "repeat":
+        text = text.replace(f'"{_SLOT}"', repeated)
     return kind, text
 
 

@@ -359,6 +359,38 @@ def test_menet_stops_once_the_tail_caps_the_best(monkeypatch):
     assert next(calls) <= w.hi + 1  # one n of k in [1, hi + 1], not 40 of them
 
 
+def flat_window(half_span: int, left, right, seed: int = 1) -> MeasureSystem:
+    """Four cells of masses m / 2**e (m <= 8, e <= 4) on every level: no
+    decay inside the window, so the tails alone decide the verdicts."""
+    rng = random.Random(seed)
+    mu = {k: tuple(Fraction(rng.randint(1, 8), 2 ** rng.randint(0, 4)) for _ in range(4))
+          for k in range(-half_span, half_span + 1)}
+    return MeasureSystem(p=Fraction(2), k_min=-half_span, k_max=half_span, cells=("B1", "B2", "B3", "B4"),
+                         mu=mu, left_tail=Fraction(left), right_tail=Fraction(right))
+
+
+def test_sup_inf_takes_few_products_exactly(monkeypatch):
+    # period product 1 (right weight 1): no cap stop, every n is searched,
+    # about hi**2 exact products without the float filter
+    calls = count()
+
+    def counted(w, i, j):
+        next(calls)
+        return wp_product(w, i, j)
+
+    monkeypatch.setattr(criteria, "wp_product", counted)
+    w = derive_weights(flat_window(400, Fraction(1, 2), 1))
+    report = menet_unilateral(w)
+    assert (report.witness["sup_inf_wp"], report.witness["attained_at_n"]) == ("17/48", 390)
+    assert next(calls) <= 4 * w.hi
+    # steps a = b = 1: conditionmix has no cap stop either and meets the window span
+    system = flat_window(200, 1, 1)
+    calls = count()
+    report = conditionmix_lhs(system)
+    assert (report.witness["value"], report.witness["attained_at_n"]) == ("9/85", 3)
+    assert next(calls) <= 4 * (system.k_max - system.k_min)
+
+
 # -- conditionmix -----------------------------------------------------------
 
 
@@ -507,10 +539,10 @@ CROSSING_STEPS = tuple(Fraction(v) for v in ("1/2", "4/5", "9/10", "1", "10/9", 
 
 
 @st.composite
-def stepped_systems(draw, masses, steps):
-    """One-cell systems of half-span <= 2 whose steps a (left tail) and b
-    (reciprocal of the right tail) are drawn from ``steps``."""
-    levels = range(-draw(st.integers(0, 2)), draw(st.integers(0, 2)) + 1)
+def stepped_systems(draw, masses, steps, half_span=2):
+    """One-cell systems of half-span <= ``half_span`` whose steps a (left
+    tail) and b (reciprocal of the right tail) are drawn from ``steps``."""
+    levels = range(-draw(st.integers(0, half_span)), draw(st.integers(0, half_span)) + 1)
     return single_cell(
         {k: draw(masses) for k in levels},
         left=draw(st.sampled_from(steps)), right=1 / draw(st.sampled_from(steps)),
@@ -553,6 +585,47 @@ def test_conditionmix_exact_ties_match_brute_force(system):
     # powers of 2 make ties exact, where only the exact comparison may
     # decide; in the examples the growing term meets the flat one exactly,
     # at n = 4, and at n = 10 through float logs of 5/4 that do not cancel
+    check_against_brute_force(system)
+
+
+# products equal, or within 10**-12 .. 10**-60 of each other in relative
+# terms: float logs cannot order them, so every k within the filter's bound
+# of the float minimum must be taken exactly
+NEAR_ONE = tuple(1 + Fraction(sign, 10**e) for e in (12, 20, 30) for sign in (-1, 1))
+NEAR_POOL = (Fraction(1),) * 4 + NEAR_ONE + (Fraction(1, 2), Fraction(2), Fraction(3, 2))
+BIG = 10**30
+NEAR_MASSES = tuple(Fraction(m * BIG + d) for m in (1, 2, 3) for d in (-1, 0, 1))
+
+
+@st.composite
+def near_tie_windows(draw) -> WeightSequence:
+    """hi <= 10, powers from NEAR_POOL (long runs of 1 among them) and a
+    right period of length <= 3 whose product is as drawn, 1, just below 1
+    or 1/2."""
+    hi = draw(st.integers(0, 10))
+    wp = {k: draw(st.sampled_from(NEAR_POOL)) for k in range(1, hi + 1)}
+    tail = draw(st.lists(st.sampled_from(NEAR_POOL), min_size=1, max_size=3))
+    target = draw(st.sampled_from((None, Fraction(1), 1 - Fraction(1, BIG), Fraction(1, 2))))
+    if target is not None:
+        tail[-1] *= target / math.prod(tail)
+    return WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=hi, wp=wp, right_tail=tuple(tail))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=near_tie_windows(),
+       system=stepped_systems(st.sampled_from(NEAR_MASSES), (Fraction(1, 2), Fraction(1), Fraction(2)), 4))
+@example(  # a filter with no error bound takes a wrong minimum in both
+    w=WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=1, wp={1: Fraction(3, 2)},
+                     right_tail=(1 - Fraction(1, 10**12), 1 + Fraction(1, 10**20))),
+    system=single_cell({0: Fraction(3 * BIG - 1), 1: Fraction(BIG - 1), 2: Fraction(2 * BIG - 1)}, "1/2", 2))
+@example(  # taking only the float argmin exactly misses the exact one in both
+    w=WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=2,
+                     wp={1: Fraction(1, 2), 2: 1 + Fraction(1, 10**20)}, right_tail=(Fraction(1),)),
+    system=single_cell({0: Fraction(BIG - 1), 1: Fraction(2 * BIG - 1)}, "1/2", 2))
+def test_sup_inf_near_ties_match_brute_force(w, system):
+    # both callers of the engine: menet on near-one powers, conditionmix on
+    # masses m * 10**30 + d for m in {1, 2, 3} and d in {-1, 0, 1}
+    check_menet_against_brute_force(w)
     check_against_brute_force(system)
 
 

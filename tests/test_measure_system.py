@@ -158,6 +158,16 @@ def test_from_dict_validation_messages():
             MeasureSystem.from_dict({"window": bounds, "cells": ["B1"], "mu": {"0": ["1"]}})
 
 
+def test_a_name_given_twice_in_one_object_is_rejected():
+    # json.loads alone keeps the last value: this config used to pass with star_c 4
+    text = '{"window": {"min": 0, "max": 1}, "cells": ["B1"], "mu": {"0": ["1"], "1": ["1/2"], "1": ["1/4"]}}'
+    with pytest.raises(ConfigError, match="the name '1' appears twice"):
+        MeasureSystem.from_json(text)
+    with pytest.raises(ConfigError, match="the name 'cells' appears twice"):
+        MeasureSystem.from_json('{"cells": ["B1"], "window": {"min": 0, "max": 0}, "cells": ["B1"], "mu": {"0": ["1"]}}')
+    assert MeasureSystem.from_json(text.replace('"1": ["1/4"]', '"-1": ["1/4"]').replace('"min": 0', '"min": -1'))
+
+
 def test_window_coverage_is_checked_in_the_row_count():
     tracemalloc.start()
     try:
