@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -67,21 +68,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every ``main`` call, built on the first one; nothing may change it."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", required=True, help="path to a system config (JSON)")
+    flags.add_argument("--output", choices=("json", "csv"), default="json")
+    flags.add_argument("--out", default=None, help="write to this file instead of stdout")
+    flags.add_argument("--seed", type=int, default=0, help="sampling seed (unsigned 64-bit)")
+    flags.add_argument("--horizon", type=int, default=64, help="step budget of the orbit experiment")
+    flags.add_argument("--samples", type=int, default=100,
+                       help="step functions sampled by the weak-mixing trial and by semicheck")
+    flags.add_argument("--eps", type=float, default=1e-2, help="approximation budget of the orbit experiment")
+    flags.add_argument("--strict", action="store_true", help="exit 3 when any verdict is InconclusiveWindow")
     parser = _Parser(prog="shiftlab", description="exact certificates for cell models and their shifts")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name in COMMANDS:
-        cmd = sub.add_parser(name, help=_HELP[name])
-        cmd.add_argument("--config", required=True, help="path to a system config (JSON)")
-        cmd.add_argument("--output", choices=("json", "csv"), default="json")
-        cmd.add_argument("--out", default=None, help="write to this file instead of stdout")
-        cmd.add_argument("--seed", type=int, default=0, help="sampling seed (unsigned 64-bit)")
-        cmd.add_argument("--horizon", type=int, default=64, help="step budget of the orbit experiment")
-        cmd.add_argument("--samples", type=int, default=100,
-                         help="step functions sampled by the weak-mixing trial and by semicheck")
-        cmd.add_argument("--eps", type=float, default=1e-2, help="approximation budget of the orbit experiment")
-        cmd.add_argument("--strict", action="store_true",
-                         help="exit 3 when any verdict is InconclusiveWindow")
+        sub.add_parser(name, help=_HELP[name], parents=[flags])
     return parser
 
 
@@ -274,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"shiftlab: {exc}", file=sys.stderr)
         return 64
+    except SystemExit as exc:  # --help has printed the help
+        return exc.code
     try:
         raw = Path(args.config).read_bytes()
     except OSError as exc:

@@ -21,7 +21,9 @@ empty one is never built.  All arithmetic is exact.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,6 +38,17 @@ def _unique_names(pairs: list[tuple[str, object]]) -> dict:
         name = next(name for name, times in Counter(name for name, _ in pairs).items() if times > 1)
         raise ConfigError(f"config: the name {name!r} appears twice in one JSON object")
     return doc
+
+
+def _widest_ratio(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """max(1, x/y, y/x) over pairs of positive integers, by cross-multiplication."""
+    top, bottom = 1, 1
+    for x, y in pairs:
+        if x < y:
+            x, y = y, x
+        if x * bottom > top * y:
+            top, bottom = x, y
+    return Fraction(top, bottom)
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,7 @@ class MeasureSystem:
         for k, row in self.mu.items():
             if len(row) != len(self.cells):
                 raise ConfigError(f"mu[{k}]: expected {len(self.cells)} cell measures")
-        for k in self.levels():
+        for k in range(self.k_min, self.k_max + 1):
             for name, v in zip(self.cells, self.mu[k]):
                 if v <= 0:
                     raise NonPositiveMeasure(f"mu[{k}][{name}] = {v} is not positive")
@@ -89,34 +102,37 @@ class MeasureSystem:
     def has_tails(self) -> bool:
         return self.left_tail is not None
 
-    def levels(self) -> range:
-        return range(self.k_min, self.k_max + 1)
-
     def _tail_factor(self, k: int) -> tuple[int, Fraction]:
-        """Clamp k into the window; return (boundary level, scale factor)."""
+        """(boundary level, scale factor) of a level k outside the window."""
         if k < self.k_min:
             if self.left_tail is None:
                 raise TailRuleMissing(f"level {k} lies left of the window and no tail rule is set")
             return self.k_min, self.left_tail ** (self.k_min - k)
-        if k > self.k_max:
-            if self.right_tail is None:
-                raise TailRuleMissing(f"level {k} lies right of the window and no tail rule is set")
-            return self.k_max, self.right_tail ** (k - self.k_max)
-        return k, Fraction(1)
+        if self.right_tail is None:
+            raise TailRuleMissing(f"level {k} lies right of the window and no tail rule is set")
+        return self.k_max, self.right_tail ** (k - self.k_max)
 
     def mu_cell(self, k: int, i: int) -> Fraction:
         """Measure of cell i at level k, tail-extended when k is outside
         the window."""
+        if (row := self.mu.get(k)) is not None:
+            return row[i]
         base, factor = self._tail_factor(k)
         return self.mu[base][i] * factor
 
     @cached_property
     def _level_mass(self) -> dict[int, Fraction]:
-        """Total measure of each window level, summed on first use."""
-        return {k: sum(row, Fraction(0)) for k, row in self.mu.items()}
+        """Total measure of each window level, summed on first use over one common denominator."""
+        masses = {}
+        for k, row in self.mu.items():
+            den = math.lcm(*(v.denominator for v in row))
+            masses[k] = Fraction(sum(v.numerator * (den // v.denominator) for v in row), den)
+        return masses
 
     def mu_W(self, k: int) -> Fraction:
         """Total measure of level k."""
+        if (mass := self._level_mass.get(k)) is not None:
+            return mass
         base, factor = self._tail_factor(k)
         return self._level_mass[base] * factor
 
@@ -126,16 +142,12 @@ class MeasureSystem:
         """The least two-sided one-step constant.
 
         The returned c >= 1 bounds mu(level k, cell i) / mu(level k+1, cell i)
-        and its reciprocal over every adjacent pair, tails included.  It is
-        computed afresh on every call.
+        and its reciprocal over every adjacent pair, tails included.
         """
-        ratios = [self.left_tail, self.right_tail] if self.has_tails else []
-        for k in range(self.k_min, self.k_max):
-            ratios += [a / b for a, b in zip(self.mu[k], self.mu[k + 1])]
-        c = Fraction(1)
-        for t in ratios:
-            c = max(c, t, 1 / t)
-        return c
+        pairs = [(t.numerator, t.denominator) for t in (self.left_tail, self.right_tail) if t is not None]
+        pairs += [(a.numerator * b.denominator, a.denominator * b.numerator)
+                  for k in range(self.k_min, self.k_max) for a, b in zip(self.mu[k], self.mu[k + 1])]
+        return _widest_ratio(pairs)
 
     def distortion_constant(self) -> Fraction:
         """Least K >= 1 with mu(f^k B) mu(W) within a factor K of
@@ -143,14 +155,12 @@ class MeasureSystem:
 
         Tail levels copy the boundary proportions, so they never enlarge K.
         """
-        mu_w0 = self.mu_W(0)
-        K = Fraction(1)
-        for k in self.levels():
-            level_mass = self.mu_W(k)
-            for i in range(len(self.cells)):
-                t = (self.mu[k][i] * mu_w0) / (level_mass * self.mu[0][i])
-                K = max(K, t, 1 / t)
-        return K
+        mass = self._level_mass
+        w_shares = [(b.numerator * mass[0].denominator, b.denominator * mass[0].numerator) for b in self.mu[0]]
+        return _widest_ratio(
+            (a.numerator * mass[k].denominator * w_den, a.denominator * mass[k].numerator * w_num)
+            for k, row in self.mu.items() for a, (w_num, w_den) in zip(row, w_shares)
+        )
 
     # -- serialisation -----------------------------------------------------
 

@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from shiftlab import MeasureSystem, conditionmix_lhs
+from shiftlab import cli
 from shiftlab.cli import main
 from shiftlab.criteria import DECAY_TOL
 from shiftlab.sampling import random_step_function
@@ -276,6 +278,82 @@ def test_python_dash_m_runs_the_cli():
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "validate"
+
+
+def _old_parser() -> argparse.ArgumentParser:
+    """The parser as it was built on every call before it was cached: the
+    flags added to each subcommand separately."""
+    parser = cli._Parser(prog="shiftlab", description="exact certificates for cell models and their shifts")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name in cli.COMMANDS:
+        cmd = sub.add_parser(name, help=cli._HELP[name])
+        cmd.add_argument("--config", required=True, help="path to a system config (JSON)")
+        cmd.add_argument("--output", choices=("json", "csv"), default="json")
+        cmd.add_argument("--out", default=None, help="write to this file instead of stdout")
+        cmd.add_argument("--seed", type=int, default=0, help="sampling seed (unsigned 64-bit)")
+        cmd.add_argument("--horizon", type=int, default=64, help="step budget of the orbit experiment")
+        cmd.add_argument("--samples", type=int, default=100,
+                         help="step functions sampled by the weak-mixing trial and by semicheck")
+        cmd.add_argument("--eps", type=float, default=1e-2, help="approximation budget of the orbit experiment")
+        cmd.add_argument("--strict", action="store_true",
+                         help="exit 3 when any verdict is InconclusiveWindow")
+    return parser
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return parser._subparsers._group_actions[0].choices
+
+
+def test_shared_flags_give_the_same_help_as_per_command_flags():
+    old, new = _old_parser(), cli.build_parser()
+    assert new.format_help() == old.format_help()
+    assert new.format_usage() == old.format_usage()
+    assert list(_subcommands(new)) == list(cli.COMMANDS)
+    for name, cmd in _subcommands(new).items():
+        assert cmd.format_help() == _subcommands(old)[name].format_help()
+
+
+def test_the_cached_parser_leaks_nothing_between_calls(capsys):
+    dyadic, window_only = str(CONFIGS / "dyadic.json"), str(CONFIGS / "window_only.json")
+    calls = [
+        ["frobnicate", "--config", dyadic],
+        ["validate", "--config", dyadic, "--horizon", "0"],
+        ["criteria", "--strict", "--samples", "3", "--config", window_only],
+        ["validate", "--output", "csv", "--config", dyadic],
+        ["semicheck", "--seed", "7", "--samples", "3", "--config", dyadic],
+        ["validate", "--config", dyadic],
+        ["semicheck", "--samples", "3", "--config", dyadic],
+        ["--help"],
+        ["report", "--help"],
+        ["criteria", "--config", window_only, "--samples", "3"],
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in reused] == [64, 64, 3, 0, 0, 0, 0, 0, 0, 0]
+    for argv, result in zip(calls, reused):
+        cli.build_parser.cache_clear()
+        assert run(capsys, *argv) == result, argv
+
+
+def test_help_prints_and_returns_zero(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: shiftlab [-h] command ...")
+    code, out, err = run(capsys, "report", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: shiftlab report [-h] --config CONFIG")
+    proc = _python("-m", "shiftlab", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: shiftlab [-h] command ...")
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = _python("-c", "import shiftlab.cli as cli; print(cli.build_parser.cache_info().currsize)")
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
 def test_report_aggregates_every_section(capsys):

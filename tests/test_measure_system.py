@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -209,6 +210,85 @@ def test_distortion_definition_holds():
                 rhs = level * system.mu_cell(0, i)
                 assert lhs * K >= rhs
                 assert rhs * K >= lhs
+
+
+def _star_reference(system):
+    """The least one-step constant, one Fraction ratio at a time."""
+    ratios = [system.left_tail, system.right_tail] if system.has_tails else []
+    for k in range(system.k_min, system.k_max):
+        ratios += [a / b for a, b in zip(system.mu[k], system.mu[k + 1])]
+    return max([Fraction(1)] + ratios + [1 / t for t in ratios])
+
+
+def _distortion_reference(system):
+    """The least distortion constant, one Fraction ratio at a time."""
+    mu_w0 = sum(system.mu[0])
+    ratios = [
+        (a * mu_w0) / (sum(row) * b)
+        for row in system.mu.values()
+        for a, b in zip(row, system.mu[0])
+    ]
+    return max([Fraction(1)] + ratios + [1 / t for t in ratios])
+
+
+def _two_level(row0, row1, tails=(None, None)):
+    return MeasureSystem(
+        p=Fraction(2), k_min=0, k_max=1, cells=tuple(f"B{i + 1}" for i in range(len(row0))),
+        mu={0: tuple(map(Fraction, row0)), 1: tuple(map(Fraction, row1))},
+        left_tail=tails[0], right_tail=tails[1],
+    )
+
+
+def _one_level(row, tails=(None, None)):
+    return MeasureSystem(
+        p=Fraction(2), k_min=0, k_max=0, cells=tuple(f"B{i + 1}" for i in range(len(row))),
+        mu={0: tuple(map(Fraction, row))}, left_tail=tails[0], right_tail=tails[1],
+    )
+
+
+BIG = 10**3799 + 3  # 3,800 digits
+CONSTANT_CASES = {
+    "huge_and_tiny_masses": MeasureSystem(
+        p=Fraction(2), k_min=-1, k_max=1, cells=("B1", "B2"),
+        mu={-1: (Fraction(10**321), Fraction(1, 10**321)), 0: (Fraction(1), Fraction(1)),
+            1: (Fraction(1, 10**321), Fraction(10**321, 7))},
+        left_tail=Fraction(1, 10**321), right_tail=Fraction(10**321),
+    ),
+    "digits_3800": _two_level([Fraction(BIG, BIG - 2)], [Fraction(BIG - 4, BIG + 6)]),
+    "digits_3800_tails": _two_level(
+        [Fraction(BIG, 7)], [Fraction(3, BIG)], (Fraction(BIG, BIG + 1), Fraction(BIG + 1, BIG))
+    ),
+    "one_level": _one_level([Fraction(1, 3), Fraction(2, 3)]),
+    "one_level_tails": _one_level([Fraction(1, 3), Fraction(2, 3)], (Fraction(1, 5), Fraction(3, 2))),
+    "tails_widest": _two_level([1, 2], [2, 3], (Fraction(7), Fraction(1, 2))),
+    "no_tails_growing": _two_level([1, 1], [1, 3]),  # both maxima come from y/x
+    "no_tails_shrinking": _two_level([3, 1], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_CASES))
+def test_constants_are_the_least_ones_on_edge_windows(name):
+    system = CONSTANT_CASES[name]
+    assert system.validate_star() == _star_reference(system)
+    assert system.distortion_constant() == _distortion_reference(system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), tails=st.booleans())
+def test_constants_are_the_least_ones_on_generated_systems(seed, tails):
+    system = random_system(random.Random(seed), max_half_span=6, max_cells=4)
+    if not tails:
+        system = dataclasses.replace(system, left_tail=None, right_tail=None)
+    assert system.validate_star() == _star_reference(system)
+    assert system.distortion_constant() == _distortion_reference(system)
+
+
+def test_window_accessors_return_the_stored_values():
+    system = random_system(random.Random(7), max_half_span=4, max_cells=3)
+    for k, row in system.mu.items():
+        assert system.mu_W(k) == sum(row)
+        for i, v in enumerate(row):
+            assert system.mu_cell(k, i) is v
 
 
 def test_dyadic_helper_extends_window_consistently():
