@@ -64,7 +64,7 @@ from itertools import accumulate, compress, islice
 from operator import mul, sub
 
 from .errors import HypothesisViolated, InconsistentWitness, NoAdmissibleLevels
-from .lp_space import Power, StepFunction, apply_Tf, apply_Tf_inverse, is_exact, lp_powers, shifted_power_sum
+from .lp_space import Power, StepFunction, _power, apply_Tf, apply_Tf_inverse, is_exact, lp_powers, shifted_power_sum
 from .measure_system import MeasureSystem
 from .rationals import LogGap, _float_log, abs_pow, pow_maybe_exact
 from .shift_space import UNILATERAL, WeightSequence, derive_weights, wp_product
@@ -207,12 +207,14 @@ def _normal_float(q: Fraction) -> float | None:
 
 class _DecaySearch:
     """What one weak_mixing_consistency call builds once for its decay
-    searches: exact and float cell masses, the thresholds and a float
-    bracket of DECAY_TOL ** p; nothing is stored on the system."""
+    searches: exact and float cell masses, each distinct coefficient's
+    power, the thresholds and a float bracket of DECAY_TOL ** p; nothing is
+    stored on the system."""
 
     def __init__(self, system: MeasureSystem) -> None:
         self.system = system
         mass = self.mass = functools.cache(system.mu_cell)
+        self.power = functools.lru_cache(maxsize=None, typed=True)(lambda v: _power(v, system.p))
         # closes over mass, not self: no cycle keeps a finished call's tables alive
         self.float_mass = functools.cache(lambda k, i: _normal_float(mass(k, i)))
         self.log_bound = system.p * Fraction(math.log(DECAY_TOL))
@@ -238,12 +240,13 @@ class _DecaySearch:
             t = up
         return t, t if Fraction(t) ** y == tol_x else math.nextafter(t, math.inf)
 
-    def float_test(self, powers: list[Power], exact: bool) -> Callable[[int], bool | None]:
+    def float_test(self, powers: list[Power], exact: bool) -> Callable[..., bool | int | None]:
         """One sample's filter: shift -> True where its norm has certainly
         decayed, False where it certainly has not, None where the exact
-        predicate must decide (bounds in _first_decay_step)."""
+        predicate must decide; given a tail ratio, the tail steps from that
+        shift in place of True and False, or None (bounds in _first_decay_step)."""
         if self.bracket is None:
-            return lambda shift: None
+            return lambda shift, ratio=None: None
         t_lo, t_hi = self.bracket
         p = float(self.system.p)
         terms = []
@@ -253,13 +256,14 @@ class _DecaySearch:
             else:
                 f = math.exp(p * a) if abs(p * a) < 700 else None
             if f is None:
-                return lambda shift: None
+                return lambda shift, ratio=None: None
             terms.append((k, i, f, not exact and isinstance(a, Fraction)))
         err = (len(terms) + 8) * _U + (0 if exact else 2 * (_LSE_ERROR + p * 2.0**-49))
         up, down, slack = 1 + err, 1 - err, (len(terms) + 1) * _TINY
+        err_s, log_t = 2 * (err + 2 * (len(terms) + 1) * _U) + 2 * _U, math.log(t_lo)
         float_mass = self.float_mass
 
-        def test(shift: int) -> bool | None:
+        def test(shift: int, ratio: Fraction | None = None) -> bool | int | None:
             s = 0.0
             for k, i, f, in_log_total in terms:
                 m = float_mass(k + shift, i)
@@ -270,10 +274,17 @@ class _DecaySearch:
                     return None  # the exact path would log a product outside the normal range
                 s += t
             if s * up + slack < t_lo:
-                return True
-            if s * down - slack > t_hi:
+                return True if ratio is None else 0
+            if s * down - slack <= t_hi:
+                return None
+            if ratio is None:
                 return False
-            return None
+            log_s, log_r = math.log(s), -_float_log(ratio)
+            x = (log_s - log_t) / log_r if log_r > 2.0**-1000 else math.inf
+            if not 0 < x < 2**50:
+                return None
+            m, delta = math.ceil(x), 16 * _U * x + 2 * (err_s + 4 * _U * (abs(log_s) + abs(log_t))) / log_r
+            return m if m - x > delta and x - (m - 1) > delta else None
 
         return test
 
@@ -319,12 +330,28 @@ def _first_decay_step(system: MeasureSystem, phi: StepFunction, search: _DecaySe
     not (p past about 51), the exact predicate decides.
 
     From n0 on the support lies in the tails, where each total falls by the
-    tail ratio per step (left tail forward, right tail inverse): the rest is
-    _DecaySearch.tail_steps's least crossing from the total at n0, which
-    never builds ratio ** n (a tail near 1 puts it past 10**13).
+    tail ratio r per step (left tail forward, right tail inverse): the rest
+    is the least m with the total at n0 times r ** m at most the threshold,
+    ceil(X) for X = A / -ln r, A = ln S - ln DECAY_TOL ** p (exact total)
+    or log-sum-exp - log_bound (log total), A > 0 where the norm exceeds
+    the tolerance.  Where the filter says it does, it takes x = (log s -
+    log t_lo) / l, l = -_float_log(r), within 11u * -ln r + 2**-1073 of -ln r.
+    There s > t_hi >= 2**-1022, so slack < 2(n + 1)u * s and S / s is within
+    E' = E + 2(n + 1)u of 1; a log total's two errors add under E / 2, and
+    t_hi / t_lo <= 1 + 2u, so A is within 2E' + 2u of ln s - ln t_lo, and
+    faithful logs and the subtraction add 4u(|log s| + |log t_lo|): a total
+    e_A.  For l >= 2**-1000, l / -ln r is within 12u of 1, and the division
+    rounds by u, so |x - X| <= 15u * x + (1 + 14u) e_A / l; delta = 16u * x
+    + 2 e_A / l covers that and its own roundings.  Where m - x and x - (m
+    - 1) both exceed delta for m = ceil(x) (each difference exact by
+    Sterbenz, or rounded monotonically against the float delta), m - 1 < X
+    < m, so m is the exact answer.  Else, for x outside (0, 2**50), l below
+    2**-1000 or a tie k * r ** m = 1 (always within delta), the exact total
+    at n0 goes to _DecaySearch.tail_steps's least crossing, which never
+    builds r ** n (a tail near 1 puts it past 10**13).
     """
     search = search or _DecaySearch(system)
-    powers = lp_powers(system, phi)
+    powers = lp_powers(system, phi, search.power)
     exact = is_exact(powers)
     y, mass, log_bound = system.p.denominator, search.mass, search.log_bound
 
@@ -347,9 +374,10 @@ def _first_decay_step(system: MeasureSystem, phi: StepFunction, search: _DecaySe
             return n
     steps = [0]
     for shift, ratio in ((-n0, system.left_tail), (n0, system.right_tail)):
-        total = above_tol(shift)
-        if total is not None:
-            steps.append(search.tail_steps(total, exact, ratio))
+        m = float_test(shift, ratio)
+        if m is None and (total := above_tol(shift)) is not None:
+            m = search.tail_steps(total, exact, ratio)
+        steps.append(m or 0)
     return n0 + max(steps)
 
 

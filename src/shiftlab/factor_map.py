@@ -7,10 +7,12 @@ p-th root of the level mass.  Every such value has the shape
     q * rho ** (1/p)
 
 with q and rho rational, so we never extract the root: a value is stored as
-the tag pair (q, rho) and two tagged values are compared by cross-powering,
-which stays inside the rationals.  On these tagged sequences the derived
-backward shift acts exactly, and the intertwining with the composition
-operator can be checked with zero tolerance.
+the tag pair (q, rho) and two tagged values are equal where their tags are,
+else compared by cross-powering, which stays inside the rationals.  q is
+summed in integers over each cell's share of W, one Fraction per level.  On
+these tagged sequences the derived backward shift acts exactly, and the
+intertwining with the composition operator can be checked with zero
+tolerance; where it holds, the tags agree exactly and no power is taken.
 """
 
 from __future__ import annotations
@@ -61,16 +63,18 @@ class ExactSeqVector:
         through the p-th power, cleared of denominators: with p = x/y the
         comparison becomes |q1|**x * rho1**y == |q2|**x * rho2**y.
         """
+        if a == b:
+            return True
         (q1, rho1), (q2, rho2) = a, b
         if (q1 > 0) != (q2 > 0) or (q1 < 0) != (q2 < 0):
             return False
         x, y = p.numerator, p.denominator
-        return a == b or abs(q1) ** x * rho1**y == abs(q2) ** x * rho2**y
+        return abs(q1) ** x * rho1**y == abs(q2) ** x * rho2**y
 
     def equals(self, other: "ExactSeqVector") -> bool:
         if self.p != other.p or self.side != other.side:
             return False
-        if set(self.entries) != set(other.entries):
+        if self.entries.keys() != other.entries.keys():
             return False
         return all(
             self.values_equal(self.entries[n], other.entries[n], self.p)
@@ -95,16 +99,19 @@ def project(system: MeasureSystem, phi: StepFunction) -> ExactSeqVector:
         rho_k = mass of level k.
 
     Each coefficient is read once, in order, so the entries follow the order
-    the levels first appear in.  Coefficients must be rational; float data
-    has no exact image.
+    the levels first appear in; it adds coefficient * c / d to an unreduced
+    integer pair for q_k, c / d its cell's share of W (``_w_shares``).
+    Coefficients must be rational; float data has no exact image.
     """
-    sums: dict[int, Fraction] = {}
+    shares = system._w_shares
+    sums: dict[int, tuple[int, int]] = {}
     for (k, i), v in phi.coeffs.items():
         if not isinstance(v, (Fraction, int)):
             raise TypeError(f"coefficient at {(k, i)} is not rational; exact projection needs Fraction data")
-        sums[k] = sums.get(k, 0) + v * system.mu_cell(0, i)
-    mu_w = system.mu_W(0)
-    return ExactSeqVector(system.p, BILATERAL, {k: (q / mu_w, system.mu_W(k)) for k, q in sums.items()})
+        (c, d), (a, b) = shares[i], sums.get(k, (0, 1))
+        sd = v.denominator * d
+        sums[k] = (a * sd + v.numerator * c * b, b * sd)
+    return ExactSeqVector(system.p, BILATERAL, {k: (Fraction(a, b), system.mu_W(k)) for k, (a, b) in sums.items()})
 
 
 def tagged_backward(w: WeightSequence, x: ExactSeqVector, steps: int = 1) -> ExactSeqVector:

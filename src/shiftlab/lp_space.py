@@ -103,10 +103,12 @@ def is_exact(powers: list[Power]) -> bool:
     return all(isinstance(a, Fraction) for _, _, a in powers)
 
 
-def lp_powers(system: MeasureSystem, phi: StepFunction) -> list[Power]:
+def lp_powers(system: MeasureSystem, phi: StepFunction, power: Callable | None = None) -> list[Power]:
     """(level, cell, power) for each term of phi, in coefficient order: the
-    part of the norm that no shift changes."""
-    return [(k, i, _power(v, system.p)) for (k, i), v in phi.coeffs.items()]
+    part of the norm that no shift changes.  ``power(v)`` is ``_power(v,
+    system.p)`` unless the caller passes a memo of it."""
+    power = power or (lambda v: _power(v, system.p))
+    return [(k, i, power(v)) for (k, i), v in phi.coeffs.items()]
 
 
 def shifted_power_sum(

@@ -129,6 +129,11 @@ class MeasureSystem:
             masses[k] = Fraction(sum(v.numerator * (den // v.denominator) for v in row), den)
         return masses
 
+    @cached_property
+    def _w_shares(self) -> tuple[tuple[int, int], ...]:
+        """Each cell's share of W, mu(0, i) / mu_W(0), as a (numerator, denominator) pair in lowest terms."""
+        return tuple(share.as_integer_ratio() for share in (b / self._level_mass[0] for b in self.mu[0]))
+
     def mu_W(self, k: int) -> Fraction:
         """Total measure of level k."""
         if (mass := self._level_mass.get(k)) is not None:
@@ -156,10 +161,9 @@ class MeasureSystem:
         Tail levels copy the boundary proportions, so they never enlarge K.
         """
         mass = self._level_mass
-        w_shares = [(b.numerator * mass[0].denominator, b.denominator * mass[0].numerator) for b in self.mu[0]]
         return _widest_ratio(
             (a.numerator * mass[k].denominator * w_den, a.denominator * mass[k].numerator * w_num)
-            for k, row in self.mu.items() for a, (w_num, w_den) in zip(row, w_shares)
+            for k, row in self.mu.items() for a, (w_num, w_den) in zip(row, self._w_shares)
         )
 
     # -- serialisation -----------------------------------------------------

@@ -21,7 +21,8 @@ def as_fraction(value: object, field: str = "value") -> Fraction:
     """Parse a JSON-ish value into an exact Fraction.
 
     Accepts int, Fraction, or a string like "3/4" or "2".  Floats are
-    rejected: configs must be exact.
+    rejected: configs must be exact.  Plain ASCII "[-]digits[/digits]" is
+    read with int(); every other string goes to Fraction(str).
     """
     if isinstance(value, Fraction):
         return value
@@ -30,7 +31,10 @@ def as_fraction(value: object, field: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
         try:
+            if value.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den or 1))
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{field}: cannot parse {value!r} as a rational") from exc

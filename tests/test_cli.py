@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from shiftlab import cli
 from shiftlab.cli import main
 from shiftlab.criteria import DECAY_TOL
 from shiftlab.sampling import random_step_function
+from shiftlab.shift_space import derive_weights
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -563,3 +565,17 @@ def test_out_file_written(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["system"]["star_c"] == "2"
+
+
+@pytest.mark.parametrize("command", ["report", "semicheck"])
+def test_a_broken_factor_identity_exits_1_without_a_traceback(capsys, monkeypatch, command):
+    # weights one level off: the sampled identity fails, which is exit 1
+    def off_by_one_level(system):
+        w = derive_weights(system)
+        return replace(w, wp={**w.wp, 1: 3 * w.wp[1]})
+
+    monkeypatch.setattr(cli, "derive_weights", off_by_one_level)
+    code, out, err = run(capsys, command, "--config", str(CONFIGS / "dyadic.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("shiftlab: factor identity defect") and "Traceback" not in err

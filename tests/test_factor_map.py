@@ -176,3 +176,57 @@ def test_project_matches_the_level_by_cell_grid(seed, integral, cancel):
     assert all(type(q) is Fraction and type(rho) is Fraction for q, rho in image.entries.values())
     if cancel and len(system.cells) > 1:
         assert k not in image.entries
+
+
+def _project_reference(system, phi):
+    """The image by Fraction arithmetic: each level's sum of coefficient
+    times level-0 cell mass, over the mass of W, in first-appearance order."""
+    sums = {}
+    for (k, i), v in phi.coeffs.items():
+        sums[k] = sums.get(k, 0) + v * system.mu_cell(0, i)
+    return [(k, (q / system.mu_W(0), system.mu_W(k))) for k, q in sums.items() if q != 0]
+
+
+def _with_masses(system, scale):
+    return MeasureSystem(p=system.p, k_min=system.k_min, k_max=system.k_max, cells=system.cells,
+                         mu={k: tuple(scale * v for v in row) for k, row in system.mu.items()},
+                         left_tail=system.left_tail, right_tail=system.right_tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), integral=st.booleans(), tails=st.booleans(),
+       cells=st.sampled_from([1, 4]), scale=st.sampled_from([1, Fraction(10) ** 321, Fraction(1, 10**321)]))
+def test_integer_project_matches_the_fraction_reference(seed, integral, tails, cells, scale):
+    rng = random.Random(seed)
+    system = random_system(rng, max_cells=cells)
+    if cells == 4:
+        system = MeasureSystem(p=system.p, k_min=system.k_min, k_max=system.k_max, cells=("A", "B", "C", "D"),
+                               mu={k: tuple(row[0] * (j + 1) / (j + 2) for j in range(4)) for k, row in system.mu.items()},
+                               left_tail=system.left_tail, right_tail=system.right_tail)
+    if not tails:
+        system = MeasureSystem(p=system.p, k_min=system.k_min, k_max=system.k_max, cells=system.cells, mu=system.mu)
+    system = _with_masses(system, scale)
+    coeffs = dict(random_step_function(rng, system, max_terms=8).coeffs)
+    if integral:
+        coeffs = {key: int(12 * v) for key, v in coeffs.items()}
+    phi = StepFunction(coeffs)
+    image = project(system, phi)
+    assert list(image.entries.items()) == _project_reference(system, phi)
+    assert all(type(q) is Fraction for q, _ in image.entries.values())
+
+
+@pytest.mark.parametrize("bad", [0.5, complex(1, 1), 1.0])
+def test_project_raises_at_the_first_non_rational_coefficient(dyadic, bad):
+    phi = StepFunction({(0, 0): Fraction(1, 3), (1, 0): 2, (2, 0): bad, (3, 0): 1.5})
+    with pytest.raises(TypeError, match=r"coefficient at \(2, 0\) is not rational"):
+        project(dyadic, phi)
+
+
+def test_tags_with_one_rho_and_different_q_differ(dyadic_p2):
+    rho = Fraction(3, 7)
+    assert ExactSeqVector.values_equal((Fraction(2), rho), (Fraction(2), rho), Fraction(2))
+    assert not ExactSeqVector.values_equal((Fraction(1), rho), (Fraction(2), rho), Fraction(2))
+    assert not ExactSeqVector.values_equal((Fraction(1), rho), (Fraction(-1), rho), Fraction(2))
+    phi = StepFunction({(0, 0): Fraction(1), (2, 0): Fraction(-5, 3)})
+    doubled = StepFunction({key: 2 * v for key, v in phi.coeffs.items()})
+    assert not project(dyadic_p2, phi).equals(project(dyadic_p2, doubled))

@@ -36,6 +36,32 @@ def test_as_fraction_rejects_inexact_or_malformed(bad):
         as_fraction(bad, "field")
 
 
+def _small_exponent(text):
+    """At most three exponent digits: Fraction("1e99999999") builds 10**99999999."""
+    return sum(c.isdigit() for c in text.partition("e")[2]) <= 3
+
+
+@settings(max_examples=500, deadline=None)
+@example(text="1" * 4301)
+@example(text="-" + "9" * 5000 + "/7")
+@example(text="3/" + "2" * 4301)
+@example(text="1/-2")
+@example(text="٣/٤")
+@given(text=st.text(alphabet="0123456789-/+_. \te\u0663\u00b2", max_size=12).filter(_small_exponent))
+def test_as_fraction_reads_strings_as_fraction_does(text):
+    # the int() path for plain ASCII [-]digits[/digits] strings gives what
+    # Fraction(str) gives, and every string either reads raises the same error
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ConfigError) as info:
+            as_fraction(text, "mu[0][0]")
+        assert str(info.value) == f"mu[0][0]: cannot parse {text!r} as a rational"
+    else:
+        got = as_fraction(text, "mu[0][0]")
+        assert type(got) is Fraction and (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
 def test_format_round_trips():
     for q in [Fraction(3, 4), Fraction(-7, 2), Fraction(5)]:
         assert as_fraction(str(q)) == q
