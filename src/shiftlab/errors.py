@@ -23,8 +23,8 @@ class TailRuleMissing(ShiftlabError):
 
 
 class InconsistentWitness(ShiftlabError):
-    """An identity that holds exactly failed on a sample: a round trip of
-    compositions, or the factor identity.  It signals a defect in the
+    """An identity that holds exactly failed: a round trip of compositions
+    on a sample, or the factor identity.  It signals a defect in the
     code, never a short horizon or another user-set extent; never
     swallowed."""
 

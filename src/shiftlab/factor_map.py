@@ -49,9 +49,10 @@ class ExactSeqVector:
     def __post_init__(self) -> None:
         cleaned: dict[int, tuple[Fraction, Fraction]] = {}
         for n, (q, rho) in self.entries.items():
-            if rho <= 0:
+            # a rational's sign is its numerator's; this skips Fraction's slower comparisons
+            if rho.numerator <= 0:
                 raise ValueError(f"entry {n}: tag rho must be positive, got {rho}")
-            if q != 0:
+            if q:
                 cleaned[n] = (q, rho)
         self.entries = cleaned
 

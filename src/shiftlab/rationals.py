@@ -22,7 +22,9 @@ def as_fraction(value: object, field: str = "value") -> Fraction:
 
     Accepts int, Fraction, or a string like "3/4" or "2".  Floats are
     rejected: configs must be exact.  Plain ASCII "[-]digits[/digits]" is
-    read with int(); every other string goes to Fraction(str).
+    read with int(); every other string goes to Fraction(str), unless its
+    decimal exponent e has |e| >= the int-string digit limit, as 10**|e|
+    would pass that limit and take Fraction(str) seconds to build.
     """
     if isinstance(value, Fraction):
         return value
@@ -35,7 +37,13 @@ def as_fraction(value: object, field: str = "value") -> Fraction:
         try:
             if value.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
                 return Fraction(int(num), int(den or 1))
+            _, e, exponent = value.lower().rpartition("e")
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if e and limit and abs(int(exponent)) >= limit:
+                raise ConfigError(f"{field}: the exponent of {value!r} passes the {limit}-digit limit")
             return Fraction(value)
+        except ConfigError:
+            raise
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{field}: cannot parse {value!r} as a rational") from exc
     raise ConfigError(f"{field}: expected a rational string, got {type(value).__name__}")
@@ -87,11 +95,10 @@ def fraction_pow(q: Fraction, expo: Fraction) -> Fraction | None:
     if expo < 0:
         base = fraction_pow(q, -expo)
         return None if base is None else 1 / base
+    # gcd(a, b) = 1, so q**a is a perfect b-th power exactly when q is: root first
     a, b = expo.numerator, expo.denominator
-    powered = q**a
-    if b == 1:
-        return powered
-    return fraction_root(powered, b)
+    root = q if b == 1 else fraction_root(q, b)
+    return None if root is None else root**a
 
 
 def log_fraction(q: Fraction | float) -> float:

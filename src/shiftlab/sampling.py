@@ -1,4 +1,4 @@
-"""Seeded random generators for systems, step functions, and functionals."""
+"""Seeded random generators for systems and step functions."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ TAIL_POOL = (
     Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
 )
 P_POOL = (Fraction(1), Fraction(2), Fraction(3, 2))
+LEVEL_MARGIN = 2  # levels past each window edge a sample may use, given tail rules
 
 
 def random_fraction(rng: random.Random, *, max_num: int = 8, max_den_pow: int = 4) -> Fraction:
@@ -46,41 +47,11 @@ def random_system(
     )
 
 
-def random_decay_system(
-    rng: random.Random,
-    *,
-    min_back_ratio: Fraction,
-    max_half_span: int = 4,
-    max_cells: int = 2,
-) -> MeasureSystem:
-    """System whose every one-step backward mass ratio strictly exceeds
-    ``min_back_ratio``, tails included."""
-    bumps = (Fraction(5, 4), Fraction(3, 2), Fraction(2))
-    k_min = -rng.randint(0, max_half_span)
-    k_max = rng.randint(0, max_half_span)
-    n_cells = rng.randint(1, max_cells)
-    masses = {0: random_fraction(rng)}
-    for k in range(0, k_min, -1):
-        masses[k - 1] = masses[k] * min_back_ratio * rng.choice(bumps)
-    for k in range(0, k_max):
-        masses[k + 1] = masses[k] / (min_back_ratio * rng.choice(bumps))
-    mu: dict[int, tuple[Fraction, ...]] = {}
-    for k in range(k_min, k_max + 1):
-        # split the level mass into positive cell shares
-        shares = [Fraction(rng.randint(1, 5)) for _ in range(n_cells)]
-        total = sum(shares)
-        mu[k] = tuple(masses[k] * s / total for s in shares)
-    left = min_back_ratio * rng.choice(bumps)
-    right = 1 / (min_back_ratio * rng.choice(bumps))
-    return MeasureSystem(
-        p=rng.choice(P_POOL),
-        k_min=k_min,
-        k_max=k_max,
-        cells=tuple(f"B{i + 1}" for i in range(n_cells)),
-        mu=mu,
-        left_tail=left,
-        right_tail=right,
-    )
+def support_levels(system: MeasureSystem, level_margin: int = LEVEL_MARGIN) -> range:
+    """Levels a sampled step function may use: the window, widened by
+    ``level_margin`` on each side when the system has tail rules."""
+    margin = level_margin if system.has_tails else 0
+    return range(system.k_min - margin, system.k_max + margin + 1)
 
 
 def random_step_function(
@@ -88,36 +59,14 @@ def random_step_function(
     system: MeasureSystem,
     *,
     max_terms: int = 4,
-    level_margin: int = 2,
-    min_level: int | None = None,
+    level_margin: int = LEVEL_MARGIN,
 ) -> StepFunction:
-    """Rational step function supported near the window; stays inside it
-    when the system has no tail rules.  ``min_level`` raises the floor, for
-    callers that need room below the support."""
-    margin = level_margin if system.has_tails else 0
-    lo = system.k_min - margin
-    hi = system.k_max + margin
-    if min_level is not None:
-        lo = max(lo, min_level)
-    if lo > hi:
-        raise ValueError("no admissible support levels")
+    """Rational step function on ``support_levels``; stays inside the window
+    when the system has no tail rules."""
+    levels = support_levels(system, level_margin)
     coeffs: dict[tuple[int, int], Fraction] = {}
     for _ in range(rng.randint(1, max_terms)):
-        k = rng.randint(lo, hi)
+        k = rng.choice(levels)
         i = rng.randrange(len(system.cells))
         coeffs[(k, i)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return StepFunction(coeffs)
-
-
-def random_functional(
-    rng: random.Random,
-    levels: range,
-    *,
-    max_terms: int = 3,
-) -> dict[int, Fraction]:
-    """Level-indexed rational density with a few nonzero values."""
-    out: dict[int, Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        k = rng.choice(list(levels))
-        out[k] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return out

@@ -567,15 +567,46 @@ def test_out_file_written(tmp_path, capsys):
     assert json.loads(target.read_text())["system"]["star_c"] == "2"
 
 
-@pytest.mark.parametrize("command", ["report", "semicheck"])
-def test_a_broken_factor_identity_exits_1_without_a_traceback(capsys, monkeypatch, command):
-    # weights one level off: the sampled identity fails, which is exit 1
-    def off_by_one_level(system):
-        w = derive_weights(system)
-        return replace(w, wp={**w.wp, 1: 3 * w.wp[1]})
+def _tripled(w, place):
+    """w with the weight power at one place multiplied by 3."""
+    if place in ("left_tail", "right_tail"):
+        tail = getattr(w, place)
+        return replace(w, **{place: (3 * tail[0],) + tail[1:]})
+    return replace(w, wp={**w.wp, place: 3 * w.wp[place]})
 
-    monkeypatch.setattr(cli, "derive_weights", off_by_one_level)
-    code, out, err = run(capsys, command, "--config", str(CONFIGS / "dyadic.json"))
+
+# one weight 3x off: dyadic's wp[1], the original case under its original
+# ids, then wide200's right edge and each tail, which one random sample on
+# its 405 levels almost never meets and the certificate always does
+_BROKEN_WEIGHTS = [
+    *(pytest.param(command, CONFIGS / "dyadic.json", "100", 1, id=command) for command in ("report", "semicheck")),
+    *(pytest.param(command, GOLDEN / "wide200.json", "1", place, id=f"{command}-wide200-{place}")
+      for place in (200, "right_tail", "left_tail") for command in ("report", "semicheck")),
+]
+
+
+@pytest.mark.parametrize("command, config, samples, place", _BROKEN_WEIGHTS)
+def test_a_broken_factor_identity_exits_1_without_a_traceback(capsys, monkeypatch, command, config, samples, place):
+    monkeypatch.setattr(cli, "derive_weights", lambda system: _tripled(derive_weights(system), place))
+    code, out, err = run(capsys, command, "--config", str(config), "--samples", samples)
     assert code == 1
     assert out == ""
     assert err.startswith("shiftlab: factor identity defect") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples, calls", [("0", 0), ("1", 1), ("100", 1)])
+def test_semicheck_makes_one_exact_check_whatever_the_sample_count(capsys, monkeypatch, samples, calls):
+    seen = []
+    monkeypatch.setattr(cli, "semiconjugacy_defect", lambda *args: seen.append(args) or Fraction(0))
+    code, out, _ = run(capsys, "semicheck", "--config", str(CONFIGS / "dyadic.json"), "--samples", samples)
+    assert code == 0
+    assert json.loads(out)["semicheck"] == {"samples": int(samples), "exact_zero": int(samples), "max_defect": "0"}
+    assert len(seen) == calls
+
+
+def test_a_float_defect_of_zero_is_not_an_exact_zero(capsys, monkeypatch):
+    # only a Fraction 0 certifies the identity; a float 0.0 may be a rounded difference
+    monkeypatch.setattr(cli, "semiconjugacy_defect", lambda *args: 0.0)
+    code, out, err = run(capsys, "semicheck", "--config", str(CONFIGS / "dyadic.json"))
+    assert (code, out) == (1, "")
+    assert err == "shiftlab: factor identity defect 0.0 on levels -7..7\n"

@@ -6,12 +6,16 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -213,3 +217,32 @@ def test_broken_configs_exit_2_with_one_line(case, command):
         code, out, err = _run([command, "--config", str(config)])
     assert (code, out) == (2, ""), (kind, err)
     assert err.startswith("shiftlab: invalid config: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+# configs/dyadic.json with one value that once stalled report for seconds or
+# more: p just above 1, whose weight roots were taken after a millionth
+# power; decimal exponents, whose 10**|e| Fraction(str) built in full
+_HOSTILE = {
+    "p_near_1": (("p",), "1000001/1000000", (0, 2)),
+    "p_exponent": (("p",), "1e9999999", (2,)),
+    "mass_exponent": (("mu", "2", 0), "1e200000", (2,)),
+    "negative_exponent": (("tails", "left"), "1e-9999999", (2,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE))
+def test_hostile_values_end_in_a_subprocess_within_2_s(tmp_path, name):
+    path, value, codes = _HOSTILE[name]
+    doc = copy.deepcopy(_DYADIC)
+    parent, key = _at(doc, path)
+    parent[key] = value
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "shiftlab", "report", "--config", str(config)],
+                          capture_output=True, text=True, env=env, timeout=2)
+    assert proc.returncode in codes, proc.stderr
+    if proc.returncode == 2:
+        assert proc.stdout == "" and proc.stderr.startswith("shiftlab: invalid config: ")
+        assert proc.stderr.count("\n") == 1

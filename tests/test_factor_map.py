@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,11 @@ from shiftlab import (
     semiconjugacy_defect,
     tagged_backward,
 )
+from shiftlab import cli
+from shiftlab.errors import InconsistentWitness
 from shiftlab.rationals import abs_pow
-from shiftlab.sampling import random_step_function, random_system
+from shiftlab.sampling import random_step_function, random_system, support_levels
+from shiftlab.shift_space import wp_product
 
 
 def test_projection_of_wandering_indicator(dyadic):
@@ -230,3 +234,36 @@ def test_tags_with_one_rho_and_different_q_differ(dyadic_p2):
     phi = StepFunction({(0, 0): Fraction(1), (2, 0): Fraction(-5, 3)})
     doubled = StepFunction({key: 2 * v for key, v in phi.coeffs.items()})
     assert not project(dyadic_p2, phi).equals(project(dyadic_p2, doubled))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), data=st.data(), cancel=st.booleans())
+def test_the_identity_fails_exactly_on_samples_that_meet_a_bad_level(seed, data, cancel):
+    # the factor identity is linear and holds level by level: with one
+    # weight 3x off, a sample's defect is nonzero exactly where its image
+    # has q != 0 at that level, and semicheck's single certificate fails
+    rng = random.Random(seed)
+    system = random_system(rng)
+    w = derive_weights(system)
+    levels = support_levels(system)
+    bad = data.draw(st.none() | st.sampled_from(levels))
+    if bad is not None:
+        # the same sequence with every sampled level explicit, one of them off
+        wp = {k: wp_product(w, k, k) for k in levels}
+        w = replace(w, lo=levels.start, hi=levels.stop - 1, wp={**wp, bad: 3 * wp[bad]})
+    for _ in range(20):
+        coeffs = dict(random_step_function(rng, system).coeffs)
+        if cancel and bad is not None and len(system.cells) > 1:
+            # coefficients at the bad level whose q sums to zero
+            m0, m1 = system.mu_cell(0, 0), system.mu_cell(0, 1)
+            coeffs[(bad, 0)] = m1.numerator * m0.denominator
+            coeffs[(bad, 1)] = -m0.numerator * m1.denominator
+        phi = StepFunction(coeffs)
+        defect = semiconjugacy_defect(system, phi, w)
+        exact_zero = isinstance(defect, Fraction) and defect == 0
+        assert exact_zero == (bad not in project(system, phi).entries)
+    if bad is None:
+        assert cli._semicheck_section(system, w, samples=1)["exact_zero"] == 1
+    else:
+        with pytest.raises(InconsistentWitness, match="factor identity defect"):
+            cli._semicheck_section(system, w, samples=1)

@@ -103,8 +103,26 @@ def test_fraction_root_and_pow_exact_cases():
     assert fraction_pow(Fraction(8, 27), Fraction(2, 3)) == Fraction(4, 9)
     assert fraction_pow(Fraction(4), Fraction(-1, 2)) == Fraction(1, 2)
     assert fraction_pow(Fraction(2), Fraction(1, 2)) is None
+    assert fraction_pow(Fraction(2), Fraction(1000000, 1000001)) is None
+    assert fraction_pow(Fraction(2**1001, 3**1001), Fraction(1000, 1001)) == Fraction(2**1000, 3**1000)
     with pytest.raises(ValueError):
         fraction_pow(Fraction(0), Fraction(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.fractions(min_value=Fraction(1, 10**6), max_value=10**6), root=st.integers(1, 6),
+       power=st.integers(1, 7), expo=st.fractions(min_value=-6, max_value=6, max_denominator=6))
+def test_fraction_pow_takes_the_root_first_with_the_same_answers(base, root, power, expo):
+    # q**(a/b), gcd(a, b) = 1, is rational exactly when q**(1/b) is
+    for q in (base, base**root):
+        for e in (expo, Fraction(power, root)):
+            if e == 0:
+                continue
+            a, b = abs(e.numerator), e.denominator
+            want = fraction_root(q**a, b)
+            if want is not None and e < 0:
+                want = 1 / want
+            assert fraction_pow(q, e) == want
 
 
 def test_pow_maybe_exact_float_fallback():
