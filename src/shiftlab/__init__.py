@@ -44,7 +44,6 @@ from .shift_space import (
     apply_forward_inverse,
     derive_weights,
     lp_distance,
-    lp_norm_seq,
     weight_product,
     wp_product,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "gs_decay_check",
     "hypercyclicity_report",
     "lp_distance",
-    "lp_norm_seq",
     "lp_norm_step",
     "menet_unilateral",
     "orbit_density_report",

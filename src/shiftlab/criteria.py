@@ -63,8 +63,8 @@ from fractions import Fraction
 from itertools import accumulate, compress, islice
 from operator import mul, sub
 
-from .errors import HypothesisViolated, InconsistentWitness, NoAdmissibleLevels
-from .lp_space import Power, StepFunction, _power, apply_Tf, apply_Tf_inverse, is_exact, lp_powers, shifted_power_sum
+from .errors import HypothesisViolated, NoAdmissibleLevels
+from .lp_space import Power, StepFunction, _power, is_exact, lp_powers, shifted_power_sum
 from .measure_system import MeasureSystem
 from .rationals import LogGap, _float_log, abs_pow, pow_maybe_exact
 from .shift_space import UNILATERAL, WeightSequence, derive_weights, wp_product
@@ -389,9 +389,8 @@ def weak_mixing_consistency(
 ) -> CriterionReport:
     """Weak mixing of the doubled operator, cross-checked by sampling.
 
-    The verdict is the hypercyclicity verdict.  When it is Satisfied, random
-    rational step functions must survive a forward and inverse round trip
-    (else InconsistentWitness), and the witness gives the worst first step
+    The verdict is the hypercyclicity verdict.  When it is Satisfied, the
+    witness gives the worst first step, over random rational step functions,
     at which their forward and inverse norms are both at most DECAY_TOL.
     """
     from .sampling import random_step_function
@@ -407,16 +406,10 @@ def weak_mixing_consistency(
     rng = random.Random(seed)
     search = _DecaySearch(system)  # for this call only; the samples share levels
     worst_n = 0
-    for index in range(samples):
+    for _ in range(samples):
         phi = random_step_function(rng, system)
-        if phi.is_zero():
-            continue
-        back = apply_Tf_inverse(apply_Tf(phi))
-        if back.coeffs != phi.coeffs:
-            raise InconsistentWitness(
-                f"sample {index}: inverse composition did not undo the forward one"
-            )
-        worst_n = max(worst_n, _first_decay_step(system, phi, search))
+        if not phi.is_zero():
+            worst_n = max(worst_n, _first_decay_step(system, phi, search))
     return CriterionReport(
         criterion="weak_mixing",
         verdict=Verdict.SATISFIED,
@@ -625,13 +618,6 @@ class CofiniteWitness:
     level_ratios: tuple[Fraction, ...]
     quotient_pp: Fraction | float
     pairings: tuple[Fraction, ...]
-
-    def step_function(self, system: MeasureSystem) -> StepFunction:
-        return StepFunction({
-            (k, i): a
-            for k, a in zip(self.levels, self.coeffs)
-            for i in range(len(system.cells))
-        })
 
     def to_dict(self) -> dict:
         return {

@@ -23,10 +23,9 @@ class TailRuleMissing(ShiftlabError):
 
 
 class InconsistentWitness(ShiftlabError):
-    """An identity that holds exactly failed: a round trip of compositions
-    on a sample, or the factor identity.  It signals a defect in the
-    code, never a short horizon or another user-set extent; never
-    swallowed."""
+    """An identity that holds exactly failed: the factor identity.  It
+    signals a defect in the code, never a short horizon or another user-set
+    extent; never swallowed."""
 
 
 class NoAdmissibleLevels(ShiftlabError):

@@ -3,15 +3,14 @@
 Everything here works over `fractions.Fraction`.  Roots are taken only when
 they are exact in the rationals; otherwise the caller receives None and is
 expected to fall back to floats explicitly.  No silent precision loss.
-``LogGap`` decides d + ln(k * r**m) <= 0 exactly without building r**m.
+``LogGap`` decides d + ln(k * r**m) <= 0 exactly in integer fixed-point logs.
 """
 
 from __future__ import annotations
 
-import decimal
+import functools
 import math
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -155,68 +154,94 @@ def _float_log(q: Fraction) -> float:
     return math.log(n / (d << e) if e >= 0 else (n << -e) / d) + e * math.log(2)
 
 
+@functools.lru_cache(maxsize=64)
+def _atanh_ln(y: int, w: int, s: int) -> int:
+    """2**w ln(y / 2**w) for y / 2**w in [1/2, 2], within 2**(s + bitlen(w) + 2) for
+    w >= s + 6 (_ln_fixed); memoised, so 2**w ln 2 is taken once per (w, s)."""
+    one = 1 << w
+    for _ in range(s):
+        y = math.isqrt(y << w)
+    a = (abs(y - one) << w) // (y + one)
+    a2, p, total, k = a * a >> w, a, 0, 1
+    while p:
+        total += p // k
+        p, k = p * a2 >> w, k + 2
+    return total << (s + 1) if y >= one else -(total << (s + 1))
+
+
+def _ln_fixed(q: Fraction, bits: int) -> int:
+    """An integer L with |L - 2**bits ln q| < 1, for a rational q > 0 and bits >= 0.
+
+    With q = 2**e x, e the difference of the bit lengths of num(q) and den(q), x is
+    in (1/2, 2).  Work in integers scaled by W = 2**w, u = 1/W, w = bits + g:
+    1. _atanh_ln takes s square roots y_(j+1) = isqrt(y_j W) from y_0 = floor(x W).
+       Every y_j >= W/2, so y_0 and each root lose under 2u of ln; root j's loss
+       counts 2**j times, so ln x - 2**s ln(y_s u) is in [0, 2**(s+2) u), and
+       z = (y_s - W) / (y_s + W) = tanh(ln(y_s u) / 2) has |z| < 2**-(s+1) as w >= s + 4.
+    2. a = floor(|z| W) u is within u below |z|, where atanh' < 4/3.  Its odd powers
+       p_(k+1) = floor(p_k floor(a**2 W)) u stay within e_k < 2u below a**(2k+1), as
+       e_(k+1) < e_k / 4 + 3u/2, so each term floor(p_k W / (2k+1)) u is within 2u below
+       a**(2k+1) / (2k+1).  The sum stops at the first p_K = 0: a**(2K+1) < 2u leaves a
+       tail under 3u, and p_k < 2**-(s+1)(2k+1) gives K <= w / (2s+2) + 1/2.  So the sum
+       S is within (2K+5)u of atanh |z|, and 2**(s+1) S, signed as z, is within
+       2**(s+1) (2K+7) u <= 2**(s + bitlen(w) + 2) u of ln x, as w >= 6.
+    3. 2**w ln 2 is steps 1-2 on y_0 = 2W, within the same bound.
+    So L0 = 2**(s+1) S W + e (2**w ln 2) is within (1 + |e|) 2**(s + bitlen(w) + 2) <=
+    2**(g-1) of W ln q for g = s + bitlen(e) + 3 + bitlen(w), as w = h + bitlen(h +
+    bitlen h) has bitlen(w) = w - h.  Rounding L0 / 2**g adds at most 1/2.  s ~ sqrt(bits)
+    / 4 roots balance their cost against the K products of the series.
+    """
+    n, d = q.numerator, q.denominator
+    e, s = n.bit_length() - d.bit_length(), math.isqrt(bits) // 4 + 1
+    h = bits + s + abs(e).bit_length() + 3
+    w = h + (h + h.bit_length()).bit_length()
+    y = (n << (w - e)) // d if w >= e else n // (d << (e - w))
+    total = _atanh_ln(y, w, s) + (e and e * _atanh_ln(2 << w, w, s))
+    return (total + (1 << (w - bits - 1))) >> (w - bits)
+
+
 class LogGap:
-    """g(m) = d + ln(k * r**m) for rationals k, r > 0 and d; float logs are
-    taken once, unless d is past the float range."""
+    """g(m) = d + ln(k * r**m) for rationals k, r > 0 and d, decided in
+    integer fixed-point logs (_ln_fixed) at a precision that doubles."""
 
     def __init__(self, k: Fraction, r: Fraction, d: Fraction = Fraction(0)) -> None:
         self.k, self.r, self.d = k, r, d
-        finite = d.numerator.bit_length() < d.denominator.bit_length() + 1000
-        self._floats = (float(d), _float_log(k), _float_log(r)) if finite else None
-        self._decimal_terms: dict[int, tuple[Decimal, Decimal, Decimal, Decimal]] = {}
+        self._terms: dict[int, tuple[int, int]] = {}
 
-    def _decimals(self) -> tuple[Decimal, Decimal, Decimal, Decimal]:
-        """d + ln k, ln r and their sizes |d| + ln num + ln den of k, and of r, at the context's precision."""
-        prec = decimal.getcontext().prec
-        if prec not in self._decimal_terms:
-            k_num, k_den, r_num, r_den = (Decimal(n).ln() for q in (self.k, self.r) for n in q.as_integer_ratio())
-            d = Decimal(self.d.numerator) / self.d.denominator
-            self._decimal_terms[prec] = d + (k_num - k_den), r_num - r_den, abs(d) + k_num + k_den, r_num + r_den
-        return self._decimal_terms[prec]
+    def _fixed(self, b: int) -> tuple[int, int]:
+        """2**b (d + ln k) within 2 units and 2**b ln r within 1, memoised per b."""
+        if b not in self._terms:
+            self._terms[b] = math.floor(self.d * 2**b) + _ln_fixed(self.k, b), _ln_fixed(self.r, b)
+        return self._terms[b]
 
     def sign(self, m: int) -> int:
-        """Sign of g(m), m >= 0.  Float logs decide where |g| exceeds 2**-40
-        of its terms' sizes plus 2**-1070 per term, far above their errors.
-        Then a tie k * r**m = 1 (possible only for d = 0, as e**d is
-        irrational otherwise) gives 0: in lowest terms it needs num(k) =
-        den(r)**m and den(k) = num(r)**m, which bit lengths rule out before
-        any power is built.  Else decimal logs decide, their precision P
-        doubled until |g| exceeds 10**(2 - P) times the sizes (_decimals),
-        five times g's error, as each step rounds within 10**(1 - P) / 2."""
+        """Sign of g(m), m >= 0.  A tie k * r**m = 1 (possible only for d = 0, as e**d
+        is irrational otherwise) gives 0: in lowest terms it needs num(k) = den(r)**m and
+        den(k) = num(r)**m, which bit lengths rule out before any power is built.  Else
+        G = 2**b (d + ln k) + m 2**b ln r (_fixed) is within m + 2 of 2**b g(m), so G's
+        sign is g's once |G| > m + 2; b starts at 64 + bitlen(m), or the largest memoised
+        b, and doubles."""
         k, r = self.k, self.r
-        if self._floats is not None and m.bit_length() < 1000:
-            f_d, f_k, f_r = self._floats
-            g = f_d + f_k + m * f_r
-            if abs(g) > 2.0**-40 * (abs(f_d) + abs(f_k) + m * abs(f_r)) + (m + 2) * 2.0**-1070:
-                return 1 if g > 0 else -1
         if self.d == 0 and all(m * (b.bit_length() - 1) < a.bit_length() <= max(m * b.bit_length(), 1) and a == b**m
                                for a, b in ((k.numerator, r.denominator), (k.denominator, r.numerator))):
             return 0
-        prec = max([(m.bit_length() + r.denominator.bit_length()) // 3 + 10, *self._decimal_terms])
+        b = max([64 + m.bit_length(), *self._terms])
         while True:
-            with decimal.localcontext() as ctx:
-                ctx.prec = prec
-                g0, ln_r, size0, size_r = self._decimals()
-                g = g0 + m * ln_r
-                if abs(g) > (size0 + m * size_r).scaleb(2 - prec):
-                    return 1 if g > 0 else -1
-            prec *= 2
+            g0, ln_r = self._fixed(b)
+            g = g0 + m * ln_r
+            if abs(g) > m + 2:
+                return 1 if g > 0 else -1
+            b *= 2
 
     def least_crossing(self) -> int:
         """Least m >= 0 with g(m) <= 0, for r < 1: ceil(-(d + ln k) / ln r)
-        from float logs where below 2**50, else from decimal logs precise
-        enough to keep it within about 1, then moved by exact signs."""
-        f_d, f_k, f_r = self._floats or (0.0, 0.0, 0.0)
-        q = (f_d + f_k) / -f_r if f_r < 0 else math.inf
-        if abs(q) < 2**50:
-            m = max(0, math.ceil(q))
-        else:
-            k, r, d = self.k, self.r, self.d
-            size = abs(d.numerator) // d.denominator + k.numerator.bit_length() + k.denominator.bit_length()
-            with decimal.localcontext() as ctx:
-                ctx.prec = (2 * r.denominator.bit_length() + size.bit_length()) // 3 + 10
-                g0, ln_r, _, _ = self._decimals()
-                m = max(0, int((g0 / -ln_r).to_integral_value(decimal.ROUND_CEILING)))
+        from fixed-point logs at b = 2 bitlen(den r) + bitlen(size) + 8 bits,
+        size >= |d + ln k|.  As |ln r| >= 1 / den r, that ratio is then off
+        by under 2**-6, so exact signs move it by at most one step."""
+        k, r, d = self.k, self.r, self.d
+        size = abs(d.numerator) // d.denominator + k.numerator.bit_length() + k.denominator.bit_length()
+        g0, ln_r = self._fixed(2 * r.denominator.bit_length() + size.bit_length() + 8)
+        m = max(0, -(g0 // ln_r))
         while self.sign(m) > 0:
             m += 1
         while m > 0 and self.sign(m - 1) <= 0:

@@ -86,10 +86,6 @@ class WeightSequence:
             (self.wp[k] for k in range(self.lo, self.hi + 1)), mul, initial=Fraction(1),
         ))
 
-    def weight_at(self, k: int) -> Fraction | float:
-        """The weight itself, exact when its p-th root is rational."""
-        return weight_product(self, k, k)
-
     def has_tail_rules(self) -> bool:
         if self.side == UNILATERAL:
             return self.right_tail is not None
@@ -219,11 +215,6 @@ def lp_distance(x: SeqVector, y: SeqVector, p: Fraction | float) -> float:
     gaps = [abs(v - ys.get(n, 0)) for n, v in x.entries.items()]
     gaps += [abs(v) for n, v in ys.items() if n not in x.entries]
     return sum(g**pf for g in gaps) ** (1.0 / pf)
-
-
-def lp_norm_seq(x: SeqVector, p: Fraction | float) -> float:
-    """Float p-norm of a finitely supported sequence."""
-    return lp_distance(x, SeqVector(x.side), p)
 
 
 def _check_sides(w: WeightSequence, x: SeqVector) -> None:

@@ -219,6 +219,16 @@ def test_broken_configs_exit_2_with_one_line(case, command):
     assert err.startswith("shiftlab: invalid config: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+def _shiftlab_subprocess(tmp_path, doc, argv, timeout):
+    """``python -m shiftlab argv --config doc`` from this checkout's src/, killed after ``timeout`` seconds."""
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "shiftlab", *argv, "--config", str(config)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 # configs/dyadic.json with one value that once stalled report for seconds or
 # more: p just above 1, whose weight roots were taken after a millionth
 # power; decimal exponents, whose 10**|e| Fraction(str) built in full
@@ -236,13 +246,18 @@ def test_hostile_values_end_in_a_subprocess_within_2_s(tmp_path, name):
     doc = copy.deepcopy(_DYADIC)
     parent, key = _at(doc, path)
     parent[key] = value
-    config = tmp_path / "system.json"
-    config.write_text(json.dumps(doc))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "shiftlab", "report", "--config", str(config)],
-                          capture_output=True, text=True, env=env, timeout=2)
+    proc = _shiftlab_subprocess(tmp_path, doc, ["report"], timeout=2)
     assert proc.returncode in codes, proc.stderr
     if proc.returncode == 2:
         assert proc.stdout == "" and proc.stderr.startswith("shiftlab: invalid config: ")
         assert proc.stderr.count("\n") == 1
+
+
+def test_tails_within_10_to_the_minus_1800_of_1_end_within_5_s(tmp_path):
+    # the tail crossings lie near 10**1800 steps, so LogGap takes logs at
+    # about 12,000 bits, where decimal logs once took 28 s on a 2-core VM
+    tail = "0." + "9" * 1800
+    doc = {"cells": ["B1"], "mu": {"0": ["1"], "1": ["1/100"], "2": ["1"]}, "p": "1",
+           "tails": {"left": tail, "right": tail}, "window": {"min": 0, "max": 2}}
+    proc = _shiftlab_subprocess(tmp_path, doc, ["criteria", "--samples", "0"], timeout=5)
+    assert proc.returncode == 0, proc.stderr

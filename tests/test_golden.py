@@ -12,7 +12,12 @@ and two decaying windows, on which the weak-mixing decay search runs
 through float coefficient powers and inexact roots:
 
 - ``decay32.json``: half-span 6, p = 3/2, 3 cells, tails 1/2 and 1/3;
-- ``decay2.json``: half-span 8, p = 2, 4 cells, tails 1/3 and 1/2.
+- ``decay2.json``: half-span 8, p = 2, 4 cells, tails 1/3 and 1/2;
+
+and ``near400.json``, the window [0, 2] with one cell, masses 1, 1/100, 1,
+p = 1 and both tails 1 - 10**-400, on which the weak-mixing tail steps and
+the conditionmix supremum are crossings of ``rationals.LogGap`` near
+10**400 steps.
 
 The flat windows' masses are drawn by perfbench's flat-window generator and
 the decaying ones by its decaying-window generator, each from
@@ -38,6 +43,7 @@ CONFIGS = {
     "decay32": GOLDEN / "decay32.json",
     "dyadic": ROOT / "configs" / "dyadic.json",
     "flat": ROOT / "configs" / "flat.json",
+    "near400": GOLDEN / "near400.json",
     "window_only": ROOT / "configs" / "window_only.json",
     "wide020": GOLDEN / "wide020.json",
     "wide100": GOLDEN / "wide100.json",

@@ -8,7 +8,7 @@ from shiftlab import (
     apply_backward,
     construct_hc_approx,
     derive_weights,
-    lp_norm_seq,
+    lp_distance,
     orbit_density_report,
 )
 from shiftlab.errors import HorizonExhausted
@@ -31,7 +31,7 @@ def test_approx_on_dyadic_weights(dyadic):
     # the defects really are the iterated-shift distances
     for m, y, d in zip(result.schedule, canonical_targets(), result.defects):
         minus_y = SeqVector(y.side, {n: -v for n, v in y.entries.items()})
-        direct = lp_norm_seq(apply_backward(w, result.vector, m).plus(minus_y), w.p)
+        direct = lp_distance(apply_backward(w, result.vector, m).plus(minus_y), SeqVector(BILATERAL), w.p)
         assert direct == pytest.approx(d)
 
 

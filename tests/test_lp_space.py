@@ -26,9 +26,11 @@ def test_composition_moves_coefficients_down():
     assert moved.coeffs == {(-2, 0): Fraction(2), (1, 1): Fraction(-1)}
 
 
-def test_inverse_composition_undoes_forward():
-    phi = StepFunction({(0, 0): Fraction(2), (-4, 0): Fraction(1, 3)})
-    assert apply_Tf_inverse(apply_Tf(phi, 5), 5).coeffs == phi.coeffs
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(0, 6))
+def test_inverse_composition_undoes_forward(rng, n):
+    phi = random_step_function(rng, random_system(rng))
+    assert apply_Tf_inverse(apply_Tf(phi, n), n).coeffs == phi.coeffs
 
 
 def test_zero_coefficients_are_dropped():

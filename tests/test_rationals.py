@@ -10,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shiftlab import rationals
 from shiftlab.errors import ConfigError
 from shiftlab.rationals import (
     LogGap,
     _float_log,
+    _ln_fixed,
     abs_pow,
     as_fraction,
     fraction_pow,
@@ -266,3 +268,63 @@ def test_float_log_is_within_its_bound(q):
     exact = decimal_gap(q, Fraction(1), 0, Fraction(0), 60 + q.denominator.bit_length() // 3)
     error = abs(Decimal(_float_log(q)) - exact)
     assert error <= Decimal(11 * 2.0**-53) * abs(exact) + Decimal(2.0**-1073)
+
+
+# -- _ln_fixed: integer fixed-point logs against decimal ----------------------
+
+
+def reference_ln(q: Fraction, bits: int) -> Decimal:
+    """2**bits * ln q from decimal logs at twice the digits its units need."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * (bits * 30103 // 100000 + 16)
+        return decimal_ln(q) * 2**bits
+
+
+def assert_within_one_unit(q: Fraction, bits: int) -> None:
+    got = _ln_fixed(q, bits)
+    assert abs(got - reference_ln(q, bits)) < 1, (q, bits, got)
+
+
+precisions = st.integers(0, 1500)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10**4).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1)), bits=precisions,
+       invert=st.booleans())
+@example(n=1, bits=0, invert=False)
+@example(n=3**6000, bits=1500, invert=True)
+def test_ln_fixed_on_integers_up_to_10_to_the_4_bits(n, bits, invert):
+    assert_within_one_unit(Fraction(1, n) if invert else Fraction(n), bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=st.integers(2, 10**4), offset=st.integers(-3, 3), bits=precisions, invert=st.booleans())
+@example(e=2, offset=-3, bits=0, invert=False)
+@example(e=10**4, offset=-1, bits=1500, invert=False)
+def test_ln_fixed_next_to_powers_of_two(e, offset, bits, invert):
+    n = 2**e + offset
+    assert_within_one_unit(Fraction(1, n) if invert else Fraction(n), bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 450), step=st.integers(-9, 9).filter(bool), bits=precisions)
+@example(k=450, step=-1, bits=1500)
+def test_ln_fixed_within_10_to_the_minus_k_of_1(k, step, bits):
+    assert_within_one_unit(1 + Fraction(step, 10**k), bits)
+
+
+def test_ln_fixed_guard_bits_cover_the_series_bound_in_full(monkeypatch):
+    # _atanh_ln may be off by up to 2**(s + bitlen(w) + 2) units.  A stand-in
+    # off by just under that, upward, for ln x and ln 2 alike, puts L0 just
+    # under 2**(g-1) above its target when 1 + e is a power of two: so one
+    # guard bit fewer could leave _ln_fixed a whole unit off
+    def worst_case(y: int, w: int, s: int) -> int:
+        with decimal.localcontext() as ctx:
+            ctx.prec = 2 * (w * 30103 // 100000 + 16)
+            exact = (Decimal(y).ln() - Decimal(2**w).ln()) * 2**w
+        return int(exact.to_integral_value(decimal.ROUND_FLOOR)) + 2 ** (s + w.bit_length() + 2) - 1
+
+    monkeypatch.setattr(rationals, "_atanh_ln", worst_case)
+    for e in (1, 3, 7, 15, 31, 63):
+        for bits in range(40, 640, 50):
+            assert_within_one_unit(2**e * Fraction(7, 5), bits)

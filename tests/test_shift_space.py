@@ -16,7 +16,6 @@ from shiftlab import (
     apply_forward_inverse,
     derive_weights,
     lp_distance,
-    lp_norm_seq,
     weight_product,
     wp_product,
 )
@@ -45,9 +44,9 @@ def test_weight_root_exact_when_possible():
         p=Fraction(2), side=UNILATERAL, lo=1, hi=2,
         wp={1: Fraction(4), 2: Fraction(2)}, right_tail=(Fraction(9, 4),),
     )
-    assert w.weight_at(1) == Fraction(2)
-    assert isinstance(w.weight_at(2), float)
-    assert w.weight_at(3) == Fraction(3, 2)
+    assert weight_product(w, 1, 1) == Fraction(2)
+    assert isinstance(weight_product(w, 2, 2), float)
+    assert weight_product(w, 3, 3) == Fraction(3, 2)
 
 
 def test_tail_indexing_is_periodic():
@@ -137,11 +136,11 @@ def test_seq_vector_round_trip_and_cleanup():
         SeqVector(UNILATERAL, {-1: 1.0})
 
 
-def test_lp_norm_seq_values():
-    x = SeqVector(BILATERAL, {0: 3.0, 1: -4.0})
-    assert lp_norm_seq(x, Fraction(1)) == pytest.approx(7.0)
-    assert lp_norm_seq(x, Fraction(2)) == pytest.approx(5.0)
-    assert lp_norm_seq(SeqVector(BILATERAL, {}), Fraction(2)) == 0.0
+def test_lp_distance_from_the_zero_vector_values():
+    x, zero = SeqVector(BILATERAL, {0: 3.0, 1: -4.0}), SeqVector(BILATERAL)
+    assert lp_distance(x, zero, Fraction(1)) == pytest.approx(7.0)
+    assert lp_distance(x, zero, Fraction(2)) == pytest.approx(5.0)
+    assert lp_distance(zero, zero, Fraction(2)) == 0.0
 
 
 _entry = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -166,9 +165,8 @@ def test_lp_distance_matches_the_norm_of_the_difference(x, y, support, p):
     a, b = SeqVector(BILATERAL, x), SeqVector(BILATERAL, y)
     diff = a.plus(SeqVector(BILATERAL, {n: -1 * v for n, v in y.items()}))
     old = sum(abs(v) ** float(p) for v in diff.entries.values()) ** (1.0 / float(p))
-    assert lp_norm_seq(diff, p).hex() == old.hex()
+    assert lp_distance(diff, SeqVector(BILATERAL), p).hex() == old.hex()
     assert lp_distance(a, b, p).hex() == old.hex()
-    assert lp_distance(a, SeqVector(BILATERAL), p).hex() == lp_norm_seq(a, p).hex()
 
 
 def test_lp_distance_rejects_mixed_sides():
@@ -191,7 +189,7 @@ def test_constant_system_has_unit_weights():
     w = derive_weights(flat)
     for k in range(-10, 11):
         assert w.wp_at(k) == 1
-        assert w.weight_at(k) == 1
+        assert weight_product(w, k, k) == 1
 
 
 def test_quartic_growth_gives_constant_half_weights():
@@ -203,7 +201,7 @@ def test_quartic_growth_gives_constant_half_weights():
     w = derive_weights(quartic)
     for k in range(-6, 7):
         assert w.wp_at(k) == Fraction(1, 4)
-        assert w.weight_at(k) == Fraction(1, 2)
+        assert weight_product(w, k, k) == Fraction(1, 2)
 
 
 def test_backward_shift_norm_bounded_by_sup_weight():
@@ -217,9 +215,10 @@ def test_backward_shift_norm_bounded_by_sup_weight():
         })
         if not x.entries:
             continue
-        sup_w = max(float(w.weight_at(j)) for j in x.entries)
-        lhs = lp_norm_seq(apply_backward(w, x), w.p)
-        rhs = sup_w * lp_norm_seq(x, w.p)
+        sup_w = max(float(weight_product(w, j, j)) for j in x.entries)
+        zero = SeqVector(BILATERAL)
+        lhs = lp_distance(apply_backward(w, x), zero, w.p)
+        rhs = sup_w * lp_distance(x, zero, w.p)
         assert lhs <= rhs * (1 + 1e-9)
 
 

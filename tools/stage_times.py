@@ -4,7 +4,7 @@
     python tools/stage_times.py --label after --repeat 9 configs/flat.json
 
 Runs ``cli.run_command("report", ...)`` in-process on each config (by
-default ``configs/*.json`` and five golden windows), loading the config
+default ``configs/*.json`` and six golden windows), loading the config
 afresh each time, and writes the medians in seconds to ``BENCH_<label>.json``.
 A stage is a call that ``run_command`` makes: the two structural constants,
 ``derive_weights``, each of the seven criteria, ``semicheck`` and the orbit
@@ -28,7 +28,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from shiftlab import cli  # noqa: E402
 from shiftlab.measure_system import MeasureSystem  # noqa: E402
 
-GOLDEN = ("wide020", "wide100", "wide200", "decay2", "decay32")
+GOLDEN = ("wide020", "wide100", "wide200", "decay2", "decay32", "near400")
 STAGES = [(MeasureSystem, "validate_star"), (MeasureSystem, "distortion_constant")] + [(cli, name) for name in (
     "derive_weights", "hypercyclicity_report", "shift_hypercyclicity_report", "weak_mixing_consistency",
     "menet_unilateral", "conditionmix_lhs", "_cofinite_report", "_telescoping_report",
