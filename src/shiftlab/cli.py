@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,7 +96,7 @@ def _cofinite_report(system: MeasureSystem) -> CriterionReport:
         verdict = Verdict.VIOLATED if system.has_tails else Verdict.INCONCLUSIVE
         return CriterionReport("cofinite_quotient", verdict, {}, str(exc))
     return CriterionReport(
-        "cofinite_quotient", Verdict.SATISFIED, witness.to_dict(),
+        "cofinite_quotient", Verdict.SATISFIED, vars(witness),
         "one-step pullback does not expand on the chosen levels",
     )
 
@@ -111,7 +112,7 @@ def _telescoping_report(system: MeasureSystem) -> CriterionReport:
     if deep_ratio <= 1:
         return CriterionReport(
             "telescoping_bound", Verdict.INCONCLUSIVE,
-            {"deep_right_ratio": str(deep_ratio)},
+            {"deep_right_ratio": deep_ratio},
             "deep one-step ratios do not exceed 1, so no block constant > 1 applies",
         )
     n_k = 8
@@ -121,7 +122,7 @@ def _telescoping_report(system: MeasureSystem) -> CriterionReport:
     return CriterionReport(
         "telescoping_bound",
         Verdict.SATISFIED if result.holds else Verdict.VIOLATED,
-        {**result.to_dict(), "j": j, "n_k": n_k, "n": 1, "cp": str(cp)},
+        {**vars(result), "j": j, "n_k": n_k, "n": 1, "cp": cp},
         "deep backward mass ratio dominates the block bound",
     )
 
@@ -141,7 +142,7 @@ def _experiment(system: MeasureSystem, w: WeightSequence, *, eps: float, horizon
         return {"error": str(exc)}
     except (OverflowError, ZeroDivisionError) as exc:
         return {"error": f"weight products leave the float range within {horizon} steps: {exc}"}
-    return {"approx": approx.to_dict(), "orbit": density.to_dict()}
+    return {"approx": approx, "orbit": density}
 
 
 def _system_section(system: MeasureSystem, c: Fraction, big_k: Fraction) -> dict:
@@ -230,8 +231,7 @@ def run_command(
     if command in ("weights", "report"):
         result["weights"] = _weights_section(w)
     if command in ("criteria", "report"):
-        reports = _criterion_reports(system, w, seed=seed, samples=samples)
-        result["reports"] = [r.to_dict() for r in reports]
+        result["reports"] = _criterion_reports(system, w, seed=seed, samples=samples)
     if command in ("semicheck", "report"):
         result["semicheck"] = _semicheck_section(system, w, samples=samples)
     if command in ("orbit", "report"):
@@ -239,8 +239,20 @@ def run_command(
     return result
 
 
+def _encode(value):
+    """The JSON form of the values ``json`` does not know: a Fraction as its
+    string, a SeqVector in its own format, a result record as its fields."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, SeqVector):
+        return value.to_dict()
+    if is_dataclass(value):
+        return vars(value)
+    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+
+
 def render_json(result: dict) -> str:
-    return json.dumps(result, sort_keys=True, indent=2) + "\n"
+    return json.dumps(result, sort_keys=True, indent=2, default=_encode) + "\n"
 
 
 def render_csv(result: dict) -> str:
@@ -257,12 +269,12 @@ def render_csv(result: dict) -> str:
             writer.writerow(["weight", f"wp({k})", value, ""])
     if "reports" in result:
         for rep in result["reports"]:
-            writer.writerow(["report", rep["criterion"], rep["verdict"], rep["notes"]])
+            writer.writerow(["report", rep.criterion, rep.verdict, rep.notes])
     if "semicheck" in result:
         writer.writerow(["semicheck", "max_defect", result["semicheck"]["max_defect"], ""])
     experiment = result.get("experiment")
     if experiment is not None and "orbit" in experiment:
-        writer.writerow(["experiment", "orbit_fraction", experiment["orbit"]["fraction"], ""])
+        writer.writerow(["experiment", "orbit_fraction", experiment["orbit"].fraction, ""])
     return buf.getvalue()
 
 
@@ -331,9 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"shiftlab: cannot write output: {exc}", file=sys.stderr)
             return 64
-    if args.strict and any(
-        rep["verdict"] == Verdict.INCONCLUSIVE.value for rep in result.get("reports", [])
-    ):
+    if args.strict and any(rep.verdict is Verdict.INCONCLUSIVE for rep in result.get("reports", [])):
         return 3
     return 0
 

@@ -83,14 +83,6 @@ class CriterionReport:
     witness: dict = field(default_factory=dict)
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "verdict": self.verdict.value,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
-
 
 def _frac_or_float(v: Fraction | float) -> str | float:
     """Witness encoding: exact rationals as strings, floats as numbers."""
@@ -619,16 +611,6 @@ class CofiniteWitness:
     quotient_pp: Fraction | float
     pairings: tuple[Fraction, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "shift": self.shift,
-            "levels": list(self.levels),
-            "coeffs": [str(v) for v in self.coeffs],
-            "level_ratios": [str(v) for v in self.level_ratios],
-            "quotient_pp": _frac_or_float(self.quotient_pp),
-            "pairings": [str(v) for v in self.pairings],
-        }
-
 
 def _admissible_levels(system: MeasureSystem, n: int, count: int) -> list[int]:
     """First ``count`` levels, scanning upward, whose n-step backward mass
@@ -733,17 +715,6 @@ class TelescopingBound:
     remainder: int
     star_c: Fraction
     checked_range: tuple[int, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "blocks": self.blocks,
-            "remainder": self.remainder,
-            "star_c": str(self.star_c),
-            "checked_range": list(self.checked_range),
-        }
 
 
 def telescoping_bound_check(

@@ -31,14 +31,6 @@ class HCApproxResult:
     vector: SeqVector
     defects: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "gap": self.gap,
-            "schedule": list(self.schedule),
-            "vector": self.vector.to_dict(),
-            "defects": list(self.defects),
-        }
-
 
 def construct_hc_approx(
     w: WeightSequence,
@@ -87,25 +79,11 @@ class OrbitHit:
     best_distance: float
     hit: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "target_index": self.target_index,
-            "best_step": self.best_step,
-            "best_distance": self.best_distance,
-            "hit": self.hit,
-        }
-
 
 @dataclass
 class OrbitDensityReport:
     fraction: float
     hits: tuple[OrbitHit, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "fraction": self.fraction,
-            "hits": [h.to_dict() for h in self.hits],
-        }
 
 
 def orbit_density_report(

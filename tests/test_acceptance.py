@@ -31,10 +31,10 @@ from shiftlab import (
 )
 from shiftlab.cli import main
 from shiftlab.shift_space import UNILATERAL, WeightSequence
-from shiftlab.sampling import random_step_function, random_system
+from shiftlab.sampling import random_step_function
 
 from conftest import make_dyadic
-from generators import random_decay_system, random_functional
+from generators import random_decay_system, random_functional, random_system
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

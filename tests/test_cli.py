@@ -378,6 +378,13 @@ def test_csv_output(capsys):
     assert any(line.startswith("report,hypercyclicity,Satisfied") for line in lines)
 
 
+@pytest.mark.parametrize("value", [1j, object()], ids=["complex", "object"])
+def test_render_json_refuses_a_type_it_does_not_know(value):
+    # no fallback to str(): a new record type must not print its repr
+    with pytest.raises(TypeError):
+        cli.render_json({"v": value})
+
+
 def test_window_only_config_is_inconclusive_and_strict_fails(capsys):
     config = str(CONFIGS / "window_only.json")
     code, out, _ = run(capsys, "report", "--config", config)

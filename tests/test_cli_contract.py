@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from shiftlab.cli import COMMANDS, main
 from shiftlab.measure_system import MeasureSystem
-from shiftlab.sampling import P_POOL, random_system
+from shiftlab.sampling import P_POOL
+
+from generators import random_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -229,20 +231,34 @@ def _shiftlab_subprocess(tmp_path, doc, argv, timeout):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
+def _hangs(reason):
+    # strict: once the hang is fixed the case passes, and the XPASS fails
+    # the run until the mark comes off
+    return pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason=reason)
+
+
 # configs/dyadic.json with one value that once stalled report for seconds or
 # more: p just above 1, whose weight roots were taken after a millionth
-# power; decimal exponents, whose 10**|e| Fraction(str) built in full
-_HOSTILE = {
-    "p_near_1": (("p",), "1000001/1000000", (0, 2)),
-    "p_exponent": (("p",), "1e9999999", (2,)),
-    "mass_exponent": (("mu", "2", 0), "1e200000", (2,)),
-    "negative_exponent": (("tails", "left"), "1e-9999999", (2,)),
-}
+# power; decimal exponents, whose 10**|e| Fraction(str) built in full.  Two
+# valid values still stall it: a left tail of 1e-4000, whose cell masses
+# leave the float range, so the decay search sums exact Fraction totals of
+# millions of bits; and both tails 1 - 10**-3000, whose weak-mixing
+# crossings take LogGap logs at about 20,000 bits
+_NINES = "0." + "9" * 3000
+_HOSTILE = [
+    pytest.param(("p",), "1000001/1000000", (0, 2), id="p_near_1"),
+    pytest.param(("p",), "1e9999999", (2,), id="p_exponent"),
+    pytest.param(("mu", "2", 0), "1e200000", (2,), id="mass_exponent"),
+    pytest.param(("tails", "left"), "1e-9999999", (2,), id="negative_exponent"),
+    pytest.param(("tails", "left"), "1e-4000", (0,), id="tail_below_float_range",
+                 marks=_hangs("exact shifted_power_sum totals once masses leave the float range")),
+    pytest.param(("tails",), {"left": _NINES, "right": _NINES}, (0,), id="tails_1_minus_1e-3000",
+                 marks=_hangs("LogGap.least_crossing at about 20,000 bits per weak-mixing sample")),
+]
 
 
-@pytest.mark.parametrize("name", sorted(_HOSTILE))
-def test_hostile_values_end_in_a_subprocess_within_2_s(tmp_path, name):
-    path, value, codes = _HOSTILE[name]
+@pytest.mark.parametrize("path, value, codes", _HOSTILE)
+def test_hostile_values_end_in_a_subprocess_within_2_s(tmp_path, path, value, codes):
     doc = copy.deepcopy(_DYADIC)
     parent, key = _at(doc, path)
     parent[key] = value

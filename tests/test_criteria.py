@@ -31,9 +31,9 @@ from shiftlab import (
 from shiftlab.criteria import DECAY_TOL, _first_decay_step
 from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabError, TailRuleMissing
 from shiftlab.lp_space import gs_decay_check
-from shiftlab.sampling import random_step_function, random_system
+from shiftlab.sampling import random_step_function
 
-from generators import random_functional
+from generators import random_functional, random_system
 
 
 def single_cell(masses: dict[int, Fraction], left, right, p="1") -> MeasureSystem:

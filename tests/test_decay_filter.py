@@ -20,7 +20,9 @@ from shiftlab import MeasureSystem, StepFunction
 from shiftlab import criteria
 from shiftlab.criteria import DECAY_TOL, Verdict, _DecaySearch, _first_decay_step, weak_mixing_consistency
 from shiftlab.lp_space import is_exact, lp_powers, shifted_power_sum
-from shiftlab.sampling import random_step_function, random_system
+from shiftlab.sampling import random_step_function
+
+from generators import random_system
 
 DECAYING_TAILS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 

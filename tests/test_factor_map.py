@@ -20,8 +20,10 @@ from shiftlab import (
 from shiftlab import cli
 from shiftlab.errors import InconsistentWitness
 from shiftlab.rationals import abs_pow
-from shiftlab.sampling import random_step_function, random_system, support_levels
+from shiftlab.sampling import random_step_function, support_levels
 from shiftlab.shift_space import wp_product
+
+from generators import random_system
 
 
 def test_projection_of_wandering_indicator(dyadic):

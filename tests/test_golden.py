@@ -26,10 +26,15 @@ the decaying ones by its decaying-window generator, each from
 ``*.orbit2000.json`` lock the ``orbit --horizon 2000 --seed 5`` documents of
 ``dyadic`` and ``wide020``, so the orbit experiment is pinned over a long
 run as well as at the default horizon inside ``report``.
+
+Every other subcommand is locked to the same files: its JSON sections are
+those of the ``report`` document, and its CSV rows appear in the ``report``
+CSV in the same order.
 """
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -51,20 +56,45 @@ CONFIGS = {
 }
 
 
+def _run(command, name, fmt, *flags):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([command, "--config", str(CONFIGS[name]), "--seed", "5", "--output", fmt, *flags])
+    assert code == 0
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_report_matches_golden_bytes(name, fmt):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(["report", "--config", str(CONFIGS[name]), "--seed", "5", "--output", fmt])
-    assert code == 0
-    assert buf.getvalue() == (GOLDEN / f"{name}.report.{fmt}").read_text()
+    assert _run("report", name, fmt) == (GOLDEN / f"{name}.report.{fmt}").read_text()
+
+
+def _canonical(section):
+    # compare encodings, not parsed values, so that -0.0 and 0.0, or 1 and
+    # 1.0, do not pass for each other
+    return json.dumps(section, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["validate", "weights", "criteria", "semicheck", "orbit"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_subcommand_json_sections_match_the_report_golden(name, command):
+    doc = json.loads(_run(command, name, "json"))
+    report = json.loads((GOLDEN / f"{name}.report.json").read_text())
+    assert doc.pop("command") == command
+    assert set(doc) <= set(report)
+    for key, section in doc.items():
+        assert _canonical(section) == _canonical(report[key]), key
+
+
+@pytest.mark.parametrize("command", ["validate", "weights", "criteria", "semicheck", "orbit"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_subcommand_csv_rows_appear_in_the_report_golden_in_order(name, command):
+    rows = iter((GOLDEN / f"{name}.report.csv").read_text().splitlines())
+    for row in _run(command, name, "csv").splitlines():
+        assert row in rows, row  # consumes the golden rows up to the match
 
 
 @pytest.mark.parametrize("name", ["dyadic", "wide020"])
 def test_orbit_matches_golden_bytes_at_horizon_2000(name):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(["orbit", "--config", str(CONFIGS[name]), "--seed", "5", "--horizon", "2000"])
-    assert code == 0
-    assert buf.getvalue() == (GOLDEN / f"{name}.orbit2000.json").read_text()
+    assert _run("orbit", name, "json", "--horizon", "2000") == (GOLDEN / f"{name}.orbit2000.json").read_text()

@@ -17,7 +17,9 @@ from shiftlab import (
 from shiftlab.criteria import weak_mixing_consistency
 from shiftlab.lp_space import lp_powers, shifted_power_sum
 from shiftlab.rationals import abs_pow, fraction_pow, log_fraction
-from shiftlab.sampling import random_step_function, random_system
+from shiftlab.sampling import random_step_function
+
+from generators import random_system
 
 
 def test_composition_moves_coefficients_down():

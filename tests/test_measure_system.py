@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from shiftlab import MeasureSystem
 from shiftlab.errors import ConfigError, EmptyWindow, NonPositiveMeasure, TailRuleMissing
-from shiftlab.sampling import random_system
 from shiftlab.shift_space import UNILATERAL, WeightSequence
 
 from conftest import make_dyadic
+from generators import random_system
 
 
 def test_dyadic_star_constant(dyadic):

@@ -20,7 +20,9 @@ from shiftlab import (
     wp_product,
 )
 from shiftlab.errors import ConfigError, TailRuleMissing
-from shiftlab.sampling import P_POOL, random_system
+from shiftlab.sampling import P_POOL
+
+from generators import random_system
 
 
 def test_derived_dyadic_weights(dyadic):

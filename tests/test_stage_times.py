@@ -24,3 +24,7 @@ def test_stage_times_writes_the_medians_of_each_stage(tmp_path):
             "menet_unilateral", "_semicheck_section", "_experiment", "total"} <= set(stages)
     assert all(t >= 0 for t in stages.values())
     assert sum(t for name, t in stages.items() if name != "total") <= stages["total"]
+    assert isinstance(doc["bytecode_cache"], bool)
+    walls = doc["process_wall"]["flat"]
+    assert set(walls) == {"validate", "report"}
+    assert all(t > 0 for t in walls.values())

@@ -9,6 +9,18 @@ afresh each time, and writes the medians in seconds to ``BENCH_<label>.json``.
 A stage is a call that ``run_command`` makes: the two structural constants,
 ``derive_weights``, each of the seven criteria, ``semicheck`` and the orbit
 experiment; a stage called inside another counts only in the outer one.
+
+It also writes, per config, the median wall time of whole ``python -m
+shiftlab validate`` and ``report`` processes over the same repeat, which is
+the end-to-end figure, and whether those processes could write the bytecode
+cache (``PYTHONDONTWRITEBYTECODE`` or ``-B`` turn it off, and then every
+process recompiles ``src/``).
+
+Every figure of one tree comes from one run of this script, and on a 2-core
+VM one process can run about 1.4 times slower than the next, so one run per
+tree cannot order two trees within about 40%: interleave several runs of
+each tree before comparing them.
+
 Standard library only; it imports ``shiftlab`` from this checkout's ``src/``.
 """
 
@@ -16,8 +28,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -71,6 +85,24 @@ def time_config(path: Path, repeat: int, seed: int, samples: int) -> dict:
     return {name: statistics.median(run[name] for run in runs) for name in runs[0]}
 
 
+def process_wall(path: Path, repeat: int, seed: int, samples: int) -> dict:
+    """Median wall seconds of a ``validate`` and a ``report`` process over repeat runs."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    if sys.dont_write_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    walls = {}
+    for command in ("validate", "report"):
+        argv = [sys.executable, "-m", "shiftlab", command, "--config", str(path),
+                "--seed", str(seed), "--samples", str(samples)]
+        runs = []
+        for _ in range(repeat):
+            start = time.perf_counter()
+            subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, check=True)
+            runs.append(time.perf_counter() - start)
+        walls[command] = statistics.median(runs)
+    return walls
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -85,6 +117,8 @@ def main(argv: list[str] | None = None) -> int:
         "label": args.label, "python": platform.python_version(), "repeat": args.repeat,
         "seed": args.seed, "samples": args.samples, "unit": "s",
         "configs": {path.stem: time_config(path, args.repeat, args.seed, args.samples) for path in paths},
+        "bytecode_cache": not sys.dont_write_bytecode,
+        "process_wall": {path.stem: process_wall(path, args.repeat, args.seed, args.samples) for path in paths},
     }
     out = args.out_dir / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
