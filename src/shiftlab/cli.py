@@ -76,10 +76,11 @@ def build_parser() -> _Parser:
     flags.add_argument("--config", required=True, help="path to a system config (JSON)")
     flags.add_argument("--output", choices=("json", "csv"), default="json")
     flags.add_argument("--out", default=None, help="write to this file instead of stdout")
-    flags.add_argument("--seed", type=int, default=0, help="sampling seed (unsigned 64-bit)")
+    flags.add_argument("--seed", type=int, default=0,
+                       help="echoed in the document; no certificate reads it (unsigned 64-bit)")
     flags.add_argument("--horizon", type=int, default=64, help="step budget of the orbit experiment")
     flags.add_argument("--samples", type=int, default=100,
-                       help="step functions sampled by the weak-mixing trial and by semicheck")
+                       help="step functions semicheck reports as covered")
     flags.add_argument("--eps", type=float, default=1e-2, help="approximation budget of the orbit experiment")
     flags.add_argument("--strict", action="store_true", help="exit 3 when any verdict is InconclusiveWindow")
     parser = _Parser(prog="shiftlab", description="exact certificates for cell models and their shifts")
@@ -172,24 +173,6 @@ def _weights_section(w: WeightSequence) -> dict:
     }
 
 
-def _criterion_reports(
-    system: MeasureSystem,
-    w: WeightSequence,
-    *,
-    seed: int,
-    samples: int,
-) -> list[CriterionReport]:
-    return [
-        hypercyclicity_report(system),
-        shift_hypercyclicity_report(w),
-        weak_mixing_consistency(system, seed=seed, samples=samples),
-        menet_unilateral(w),
-        conditionmix_lhs(system),
-        _cofinite_report(system),
-        _telescoping_report(system),
-    ]
-
-
 def _semicheck_section(system: MeasureSystem, w: WeightSequence, *, samples: int) -> dict:
     # The identity is linear in phi and holds level by level (project tags
     # level k with (q_k, mu_W(k)), T_f moves q_k to k - 1, the shift scales
@@ -212,16 +195,9 @@ def _semicheck_section(system: MeasureSystem, w: WeightSequence, *, samples: int
     return {"samples": samples, "exact_zero": samples, "max_defect": "0"}
 
 
-def run_command(
-    command: str,
-    system: MeasureSystem,
-    *,
-    seed: int,
-    horizon: int,
-    samples: int,
-    eps: float,
-) -> dict:
-    """Sections for one subcommand; ``report`` gets all of them."""
+def run_command(command: str, system: MeasureSystem, *, horizon: int, samples: int, eps: float) -> dict:
+    """Sections for one subcommand; ``report`` gets all of them.  No section
+    reads ``--seed``, which the document only echoes."""
     c = system.validate_star()
     big_k = system.distortion_constant()
     result: dict = {"system": _system_section(system, c, big_k)}
@@ -231,7 +207,10 @@ def run_command(
     if command in ("weights", "report"):
         result["weights"] = _weights_section(w)
     if command in ("criteria", "report"):
-        result["reports"] = _criterion_reports(system, w, seed=seed, samples=samples)
+        result["reports"] = [
+            hypercyclicity_report(system), shift_hypercyclicity_report(w), weak_mixing_consistency(system),
+            menet_unilateral(w), conditionmix_lhs(system), _cofinite_report(system), _telescoping_report(system),
+        ]
     if command in ("semicheck", "report"):
         result["semicheck"] = _semicheck_section(system, w, samples=samples)
     if command in ("orbit", "report"):
@@ -317,14 +296,7 @@ def main(argv: list[str] | None = None) -> int:
                 "eps": args.eps,
             },
         }
-        result.update(run_command(
-            args.command,
-            system,
-            seed=args.seed,
-            horizon=args.horizon,
-            samples=args.samples,
-            eps=args.eps,
-        ))
+        result.update(run_command(args.command, system, horizon=args.horizon, samples=args.samples, eps=args.eps))
         rendered = render_json(result) if args.output == "json" else render_csv(result)
     except (UnicodeDecodeError, ConfigError, NonPositiveMeasure, EmptyWindow, TailRuleMissing) as exc:
         print(f"shiftlab: invalid config: {exc}", file=sys.stderr)

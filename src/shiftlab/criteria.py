@@ -25,9 +25,11 @@ The certificates:
 
 ``weak_mixing_consistency``
     For these shifts weak mixing of the direct sum comes with
-    hypercyclicity, so the verdict is inherited; a Satisfied verdict is
-    additionally cross-examined on random step functions, whose forward and
-    inverse iterates must decay; the tails give the decay step in closed form.
+    hypercyclicity, so the verdict is inherited; a Satisfied verdict also
+    carries the uniform decay step: the least n at which every step function
+    on the sampled levels has decayed, forward and inverse, to within a
+    relative tolerance, from one maximum over cell mass ratios per step and a
+    closed form through the tails.
 
 ``menet_unilateral`` and ``conditionmix_lhs``
     One engine, ``_sup_inf``: sup over n of inf over k of n-fold weight
@@ -52,21 +54,17 @@ The certificates:
 
 from __future__ import annotations
 
-import functools
 import math
-import random
-import sys
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, compress, islice
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .errors import HypothesisViolated, NoAdmissibleLevels
-from .lp_space import Power, StepFunction, _power, is_exact, lp_powers, shifted_power_sum
 from .measure_system import MeasureSystem
 from .rationals import LogGap, _float_log, abs_pow, pow_maybe_exact
+from .sampling import support_levels
 from .shift_space import UNILATERAL, WeightSequence, derive_weights, wp_product
 
 
@@ -181,212 +179,102 @@ def shift_hypercyclicity_report(w: WeightSequence) -> CriterionReport:
     )
 
 
-DECAY_TOL = 1e-6  # a sampled norm counts as decayed once it is at most this
-
-_U = 2.0**-53  # unit roundoff of a double
-_TINY = 2.0**-1074  # least subnormal double
-_LSE_ERROR = 2.0**-39  # log-sum-exp error on the filter's range (lp_space docstring)
+DECAY_TOL = 1e-6  # an iterate has decayed once its norm is at most this fraction of the norm it left from
 
 
-def _normal_float(q: Fraction) -> float | None:
-    """float(q), correctly rounded, or None where that is not a normal float."""
-    try:
-        f = float(q)
-    except OverflowError:
-        return None
-    return f if f >= sys.float_info.min else None
+def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int, int, int]:
+    """N, the least n >= 1 at which every nonzero step function phi on these
+    levels has ||T^n phi|| and ||T^-n phi|| at most DECAY_TOL ||phi||, and the
+    cell (k, i) with the largest ratio above it at shift s = 1 - N or N - 1.
 
-
-class _DecaySearch:
-    """What one weak_mixing_consistency call builds once for its decay
-    searches: exact and float cell masses, each distinct coefficient's
-    power, the thresholds and a float bracket of DECAY_TOL ** p; nothing is
-    stored on the system."""
-
-    def __init__(self, system: MeasureSystem) -> None:
-        self.system = system
-        mass = self.mass = functools.cache(system.mu_cell)
-        self.power = functools.lru_cache(maxsize=None, typed=True)(lambda v: _power(v, system.p))
-        # closes over mass, not self: no cycle keeps a finished call's tables alive
-        self.float_mass = functools.cache(lambda k, i: _normal_float(mass(k, i)))
-        self.log_bound = system.p * Fraction(math.log(DECAY_TOL))
-        self.bracket = self._bracket()
-
-    @functools.cached_property
-    def tol_x(self) -> Fraction:
-        """DECAY_TOL ** x for p = x/y, built only once an exact total needs it."""
-        return Fraction(DECAY_TOL) ** self.system.p.numerator
-
-    def _bracket(self) -> tuple[float, float] | None:
-        """The adjacent floats t_lo <= DECAY_TOL ** p <= t_hi (one float where
-        it is one), checked exactly as t ** y against DECAY_TOL ** x; None
-        where DECAY_TOL ** p is not a normal float."""
-        p = self.system.p
-        t = DECAY_TOL ** float(p) if p.numerator <= 512 else 0.0
-        if t < 2 * sys.float_info.min:
-            return None
-        y, tol_x = p.denominator, self.tol_x
-        while Fraction(t) ** y > tol_x:
-            t = math.nextafter(t, 0)
-        while Fraction(up := math.nextafter(t, math.inf)) ** y <= tol_x:
-            t = up
-        return t, t if Fraction(t) ** y == tol_x else math.nextafter(t, math.inf)
-
-    def float_test(self, powers: list[Power], exact: bool) -> Callable[..., bool | int | None]:
-        """One sample's filter: shift -> True where its norm has certainly
-        decayed, False where it certainly has not, None where the exact
-        predicate must decide; given a tail ratio, the tail steps from that
-        shift in place of True and False, or None (bounds in _first_decay_step)."""
-        if self.bracket is None:
-            return lambda shift, ratio=None: None
-        t_lo, t_hi = self.bracket
-        p = float(self.system.p)
-        terms = []
-        for k, i, a in powers:
-            if isinstance(a, Fraction):
-                f = _normal_float(a)
-            else:
-                f = math.exp(p * a) if abs(p * a) < 700 else None
-            if f is None:
-                return lambda shift, ratio=None: None
-            terms.append((k, i, f, not exact and isinstance(a, Fraction)))
-        err = (len(terms) + 8) * _U + (0 if exact else 2 * (_LSE_ERROR + p * 2.0**-49))
-        up, down, slack = 1 + err, 1 - err, (len(terms) + 1) * _TINY
-        err_s, log_t = 2 * (err + 2 * (len(terms) + 1) * _U) + 2 * _U, math.log(t_lo)
-        float_mass = self.float_mass
-
-        def test(shift: int, ratio: Fraction | None = None) -> bool | int | None:
-            s = 0.0
-            for k, i, f, in_log_total in terms:
-                m = float_mass(k + shift, i)
-                if m is None:
-                    return None
-                t = f * m
-                if in_log_total and not 2.0**-1021 <= t <= 2.0**1023:
-                    return None  # the exact path would log a product outside the normal range
-                s += t
-            if s * up + slack < t_lo:
-                return True if ratio is None else 0
-            if s * down - slack <= t_hi:
-                return None
-            if ratio is None:
-                return False
-            log_s, log_r = math.log(s), -_float_log(ratio)
-            x = (log_s - log_t) / log_r if log_r > 2.0**-1000 else math.inf
-            if not 0 < x < 2**50:
-                return None
-            m, delta = math.ceil(x), 16 * _U * x + 2 * (err_s + 4 * _U * (abs(log_s) + abs(log_t))) / log_r
-            return m if m - x > delta and x - (m - 1) > delta else None
-
-        return test
-
-    def tail_steps(self, total: Fraction | float, exact: bool, ratio: Fraction) -> int:
-        """Least m >= 1 with total * ratio ** m at most the threshold, for a total
-        above it: for a log total, (total - log_bound) + m * ln ratio <= 0; for
-        an exact one and p = x/y, k * ratio**(y * m) <= 1 with k = total**y /
-        DECAY_TOL**x, so m = ceil(M / y) for the least such exponent M."""
-        if not exact:
-            return LogGap(Fraction(1), ratio, Fraction(total) - self.log_bound).least_crossing()
-        y = self.system.p.denominator
-        return -(-LogGap((total if y == 1 else total**y) / self.tol_x, ratio).least_crossing() // y)
-
-
-def _first_decay_step(system: MeasureSystem, phi: StepFunction, search: _DecaySearch | None = None) -> int:
-    """Least n >= 1 at which both n-step norms of a nonzero phi, forward and
-    inverse, are at most DECAY_TOL; both tail ratios must be < 1.
-
-    A norm is decided from its p-th-power total, with no root: for p = x/y
-    an exact total t passes when t ** y <= DECAY_TOL ** x, a log total when
-    it is at most log_bound = p * log DECAY_TOL.  Steps are tried one by one
-    while part of the support lands in the window, and the inverse total is
-    summed only once the forward one has decayed.  ``search`` holds what
-    one weak_mixing_consistency call builds once.
-
-    Each such step is first put to a float filter: s, the float sum over
-    the support of float(power) * float(mass), a log power L entering as
-    exp(L) (|L| < 700), against floats t_lo <= DECAY_TOL ** p <= t_hi.
-    With u = 2**-53, n terms, all conversions correctly rounded and normal
-    and exp faithful, each product is within 4u of its term, or, where it
-    underflows, 2**-1075 more; summation adds (n - 1)u of the total S.  So
-    |s - S| <= g * S + n * 2**-1075, g = (n + 3)u / (1 - (n + 3)u).  With
-    E = (n + 8)u and slack (n + 1) * 2**-1074, which also cover the
-    roundings of 1 +- E and of the tests themselves (n < 2**26), a step has
-    decayed where s * (1 + E) + slack < t_lo and not where s * (1 - E) -
-    slack > t_hi; for an exact total that is the exact predicate's answer.
-    A log total's predicate compares its log-sum-exp, within 2**-39 of
-    ln S here (lp_space docstring; exact terms whose products with their
-    masses are not normal are left to it), with log_bound, within p * 2**-49
-    of ln DECAY_TOL ** p (math.log faithful); E grows by twice the sum of
-    the two, so the filter answers as that predicate does.  Where it cannot
-    tell, or any power or mass is not a normal float, or DECAY_TOL ** p is
-    not (p past about 51), the exact predicate decides.
-
-    From n0 on the support lies in the tails, where each total falls by the
-    tail ratio r per step (left tail forward, right tail inverse): the rest
-    is the least m with the total at n0 times r ** m at most the threshold,
-    ceil(X) for X = A / -ln r, A = ln S - ln DECAY_TOL ** p (exact total)
-    or log-sum-exp - log_bound (log total), A > 0 where the norm exceeds
-    the tolerance.  Where the filter says it does, it takes x = (log s -
-    log t_lo) / l, l = -_float_log(r), within 11u * -ln r + 2**-1073 of -ln r.
-    There s > t_hi >= 2**-1022, so slack < 2(n + 1)u * s and S / s is within
-    E' = E + 2(n + 1)u of 1; a log total's two errors add under E / 2, and
-    t_hi / t_lo <= 1 + 2u, so A is within 2E' + 2u of ln s - ln t_lo, and
-    faithful logs and the subtraction add 4u(|log s| + |log t_lo|): a total
-    e_A.  For l >= 2**-1000, l / -ln r is within 12u of 1, and the division
-    rounds by u, so |x - X| <= 15u * x + (1 + 14u) e_A / l; delta = 16u * x
-    + 2 e_A / l covers that and its own roundings.  Where m - x and x - (m
-    - 1) both exceed delta for m = ceil(x) (each difference exact by
-    Sterbenz, or rounded monotonically against the float delta), m - 1 < X
-    < m, so m is the exact answer.  Else, for x outside (0, 2**50), l below
-    2**-1000 or a tie k * r ** m = 1 (always within delta), the exact total
-    at n0 goes to _DecaySearch.tail_steps's least crossing, which never
-    builds r ** n (a tail near 1 puts it past 10**13).
+    ||T^n phi||^p / ||phi||^p is a convex combination of the cell ratios
+    r = mu(k - n, i) / mu(k, i) (+n for T^-n), so every phi decays at n exactly
+    when max r <= DECAY_TOL ** p, decided as the sign of ln r - p ln DECAY_TOL
+    (rationals.LogGap, no power built).  Past n0 every shifted cell lies in a
+    tail (< 1), where each ratio falls by the tail ratio a step: one least
+    crossing per side from the largest ratio at -n0 and n0.  Below n0 a
+    certified float filter decides first: f, a difference of two _LogTable
+    logs of a cell column, is within its bound B of ln r (_sup_inf); theta =
+    float(p) * math.log(DECAY_TOL) is within 4.1u of p ln DECAY_TOL (u =
+    2**-53), and 1 -+ 2**-49 widen it to [t_lo, t_hi] past that and their own
+    roundings (past p = 2**960, t_hi at 2**960 and t_lo = -inf).  So r exceeds
+    the tolerance where f - B > t_hi, does not where f + B < t_lo, and LogGap
+    decides between.  A step retries the cell that failed last on its side
+    before it scans them all; a side that passed with max f + B < t_lo passes
+    m more steps while max f + B + m L < t_lo (in Fractions), as each ln r
+    moves at most L = B + the largest one-step difference in a column a
+    step.  The named cell is the exact argmax, first in (level, cell) order,
+    among the cells with f >= max f - 2B, which hold all that attain it.
     """
-    search = search or _DecaySearch(system)
-    powers = lp_powers(system, phi, search.power)
-    exact = is_exact(powers)
-    y, mass, log_bound = system.p.denominator, search.mass, search.log_bound
+    p, k_min, lo, hi = system.p, system.k_min, levels.start, levels.stop - 1
+    left, right = system.left_tail, system.right_tail
+    assert left is not None and right is not None
+    n0 = max(hi - k_min, system.k_max - lo) + 1
+    first, a, b = lo - n0, n0, n0 + len(levels)  # logs[j - first] is level j; [a, b) the levels
+    tables = [_LogTable([system.mu[k][i] for k in range(k_min, system.k_max + 1)], k_min, (1 / left,), (right,),
+                        first, hi + n0) for i in range(len(system.cells))]
+    columns, bound = [t.logs for t in tables], max(t.bound for t in tables)
+    theta = float(min(p, 2**960)) * math.log(DECAY_TOL)
+    t_lo, t_hi = (theta * (1 + 2.0**-49) if p <= 2**960 else -math.inf), theta * (1 - 2.0**-49)
 
-    def above_tol(shift: int) -> Fraction | float | None:
-        """The total at this shift while its norm exceeds DECAY_TOL, else None."""
-        total = shifted_power_sum(system, powers, shift, mass)
-        exceeds = total**y > search.tol_x if exact else total > log_bound
-        return total if exceeds else None
+    def ratio(k: int, i: int, s: int) -> Fraction:
+        return system.mu_cell(k + s, i) / system.mu_cell(k, i)
 
-    float_test = search.float_test(powers, exact)
+    def above(r: Fraction) -> bool:
+        return LogGap(((r, 1), (Fraction(DECAY_TOL), -p)), Fraction(1)).sign(0) > 0
 
-    def decayed(shift: int) -> bool:
-        verdict = float_test(shift)
-        return above_tol(shift) is None if verdict is None else verdict
+    def exceeds(k: int, i: int, s: int) -> bool:
+        f = columns[i][k + s - first] - columns[i][k - first]
+        return f - bound > t_hi or (f + bound >= t_lo and above(ratio(k, i, s)))
 
-    levels = [k for k, _, _ in powers]
-    n0 = max(max(levels) - system.k_min, system.k_max - min(levels)) + 1
-    for n in range(1, n0):
-        if decayed(-n) and decayed(n):
-            return n
-    steps = [0]
-    for shift, ratio in ((-n0, system.left_tail), (n0, system.right_tail)):
-        m = float_test(shift, ratio)
-        if m is None and (total := above_tol(shift)) is not None:
-            m = search.tail_steps(total, exact, ratio)
-        steps.append(m or 0)
-    return n0 + max(steps)
+    def gaps(s: int) -> tuple[list[list[float]], float, int]:
+        """f of every cell at shift s, column by column, and the largest f and its column."""
+        rows = [list(map(sub, logs[a + s:b + s], logs[a:b])) for logs in columns]
+        top_f, i = max((max(row), i) for i, row in enumerate(rows))
+        return rows, top_f, i
+
+    def top(s: int) -> tuple[Fraction, int, int]:
+        rows, top_f, _ = gaps(s)
+        return max(((ratio(k, i, s), k, i) for k in levels for i, row in enumerate(rows)
+                    if row[k - lo] >= top_f - 2 * bound), key=itemgetter(0))
+
+    lip = Fraction(max(max(map(abs, map(sub, logs[1:], logs[:-1]))) for logs in columns)) + Fraction(bound)
+    last: dict[bool, tuple[int, int] | None] = {}
+    clear = {False: 0, True: 0}  # per side, the |shift| up to which it is known to pass
+
+    def passes(s: int) -> bool:
+        cell = last.get(s > 0)
+        if abs(s) > clear[s > 0] and (cell is None or not exceeds(*cell, s)):
+            rows, top_f, i = gaps(s)
+            if top_f - bound > t_hi:
+                cell = lo + rows[i].index(top_f), i
+            elif top_f + bound < t_lo:
+                room = Fraction(t_lo) - Fraction(top_f) - Fraction(bound)
+                cell, clear[s > 0] = None, abs(s) + math.ceil(room / lip) - 1
+            else:  # the cells within the filter's band, by decreasing f
+                band = sorted(((f, lo + j, i) for i, row in enumerate(rows) for j, f in enumerate(row)
+                               if f + bound >= t_lo), reverse=True)
+                cell = next(((k, i) for _, k, i in band if exceeds(k, i, s)), None)
+            last[s > 0] = cell
+        return cell is None
+
+    n = next((n for n in range(1, n0) if passes(-n) and passes(n)), None)
+    if n is None:
+        ends = [(LogGap(((r, 1), (Fraction(DECAY_TOL), -p)), tail).least_crossing(), k, i, s)
+                for s, tail in ((-n0, left), (n0, right)) for r, k, i in [top(s)]]
+        m, k, i, s = max(ends, key=itemgetter(0))
+        if m:
+            return n0 + m, k, i, s
+        n = n0
+    s = 1 - n if above(top(1 - n)[0]) else n - 1  # where the forward side passes at n - 1, the inverse one fails
+    return (n, *top(s)[1:], s)
 
 
-def weak_mixing_consistency(
-    system: MeasureSystem,
-    *,
-    seed: int = 0,
-    samples: int = 20,
-) -> CriterionReport:
-    """Weak mixing of the doubled operator, cross-checked by sampling.
-
-    The verdict is the hypercyclicity verdict.  When it is Satisfied, the
-    witness gives the worst first step, over random rational step functions,
-    at which their forward and inverse norms are both at most DECAY_TOL.
-    """
-    from .sampling import random_step_function
-
+def weak_mixing_consistency(system: MeasureSystem) -> CriterionReport:
+    """Weak mixing of the doubled operator: the hypercyclicity verdict.  A Satisfied
+    one carries the uniform step of every step function on ``sampling.support_levels``,
+    the levels, and the cell and direction still above the tolerance one step
+    earlier (_uniform_decay_step)."""
     base = hypercyclicity_report(system)
     if base.verdict is not Verdict.SATISFIED:
         return CriterionReport(
@@ -395,23 +283,17 @@ def weak_mixing_consistency(
             witness=dict(base.witness),
             notes="inherited: the doubled operator mixes weakly exactly when the operator itself has dense orbits",
         )
-    rng = random.Random(seed)
-    search = _DecaySearch(system)  # for this call only; the samples share levels
-    worst_n = 0
-    for _ in range(samples):
-        phi = random_step_function(rng, system)
-        if not phi.is_zero():
-            worst_n = max(worst_n, _first_decay_step(system, phi, search))
+    levels = support_levels(system)
+    n, k, i, s = _uniform_decay_step(system, levels)
     return CriterionReport(
         criterion="weak_mixing",
         verdict=Verdict.SATISFIED,
         witness={
-            **base.witness,
-            "samples": samples,
-            "tolerance": DECAY_TOL,
-            "worst_first_decay_step": worst_n,
+            **base.witness, "uniform_step": n, "levels": [levels.start, levels.stop - 1], "tolerance": DECAY_TOL,
+            "slowest_cell": {"level": k, "cell": system.cells[i], "direction": "inverse" if s > 0 else "forward"},
         },
-        notes="sampled forward and inverse iterates decayed below tolerance",
+        notes="forward and inverse iterates of every step function on the levels are within the relative tolerance "
+              "at the uniform step",
     )
 
 
@@ -419,9 +301,14 @@ def weak_mixing_consistency(
 
 
 class _LogTable:
-    """Float logs l(j) of the prefix products P(j) of w's powers, P(lo - 1) = 1, and their bound B (_sup_inf)."""
+    """Float logs l(j), j from first to last, of a column c(j) of positive
+    rationals given on [lo, lo + len - 1] and extended past it by periodic
+    tail factors: c(hi + m) is c(hi) times the first m right factors, c(lo - m)
+    is c(lo) over the first m left factors, each tuple read cyclically from
+    its start; and the bound B of the differences of two logs (_sup_inf)."""
 
-    def __init__(self, w: WeightSequence, first: int, last: int) -> None:
+    def __init__(self, column: list[Fraction], lo: int, left: tuple[Fraction, ...], right: tuple[Fraction, ...],
+                 first: int, last: int) -> None:
         def tail_logs(tail: tuple[Fraction, ...], count: int) -> tuple[list[float], float]:
             # q * ln Pi + ln pp_r for the first m = q * L + r <= count entries, and a bound on the terms' sizes
             heads = [_float_log(v) for v in accumulate(tail[:-1], mul, initial=Fraction(1))]
@@ -429,24 +316,28 @@ class _LogTable:
             logs = [q * whole + heads[r] for q, r in (divmod(m, period) for m in range(1, count + 1))]
             return logs, count // period * abs(whole) + max(map(abs, heads))
 
-        lo, hi = w.lo, w.hi
-        logs = [_float_log(v) for v in w._prefix]  # l(lo - 1) .. l(hi)
-        top, (run, size) = logs[-1], tail_logs(w.right_tail, last - hi)
+        logs = [_float_log(v) for v in column]
+        top, (run, size) = logs[-1], tail_logs(right, last - lo - len(column) + 1)
         logs, size = logs + [top + x for x in run], max(abs(top) + size, *map(abs, logs))
-        if first < lo - 1:
-            if w.left_tail is None:
-                wp_product(w, first + 1, lo - 1)  # raises TailRuleMissing on index first + 1
-            run, size_left = tail_logs(w.left_tail, lo - 1 - first)
-            logs, size = [-x for x in reversed(run)] + logs, max(size, size_left)
-        self.w, self.first, self.logs, self.bound = w, min(first, lo - 1), logs, 2.0**-47 * size + 2.0**-990
+        if first < lo:
+            bottom, (run, size_left) = logs[0], tail_logs(left, lo - first)
+            logs, size = [bottom - x for x in reversed(run)] + logs, max(size, abs(bottom) + size_left)
+        self.first, self.logs, self.bound = min(first, lo), logs, 2.0**-47 * size + 2.0**-990
 
-    def min_product(self, n: int, ks: range, floor: float = -math.inf) -> Fraction | None:
+    @classmethod
+    def of_weights(cls, w: WeightSequence, first: int, last: int) -> "_LogTable":
+        """Logs of the prefix products P(j) of w's powers, P(lo - 1) = 1."""
+        if first < w.lo - 1 and w.left_tail is None:
+            wp_product(w, first + 1, w.lo - 1)  # raises TailRuleMissing on index first + 1
+        return cls(w._prefix, w.lo - 1, w.left_tail or (), w.right_tail, first, last)
+
+    def min_product(self, w: WeightSequence, n: int, ks: range, floor: float = -math.inf) -> Fraction | None:
         """min over k in ks of wp_product(w, k + 1, k + n); None if below e**floor."""
         a, b, logs = ks.start - self.first, ks.stop - self.first, self.logs
         gaps = list(map(sub, logs[a + n:b + n], logs[a:b]))
         if (low := min(gaps)) + self.bound < floor:
             return None
-        return min(wp_product(self.w, k + 1, k + n) for k in compress(ks, map((low + 2 * self.bound).__ge__, gaps)))
+        return min(wp_product(w, k + 1, k + n) for k in compress(ks, map((low + 2 * self.bound).__ge__, gaps)))
 
 
 def _sup_inf(w: WeightSequence, k_from: int | None, n_max: int) -> tuple[Fraction, int, bool]:
@@ -484,10 +375,10 @@ def _sup_inf(w: WeightSequence, k_from: int | None, n_max: int) -> tuple[Fractio
     period = len(tail)
     cap = min(w.left_tail[0], tail[0]) if k_from is None else math.prod(tail, start=Fraction(1))
     k_last = w.hi if k_from is None else max(w.hi, 0) + period
-    table = _LogTable(w, w.lo - 1 - n_max if k_from is None else k_from, k_last + n_max)
+    table = _LogTable.of_weights(w, w.lo - 1 - n_max if k_from is None else k_from, k_last + n_max)
     best, arg, floor = Fraction(0), 0, -math.inf
     for n in range(1, n_max + 1):
-        v = table.min_product(n, range(w.lo - 1 - n if k_from is None else k_from, k_last + 1), floor)
+        v = table.min_product(w, n, range(w.lo - 1 - n if k_from is None else k_from, k_last + 1), floor)
         if v is not None and v > best:
             best, arg = v, n
             floor = (log_best := _float_log(best)) - (2.0**-49 * abs(log_best) + 2.0**-1000)
@@ -577,8 +468,8 @@ def conditionmix_lhs(system: MeasureSystem) -> CriterionReport:
     if not stopped:
         n0 = k_max - k_min + 1
         # from n0 on a pair with k < k_min scales by a per step (its right end fixed), any other by b
-        table = _LogTable(w, k_min - n0, k_max + n0)
-        (s_lo, lo), (s_hi, hi) = sorted((s, table.min_product(n0, ks)) for s, ks in
+        table = _LogTable.of_weights(w, k_min - n0, k_max + n0)
+        (s_lo, lo), (s_hi, hi) = sorted((s, table.min_product(w, n0, ks)) for s, ks in
                                         ((a, range(k_min - n0, k_min)), (b, range(k_min, k_max + 1))))
         coef, step, m = min(lo, hi), Fraction(1), 0
         if s_hi > 1 and hi < lo:

@@ -8,32 +8,18 @@ purely symbolic.  Measures enter only through the norm.
 A norm splits in two: ``lp_powers`` takes the p-th power of each
 coefficient once, and ``shifted_power_sum`` sums those powers against the
 cell masses of the levels they land on after a shift, with no root taken.
-So a search over shifts pays for the powers once and for each step only
-one multiply-add per term.  A power is the exact ``Fraction`` where it is
-rational and its exact form stays within ``EXACT_POWER_BITS`` bits;
-otherwise it is kept as the float ``log|v|``, finite for every nonzero
-coefficient, and the sum scales it by p.  A sum with a log term is itself
-a log, taken as one log-sum-exp, so nothing overflows or underflows; it is
-a float, or, for a p past ``2 ** 1000``, where ``p * log|v|`` could leave
-the float range, an exact ``Fraction`` built from ``Fraction(p)``.
-
-Error of a float log total.  With u = 2**-53 and ``math.log`` and
-``math.exp`` faithful (relative error below 2u), let Lambda bound |ln m|
-for each mass, |L| for each log power L = float(p) * log|v|, and the log
-l_j of each term, ln(a * m) or L + ln m, and let float(m) and, for an
-exact term, float(a * m) be normal.  Each term log t_j is then within
-3u * Lambda + 3u of l_j; subtracting max t rounds by 2u * Lambda at most;
-the exps add 2u relative, ``fsum`` u, the final log 2u * ln n and the final
-sum u * (Lambda + ln n).  So the log total is within
-u * (6 * Lambda + 8 + 3 * ln n) of ln(sum of exp(l_j)): below 2**-39 for
-Lambda <= 1410 and n < 2**26, the range of the weak-mixing decay filter
-(``criteria._first_decay_step``).
+A power is the exact ``Fraction`` where it is rational and its exact form
+stays within ``EXACT_POWER_BITS`` bits; otherwise it is kept as the float
+``log|v|``, finite for every nonzero coefficient, and the sum scales it by
+p.  A sum with a log term is itself a log, taken as one log-sum-exp, so
+nothing overflows or underflows; it is a float, or, for a p past
+``2 ** 1000``, where ``p * log|v|`` could leave the float range, an exact
+``Fraction`` built from ``Fraction(p)``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,9 +47,6 @@ class StepFunction:
         """Indicator of the whole level k."""
         return cls({(k, i): Fraction(1) for i in range(len(system.cells))})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
 
 def apply_Tf(phi: StepFunction, steps: int = 1) -> StepFunction:
     """Compose with the forward map steps times: the coefficient that sat
@@ -81,7 +64,6 @@ def apply_Tf_inverse(phi: StepFunction, steps: int = 1) -> StepFunction:
 
 
 Power = tuple[int, int, Fraction | float]  # (level, cell, |v| ** p as a Fraction, or log|v|)
-CellMass = Callable[[int, int], Fraction]  # (level, cell) -> measure
 
 EXACT_POWER_BITS = 1 << 13  # bound on the bits of the exact q ** p.numerator a power may build
 _FLOAT_P = 2**1000  # below this p, p * log|v| + log(mass) is a finite float
@@ -103,26 +85,18 @@ def is_exact(powers: list[Power]) -> bool:
     return all(isinstance(a, Fraction) for _, _, a in powers)
 
 
-def lp_powers(system: MeasureSystem, phi: StepFunction, power: Callable | None = None) -> list[Power]:
+def lp_powers(system: MeasureSystem, phi: StepFunction) -> list[Power]:
     """(level, cell, power) for each term of phi, in coefficient order: the
-    part of the norm that no shift changes.  ``power(v)`` is ``_power(v,
-    system.p)`` unless the caller passes a memo of it."""
-    power = power or (lambda v: _power(v, system.p))
-    return [(k, i, power(v)) for (k, i), v in phi.coeffs.items()]
+    part of the norm that no shift changes."""
+    return [(k, i, _power(v, system.p)) for (k, i), v in phi.coeffs.items()]
 
 
-def shifted_power_sum(
-    system: MeasureSystem, powers: list[Power], shift: int = 0, mass: CellMass | None = None,
-) -> Fraction | float:
+def shifted_power_sum(system: MeasureSystem, powers: list[Power], shift: int = 0) -> Fraction | float:
     """p-th power of the norm of the step function with these powers once
     every term has moved shift levels up (down for shift < 0): the exact
     Fraction when every power is exact (``is_exact``), else the natural log
-    of the sum.
-
-    ``mass(k, i)`` is the measure of cell i at level k, ``system.mu_cell``
-    unless the caller passes a cached copy.
-    """
-    mass = mass or system.mu_cell
+    of the sum."""
+    mass = system.mu_cell
     if is_exact(powers):
         return sum((a * mass(k + shift, i) for k, i, a in powers), Fraction(0))
     p, real = (float(system.p), float) if system.p < _FLOAT_P else (system.p, Fraction)

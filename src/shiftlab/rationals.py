@@ -3,7 +3,7 @@
 Everything here works over `fractions.Fraction`.  Roots are taken only when
 they are exact in the rationals; otherwise the caller receives None and is
 expected to fall back to floats explicitly.  No silent precision loss.
-``LogGap`` decides d + ln(k * r**m) <= 0 exactly in integer fixed-point logs.
+``LogGap`` decides ln(k * r**m) <= 0 exactly in integer fixed-point logs.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def abs_pow(value: Fraction | float | complex, expo: Fraction) -> Fraction | flo
     return v ** float(expo)
 
 
-# -- crossings of d + ln(k * r**m) ------------------------------------------
+# -- crossings of ln(k * r**m) ----------------------------------------------
 
 
 def _float_log(q: Fraction) -> float:
@@ -200,48 +200,91 @@ def _ln_fixed(q: Fraction, bits: int) -> int:
     return (total + (1 << (w - bits - 1))) >> (w - bits)
 
 
+def _coprime_base(numbers: list[int]) -> list[int]:
+    """Pairwise coprime integers > 1 of which each number is a product.  Trading n and
+    b with g = gcd > 1 for g, n / g and b / g shrinks the product held, so it ends."""
+    base, pool = [], [n for n in numbers if n > 1]
+    while pool:
+        n = pool.pop()
+        for i, b in enumerate(base):
+            if (g := math.gcd(n, b)) > 1:
+                del base[i]
+                pool += [x for x in (g, n // g, b // g) if x > 1]
+                break
+        else:
+            base.append(n)
+    return base
+
+
+def _valuation(q: Fraction, b: int) -> int:
+    """The exponent of b > 1 in a rational q > 0: of its numerator less of its denominator."""
+    v = 0
+    for n, sign in ((q.numerator, 1), (q.denominator, -1)):
+        while n % b == 0:
+            n, v = n // b, v + sign
+    return v
+
+
 class LogGap:
-    """g(m) = d + ln(k * r**m) for rationals k, r > 0 and d, decided in
-    integer fixed-point logs (_ln_fixed) at a precision that doubles."""
+    """g(m) = ln(k * r**m) for rationals k, r > 0, decided in integer fixed-point
+    logs (_ln_fixed).  k is a rational or, where a power of it is too large to
+    build, pairs (q, e) of rationals q > 0 and e with k = prod q**e."""
 
-    def __init__(self, k: Fraction, r: Fraction, d: Fraction = Fraction(0)) -> None:
-        self.k, self.r, self.d = k, r, d
-        self._terms: dict[int, tuple[int, int]] = {}
+    def __init__(self, k: Fraction | tuple[tuple[Fraction, Fraction], ...], r: Fraction) -> None:
+        self.terms = ((k, Fraction(1)),) if isinstance(k, Fraction) else tuple((q, Fraction(e)) for q, e in k)
+        self.r = r
+        # the units of error of 2**b ln k (_head), plus one for ln r
+        self.slack = sum(math.ceil(abs(e)) + 1 for _, e in self.terms) + 1
+        self._logs: dict[Fraction, tuple[int, int]] = {}
+        self._b = 64 + self.slack.bit_length()
 
-    def _fixed(self, b: int) -> tuple[int, int]:
-        """2**b (d + ln k) within 2 units and 2**b ln r within 1, memoised per b."""
-        if b not in self._terms:
-            self._terms[b] = math.floor(self.d * 2**b) + _ln_fixed(self.k, b), _ln_fixed(self.r, b)
-        return self._terms[b]
+    def _ln(self, q: Fraction, b: int) -> int:
+        """2**b ln q within 1: the most precise log taken yet, rounded to b bits (1/2 + 1/2)."""
+        top, value = self._logs.get(q, (-1, 0))
+        if top < b:
+            top, value = self._logs[q] = b, _ln_fixed(q, b)
+        return (value + (1 << (top - b) >> 1)) >> (top - b)
+
+    def _head(self, b: int) -> int:
+        """2**b ln k within slack - 1: floor(e L) is within |e| + 1 of e 2**b ln q."""
+        self._b = max(self._b, b)
+        return sum(math.floor(e * self._ln(q, b)) for q, e in self.terms)
+
+    @functools.cached_property
+    def _exponents(self) -> list[tuple[Fraction, int]]:
+        """Per element of a coprime base of every numerator and denominator,
+        the exponents of k and of r in it."""
+        base = _coprime_base([n for q, _ in (*self.terms, (self.r, 1)) for n in (q.numerator, q.denominator)])
+        return [(sum(e * _valuation(q, b) for q, e in self.terms), _valuation(self.r, b)) for b in base]
 
     def sign(self, m: int) -> int:
-        """Sign of g(m), m >= 0.  A tie k * r**m = 1 (possible only for d = 0, as e**d
-        is irrational otherwise) gives 0: in lowest terms it needs num(k) = den(r)**m and
-        den(k) = num(r)**m, which bit lengths rule out before any power is built.  Else
-        G = 2**b (d + ln k) + m 2**b ln r (_fixed) is within m + 2 of 2**b g(m), so G's
-        sign is g's once |G| > m + 2; b starts at 64 + bitlen(m), or the largest memoised
-        b, and doubles."""
-        k, r = self.k, self.r
-        if self.d == 0 and all(m * (b.bit_length() - 1) < a.bit_length() <= max(m * b.bit_length(), 1) and a == b**m
-                               for a, b in ((k.numerator, r.denominator), (k.denominator, r.numerator))):
-            return 0
-        b = max([64 + m.bit_length(), *self._terms])
+        """Sign of g(m), m >= 0.  With t = bitlen(m), G = 2**t 2**b ln k + m 2**(b + t)
+        ln r is within slack 2**t of 2**(b + t) g(m), so G's sign is g's once |G| >=
+        slack 2**t: ln k needs about the bits of g, ln r t more.  b starts at the
+        largest b taken so far and doubles.  Where G does not decide, a tie g(m)
+        = 0 is tested: every exponent of k * r**m over a coprime base is 0."""
+        t, b = m.bit_length(), self._b
         while True:
-            g0, ln_r = self._fixed(b)
-            g = g0 + m * ln_r
-            if abs(g) > m + 2:
+            g = (self._head(b) << t) + (m * self._ln(self.r, b + t) if m else 0)
+            if abs(g) >= self.slack << t:
                 return 1 if g > 0 else -1
+            if all(a + m * c == 0 for a, c in self._exponents):
+                return 0
             b *= 2
 
     def least_crossing(self) -> int:
-        """Least m >= 0 with g(m) <= 0, for r < 1: ceil(-(d + ln k) / ln r)
-        from fixed-point logs at b = 2 bitlen(den r) + bitlen(size) + 8 bits,
-        size >= |d + ln k|.  As |ln r| >= 1 / den r, that ratio is then off
-        by under 2**-6, so exact signs move it by at most one step."""
-        k, r, d = self.k, self.r, self.d
-        size = abs(d.numerator) // d.denominator + k.numerator.bit_length() + k.denominator.bit_length()
-        g0, ln_r = self._fixed(2 * r.denominator.bit_length() + size.bit_length() + 8)
-        m = max(0, -(g0 // ln_r))
+        """Least m >= 0 with g(m) <= 0, for r < 1: ceil(X) for X = -ln k / -ln r when
+        X > 0.  With D = bitlen(den r), -ln r >= 1 / den r > 2**-D, and Z an integer
+        bound on |ln k|, X < Z 2**D.  The estimate takes ln k at b_k = D +
+        bitlen(slack) + 6 bits and ln r at b_r = 2D + 64 bits (more only where
+        bitlen(Z slack) passes 50, so ln r's bits and _atanh_ln's memo do not move
+        with k): each error over -ln r adds at most 2**-5 to X, so the estimate is
+        within one step, and exact signs walk it onto the answer."""
+        z = 1 + math.ceil(sum(abs(e) * (q.numerator.bit_length() + q.denominator.bit_length())
+                              for q, e in self.terms))
+        big = self.r.denominator.bit_length()
+        b_k, b_r = big + self.slack.bit_length() + 6, 2 * big + 64 + max(0, (z * self.slack).bit_length() - 50)
+        m = max(0, math.ceil(Fraction(self._head(b_k), 1 << b_k) / Fraction(-self._ln(self.r, b_r), 1 << b_r)))
         while self.sign(m) > 0:
             m += 1
         while m > 0 and self.sign(m - 1) <= 0:

@@ -1,9 +1,13 @@
 """Seeded generators that only the tests use: random windowed systems,
-systems with a guaranteed backward decay, and level-indexed functionals."""
+systems with a guaranteed backward decay, and level-indexed functionals;
+and an exact reference for the uniform decay step."""
 
+import decimal
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+from shiftlab.criteria import DECAY_TOL
 from shiftlab.measure_system import MeasureSystem
 from shiftlab.sampling import P_POOL
 
@@ -93,3 +97,35 @@ def random_functional(
         k = rng.choice(list(levels))
         out[k] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return out
+
+
+def uniform_decay_step_reference(system: MeasureSystem, levels: range) -> int:
+    """The least n >= 1 at which mu(k + s, i) / mu(k, i) <= DECAY_TOL ** p for
+    every cell (k, i) on the levels and s = -n, n, both tails < 1: exact
+    Fraction ratios tried one step at a time while a shifted cell can still
+    meet the window, then, per cell, the least further tail step, as the
+    ceiling of a ratio of logs in decimals with 60 digits more than the
+    cancellation in ln(tail) and the size of p need."""
+    tol, p, left, right = Fraction(DECAY_TOL), system.p, system.left_tail, system.right_tail
+    cells = [(k, i) for k in levels for i in range(len(system.cells))]
+    far = (levels.stop - 1 - system.k_min) + (system.k_max - levels.start) + 2
+
+    def ratio(k: int, i: int, s: int) -> Fraction:
+        return system.mu_cell(k + s, i) / system.mu_cell(k, i)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * max(len(str(t.denominator)) for t in (left, right)) + len(str(p.numerator)) + 60
+
+        def ln(q: Fraction) -> Decimal:
+            return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
+
+        bound = Decimal(p.numerator) / p.denominator * ln(tol)
+
+        def within(r: Fraction) -> bool:
+            return r**p.denominator <= tol**p.numerator if p.numerator <= 4000 else ln(r) <= bound
+
+        for n in range(1, far):
+            if all(within(ratio(k, i, s)) for s in (-n, n) for k, i in cells):
+                return n
+        steps = [(bound - ln(ratio(k, i, s))) / ln(tail) for s, tail in ((-far, left), (far, right)) for k, i in cells]
+        return far + max(0, *(int(x.to_integral_value(decimal.ROUND_CEILING)) for x in steps))

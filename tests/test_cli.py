@@ -1,24 +1,28 @@
 import argparse
-import decimal
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import MeasureSystem, conditionmix_lhs
 from shiftlab import cli
 from shiftlab.cli import main
-from shiftlab.criteria import DECAY_TOL
-from shiftlab.sampling import random_step_function
+from shiftlab.sampling import support_levels
 from shiftlab.shift_space import derive_weights
+
+from generators import random_system, uniform_decay_step_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -113,17 +117,48 @@ def test_no_certificate_reads_the_horizon(capsys):
     assert all(w == witnesses[0] for w in witnesses)
 
 
+@pytest.mark.parametrize("config", ["dyadic.json", "flat.json"])
+def test_no_certificate_reads_the_seed(capsys, config):
+    # the same config gives the same bytes for any --seed but its echo
+    outputs = set()
+    for seed in ("0", "1", "7", str(2**64 - 1)):
+        code, out, _ = run(capsys, "report", "--config", str(CONFIGS / config), "--seed", seed)
+        assert code == 0
+        outputs.add(out.replace(f'"seed": {seed}\n', '"seed": 0\n'))
+    assert len(outputs) == 1
+
+
+def _report_without_hash(system) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "system.json"
+        config.write_text(system.to_json())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["report", "--config", str(config)]) == 0
+    return "".join(line for line in out.getvalue().splitlines(keepends=True) if '"config_sha256"' not in line)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_report_bytes_do_not_move_when_every_mass_is_rescaled(seed):
+    # a constant factor on mu gives the same operator up to a scalar in the
+    # norm: every byte of report but the config's hash stays
+    system = random_system(random.Random(seed))
+    scaled = replace(system, mu={k: tuple(v * Fraction(7, 3) for v in row) for k, row in system.mu.items()})
+    assert _report_without_hash(system) == _report_without_hash(scaled)
+
+
 @pytest.mark.parametrize("mass, tail, at_least", [
     ("1", "999999/1000000", 10**7),
     ("1", f"{10**15 - 1}/{10**15}", 10**16),
     ("1", f"{10**400 - 1}/{10**400}", 10**400),
-    (str(10**400), "1/2", 1300),
+    (str(10**400), "1/2", 20),
 ], ids=["tail_one_minus_1e-6", "tail_one_minus_1e-15", "tail_one_minus_1e-400", "mass_1e400"])
 def test_weak_mixing_decay_step_on_extreme_configs(tmp_path, capsys, mass, tail, at_least):
-    # decay steps far past anything a step-by-step search could reach; a
-    # tail so close to 1 that 1 - tail underflows a float; norms beyond the
-    # float range, which are compared with the tolerance exactly.  Each
-    # step is the least one, as a decimal closed form finds it
+    # uniform steps far past anything a step-by-step search could reach; a
+    # tail so close to 1 that 1 - tail underflows a float; masses beyond the
+    # float range, whose ratios are not.  Each step is the least one, as the
+    # cell-by-cell reference finds it
     doc = {"p": "1", "window": {"min": 0, "max": 0}, "cells": ["B1"], "mu": {"0": [mass]},
            "tails": {"left": tail, "right": tail}}
     config = tmp_path / "extreme.json"
@@ -131,98 +166,34 @@ def test_weak_mixing_decay_step_on_extreme_configs(tmp_path, capsys, mass, tail,
     code, out, _ = run(capsys, "criteria", "--config", str(config), "--samples", "3")
     assert code == 0
     reports = {r["criterion"]: r for r in json.loads(out)["reports"]}
-    step = reports["weak_mixing"]["witness"]["worst_first_decay_step"]
+    step = reports["weak_mixing"]["witness"]["uniform_step"]
     assert step > at_least
-    rng = random.Random(0)
-    samples = [random_step_function(rng, MeasureSystem.from_dict(doc)) for _ in range(3)]
-    assert step == max(_decimal_tail_decay_step(phi, Fraction(mass), Fraction(tail))
-                       for phi in samples if not phi.is_zero())
+    system = MeasureSystem.from_dict(doc)
+    assert step == uniform_decay_step_reference(system, support_levels(system))
 
 
-def _decimal_tail_decay_step(phi, mass: Fraction, tail: Fraction) -> int:
-    """Least n >= 1 at which both n-step norms of phi are at most DECAY_TOL
-    on a one-cell window at level 0 with both tails ``tail`` (level k has
-    mass * tail**|k|) and p = 1, for an answer past phi's support: there
-    each total is tail**n times the sum of |v| * mass * tail**-k forward
-    and |v| * mass * tail**k inverse, so n is a ceil of a ratio of logs,
-    taken in decimals with 60 digits more than the cancellation in
-    ln tail and the size of n need."""
-    totals = [sum(abs(v) * mass * tail ** (side * k) for (k, _), v in phi.coeffs.items()) for side in (-1, 1)]
-    with decimal.localcontext() as ctx:
-        ctx.prec = 2 * len(str(tail.denominator)) + len(str(mass.numerator)) + 60
-
-        def ln(q: Fraction) -> Decimal:
-            return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
-
-        steps = [(ln(total / Fraction(DECAY_TOL)) / -ln(tail)).to_integral_value(decimal.ROUND_CEILING)
-                 for total in totals]
-    return max(1, *map(int, steps))
-
-
-def _decimal_decay_step(phi, mass, p: Fraction) -> int:
-    """Least n >= 1 at which both n-step norms of phi are at most DECAY_TOL,
-    in 50-digit decimals on a one-cell window at level 0 with both tails
-    1/2 (so level k has mass * 2**-|k|): tried one n at a time while the
-    support meets level 0, then by bisection, as past that both norms only
-    fall."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        ctx.Emin, ctx.Emax = -(10**12), 10**12
-        exponent = Decimal(p.numerator) / Decimal(p.denominator)
-        # norm <= DECAY_TOL exactly when the sum of the p-th powers is at
-        # most DECAY_TOL ** p
-        bound = Decimal(DECAY_TOL) ** exponent
-        terms = [
-            (k, (Decimal(abs(v.numerator)) / Decimal(v.denominator)) ** exponent * Decimal(mass))
-            for (k, _), v in phi.coeffs.items()
-        ]
-
-        def decayed(shift):
-            return sum(a / Decimal(2) ** abs(k + shift) for k, a in terms) <= bound
-
-        def both(n):
-            return decayed(-n) and decayed(n)
-
-        span = max(abs(k) for k, _ in terms) + 1
-        n = next((n for n in range(1, span + 1) if both(n)), None)
-        if n is not None:
-            return n
-        lo, hi = span, 2 * span
-        while not both(hi):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if both(mid) else (mid, hi)
-        return hi
-
-
-@pytest.mark.parametrize("p, mass, seed, samples", [
-    ("3/2", 10**309, 0, 3),
-    ("2", 10**700, 0, 3),
-    ("1401/2", 10**297, 43, 1),
-    ("801/2", 1, 0, 20),
+@pytest.mark.parametrize("p, mass", [
+    ("3/2", 10**309),
+    ("2", 10**700),
+    ("1401/2", 10**297),
+    ("801/2", 1),
 ], ids=["float_powers_mass_1e309", "exact_powers_mass_1e700", "powers_below_floats_mass_1e297",
         "powers_above_floats_mass_1"])
 @pytest.mark.parametrize("command", ["criteria", "report"])
-def test_weak_mixing_norms_beyond_the_float_range(tmp_path, capsys, command, p, mass, seed, samples):
-    # a norm past the float range used to raise OverflowError, from the
-    # float * Fraction of a term (p = 3/2) or the float root (p = 2), as did
-    # a coefficient power past it (6 ** (801/2)), and a power below it
-    # (p = 1401/2) dropped out of the sum as 0.0, giving 1; the decay step
-    # must match a step-by-step decimal search
+def test_weak_mixing_norms_beyond_the_float_range(tmp_path, capsys, command, p, mass):
+    # masses past the float range once overflowed the norms, and tolerances
+    # DECAY_TOL ** p below it dropped out; the uniform step must match the
+    # cell-by-cell reference
     doc = {"p": p, "window": {"min": 0, "max": 0}, "cells": ["B1"], "mu": {"0": [str(mass)]},
            "tails": {"left": "1/2", "right": "1/2"}}
     config = tmp_path / "huge.json"
     config.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, command, "--config", str(config), "--samples", str(samples), "--seed", str(seed))
+    code, out, _ = run(capsys, command, "--config", str(config), "--samples", "3")
     assert code == 0
     reports = json.loads(out, parse_constant=_reject_constant)["reports"]
     witness = {r["criterion"]: r for r in reports}["weak_mixing"]["witness"]
     system = MeasureSystem.from_dict(doc)
-    rng = random.Random(seed)
-    samples = [random_step_function(rng, system) for _ in range(samples)]
-    expected = max(_decimal_decay_step(phi, mass, system.p) for phi in samples if not phi.is_zero())
-    assert witness["worst_first_decay_step"] == expected
+    assert witness["uniform_step"] == uniform_decay_step_reference(system, support_levels(system))
 
 
 @pytest.mark.parametrize("masses, tails, value, at_n", [
@@ -292,10 +263,11 @@ def _old_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a system config (JSON)")
         cmd.add_argument("--output", choices=("json", "csv"), default="json")
         cmd.add_argument("--out", default=None, help="write to this file instead of stdout")
-        cmd.add_argument("--seed", type=int, default=0, help="sampling seed (unsigned 64-bit)")
+        cmd.add_argument("--seed", type=int, default=0,
+                         help="echoed in the document; no certificate reads it (unsigned 64-bit)")
         cmd.add_argument("--horizon", type=int, default=64, help="step budget of the orbit experiment")
         cmd.add_argument("--samples", type=int, default=100,
-                         help="step functions sampled by the weak-mixing trial and by semicheck")
+                         help="step functions semicheck reports as covered")
         cmd.add_argument("--eps", type=float, default=1e-2, help="approximation budget of the orbit experiment")
         cmd.add_argument("--strict", action="store_true",
                          help="exit 3 when any verdict is InconclusiveWindow")
@@ -528,10 +500,9 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
 @pytest.mark.parametrize("p", ["1e400", "1000001/2"])
 @pytest.mark.parametrize("command", ["criteria", "report"])
 def test_a_huge_exponent_finishes_every_certificate(tmp_path, capsys, command, p):
-    # exact powers of either size would have millions of digits (and
-    # float(1e400) overflows): the powers are kept as logs, DECAY_TOL ** p
-    # is never built, and for p = 1000001/2 the decay step, past 10**7,
-    # must match a decimal search
+    # DECAY_TOL ** p would have millions of digits (and float(1e400)
+    # overflows): it is never built, and for p = 1000001/2 the uniform
+    # step, past 10**7, must match the cell-by-cell reference
     doc = {"p": p, "window": {"min": -1, "max": 1}, "cells": ["B1"],
            "mu": {"-1": ["1/2"], "0": ["1"], "1": ["1/2"]}, "tails": {"left": "1/2", "right": "1/2"}}
     config = tmp_path / "huge_p.json"
@@ -541,14 +512,12 @@ def test_a_huge_exponent_finishes_every_certificate(tmp_path, capsys, command, p
     assert time.perf_counter() - start < 1
     assert code == 0
     reports = {r["criterion"]: r for r in json.loads(out, parse_constant=_reject_constant)["reports"]}
-    step = reports["weak_mixing"]["witness"]["worst_first_decay_step"]
+    step = reports["weak_mixing"]["witness"]["uniform_step"]
     if p == "1e400":
         assert step > 10**400
         return
     system = MeasureSystem.from_dict(doc)
-    rng = random.Random(0)
-    samples = [random_step_function(rng, system) for _ in range(3)]
-    assert step == max(_decimal_decay_step(phi, 1, system.p) for phi in samples if not phi.is_zero())
+    assert step == uniform_decay_step_reference(system, support_levels(system))
 
 
 def test_orbit_with_a_huge_exponent_finishes(tmp_path, capsys):

@@ -231,37 +231,48 @@ def _shiftlab_subprocess(tmp_path, doc, argv, timeout):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
-def _hangs(reason):
-    # strict: once the hang is fixed the case passes, and the XPASS fails
-    # the run until the mark comes off
-    return pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason=reason)
+def _decaying_window(half_span: int, cells: int) -> dict:
+    """Level masses 3**-|k| to the left of level 0 and 2**-|k| to its right,
+    split at random into cells (random.Random(half_span)), tails 1/3 and 1/2,
+    p = 2: for hundreds of steps one side has decayed and the other has not,
+    so every step checks every cell on the side that has."""
+    rng = random.Random(half_span)
+
+    def row(k: int) -> list[str]:
+        shares = [rng.randint(1, 5) for _ in range(cells)]
+        return [str(Fraction(s, sum(shares) * (3 if k < 0 else 2) ** abs(k))) for s in shares]
+
+    return {"p": "2", "window": {"min": -half_span, "max": half_span}, "cells": [f"B{i + 1}" for i in range(cells)],
+            "mu": {str(k): row(k) for k in range(-half_span, half_span + 1)}, "tails": {"left": "1/3", "right": "1/2"}}
 
 
 # configs/dyadic.json with one value that once stalled report for seconds or
 # more: p just above 1, whose weight roots were taken after a millionth
-# power; decimal exponents, whose 10**|e| Fraction(str) built in full.  Two
-# valid values still stall it: a left tail of 1e-4000, whose cell masses
-# leave the float range, so the decay search sums exact Fraction totals of
-# millions of bits; and both tails 1 - 10**-3000, whose weak-mixing
-# crossings take LogGap logs at about 20,000 bits
+# power; decimal exponents, whose 10**|e| Fraction(str) built in full; a
+# left tail of 1e-4000, whose cell masses leave the float range, where the
+# sampled decay search summed exact Fraction totals of millions of bits;
+# and both tails 1 - 10**-3000, whose crossings took LogGap logs at about
+# 20,000 bits once per sample.  And one whole config: a decaying window of
+# half-span 400 with 4 cells, where the uniform decay step's window phase
+# takes tens of seconds without its float filter
 _NINES = "0." + "9" * 3000
 _HOSTILE = [
     pytest.param(("p",), "1000001/1000000", (0, 2), id="p_near_1"),
     pytest.param(("p",), "1e9999999", (2,), id="p_exponent"),
     pytest.param(("mu", "2", 0), "1e200000", (2,), id="mass_exponent"),
     pytest.param(("tails", "left"), "1e-9999999", (2,), id="negative_exponent"),
-    pytest.param(("tails", "left"), "1e-4000", (0,), id="tail_below_float_range",
-                 marks=_hangs("exact shifted_power_sum totals once masses leave the float range")),
-    pytest.param(("tails",), {"left": _NINES, "right": _NINES}, (0,), id="tails_1_minus_1e-3000",
-                 marks=_hangs("LogGap.least_crossing at about 20,000 bits per weak-mixing sample")),
+    pytest.param(("tails", "left"), "1e-4000", (0,), id="tail_below_float_range"),
+    pytest.param(("tails",), {"left": _NINES, "right": _NINES}, (0,), id="tails_1_minus_1e-3000"),
+    pytest.param((), _decaying_window(400, 4), (0,), id="decaying_half_span_400"),
 ]
 
 
 @pytest.mark.parametrize("path, value, codes", _HOSTILE)
 def test_hostile_values_end_in_a_subprocess_within_2_s(tmp_path, path, value, codes):
-    doc = copy.deepcopy(_DYADIC)
-    parent, key = _at(doc, path)
-    parent[key] = value
+    doc = copy.deepcopy(_DYADIC) if path else value
+    if path:
+        parent, key = _at(doc, path)
+        parent[key] = value
     proc = _shiftlab_subprocess(tmp_path, doc, ["report"], timeout=2)
     assert proc.returncode in codes, proc.stderr
     if proc.returncode == 2:

@@ -28,12 +28,12 @@ from shiftlab import (
     weak_mixing_consistency,
     wp_product,
 )
-from shiftlab.criteria import DECAY_TOL, _first_decay_step
+from shiftlab.criteria import DECAY_TOL
 from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabError, TailRuleMissing
-from shiftlab.lp_space import gs_decay_check
-from shiftlab.sampling import random_step_function
+from shiftlab.lp_space import lp_powers, shifted_power_sum
+from shiftlab.sampling import support_levels
 
-from generators import random_functional, random_system
+from generators import random_functional, random_system, uniform_decay_step_reference
 
 
 def single_cell(masses: dict[int, Fraction], left, right, p="1") -> MeasureSystem:
@@ -100,110 +100,72 @@ def test_weak_mixing_inherits_negative_verdict():
 
 
 def test_weak_mixing_consistency_on_dyadic(dyadic):
-    report = weak_mixing_consistency(dyadic, seed=11, samples=8)
+    # masses 2**-|k| on every level, support [-7, 7]: the largest ratio at
+    # n >= 7 steps is mu(7 - n) / mu(7) = 2**(14 - n), at most 1e-6 from n = 34
+    report = weak_mixing_consistency(dyadic)
     assert report.verdict is Verdict.SATISFIED
-    assert 0 < report.witness["worst_first_decay_step"] <= 64
+    assert report.witness["uniform_step"] == 34
+    assert report.witness["levels"] == [-7, 7]
+    assert report.witness["slowest_cell"] == {"level": 7, "cell": "B1", "direction": "forward"}
+    assert report.witness["tolerance"] == DECAY_TOL
 
 
 DECAYING_TAILS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
 
-@settings(max_examples=100, deadline=None)
+def _exceeds(system, k, i, s) -> bool:
+    r = system.mu_cell(k + s, i) / system.mu_cell(k, i)
+    return r**system.p.denominator > Fraction(DECAY_TOL) ** system.p.numerator
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32))
-def test_first_decay_step_matches_the_step_by_step_search(seed):
-    # the reference tries every n with the predicate of the window zone;
-    # the closed form must agree with it through the tails as well
-    rng = random.Random(seed)
-    system = random_system(rng, tail_pool=DECAYING_TAILS)
-    phi = random_step_function(rng, system)
-    if phi.is_zero():
-        return
-    reference = next(
-        n for n in count(1)
-        if all(v <= DECAY_TOL for v in gs_decay_check(system, phi, n))
-    )
-    assert _first_decay_step(system, phi) == reference
+def test_uniform_step_matches_the_cell_by_cell_reference(seed):
+    # N is the reference's least step, and the unit cell the witness names
+    # still exceeds the tolerance at N - 1 in the named direction
+    system = random_system(random.Random(seed), tail_pool=DECAYING_TAILS)
+    witness = weak_mixing_consistency(system).witness
+    levels = range(witness["levels"][0], witness["levels"][1] + 1)
+    n = witness["uniform_step"]
+    assert n == uniform_decay_step_reference(system, levels)
+    cell = witness["slowest_cell"]
+    s = (n - 1) * (1 if cell["direction"] == "inverse" else -1)
+    assert _exceeds(system, cell["level"], system.cells.index(cell["cell"]), s)
 
 
-def test_first_decay_step_inside_the_window():
-    # masses 4**-|k| on [-12, 12]: the level-0 indicator decays below
-    # DECAY_TOL at n = 10 (4**-10 < 1e-6 < 4**-9), before its support
-    # leaves the window at n = 13
-    system = single_cell({k: Fraction(1, 4 ** abs(k)) for k in range(-12, 13)},
-                         left=Fraction(1, 4), right=Fraction(1, 4))
-    assert _first_decay_step(system, StepFunction.indicator_level(system, 0)) == 10
+@st.composite
+def _exact_step_functions(draw):
+    """A decaying system and a nonzero step function on its support levels
+    whose coefficients are y-th powers, so that every |v| ** p is exact."""
+    system = random_system(random.Random(draw(st.integers(0, 2**32))), tail_pool=DECAYING_TAILS)
+    levels, y = support_levels(system), system.p.denominator
+    keys = st.tuples(st.sampled_from(levels), st.integers(0, len(system.cells) - 1))
+    values = st.builds(lambda a, b, sign: sign * Fraction(a, b) ** y,
+                       st.integers(1, 9), st.integers(1, 9), st.sampled_from([-1, 1]))
+    return system, StepFunction(draw(st.dictionaries(keys, values, min_size=1, max_size=6)))
 
 
-def test_first_decay_step_decides_exact_totals_without_a_root():
-    # p = 3/2 and coefficient 4: the power 8 is exact, and so is each total
-    # 8 * 4**-n; the norm is at most DECAY_TOL when total ** 2 <= DECAY_TOL
-    # ** 3, first at n = 17 (8 * 4**-17 < 1e-9 < 8 * 4**-16), in the window
-    system = single_cell({k: Fraction(1, 4 ** abs(k)) for k in range(-20, 21)},
-                         left=Fraction(1, 4), right=Fraction(1, 4), p="3/2")
-    assert _first_decay_step(system, StepFunction({(0, 0): Fraction(4)})) == 17
+@settings(max_examples=60, deadline=None)
+@given(_exact_step_functions())
+def test_step_functions_on_the_levels_are_within_tolerance_at_the_uniform_step(case):
+    # the exact p-th-power totals of phi at -N and +N against its own:
+    # (total(s) / total(0)) ** y <= DECAY_TOL ** x for p = x/y
+    system, phi = case
+    n = weak_mixing_consistency(system).witness["uniform_step"]
+    powers = lp_powers(system, phi)
+    start = shifted_power_sum(system, powers)
+    x, y = system.p.numerator, system.p.denominator
+    for s in (-n, n):
+        assert (shifted_power_sum(system, powers, s) / start) ** y <= Fraction(DECAY_TOL) ** x
 
 
-def test_first_decay_step_waits_for_the_inverse_norm():
-    # masses 16**k below level 0 and 2**-k above it: the level-0 indicator
-    # decays forward at n = 5 but inversely only at n = 20 (2**-20 < 1e-6
-    # < 2**-19), still inside the window
-    masses = {k: Fraction(16) ** k if k < 0 else Fraction(1, 2**k) for k in range(-12, 25)}
-    system = single_cell(masses, left=Fraction(1, 16), right=Fraction(1, 2))
-    assert _first_decay_step(system, StepFunction.indicator_level(system, 0)) == 20
-
-
-def test_first_decay_step_compares_out_of_range_norms_through_logs():
-    # every window mass is 10**309, past the float range, and the
-    # coefficient is 1e-320: float arithmetic overflows on each term, yet
-    # each norm is about 1e-11, so both have decayed at n = 1
-    system = single_cell({k: Fraction(10**309) for k in range(-2, 3)}, left="1/2", right="1/2")
-    assert Fraction(1e-320) * 10**309 <= DECAY_TOL
-    assert _first_decay_step(system, StepFunction({(0, 0): 1e-320})) == 1
-
-
-def test_first_decay_step_keeps_powers_below_the_float_range():
-    # (1/3) ** (1401/2) is about 10**-334, below the smallest float, and the
-    # mass 10**340 is above the largest: as floats the only term would drop
-    # out of the sum.  In logs the total is about 10**5.79 * 2**-n, which
-    # falls below DECAY_TOL ** (1401/2) = 10**-4203 at n = 13982
-    system = single_cell({0: Fraction(10**340)}, left="1/2", right="1/2", p="1401/2")
-    assert _first_decay_step(system, StepFunction({(0, 0): Fraction(1, 3)})) == 13982
-
-
-def test_first_decay_step_keeps_its_digits_for_a_tail_near_one():
-    # the level-0 indicator decays as tail ** n both ways, so the answer is
-    # the least n with tail ** n <= DECAY_TOL; to 60 digits, ln(DECAY_TOL)
-    # / ln(tail) is 13815510557957.366...
-    tail = Fraction(10**12 - 1, 10**12)
-    system = single_cell({0: Fraction(1)}, left=tail, right=tail)
-    assert _first_decay_step(system, StepFunction.indicator_level(system, 0)) == 13815510557958
-
-
-@pytest.mark.parametrize("tail", [Fraction(1, 2), Fraction(999, 1000), 1 - Fraction(1, 10**400)])
-def test_first_decay_step_with_exact_totals_and_p_three_halves(tail):
-    # 4 ** (3/2) = 8, so the total 8 * tail**n is exact and decays where
-    # (8 * tail**n) ** 2 <= DECAY_TOL ** 3: the least n is
-    # ceil(ln(64 / DECAY_TOL**3) / (-2 ln tail)), here in decimals
-    system = single_cell({0: Fraction(1)}, left=tail, right=tail, p="3/2")
-    with decimal.localcontext() as ctx:
-        ctx.prec = 2 * len(str(tail.denominator)) + 60
-        ln_tail = Decimal(tail.numerator).ln() - Decimal(tail.denominator).ln()
-        crossing = (Decimal(64).ln() - 3 * Decimal(DECAY_TOL).ln()) / (-2 * ln_tail)
-        expected = int(crossing.to_integral_value(decimal.ROUND_CEILING))
-    assert _first_decay_step(system, StepFunction({(0, 0): Fraction(4)})) == expected
-
-
-def test_first_decay_step_is_exact_for_a_tail_within_1e_400_of_one():
-    # the indicator of level 0 has total (1 - 10**-400) ** n at n steps; the
-    # least n with that at most DECAY_TOL is ceil(ln DECAY_TOL / ln(1 - 10**-400)),
-    # here in decimals at twice the 800 digits it needs
-    tail = 1 - Fraction(1, 10**400)
-    system = single_cell({0: Fraction(1)}, left=tail, right=tail)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 1700
-        ln_tail = Decimal(tail.numerator).ln() - Decimal(tail.denominator).ln()
-        expected = int((Decimal(DECAY_TOL).ln() / ln_tail).to_integral_value(decimal.ROUND_CEILING))
-    assert _first_decay_step(system, StepFunction.indicator_level(system, 0)) == expected
+@pytest.mark.parametrize("p, n", [("1", 5), ("2", 6)])
+def test_a_ratio_equal_to_the_tolerance_has_decayed(p, n):
+    # both tails DECAY_TOL exactly on a one-cell window at level 0: the
+    # largest ratio at n >= 2 steps is DECAY_TOL ** (n - 4), equal to
+    # DECAY_TOL ** p at n = 4 + p, which is then the uniform step
+    system = single_cell({0: Fraction(1)}, left=Fraction(DECAY_TOL), right=Fraction(DECAY_TOL), p=p)
+    assert weak_mixing_consistency(system).witness["uniform_step"] == n
 
 
 # -- menet ------------------------------------------------------------------

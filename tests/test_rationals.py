@@ -146,7 +146,7 @@ def test_abs_pow_handles_sign_zero_and_complex():
     assert abs_pow(-1.5, Fraction(1)) == pytest.approx(1.5)
 
 
-# -- LogGap: the sign and least crossing of d + ln(k * r**m) -----------------
+# -- LogGap: the sign and least crossing of ln(k * r**m) ---------------------
 
 
 @contextmanager
@@ -167,11 +167,11 @@ def decimal_ln(q: Fraction) -> Decimal:
     return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
 
 
-def decimal_gap(k: Fraction, r: Fraction, m: int, d: Fraction, digits: int) -> Decimal:
-    """d + ln(k * r**m) in decimals at ``digits`` digits."""
+def decimal_gap(k: Fraction, r: Fraction, m: int, digits: int) -> Decimal:
+    """ln(k * r**m) in decimals at ``digits`` digits."""
     with decimal.localcontext() as ctx:
         ctx.prec = digits
-        return Decimal(d.numerator) / d.denominator + decimal_ln(k) + m * decimal_ln(r)
+        return decimal_ln(k) + m * decimal_ln(r)
 
 
 smooth = st.builds(lambda a, b, c: Fraction(2) ** a * Fraction(3) ** b * Fraction(5) ** c,
@@ -221,40 +221,56 @@ def test_least_crossing_matches_a_linear_scan(case):
         assert LogGap(k, r).least_crossing() == expected
 
 
-@settings(max_examples=100, deadline=None)
-@given(gaps(), st.integers(12, 120), st.sampled_from([-1, 1]))
-def test_log_gap_sign_with_a_rational_offset(case, e, side):
-    # d is -ln(k * r**m) rounded to e digits and moved by 10**-e, so the
-    # gap lies between 10**-e / 2 and 3 * 10**-e / 2; no tie is possible
-    k, r, m = case
-    g = Fraction(decimal_gap(k, r, m, Fraction(0), 2 * e + 40))
-    d = Fraction(side - round(g * 10**e), 10**e)
-    with undecided_after(5):
-        sign = LogGap(k, r, d).sign(m)
-    assert sign == (1 if decimal_gap(k, r, m, d, 2 * e + 40) > 0 else -1)
-
-
 @settings(max_examples=20, deadline=None)
-@given(digits=st.integers(16, 300), k=st.fractions(min_value=2, max_value=10**30),
-       as_log=st.booleans(), offset=st.integers(-2, 2))
-@example(digits=400, k=Fraction(10**6), as_log=True, offset=0)
-def test_least_crossing_far_out_matches_decimals(digits, k, as_log, offset):
+@given(digits=st.integers(16, 300), k=st.fractions(min_value=2, max_value=10**30), offset=st.integers(-2, 2))
+@example(digits=400, k=Fraction(10**6), offset=0)
+def test_least_crossing_far_out_matches_decimals(digits, k, offset):
     # r = 1 - 10**-digits puts the crossing near 10**digits; the reference
-    # takes the logs at twice the digits that needs.  A log total enters as
-    # d with k = 1
+    # takes the logs at twice the digits that needs
     r = 1 - Fraction(1, 10**digits)
-    d = Fraction(0)
-    if as_log:
-        d, k = Fraction(decimal_gap(k, Fraction(1), 0, Fraction(0), 60)), Fraction(1)
     prec = 4 * digits + 60
     with decimal.localcontext() as ctx:
         ctx.prec = prec
-        crossing = (Decimal(d.numerator) / d.denominator + decimal_ln(k)) / -decimal_ln(r)
+        crossing = decimal_ln(k) / -decimal_ln(r)
         expected = int(crossing.to_integral_value(decimal.ROUND_CEILING))
-    gap = LogGap(k, r, d)
+    gap = LogGap(k, r)
     assert gap.least_crossing() == expected
     m = expected + offset
-    assert gap.sign(m) == (1 if decimal_gap(k, r, m, d, prec) > 0 else -1)
+    assert gap.sign(m) == (1 if decimal_gap(k, r, m, prec) > 0 else -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(smooth, st.integers(-6, 6)), min_size=1, max_size=3), smooth, st.integers(0, 12),
+       st.sampled_from([Fraction(1), 1 + Fraction(1, 10**40), 1 - Fraction(1, 10**40)]))
+def test_log_gap_sign_of_a_product_of_powers_matches_exact_rationals(terms, r, m, nudge):
+    # k given as pairs (q, e), k = prod q**e, here times the last factor that
+    # would make k * r**m = 1 (an exact tie across different bases) and a nudge
+    exact = math.prod((q**e for q, e in terms), start=Fraction(1)) * r**m
+    terms = [*terms, (1 / exact, Fraction(1)), (nudge, Fraction(1))]
+    with undecided_after(5):
+        assert LogGap(tuple(terms), r).sign(m) == (nudge > 1) - (nudge < 1)
+
+
+@pytest.mark.parametrize("e", [1, 3, 10**6 + 1, 10**400])
+def test_least_crossing_with_a_huge_rational_power_in_k(e):
+    # k = 2 * (1/3)**-(e/2): the least m with 2 * 3**(e/2) * (1/2)**m <= 1 is
+    # ceil(1 + e/2 * log2(3)), never a tie, as 3**(e/2) is no power of 2
+    with undecided_after(5):
+        m = LogGap(((Fraction(2), 1), (Fraction(1, 3), Fraction(-e, 2))), Fraction(1, 2)).least_crossing()
+    with decimal.localcontext() as ctx:
+        ctx.prec = len(str(e)) + 40
+        expected = 1 + Decimal(e) / 2 * Decimal(3).ln() / Decimal(2).ln()
+        assert m == int(expected.to_integral_value(decimal.ROUND_CEILING))
+
+
+def test_coprime_base_splits_shared_factors():
+    base = rationals._coprime_base([12, 18, 2**72, 4722366482869645, 1])
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1:])
+    for n in (12, 18, 2**72, 4722366482869645):
+        rest = Fraction(n)
+        for b in base:
+            rest /= b ** rationals._valuation(rest, b)
+        assert rest == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,7 +281,7 @@ def test_least_crossing_far_out_matches_decimals(digits, k, as_log, offset):
 def test_float_log_is_within_its_bound(q):
     # 11u |ln q| + 2**-1073, u = 2**-53, as the _float_log docstring derives;
     # |q - 1| >= 1 / den, so the reference loses fewer digits than den has
-    exact = decimal_gap(q, Fraction(1), 0, Fraction(0), 60 + q.denominator.bit_length() // 3)
+    exact = decimal_gap(q, Fraction(1), 0, 60 + q.denominator.bit_length() // 3)
     error = abs(Decimal(_float_log(q)) - exact)
     assert error <= Decimal(11 * 2.0**-53) * abs(exact) + Decimal(2.0**-1073)
 

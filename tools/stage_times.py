@@ -63,7 +63,7 @@ def _timed(name: str, fn, times: dict[str, float], depth: list[int]):
     return stage
 
 
-def time_config(path: Path, repeat: int, seed: int, samples: int) -> dict:
+def time_config(path: Path, repeat: int, samples: int) -> dict:
     """Median seconds of each stage and of the whole run_command over repeat runs."""
     text = path.read_text()
     runs: list[dict[str, float]] = []
@@ -76,7 +76,7 @@ def time_config(path: Path, repeat: int, seed: int, samples: int) -> dict:
                 setattr(owner, name, _timed(name, fn, times, depth))
             system = MeasureSystem.from_json(text)
             start = time.perf_counter()
-            cli.run_command("report", system, seed=seed, horizon=64, samples=samples, eps=1e-2)
+            cli.run_command("report", system, horizon=64, samples=samples, eps=1e-2)
             times["total"] = time.perf_counter() - start
         finally:
             for owner, name, fn in saved:
@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "label": args.label, "python": platform.python_version(), "repeat": args.repeat,
         "seed": args.seed, "samples": args.samples, "unit": "s",
-        "configs": {path.stem: time_config(path, args.repeat, args.seed, args.samples) for path in paths},
+        "configs": {path.stem: time_config(path, args.repeat, args.samples) for path in paths},
         "bytecode_cache": not sys.dont_write_bytecode,
         "process_wall": {path.stem: process_wall(path, args.repeat, args.seed, args.samples) for path in paths},
     }
