@@ -263,8 +263,8 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
         ends = [(LogGap(((r, 1), (Fraction(DECAY_TOL), -p)), tail).least_crossing(), k, i, s)
                 for s, tail in ((-n0, left), (n0, right)) for r, k, i in [top(s)]]
         m, k, i, s = max(ends, key=itemgetter(0))
-        if m:
-            return n0 + m, k, i, s
+        if m:  # past n0 every ratio falls by its side's tail a step, so the argmax at n0 is the one at N - 1
+            return n0 + m, k, i, (n0 + m - 1) * (1 if s > 0 else -1)
         n = n0
     s = 1 - n if above(top(1 - n)[0]) else n - 1  # where the forward side passes at n - 1, the inverse one fails
     return (n, *top(s)[1:], s)
