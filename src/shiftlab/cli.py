@@ -209,7 +209,7 @@ def run_command(command: str, system: MeasureSystem, *, horizon: int, samples: i
     if command in ("criteria", "report"):
         result["reports"] = [
             hypercyclicity_report(system), shift_hypercyclicity_report(w), weak_mixing_consistency(system),
-            menet_unilateral(w), conditionmix_lhs(system), _cofinite_report(system), _telescoping_report(system),
+            menet_unilateral(w), conditionmix_lhs(system, w), _cofinite_report(system), _telescoping_report(system),
         ]
     if command in ("semicheck", "report"):
         result["semicheck"] = _semicheck_section(system, w, samples=samples)

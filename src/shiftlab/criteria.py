@@ -65,7 +65,7 @@ from .errors import HypothesisViolated, NoAdmissibleLevels
 from .measure_system import MeasureSystem
 from .rationals import LogGap, _float_log, abs_pow, pow_maybe_exact
 from .sampling import support_levels
-from .shift_space import UNILATERAL, WeightSequence, derive_weights, wp_product
+from .shift_space import UNILATERAL, WeightSequence, wp_product
 
 
 class Verdict(str, Enum):
@@ -433,10 +433,10 @@ def menet_unilateral(w: WeightSequence) -> CriterionReport:
     )
 
 
-def conditionmix_lhs(system: MeasureSystem) -> CriterionReport:
+def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionReport:
     """Exact value of sup over n >= 1 of inf over all k of
     mass(level k) / mass(level k + n), the least n attaining it, and the
-    verdict "<= 1".  On the derived weights that ratio is
+    verdict "<= 1".  On w, the weights derived from system, that ratio is
     wp_product(w, k + 1, k + n), so up to the window span S this is the
     engine menet_unilateral shares, ``_sup_inf``, with k over all of Z.
 
@@ -462,7 +462,7 @@ def conditionmix_lhs(system: MeasureSystem) -> CriterionReport:
             "conditionmix", Verdict.VIOLATED, {**witness, "unbounded": True},
             "both step ratios exceed 1: every candidate ratio diverges with n, the supremum is infinite",
         )
-    w, k_min, k_max = derive_weights(system), system.k_min, system.k_max
+    k_min, k_max = system.k_min, system.k_max
     best, arg, stopped = _sup_inf(w, None, k_max - k_min)
     value = None
     if not stopped:

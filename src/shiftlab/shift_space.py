@@ -20,7 +20,7 @@ reads it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -206,15 +206,26 @@ class SeqVector:
         }
 
 
+def lp_distances(x: SeqVector, ys: Sequence[SeqVector], p: Fraction | float) -> list[float]:
+    """Float p-norm of x - y for each y in ys, over the union of the
+    supports, x's indices first and then y's others: the term order of
+    ``plus``, bit for bit.  |v|**p of an entry of x is taken once, when a
+    first target lacks its index, and reused for the later ones that do."""
+    pf, xs, alone, out = float(p), x.entries, {}, []
+    for y in ys:
+        if x.side != y.side:
+            raise ValueError("cannot compare vectors of different sides")
+        ye = y.entries
+        terms = [abs(v - ye[n]) ** pf if n in ye else alone[n] if n in alone else alone.setdefault(n, abs(v) ** pf)
+                 for n, v in xs.items()]
+        terms += [abs(v) ** pf for n, v in ye.items() if n not in xs]
+        out.append(sum(terms) ** (1.0 / pf))
+    return out
+
+
 def lp_distance(x: SeqVector, y: SeqVector, p: Fraction | float) -> float:
-    """Float p-norm of x - y over the union of the supports, x's indices
-    first and then y's others: the term order of ``plus``, bit for bit."""
-    if x.side != y.side:
-        raise ValueError("cannot compare vectors of different sides")
-    pf, ys = float(p), y.entries
-    gaps = [abs(v - ys.get(n, 0)) for n, v in x.entries.items()]
-    gaps += [abs(v) for n, v in ys.items() if n not in x.entries]
-    return sum(g**pf for g in gaps) ** (1.0 / pf)
+    """Float p-norm of x - y: ``lp_distances`` with one target."""
+    return lp_distances(x, (y,), p)[0]
 
 
 def _check_sides(w: WeightSequence, x: SeqVector) -> None:
@@ -240,14 +251,15 @@ def apply_backward(w: WeightSequence, x: SeqVector, steps: int = 1, product: Cal
     return SeqVector(x.side, out)
 
 
-def apply_forward_inverse(w: WeightSequence, x: SeqVector, steps: int = 1) -> SeqVector:
+def apply_forward_inverse(w: WeightSequence, x: SeqVector, steps: int = 1, product: Callable | None = None) -> SeqVector:
     """steps-fold right inverse of the backward shift: moves the value at n
-    to n + steps, divided by the weights at n+1 .. n+steps."""
+    to n + steps, divided by ``product(n + 1, n + steps)`` as in ``apply_backward``."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_sides(w, x)
+    product = product or partial(weight_product, w)
     out: dict[int, complex] = {}
     for j, v in x.entries.items():
         n = j + steps
-        out[n] = v / float(weight_product(w, j + 1, n))
+        out[n] = v / float(product(j + 1, n))
     return SeqVector(x.side, out)

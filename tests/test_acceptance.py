@@ -106,7 +106,7 @@ def test_criterion_04_hypercyclic_systems_satisfy_conditionmix():
         if hypercyclicity_report(system).verdict is not Verdict.SATISFIED:
             continue
         satisfied += 1
-        report = conditionmix_lhs(system)
+        report = conditionmix_lhs(system, derive_weights(system))
         if report.verdict is not Verdict.SATISFIED:
             violations += 1
             continue

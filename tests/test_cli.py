@@ -238,7 +238,8 @@ def test_conditionmix_meeting_point_past_float_reach_in_the_cli(tmp_path, capsys
     assert time.perf_counter() - start < (1 if eps == 10**12 else 5)
     assert code == 0
     report = {r["criterion"]: r for r in json.loads(out, parse_constant=_reject_constant)["reports"]}["conditionmix"]
-    assert report["witness"] == conditionmix_lhs(MeasureSystem.from_dict(doc)).witness
+    system = MeasureSystem.from_dict(doc)
+    assert report["witness"] == conditionmix_lhs(system, derive_weights(system)).witness
     assert report["witness"]["attained"] is True
 
 

@@ -350,7 +350,7 @@ def test_sup_inf_takes_few_products_exactly(monkeypatch):
     # steps a = b = 1: conditionmix has no cap stop either and meets the window span
     system = flat_window(200, 1, 1)
     calls = count()
-    report = conditionmix_lhs(system)
+    report = conditionmix_lhs(system, derive_weights(system))
     assert (report.witness["value"], report.witness["attained_at_n"]) == ("9/85", 3)
     assert next(calls) <= 4 * (system.k_max - system.k_min)
 
@@ -359,7 +359,7 @@ def test_sup_inf_takes_few_products_exactly(monkeypatch):
 
 
 def test_conditionmix_dyadic_value(dyadic):
-    report = conditionmix_lhs(dyadic)
+    report = conditionmix_lhs(dyadic, derive_weights(dyadic))
     assert report.verdict is Verdict.SATISFIED
     assert Fraction(report.witness["value"]) == Fraction(1, 2)
     assert report.witness["attained"]
@@ -367,14 +367,14 @@ def test_conditionmix_dyadic_value(dyadic):
 
 def test_conditionmix_flat_system_reaches_one():
     system = single_cell({k: Fraction(1) for k in range(-2, 3)}, left=1, right=1)
-    report = conditionmix_lhs(system)
+    report = conditionmix_lhs(system, derive_weights(system))
     assert report.verdict is Verdict.SATISFIED
     assert Fraction(report.witness["value"]) == 1
 
 
 def test_conditionmix_unbounded_when_masses_grow_both_ways():
     system = single_cell(geometric(Fraction(1, 2), -2, 2), left=2, right=Fraction(1, 2))
-    report = conditionmix_lhs(system)
+    report = conditionmix_lhs(system, derive_weights(system))
     assert report.verdict is Verdict.VIOLATED
     assert report.witness["unbounded"] is True
 
@@ -383,7 +383,7 @@ def test_conditionmix_one_sided_flat_limit():
     system = single_cell(
         {-1: Fraction(1), 0: Fraction(4), 1: Fraction(1)}, left=1, right=Fraction(1, 2)
     )
-    report = conditionmix_lhs(system)
+    report = conditionmix_lhs(system, derive_weights(system))
     assert report.verdict is Verdict.SATISFIED
     assert Fraction(report.witness["value"]) == Fraction(1, 4)
     assert report.witness["attained"]
@@ -392,7 +392,7 @@ def test_conditionmix_one_sided_flat_limit():
 def test_conditionmix_one_sided_limit_attained_at_first_step():
     # a = 1 and b = 2: the infimum is 1 from n = 1 on, a finite n attains it
     system = single_cell({0: Fraction(1)}, left=1, right=Fraction(1, 2))
-    report = conditionmix_lhs(system)
+    report = conditionmix_lhs(system, derive_weights(system))
     assert report.verdict is Verdict.SATISFIED
     assert Fraction(report.witness["value"]) == 1
     assert report.witness["attained"] is True
@@ -405,7 +405,7 @@ def test_conditionmix_finite_value_never_exceeds_one():
     rng = random.Random(31)
     for _ in range(40):
         system = random_system(rng)
-        report = conditionmix_lhs(system)
+        report = conditionmix_lhs(system, derive_weights(system))
         if report.verdict is Verdict.VIOLATED:
             assert report.witness.get("unbounded") is True
         else:
@@ -414,7 +414,7 @@ def test_conditionmix_finite_value_never_exceeds_one():
 
 def test_conditionmix_inconclusive_without_tails():
     system = single_cell({0: Fraction(1)}, left=None, right=None)
-    assert conditionmix_lhs(system).verdict is Verdict.INCONCLUSIVE
+    assert conditionmix_lhs(system, derive_weights(system)).verdict is Verdict.INCONCLUSIVE
 
 
 def decimal_conditionmix(system: MeasureSystem, digits: int) -> tuple[int, Decimal]:
@@ -464,7 +464,7 @@ def test_conditionmix_meeting_point_past_float_reach(eps):
     # least n attaining the supremum, and its exact value as "c*(r)**e",
     # as a decimal search at three times those digits finds them
     system = single_cell({0: Fraction(1), 1: Fraction(1, 100), 2: Fraction(1)}, left=1 - eps, right=1 - eps)
-    report = conditionmix_lhs(system)
+    report = conditionmix_lhs(system, derive_weights(system))
     assert report.verdict is Verdict.SATISFIED
     assert report.witness["attained"] is True
     digits = 3 * len(str(eps.denominator)) + 60
@@ -514,7 +514,7 @@ def stepped_systems(draw, masses, steps, half_span=2):
 
 
 def check_against_brute_force(system: MeasureSystem) -> None:
-    report = conditionmix_lhs(system)
+    report = conditionmix_lhs(system, derive_weights(system))
     a, b = system.left_tail, 1 / system.right_tail
     assert (report.verdict is Verdict.VIOLATED) == (a > 1 and b > 1)
     if report.verdict is Verdict.VIOLATED:

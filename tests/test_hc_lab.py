@@ -1,17 +1,25 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import (
     BILATERAL,
+    UNILATERAL,
     SeqVector,
+    WeightSequence,
     apply_backward,
     construct_hc_approx,
     derive_weights,
     lp_distance,
     orbit_density_report,
+    weight_product,
 )
 from shiftlab.errors import HorizonExhausted
+
+from generators import TAIL_POOL, random_system
 
 
 def canonical_targets():
@@ -93,3 +101,165 @@ def test_orbit_density_with_zero_horizon(dyadic):
     far = orbit_density_report(w, x, [SeqVector(BILATERAL, {0: 5.0})],
                                eps=1e-2, horizon=0)
     assert far.fraction == 0.0
+
+
+# -- reference equivalence ---------------------------------------------------
+#
+# The experiment as it was written before its weight memo and shared distance
+# terms: the shift, sum and distance loops copied here, every weight taken
+# through an uncached weight_product.  Both sides must print the same floats.
+
+
+def _ref_forward_inverse(w, x, steps):
+    out = {}
+    for j, v in x.entries.items():
+        n = j + steps
+        out[n] = v / float(weight_product(w, j + 1, n))
+    return SeqVector(x.side, out)
+
+
+def _ref_plus(a, b):
+    merged = dict(a.entries)
+    for n, v in b.entries.items():
+        merged[n] = merged.get(n, 0j) + v
+    return SeqVector(a.side, merged)
+
+
+def _ref_backward(w, x, steps):
+    out = {}
+    for j, v in x.entries.items():
+        n = j - steps
+        if w.side == UNILATERAL and n < 0:
+            continue
+        out[n] = v * float(weight_product(w, n + 1, j))
+    return SeqVector(x.side, out)
+
+
+def _ref_distance(x, y, p):
+    pf, ys = float(p), y.entries
+    gaps = [abs(v - ys.get(n, 0)) for n, v in x.entries.items()]
+    gaps += [abs(v) for n, v in ys.items() if n not in x.entries]
+    return sum(g**pf for g in gaps) ** (1.0 / pf)
+
+
+def _ref_approx(w, targets, eps, horizon):
+    count, gap = len(targets), 1
+    while gap * count <= horizon:
+        schedule = tuple(gap * (j + 1) for j in range(count))
+        x = SeqVector(w.side, {})
+        for m, y in zip(schedule, targets):
+            x = _ref_plus(x, _ref_forward_inverse(w, y, m))
+        defects = tuple(_ref_distance(_ref_backward(w, x, m), y, w.p) for m, y in zip(schedule, targets))
+        if all(d <= eps for d in defects):
+            return gap, schedule, x, defects
+        gap *= 2
+    raise HorizonExhausted(f"no gap with {count} targets fits within {horizon} steps at eps={eps}")
+
+
+def _ref_orbit(w, x, targets, horizon):
+    best = [(0, float("inf"))] * len(targets)
+    current = x
+    for t in range(horizon + 1):
+        for idx, y in enumerate(targets):
+            d = _ref_distance(current, y, w.p)
+            if d < best[idx][1]:
+                best[idx] = (t, d)
+        if t < horizon:
+            current = _ref_backward(w, current, 1)
+    return best
+
+
+def _hex_vector(x):
+    return [(n, v.real.hex(), v.imag.hex()) for n, v in x.entries.items()]
+
+
+_FAILURES = (HorizonExhausted, OverflowError, ZeroDivisionError)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except _FAILURES as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _experiment(w, targets, horizon, x=None):
+    """Both experiments through the library, floats as hex; x given skips
+    the construction."""
+    def run():
+        out = []
+        vector = x
+        if vector is None:
+            approx = construct_hc_approx(w, targets, eps=1e-2, horizon=horizon)
+            vector = approx.vector
+            out = [approx.gap, approx.schedule, _hex_vector(vector), [d.hex() for d in approx.defects]]
+        hits = orbit_density_report(w, vector, targets, eps=1e-2, horizon=horizon).hits
+        return out + [[(h.best_step, h.best_distance.hex()) for h in hits]]
+    return _outcome(run)
+
+
+def _reference(w, targets, horizon, x=None):
+    def run():
+        out = []
+        vector = x
+        if vector is None:
+            gap, schedule, vector, defects = _ref_approx(w, targets, 1e-2, horizon)
+            out = [gap, schedule, _hex_vector(vector), [d.hex() for d in defects]]
+        return out + [[(t, d.hex()) for t, d in _ref_orbit(w, vector, targets, horizon)]]
+    return _outcome(run)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.sampled_from([0, 1, 64, 300]), steep=st.booleans())
+def test_experiment_matches_the_reference_loops(seed, horizon, steep):
+    """Bit for bit on random systems, the orbit also on its own from a
+    vector on both sides (most draws exhaust the horizon before it); steep
+    tails push weight products out of the float range, and the same error
+    must come out of both sides."""
+    pool = TAIL_POOL + (Fraction(1, 64), Fraction(64)) if steep else TAIL_POOL
+    w = derive_weights(random_system(random.Random(seed), tail_pool=pool))
+    assert _experiment(w, canonical_targets(), horizon) == _reference(w, canonical_targets(), horizon)
+    x = SeqVector(BILATERAL, {-3: 0.5, 0: 1.0, 1: -1j, 4: 2.0})
+    assert _experiment(w, canonical_targets(), horizon, x) == _reference(w, canonical_targets(), horizon, x)
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 64, 300])
+def test_experiment_matches_the_reference_with_periodic_tails(horizon):
+    w = WeightSequence(
+        p=Fraction(3, 2), side=BILATERAL, lo=-1, hi=2,
+        wp={-1: Fraction(3), 0: Fraction(1, 5), 1: Fraction(2), 2: Fraction(1, 2)},
+        left_tail=(Fraction(1, 2), Fraction(3)), right_tail=(Fraction(2), Fraction(1, 3), Fraction(3, 2)),
+    )
+    assert _experiment(w, canonical_targets(), horizon) == _reference(w, canonical_targets(), horizon)
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 64, 300])
+def test_experiment_matches_the_reference_on_a_unilateral_sequence(horizon):
+    w = WeightSequence(
+        p=Fraction(2), side=UNILATERAL, lo=1, hi=3,
+        wp={1: Fraction(4), 2: Fraction(9, 4), 3: Fraction(1, 2)}, right_tail=(Fraction(1, 4), Fraction(9)),
+    )
+    targets = [SeqVector(UNILATERAL, {0: 1.0}), SeqVector(UNILATERAL, {0: 1.0, 1: 1.0}),
+               SeqVector(UNILATERAL, {2: 1.0})]
+    result = _experiment(w, targets, horizon)
+    assert result == _reference(w, targets, horizon)
+    # the orbit alone, from a vector whose mass is shifted past index 0
+    x = SeqVector(UNILATERAL, {0: 0.5, 3: 2.0, 7: 1.0})
+    assert _experiment(w, targets, horizon, x) == _reference(w, targets, horizon, x)
+
+
+def test_experiment_matches_the_reference_when_a_weight_underflows():
+    # the weight at index 0 is 10**-400, whose float is exactly 0: an entry
+    # shifted from 0 to -1 becomes 0 and SeqVector drops it mid-orbit, which
+    # changes the distance's term order; the pullback divides by it
+    wp = {k: Fraction(1) for k in range(-3, 4)}
+    wp[0] = Fraction(1, 10**400)
+    w = WeightSequence(p=Fraction(1), side=BILATERAL, lo=-3, hi=3, wp=wp,
+                       left_tail=(Fraction(1),), right_tail=(Fraction(1),))
+    x = SeqVector(BILATERAL, {5: 1.0, 2: 0.5, -2: 0.25})
+    for horizon in (1, 3, 64):
+        assert _experiment(w, canonical_targets(), horizon, x) == _reference(w, canonical_targets(), horizon, x)
+    assert apply_backward(w, x, 3).entries.keys() == {2, -5}  # the entry from 2 is gone
+    outcome = _experiment(w, canonical_targets(), 64)
+    assert outcome == _reference(w, canonical_targets(), 64)
+    assert outcome[0] == "ZeroDivisionError"

@@ -20,6 +20,7 @@ from shiftlab import (
     wp_product,
 )
 from shiftlab.errors import ConfigError, TailRuleMissing
+from shiftlab.shift_space import lp_distances
 from shiftlab.sampling import P_POOL
 
 from generators import random_system
@@ -148,16 +149,26 @@ def test_lp_distance_from_the_zero_vector_values():
 _entry = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
+def _norm_of_difference(a: SeqVector, b: SeqVector, p: Fraction) -> float:
+    """The norm of a - b built the old way: b negated entry by entry, then
+    added to a."""
+    diff = a.plus(SeqVector(a.side, {n: -1 * v for n, v in b.entries.items()}))
+    return sum(abs(v) ** float(p) for v in diff.entries.values()) ** (1.0 / float(p))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     x=st.dictionaries(st.integers(-6, 6), _entry, max_size=6),
     y=st.dictionaries(st.integers(-6, 6), _entry, max_size=6),
     support=st.sampled_from(["as drawn", "disjoint", "equal", "equal values"]),
     p=st.sampled_from(P_POOL),
+    others=st.lists(st.dictionaries(st.integers(-6, 26), _entry, max_size=4), max_size=4),
+    odd_one=st.integers(0, 4),
 )
-def test_lp_distance_matches_the_norm_of_the_difference(x, y, support, p):
-    """Bit for bit against the norm of x - y built the old way: y negated
-    entry by entry, then added to x."""
+def test_lp_distance_matches_the_norm_of_the_difference(x, y, support, p, others, odd_one):
+    """Bit for bit against the norm of x - y built the old way, for one
+    target and for several at once: the drawn y, then targets that share
+    some, all or none of x's support."""
     if support == "disjoint":
         y = {n + 20: v for n, v in y.items()}
     elif support == "equal":
@@ -165,10 +176,15 @@ def test_lp_distance_matches_the_norm_of_the_difference(x, y, support, p):
     elif support == "equal values":
         y = {**y, **x}
     a, b = SeqVector(BILATERAL, x), SeqVector(BILATERAL, y)
-    diff = a.plus(SeqVector(BILATERAL, {n: -1 * v for n, v in y.items()}))
-    old = sum(abs(v) ** float(p) for v in diff.entries.values()) ** (1.0 / float(p))
-    assert lp_distance(diff, SeqVector(BILATERAL), p).hex() == old.hex()
+    old = _norm_of_difference(a, b, p)
+    assert lp_distance(a.plus(SeqVector(BILATERAL, {n: -1 * v for n, v in y.items()})),
+                       SeqVector(BILATERAL), p).hex() == old.hex()
     assert lp_distance(a, b, p).hex() == old.hex()
+    ys = [b, *(SeqVector(BILATERAL, o) for o in others), SeqVector(BILATERAL, {n: 2 * v for n, v in x.items()})]
+    assert [d.hex() for d in lp_distances(a, ys, p)] == [_norm_of_difference(a, t, p).hex() for t in ys]
+    ys[odd_one % len(ys)] = SeqVector(UNILATERAL, {0: 1.0})
+    with pytest.raises(ValueError):
+        lp_distances(a, ys, p)
 
 
 def test_lp_distance_rejects_mixed_sides():

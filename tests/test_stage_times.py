@@ -28,3 +28,31 @@ def test_stage_times_writes_the_medians_of_each_stage(tmp_path):
     walls = doc["process_wall"]["flat"]
     assert set(walls) == {"validate", "report"}
     assert all(t > 0 for t in walls.values())
+
+
+def test_stage_times_interleaves_two_checkouts(tmp_path):
+    # this checkout against itself: two rounds of one process per side
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "stage_times.py"), "--label", "pair", "--repeat", "2",
+         "--against", str(ROOT), "--out-dir", str(tmp_path), str(ROOT / "configs" / "flat.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert done.returncode == 0, done.stderr
+    doc = json.loads((tmp_path / "BENCH_pair.json").read_text())
+    assert doc["sides"] == {"this": str(ROOT), "against": str(ROOT)}
+    for side in ("this", "against"):
+        stages = doc["configs"][side]["flat"]
+        assert {"_experiment", "conditionmix_lhs", "total"} <= set(stages)
+        assert all(0 <= s["q1"] <= s["median"] <= s["q3"] for s in stages.values())
+        walls = doc["process_wall"][side]["flat"]
+        assert set(walls) == {"validate", "report"}
+        assert all(s["q1"] > 0 for s in walls.values())
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCH_pair.json"]
+    refused = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "stage_times.py"), "--label", "x", "--repeat", "1",
+         "--against", str(ROOT), "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert refused.returncode == 2 and "--repeat >= 2" in refused.stderr

@@ -2,6 +2,7 @@
 
     python tools/stage_times.py --label before
     python tools/stage_times.py --label after --repeat 9 configs/flat.json
+    python tools/stage_times.py --label pair --repeat 10 --against ../parent
 
 Runs ``cli.run_command("report", ...)`` in-process on each config (by
 default ``configs/*.json`` and six golden windows), loading the config
@@ -18,8 +19,12 @@ process recompiles ``src/``).
 
 Every figure of one tree comes from one run of this script, and on a 2-core
 VM one process can run about 1.4 times slower than the next, so one run per
-tree cannot order two trees within about 40%: interleave several runs of
-each tree before comparing them.
+tree cannot order two trees within about 40%.  ``--against PATH`` interleaves
+two trees instead: each of ``--repeat`` rounds runs one process of this
+script and one of PATH's own ``tools/stage_times.py`` (one in-process run
+each, on this checkout's config files), the order swapped every round, and
+it writes each side's per-stage and process-wall medians and quartiles over
+the rounds.
 
 Standard library only; it imports ``shiftlab`` from this checkout's ``src/``.
 """
@@ -33,6 +38,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -103,6 +109,38 @@ def process_wall(path: Path, repeat: int, seed: int, samples: int) -> dict:
     return walls
 
 
+def _spread(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def interleave(against: Path, paths: list[Path], args: argparse.Namespace) -> dict:
+    """Median and quartiles of every figure of this checkout ("this") and
+    of the one at ``against`` over ``args.repeat`` rounds of one process
+    each, the side that runs first alternating."""
+    sides = {"this": ROOT, "against": against}
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        for round_ in range(args.repeat):
+            for side in (list(sides) if round_ % 2 == 0 else list(sides)[::-1]):
+                label = f"{side}{round_}"
+                subprocess.run(
+                    [sys.executable, *(["-B"] if sys.dont_write_bytecode else []),
+                     str(sides[side] / "tools" / "stage_times.py"), "--label", label,
+                     "--repeat", "1", "--seed", str(args.seed), "--samples", str(args.samples),
+                     "--out-dir", tmp, *map(str, paths)],
+                    stdout=subprocess.DEVNULL, check=True,
+                )
+                runs[side].append(json.loads((Path(tmp) / f"BENCH_{label}.json").read_text()))
+    doc: dict = {"sides": {side: str(root) for side, root in sides.items()}}
+    for key in ("configs", "process_wall"):
+        doc[key] = {side: {path.stem: {name: _spread([run[key][path.stem][name] for run in docs])
+                                       for name in docs[0][key][path.stem]}
+                           for path in paths}
+                    for side, docs in runs.items()}
+    return doc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -110,16 +148,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--out-dir", type=Path, default=ROOT)
+    parser.add_argument("--against", type=Path, help="another checkout to interleave with, --repeat rounds")
     parser.add_argument("configs", nargs="*", type=Path, help="config files (default: the family above)")
     args = parser.parse_args(argv)
+    if args.against and args.repeat < 2:
+        parser.error("--against needs --repeat >= 2 for quartiles")
     paths = args.configs or sorted(ROOT.glob("configs/*.json")) + [ROOT / f"tests/golden/{n}.json" for n in GOLDEN]
     doc = {
         "label": args.label, "python": platform.python_version(), "repeat": args.repeat,
         "seed": args.seed, "samples": args.samples, "unit": "s",
-        "configs": {path.stem: time_config(path, args.repeat, args.samples) for path in paths},
         "bytecode_cache": not sys.dont_write_bytecode,
-        "process_wall": {path.stem: process_wall(path, args.repeat, args.seed, args.samples) for path in paths},
     }
+    if args.against:
+        doc.update(interleave(args.against.resolve(), [path.resolve() for path in paths], args))
+    else:
+        doc["configs"] = {path.stem: time_config(path, args.repeat, args.samples) for path in paths}
+        doc["process_wall"] = {path.stem: process_wall(path, args.repeat, args.seed, args.samples) for path in paths}
     out = args.out_dir / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(out)
