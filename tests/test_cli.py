@@ -148,6 +148,57 @@ def test_report_bytes_do_not_move_when_every_mass_is_rescaled(seed):
     assert _report_without_hash(system) == _report_without_hash(scaled)
 
 
+def _criteria_reports(system) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "system.json"
+        config.write_text(system.to_json())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["criteria", "--config", str(config)]) == 0
+    return {r["criterion"]: r for r in json.loads(out.getvalue())["reports"]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_reflection_keeps_the_decay_verdicts_and_the_uniform_step(seed):
+    # k -> -k swaps the tails and turns forward decay into inverse decay:
+    # dense orbits and weak mixing ask for both, so neither verdict nor the
+    # uniform step may move
+    system = random_system(random.Random(seed))
+    mirrored = replace(system, k_min=-system.k_max, k_max=-system.k_min,
+                       mu={-k: row for k, row in system.mu.items()},
+                       left_tail=system.right_tail, right_tail=system.left_tail)
+    before, after = _criteria_reports(system), _criteria_reports(mirrored)
+    for name in ("hypercyclicity", "weak_mixing"):
+        assert before[name]["verdict"] == after[name]["verdict"]
+    assert before["weak_mixing"]["witness"].get("uniform_step") == after["weak_mixing"]["witness"].get("uniform_step")
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), pick=st.integers(min_value=0, max_value=10))
+def test_translation_keeps_every_verdict_and_moves_the_levels(seed, pick):
+    # relabelling level k as k + t, with level 0 still in the window, gives
+    # the same operator: all seven verdicts and the uniform step stay, and
+    # the level-indexed witnesses, weak mixing's and the cofinite quotient's
+    # levels, move by t.  The weight-indexed ones need not: menet's
+    # sup_inf_wp reads the weights from index 1 on, so it is not
+    # translation-invariant, and neither is the telescoping bound's block
+    system = random_system(random.Random(seed))
+    t = -system.k_max + pick % (system.k_max - system.k_min + 1)
+    moved = replace(system, k_min=system.k_min + t, k_max=system.k_max + t,
+                    mu={k + t: row for k, row in system.mu.items()})
+    before, after = _criteria_reports(system), _criteria_reports(moved)
+    assert {name: r["verdict"] for name, r in before.items()} == {name: r["verdict"] for name, r in after.items()}
+    assert len(before) == 7
+    mixing, mixing_moved = before["weak_mixing"]["witness"], after["weak_mixing"]["witness"]
+    assert mixing.get("uniform_step") == mixing_moved.get("uniform_step")
+    if "levels" in mixing:
+        assert mixing_moved["levels"] == [k + t for k in mixing["levels"]]
+    quotient, quotient_moved = before["cofinite_quotient"]["witness"], after["cofinite_quotient"]["witness"]
+    if "levels" in quotient:
+        assert quotient_moved == {**quotient, "levels": [k + t for k in quotient["levels"]]}
+
+
 @pytest.mark.parametrize("mass, tail, at_least", [
     ("1", "999999/1000000", 10**7),
     ("1", f"{10**15 - 1}/{10**15}", 10**16),

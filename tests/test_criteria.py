@@ -17,6 +17,8 @@ from shiftlab import (
     StepFunction,
     Verdict,
     WeightSequence,
+    apply_Tf,
+    apply_Tf_inverse,
     cofinite_quotient_witness,
     conditionmix_lhs,
     criteria,
@@ -30,7 +32,7 @@ from shiftlab import (
 )
 from shiftlab.criteria import DECAY_TOL
 from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabError, TailRuleMissing
-from shiftlab.lp_space import lp_powers, shifted_power_sum
+from shiftlab.rationals import fraction_pow
 from shiftlab.sampling import support_levels
 
 from generators import random_functional, random_system, uniform_decay_step_reference
@@ -148,15 +150,18 @@ def _exact_step_functions(draw):
 @settings(max_examples=60, deadline=None)
 @given(_exact_step_functions())
 def test_step_functions_on_the_levels_are_within_tolerance_at_the_uniform_step(case):
-    # the exact p-th-power totals of phi at -N and +N against its own:
-    # (total(s) / total(0)) ** y <= DECAY_TOL ** x for p = x/y
+    # the exact p-th-power totals of T^N phi and T^-N phi against phi's own:
+    # (total(moved) / total(phi)) ** y <= DECAY_TOL ** x for p = x/y
     system, phi = case
     n = weak_mixing_consistency(system).witness["uniform_step"]
-    powers = lp_powers(system, phi)
-    start = shifted_power_sum(system, powers)
+
+    def total(f: StepFunction) -> Fraction:
+        return sum((fraction_pow(abs(v), system.p) * system.mu_cell(k, i) for (k, i), v in f.coeffs.items()),
+                   Fraction(0))
+
     x, y = system.p.numerator, system.p.denominator
-    for s in (-n, n):
-        assert (shifted_power_sum(system, powers, s) / start) ** y <= Fraction(DECAY_TOL) ** x
+    for moved in (apply_Tf(phi, n), apply_Tf_inverse(phi, n)):
+        assert (total(moved) / total(phi)) ** y <= Fraction(DECAY_TOL) ** x
 
 
 @pytest.mark.parametrize("p, n", [("1", 5), ("2", 6)])

@@ -1,6 +1,10 @@
+import decimal
+import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +19,7 @@ from shiftlab import (
     lp_norm_step,
 )
 from shiftlab.criteria import weak_mixing_consistency
-from shiftlab.lp_space import lp_powers, shifted_power_sum
-from shiftlab.rationals import abs_pow, fraction_pow, log_fraction
+from shiftlab.rationals import abs_pow, fraction_pow
 from shiftlab.sampling import random_step_function
 
 from generators import random_system
@@ -114,7 +117,7 @@ def test_composition_norm_bounded_by_star_constant():
     for _ in range(30):
         system = random_system(rng, p_pool=(Fraction(1), Fraction(2)))
         c = system.validate_star()
-        phi = random_step_function(rng, system, level_margin=1)
+        phi = random_step_function(rng, system)
         assert norm_pp(system, apply_Tf(phi)) <= c * norm_pp(system, phi)
 
 
@@ -132,38 +135,14 @@ def test_constant_system_norms_never_decay():
         assert bwd == base
 
 
-def _total_by_terms(system, phi):
-    """The p-th-power total summed term by term in coefficient order: exact
-    while every power is rational, else the log of the sum."""
-    p = system.p
-    terms = []
-    for (k, i), v in phi.coeffs.items():
-        exact = fraction_pow(abs(v), p) if isinstance(v, Fraction) else None
-        log_power = None if exact is not None else float(p) * (
-            log_fraction(abs(v)) if isinstance(v, Fraction) else math.log(abs(v)))
-        terms.append((exact, log_power, system.mu_cell(k, i)))
-    if all(exact is not None for exact, _, _ in terms):
-        return sum((exact * m for exact, _, m in terms), Fraction(0))
-    logs = [log_power + log_fraction(m) if exact is None else log_fraction(exact * m)
-            for exact, log_power, m in terms]
-    top = max(logs)
-    return top + math.log(math.fsum(math.exp(t - top) for t in logs))
-
-
-def _same_total(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    return a.hex() == b.hex() if isinstance(a, float) else a == b
-
-
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32),
        kind=st.sampled_from(["fraction", "float", "complex"]),
        n=st.integers(min_value=0, max_value=12))
-def test_shifted_power_sum_matches_the_total_of_the_shifted_function(seed, kind, n):
-    # the powers are taken once and shifted; the total of the moved step
-    # function must come out the same, bit for bit, and a log total must
-    # be the log of the plain float sum of the powers
+def test_the_norm_of_a_moved_function_is_the_root_of_its_total(seed, kind, n):
+    # the norm of T^n phi and T^-n phi against norm_pp, the p-th-power total
+    # of the moved function summed term by term: its exact root while every
+    # power is rational, else its float root up to rounding
     rng = random.Random(seed)
     system = random_system(rng)
     phi = random_step_function(rng, system)
@@ -171,15 +150,67 @@ def test_shifted_power_sum_matches_the_total_of_the_shifted_function(seed, kind,
         phi = StepFunction({key: float(v) for key, v in phi.coeffs.items()})
     elif kind == "complex":
         phi = StepFunction({key: complex(float(v), rng.randint(-3, 3) / 4) for key, v in phi.coeffs.items()})
-    powers = lp_powers(system, phi)
-    for shift, moved in ((-n, apply_Tf(phi, n)), (n, apply_Tf_inverse(phi, n))):
-        total = shifted_power_sum(system, powers, shift)
-        assert _same_total(total, shifted_power_sum(system, lp_powers(system, moved)))
-        assert _same_total(total, _total_by_terms(system, moved))
-        if isinstance(total, float):
-            plain = math.fsum(float(abs_pow(v, system.p)) * float(system.mu_cell(k, i))
-                              for (k, i), v in moved.coeffs.items())
-            assert total == pytest.approx(math.log(plain), rel=1e-12, abs=1e-12)
+    for moved in (apply_Tf(phi, n), apply_Tf_inverse(phi, n)):
+        total, norm = norm_pp(system, moved), lp_norm_step(system, moved)
+        if isinstance(norm, Fraction):
+            assert norm == total == 0 or fraction_pow(norm, system.p) == total
+        else:
+            assert norm == pytest.approx(float(total) ** (1 / float(system.p)), rel=1e-12)
+
+
+_DYADIC = json.loads((Path(__file__).resolve().parent.parent / "configs" / "dyadic.json").read_text())
+
+
+def _dyadic_with(p, **tails):
+    """configs/dyadic.json with exponent p and the given tails replaced."""
+    return MeasureSystem.from_dict({**_DYADIC, "p": p, "tails": {**_DYADIC["tails"], **tails}})
+
+
+def _decimal_norm(system, phi) -> Decimal:
+    """(sum |v| ** p * mu) ** (1 / p) in 60-digit decimals, from exact
+    masses and each coefficient's real and imaginary parts."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p = Decimal(system.p.numerator) / system.p.denominator
+        total = Decimal(0)
+        for (k, i), v in phi.coeffs.items():
+            re, im = (Decimal(v.numerator) / v.denominator, Decimal(0)) if isinstance(v, Fraction) else (
+                Decimal(complex(v).real), Decimal(complex(v).imag))
+            mass = system.mu_cell(k, i)
+            total += (p * (re * re + im * im).sqrt().ln()).exp() * Decimal(mass.numerator) / mass.denominator
+        return (total.ln() / p).exp()
+
+
+@pytest.mark.parametrize("coeffs, norm", [
+    ({(-50, 0): Fraction(3), (2, 0): Fraction(1, 3)}, 3),
+    ({(-60, 0): Fraction(2)}, 2),
+])
+def test_a_huge_exponent_gives_the_largest_coefficient(coeffs, norm):
+    # p = 1e400: every power is past EXACT_POWER_BITS and p past any float,
+    # so the norm is the sup norm up to mu ** (1 / p)
+    assert lp_norm_step(_dyadic_with("1e400"), StepFunction(coeffs)) == pytest.approx(norm, rel=1e-12)
+
+
+def test_norms_with_masses_below_the_float_range():
+    # a left tail of 1e-4000: mu(-50) is about 10 ** -180000
+    system = _dyadic_with("2", left="1e-4000")
+    exact = StepFunction({(-50, 0): Fraction(3), (2, 0): Fraction(1, 3)})
+    assert lp_norm_step(system, exact) == pytest.approx(Fraction(1, 6), rel=1e-12)
+    floats = StepFunction({(-50, 0): 3.0, (-7, 0): 0.5, (-20, 0): complex(1.5, -2.0)})
+    norm = lp_norm_step(system, floats)
+    assert isinstance(norm, float) and math.isfinite(norm) and norm >= 0
+
+
+@pytest.mark.parametrize("p, coeffs", [
+    ("7/3", {(0, 0): Fraction(2), (-6, 0): Fraction(-5, 3), (7, 0): Fraction(1, 4)}),
+    ("7/3", {(6, 0): Fraction(2), (-7, 0): Fraction(1, 3)}),
+    ("3/2", {(0, 0): complex(3, 4), (6, 0): complex(-0.5, 0.25), (-7, 0): 2.0}),
+    ("3/2", {(6, 0): complex(0, 1.5), (7, 0): complex(2, -1)}),
+], ids=["p_7_3_window_and_tails", "p_7_3_tails_only", "p_3_2_complex", "p_3_2_complex_tails_only"])
+def test_norms_on_tails_of_1e_minus_300_match_a_decimal_reference(p, coeffs):
+    system = _dyadic_with(p, left="1e-300", right="1e-300")
+    phi = StepFunction(coeffs)
+    assert float(lp_norm_step(system, phi)) == pytest.approx(float(_decimal_norm(system, phi)), rel=1e-12)
 
 
 def test_weak_mixing_leaves_no_memo_on_the_system(dyadic_p2):
