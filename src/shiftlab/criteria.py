@@ -55,6 +55,7 @@ The certificates:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -340,21 +341,16 @@ class _LogTable:
         return min(wp_product(w, k + 1, k + n) for k in compress(ks, map((low + 2 * self.bound).__ge__, gaps)))
 
 
-def _sup_inf(w: WeightSequence, k_from: int | None, n_max: int) -> tuple[Fraction, int, bool]:
-    """Max over 1 <= n <= n_max of q(n) = inf over k >= k_from (all of Z
-    where k_from is None) of wp_product(w, k + 1, k + n), the least n
-    attaining it (0 if none), and whether the cap stopped the search early.
+def _sup_inf(w: WeightSequence, table: _LogTable, ks: Callable[[int], range], n_max: int, cap: Fraction,
+             period: int) -> tuple[Fraction, int, bool]:
+    """Max over 1 <= n <= n_max of q(n) = min over k in ks(n) of
+    wp_product(w, k + 1, k + n) (table: logs over every block taken), the
+    least n attaining it (0 if none), and whether the cap stopped the search.
 
-    Each q(n) is a finite minimum.  From k_from = 1 (right period of length
-    L; bilateral w read in place), k up to max(hi, 0) + L meets every phase
-    of the tail.  On Z (period-1 tails a and b) k runs from lo - 1 - n to
-    hi: every block meeting the window, the two end ones giving a**n, b**n.
-
-    The cap is the right period product Pi (min(a, b) on Z, L = 1), at most
-    1 wherever this is called.  The L deep-tail runs of length r, one per
-    phase, multiply to Pi**r, so q(r) <= Pi**(r / L) <= cap**(r // L).
-    Once cap ** ((n + 1) // L) is at most the best, no later n beats it
-    under the strict comparison that keeps the least n.
+    The caller's cap <= 1 bounds q(r) by cap ** (r // period), which does
+    not grow with r.  So once (n + 1) // period >= stop, the least q with
+    cap**q <= best (0 or 1 by one comparison, else one exact LogGap crossing
+    per new best; never for cap = 1 > best), no later n beats the best.
 
     A certified float filter (Shewchuk 1997) picks the products taken
     exactly.  _LogTable's l(j) is a _float_log of a prefix entry or, in a
@@ -370,19 +366,14 @@ def _sup_inf(w: WeightSequence, k_from: int | None, n_max: int) -> tuple[Fractio
     skipped; else the k with f <= min f + 2B, the exact argmin among them,
     are taken exactly.
     """
-    tail = w.right_tail
-    assert tail is not None
-    period = len(tail)
-    cap = min(w.left_tail[0], tail[0]) if k_from is None else math.prod(tail, start=Fraction(1))
-    k_last = w.hi if k_from is None else max(w.hi, 0) + period
-    table = _LogTable.of_weights(w, w.lo - 1 - n_max if k_from is None else k_from, k_last + n_max)
-    best, arg, floor = Fraction(0), 0, -math.inf
+    best, arg, floor, stop = Fraction(0), 0, -math.inf, math.inf
     for n in range(1, n_max + 1):
-        v = table.min_product(w, n, range(w.lo - 1 - n if k_from is None else k_from, k_last + 1), floor)
+        v = table.min_product(w, n, ks(n), floor)
         if v is not None and v > best:
             best, arg = v, n
             floor = (log_best := _float_log(best)) - (2.0**-49 * abs(log_best) + 2.0**-1000)
-        if cap ** ((n + 1) // period) <= best:
+            stop = 0 if best >= 1 else 1 if cap <= best else LogGap(1 / best, cap).least_crossing() if cap < 1 else stop
+        if (n + 1) // period >= stop:
             return best, arg, True
     return best, arg, False
 
@@ -398,8 +389,10 @@ def menet_unilateral(w: WeightSequence) -> CriterionReport:
     geometrically and the supremum is infinite (Violated).  If Pi <= 1 the
     infimum is eventually periodic-monotone, so the supremum is attained
     within the first max(hi, 1) + L - 1 values of n and is computed
-    exactly, with no budget; the search stops early where Pi < 1.  The
-    witness also carries a certified uniform bound valid for every n: the
+    exactly, with no budget.  Each infimum is a minimum over k in [1,
+    max(hi, 0) + L], every phase of the tail, and at n = r its L deep-tail
+    runs multiply to Pi**r, so it is at most Pi**(r // L): the engine's cap.
+    The witness also carries a certified uniform bound valid for every n: the
     larger of the supremum and the worst prefix product of one tail period.
     """
     hi = max(w.hi, 0)
@@ -415,7 +408,8 @@ def menet_unilateral(w: WeightSequence) -> CriterionReport:
             "menet_unilateral", Verdict.VIOLATED, {"period_product_wp": str(pi)},
             "tail period product > 1: the inner infima diverge, the supremum is infinite",
         )
-    sup_pp, arg_n, _ = _sup_inf(w, 1, max(hi, 1) + len(period) - 1)
+    n_max, ks = max(hi, 1) + len(period) - 1, range(1, hi + len(period) + 1)
+    sup_pp, arg_n, _ = _sup_inf(w, _LogTable.of_weights(w, 1, ks[-1] + n_max), lambda n: ks, n_max, pi, len(period))
     bound_pp = max(sup_pp, *accumulate(period[:-1], mul, initial=Fraction(1)))
     inv_p = 1 / w.p
     return CriterionReport(
@@ -438,14 +432,15 @@ def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionRepor
     mass(level k) / mass(level k + n), the least n attaining it, and the
     verdict "<= 1".  On w, the weights derived from system, that ratio is
     wp_product(w, k + 1, k + n), so up to the window span S this is the
-    engine menet_unilateral shares, ``_sup_inf``, with k over all of Z.
+    engine menet_unilateral shares, ``_sup_inf``, on k in [k_min - n, k_max].
 
-    With a the left tail ratio and b the reciprocal of the right one, deep
-    tail pairs cap every infimum by min(a, b)**n: the supremum is infinite
-    (Violated) exactly when a > 1 and b > 1, else at most 1.  Past S, if
-    that cap never stopped the engine, each pair has an end in a tail, so
-    the infimum is min(alpha * a**n, beta * b**n), alpha and beta taken at
-    n = S + 1: log-concave, its supremum is at S + 1 or where the growing
+    With a the left tail ratio and b the reciprocal of the right one, the
+    end blocks, k = k_min - n and k_max, cap every infimum by min(a, b)**n,
+    the engine's cap: the supremum is infinite (Violated) exactly when a > 1
+    and b > 1, else at most 1.  Past S, if that cap never stopped the
+    engine, each pair has an end in a tail, so the infimum is min(alpha *
+    a**n, beta * b**n), alpha and beta taken at n0 = S + 1 from the
+    engine's table: log-concave, its supremum is at n0 or where the growing
     term meets the other.  rationals.LogGap finds that n and compares the
     values there and with the window's best, all exactly.
     """
@@ -463,12 +458,11 @@ def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionRepor
             "both step ratios exceed 1: every candidate ratio diverges with n, the supremum is infinite",
         )
     k_min, k_max = system.k_min, system.k_max
-    best, arg, stopped = _sup_inf(w, None, k_max - k_min)
-    value = None
+    n0, value = k_max - k_min + 1, None
+    table = _LogTable.of_weights(w, k_min - n0, k_max + n0)
+    best, arg, stopped = _sup_inf(w, table, lambda n: range(k_min - n, k_max + 1), n0 - 1, min(a, b), 1)
     if not stopped:
-        n0 = k_max - k_min + 1
         # from n0 on a pair with k < k_min scales by a per step (its right end fixed), any other by b
-        table = _LogTable.of_weights(w, k_min - n0, k_max + n0)
         (s_lo, lo), (s_hi, hi) = sorted((s, table.min_product(w, n0, ks)) for s, ks in
                                         ((a, range(k_min - n0, k_min)), (b, range(k_min, k_max + 1))))
         coef, step, m = min(lo, hi), Fraction(1), 0

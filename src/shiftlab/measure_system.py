@@ -143,16 +143,21 @@ class MeasureSystem:
 
     # -- structural constants ---------------------------------------------
 
+    @cached_property
+    def _star_c(self) -> Fraction:
+        """validate_star's constant, computed on first use."""
+        pairs = [(t.numerator, t.denominator) for t in (self.left_tail, self.right_tail) if t is not None]
+        pairs += [(a.numerator * b.denominator, a.denominator * b.numerator)
+                  for k in range(self.k_min, self.k_max) for a, b in zip(self.mu[k], self.mu[k + 1])]
+        return _widest_ratio(pairs)
+
     def validate_star(self) -> Fraction:
         """The least two-sided one-step constant.
 
         The returned c >= 1 bounds mu(level k, cell i) / mu(level k+1, cell i)
         and its reciprocal over every adjacent pair, tails included.
         """
-        pairs = [(t.numerator, t.denominator) for t in (self.left_tail, self.right_tail) if t is not None]
-        pairs += [(a.numerator * b.denominator, a.denominator * b.numerator)
-                  for k in range(self.k_min, self.k_max) for a, b in zip(self.mu[k], self.mu[k + 1])]
-        return _widest_ratio(pairs)
+        return self._star_c
 
     def distortion_constant(self) -> Fraction:
         """Least K >= 1 with mu(f^k B) mu(W) within a factor K of

@@ -260,10 +260,12 @@ def _decaying_window(half_span: int, cells: int) -> dict:
 # and both tails 1 - 10**-3000, whose crossings took LogGap logs at about
 # 20,000 bits once per sample.  And one whole config: a decaying window of
 # half-span 400 with 4 cells, where the uniform decay step's window phase
-# takes tens of seconds without its float filter.  One valid config still
-# stalls it: both tails 1 - 10**-400 on a window of half-span 400, where
-# conditionmix's _sup_inf takes cap ** ((n + 1) // period) afresh for each
-# of its 800 values of n, cap being within 10**-400 of 1
+# takes tens of seconds without its float filter; and both tails 1 - 10**-400
+# on a window of half-span 400, where conditionmix's _sup_inf once built
+# cap ** ((n + 1) // period) afresh for each of its 800 values of n, cap
+# within 10**-400 of 1.  One valid config still stalls it: at p = 1, a left
+# tail 1 - 10**-1500 on that window, where past n0 the uniform decay step
+# takes every cell ratio's tail power and a max over ratios of millions of bits
 _NINES = "0." + "9" * 3000
 _HOSTILE = [
     pytest.param(("p",), "1000001/1000000", (0, 2), id="p_near_1"),
@@ -274,8 +276,11 @@ _HOSTILE = [
     pytest.param(("tails",), {"left": _NINES, "right": _NINES}, (0,), id="tails_1_minus_1e-3000"),
     pytest.param((), _decaying_window(400, 4), (0,), id="decaying_half_span_400"),
     pytest.param((), {**_decaying_window(400, 1), "tails": {"left": "0." + "9" * 400, "right": "0." + "9" * 400}},
-                 (0,), id="tails_1_minus_1e-400_half_span_400",
-                 marks=_hangs("conditionmix's _sup_inf builds cap ** n of up to 800 * 1,330 bits for each n")),
+                 (0,), id="tails_1_minus_1e-400_half_span_400"),
+    pytest.param((), {**_decaying_window(400, 1), "p": "1", "tails": {"left": "0." + "9" * 1500, "right": "1/3"}},
+                 (0,), id="left_tail_1_minus_1e-1500_half_span_400",
+                 marks=_hangs("_uniform_decay_step's top() past n0 takes mu_cell tail powers and a max over "
+                              "exact ratios of millions of bits")),
 ]
 
 
@@ -293,7 +298,10 @@ def test_hostile_values_end_in_a_subprocess_within_2_s(tmp_path, path, value, co
 
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-_NEAR_1_SPAN = 50  # widest half-span drawn with tails near 1: past it, tails_1_minus_1e-400_half_span_400 stalls
+# widest half-span drawn with tails near 1: past it some draws still stall,
+# such as a tie of the supremum with a 538th power of a tail within 10**-1048
+# of 1, whose exact tie test and 9111th root (p = 9111/9110) take minutes
+_NEAR_1_SPAN = 50
 
 
 def _decimal_exponent(draw, signs=(-1, 1)) -> str:

@@ -5,6 +5,7 @@ from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import count
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -596,6 +597,119 @@ def test_sup_inf_near_ties_match_brute_force(w, system):
     # masses m * 10**30 + d for m in {1, 2, 3} and d in {-1, 0, 1}
     check_menet_against_brute_force(w)
     check_against_brute_force(system)
+
+
+def stop_by_power(w, table, ks, n_max, cap, period) -> tuple[tuple[Fraction, int, bool], int]:
+    """The engine's search with no float floor and its stop tested by
+    building cap ** ((n + 1) // period) at each n: (best, least n attaining
+    it, stopped) and the number of n evaluated."""
+    best, arg = Fraction(0), 0
+    for n in range(1, n_max + 1):
+        if (v := table.min_product(w, n, ks(n))) > best:
+            best, arg = v, n
+        if cap ** ((n + 1) // period) <= best:
+            return (best, arg, True), n
+    return (best, arg, False), n_max
+
+
+def engine_runs_checked_against_powers(call) -> int:
+    """Run call() with every _sup_inf run checked against stop_by_power: the
+    same (best, arg, stopped) after as many n evaluated, counted as calls of
+    min_product.  Returns the number of runs checked."""
+    engine, min_product, evaluated, runs = criteria._sup_inf, criteria._LogTable.min_product, count(), count()
+
+    def counted(self, *args):
+        next(evaluated)
+        return min_product(self, *args)
+
+    def checked(w, table, ks, n_max, cap, period):
+        before = next(evaluated)
+        got = engine(w, table, ks, n_max, cap, period)
+        assert (got, next(evaluated) - before - 1) == stop_by_power(w, table, ks, n_max, cap, period)
+        next(runs)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criteria._LogTable, "min_product", counted)
+        patch.setattr(criteria, "_sup_inf", checked)
+        call()
+    return next(runs)
+
+
+@st.composite
+def capped_engine_runs(draw) -> tuple[str, WeightSequence | MeasureSystem]:
+    """An engine run with cap 1 - 10**-k (k <= 400), 1/2 or 1/4 over powers
+    of itself (exact ties cap**q = best) or 1: menet on hi <= 10 and a right
+    period of length <= 3 with product cap; conditionmix on half-span <= 3
+    with min(a, b) = cap; or "prefix", the engine on k = 0 alone of such a
+    menet input, whose best may pass 1."""
+    kind = draw(st.sampled_from(("near_1", "tie", "one")))
+    if kind == "near_1":
+        cap = 1 - Fraction(1, 10 ** draw(st.integers(1, 400)))
+        pool = GENERIC_POOL + (cap, 1 / cap)
+    elif kind == "tie":
+        cap = draw(st.sampled_from((Fraction(1, 2), Fraction(1, 4))))
+        pool = tuple(cap**e for e in range(-2, 3))
+    else:
+        cap, pool = Fraction(1), GENERIC_POOL
+    leg = draw(st.sampled_from(("menet", "conditionmix", "prefix")))
+    if leg == "conditionmix":
+        other = draw(st.sampled_from([v for v in pool if v >= cap]))
+        a, b = (cap, other) if draw(st.booleans()) else (other, cap)
+        levels = range(-draw(st.integers(0, 3)), draw(st.integers(0, 3)) + 1)
+        return leg, single_cell({k: draw(st.sampled_from(pool)) for k in levels}, left=a, right=1 / b)
+    hi = draw(st.integers(0, 10))
+    tail = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    tail[-1] *= cap / math.prod(tail)
+    return leg, WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=hi,
+                               wp={k: draw(st.sampled_from(pool)) for k in range(1, hi + 1)}, right_tail=tuple(tail))
+
+
+def run_leg(leg: str, subject) -> None:
+    if leg == "menet":
+        menet_unilateral(subject)
+    elif leg == "conditionmix":
+        conditionmix_lhs(subject, derive_weights(subject))
+    else:
+        period = len(subject.right_tail)
+        n_max = subject.hi + period
+        criteria._sup_inf(subject, criteria._LogTable.of_weights(subject, 0, subject.hi + n_max), lambda n: range(1),
+                          n_max, math.prod(subject.right_tail), period)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capped_engine_runs())
+@example(("prefix", WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=2,  # cap 1, best 2 above it
+                                   wp={1: Fraction(2), 2: Fraction(1, 4)}, right_tail=(Fraction(1),))))
+@example(("menet", WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=2,  # cap 1, best 1 at n = 1
+                                  wp={1: Fraction(1), 2: Fraction(1)}, right_tail=(Fraction(1),))))
+@example(("menet", WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=2,  # best 1/4 = cap**2, a crossing tie
+                                  wp={1: Fraction(1), 2: Fraction(1, 4)}, right_tail=(Fraction(1, 2),))))
+@example(("menet", WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=3,  # period 2: best cap at n = 2
+                                  wp={1: Fraction(1), 2: Fraction(1, 4), 3: Fraction(4)},
+                                  right_tail=(Fraction(2), Fraction(1, 8)))))
+@example(("conditionmix", single_cell({0: Fraction(1), 1: Fraction(1, 100), 2: Fraction(1)},  # cap 1 - 10**-400
+                                      left=1 - Fraction(1, 10**400), right=1 / (1 - Fraction(1, 10**400)))))
+def test_the_cap_stops_the_engine_where_a_power_of_it_meets_the_best(case):
+    # the stop found once per new best fires at the same n as a power of
+    # the cap built for every n, however close the cap is to 1
+    assert engine_runs_checked_against_powers(lambda: run_leg(*case)) == 1
+
+
+def test_conditionmix_builds_one_log_table(monkeypatch):
+    # near400's tails are within 10**-400 of 1: no cap stop, so the span
+    # step at S + 1 reads the engine's table
+    system = MeasureSystem.from_json((Path(__file__).parent / "golden" / "near400.json").read_text())
+    builds, init = count(), criteria._LogTable.__init__
+
+    def counted(self, *args):
+        next(builds)
+        init(self, *args)
+
+    monkeypatch.setattr(criteria._LogTable, "__init__", counted)
+    report = conditionmix_lhs(system, derive_weights(system))
+    assert report.witness["attained_at_n"] > system.k_max - system.k_min
+    assert next(builds) == 1
 
 
 # -- cofinite witness -------------------------------------------------------

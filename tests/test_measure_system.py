@@ -2,12 +2,14 @@ import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import MeasureSystem
+from shiftlab import MeasureSystem, measure_system
+from shiftlab.cli import main
 from shiftlab.errors import ConfigError, EmptyWindow, NonPositiveMeasure, TailRuleMissing
 from shiftlab.shift_space import UNILATERAL, WeightSequence
 
@@ -281,6 +283,16 @@ def test_constants_are_the_least_ones_on_generated_systems(seed, tails):
         system = dataclasses.replace(system, left_tail=None, right_tail=None)
     assert system.validate_star() == _star_reference(system)
     assert system.distortion_constant() == _distortion_reference(system)
+
+
+def test_report_computes_each_structural_constant_once(monkeypatch, capsys):
+    # validate_star and distortion_constant take one _widest_ratio each;
+    # the telescoping check reads the cached star constant
+    calls, widest = [], measure_system._widest_ratio
+    monkeypatch.setattr(measure_system, "_widest_ratio", lambda pairs: calls.append(1) or widest(pairs))
+    assert main(["report", "--config", str(Path(__file__).parents[1] / "configs" / "dyadic.json")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
 
 
 def test_window_accessors_return_the_stored_values():
