@@ -142,7 +142,7 @@ def _experiment(system: MeasureSystem, w: WeightSequence, *, eps: float, horizon
     except ShiftlabError as exc:
         return {"error": str(exc)}
     except (OverflowError, ZeroDivisionError) as exc:
-        return {"error": f"weight products leave the float range within {horizon} steps: {exc}"}
+        return {"error": f"the orbit experiment leaves the float range within {horizon} steps: {exc}"}
     return {"approx": approx, "orbit": density}
 
 
@@ -196,8 +196,9 @@ def _semicheck_section(system: MeasureSystem, w: WeightSequence, *, samples: int
 
 
 def run_command(command: str, system: MeasureSystem, *, horizon: int, samples: int, eps: float) -> dict:
-    """Sections for one subcommand; ``report`` gets all of them.  No section
-    reads ``--seed``, which the document only echoes."""
+    """Sections for one subcommand; ``report`` gets all of them, over one
+    derived weight sequence and so one set of its memos.  No section reads
+    ``--seed``, which the document only echoes."""
     c = system.validate_star()
     big_k = system.distortion_constant()
     result: dict = {"system": _system_section(system, c, big_k)}

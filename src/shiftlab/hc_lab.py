@@ -5,18 +5,16 @@ forward-inverse copies of the targets; pushing the sum back to a target's
 slot leaves the target plus cross terms killed by the weight products.
 Here the schedule is an arithmetic ramp whose gap doubles until every
 cross term fits the budget, checked a posteriori by direct iteration.
-Each call shifts through one weight memo: every distinct power is rooted
-once, and a target's forward-inverse blocks serve again as backward ones.
+Both stages shift through the sequence's float memo: every distinct power
+is rooted once, and a target's forward-inverse blocks serve again as backward ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import HorizonExhausted
-from .rationals import pow_maybe_exact
 from .shift_space import (
     SeqVector,
     WeightSequence,
@@ -24,16 +22,7 @@ from .shift_space import (
     apply_forward_inverse,
     lp_distance,
     lp_distances,
-    wp_product,
 )
-
-
-def _weight_memo(w: WeightSequence) -> Callable[[int, int], float]:
-    """(i, j) -> float of the weights' product over [i, j]: each block and each
-    distinct power rooted once, lazily, since a weight never read may overflow."""
-    expo = 1 / w.p
-    root = cache(lambda q: float(pow_maybe_exact(q, expo)))
-    return cache(lambda i, j: root(wp_product(w, i, j)))
 
 
 @dataclass
@@ -66,15 +55,14 @@ def construct_hc_approx(
         # the zero vector already sits on every target, starting at step 0
         zero = SeqVector(w.side, {})
         return HCApproxResult(0, tuple(range(count)), zero, (0.0,) * count)
-    product = _weight_memo(w)
     gap = 1
     while gap * count <= horizon:
         schedule = tuple(gap * (j + 1) for j in range(count))
         x = SeqVector(w.side, {})
         for m, y in zip(schedule, targets):
-            x = x.plus(apply_forward_inverse(w, y, m, product))
+            x = x.plus(apply_forward_inverse(w, y, m))
         defects = tuple(
-            lp_distance(apply_backward(w, x, m, product), y, w.p)
+            lp_distance(apply_backward(w, x, m), y, w.p)
             for m, y in zip(schedule, targets)
         )
         if all(d <= eps for d in defects):
@@ -117,14 +105,13 @@ def orbit_density_report(
     if eps <= 0:
         raise ValueError("eps must be positive")
     best: list[tuple[int, float]] = [(0, float("inf"))] * len(targets)
-    product = _weight_memo(w)
     current = x
     for t in range(horizon + 1):
         for idx, d in enumerate(lp_distances(current, targets, w.p)):
             if d < best[idx][1]:
                 best[idx] = (t, d)
         if t < horizon:
-            current = apply_backward(w, current, 1, product)
+            current = apply_backward(w, current, 1)
     hits = tuple(
         OrbitHit(idx, step, dist, dist <= eps)
         for idx, (step, dist) in enumerate(best)

@@ -20,10 +20,11 @@ reads it.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate
 from operator import mul
 
@@ -85,6 +86,16 @@ class WeightSequence:
         return tuple(accumulate(
             (self.wp[k] for k in range(self.lo, self.hi + 1)), mul, initial=Fraction(1),
         ))
+
+    @cached_property
+    def _floats(self) -> Callable[[int, int], float]:
+        """(i, j) -> ``float(weight_product(self, i, j))``, the shifts' one
+        read of the weights: each block and each distinct power rooted once,
+        lazily (a weight never read may overflow), for as long as the sequence
+        lives.  It holds the sequence weakly, so it forms no reference cycle."""
+        expo, ref = 1 / self.p, weakref.ref(self)
+        root = cache(lambda q: float(pow_maybe_exact(q, expo)))
+        return cache(lambda i, j: root(wp_product(ref(), i, j)))
 
     def has_tail_rules(self) -> bool:
         if self.side == UNILATERAL:
@@ -233,33 +244,33 @@ def _check_sides(w: WeightSequence, x: SeqVector) -> None:
         raise ValueError(f"weight side {w.side} does not match vector side {x.side}")
 
 
-def apply_backward(w: WeightSequence, x: SeqVector, steps: int = 1, product: Callable | None = None) -> SeqVector:
+def apply_backward(w: WeightSequence, x: SeqVector, steps: int = 1) -> SeqVector:
     """steps-fold weighted backward shift: the new value at n is the old
-    value at n + steps times ``product(n + 1, n + steps)``, the weights'
-    product (``weight_product`` on w, or a cached copy).  On the unilateral
-    side, mass shifted past index 0 is discarded."""
+    value at n + steps times the weights' product over [n + 1, n + steps],
+    read through the sequence's float memo.  On the unilateral side, mass
+    shifted past index 0 is discarded."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_sides(w, x)
-    product = product or partial(weight_product, w)
+    product = w._floats
     out: dict[int, complex] = {}
     for j, v in x.entries.items():
         n = j - steps
         if w.side == UNILATERAL and n < 0:
             continue
-        out[n] = v * float(product(n + 1, j))
+        out[n] = v * product(n + 1, j)
     return SeqVector(x.side, out)
 
 
-def apply_forward_inverse(w: WeightSequence, x: SeqVector, steps: int = 1, product: Callable | None = None) -> SeqVector:
+def apply_forward_inverse(w: WeightSequence, x: SeqVector, steps: int = 1) -> SeqVector:
     """steps-fold right inverse of the backward shift: moves the value at n
-    to n + steps, divided by ``product(n + 1, n + steps)`` as in ``apply_backward``."""
+    to n + steps, divided by the block's weight product as in ``apply_backward``."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_sides(w, x)
-    product = product or partial(weight_product, w)
+    product = w._floats
     out: dict[int, complex] = {}
     for j, v in x.entries.items():
         n = j + steps
-        out[n] = v / float(product(j + 1, n))
+        out[n] = v / product(j + 1, n)
     return SeqVector(x.side, out)

@@ -583,7 +583,23 @@ def test_orbit_with_a_huge_exponent_finishes(tmp_path, capsys):
     }))
     code, out, _ = run(capsys, "orbit", "--config", str(config))
     assert code == 0
-    assert "error" in json.loads(out)["experiment"]
+    # float(p) overflows before any weight is read
+    assert json.loads(out)["experiment"]["error"].startswith("the orbit experiment leaves the float range")
+
+
+def test_orbit_whose_p_norm_overflows_does_not_blame_the_weights(tmp_path, capsys):
+    # dyadic's weights are 2**(+-1/p), about 1 at p = 100000, and none leaves
+    # the float range; |v|**p in the p-norm does, for an entry near 2 where
+    # two targets overlap at gap 1
+    doc = json.loads((CONFIGS / "dyadic.json").read_text())
+    config = tmp_path / "dyadic_p100000.json"
+    config.write_text(json.dumps({**doc, "p": "100000"}))
+    code, out, _ = run(capsys, "orbit", "--config", str(config))
+    assert code == 0
+    experiment = json.loads(out)["experiment"]
+    assert list(experiment) == ["error"]
+    assert experiment["error"].startswith("the orbit experiment leaves the float range")
+    assert "weight" not in experiment["error"]
 
 
 def test_out_file_written(tmp_path, capsys):

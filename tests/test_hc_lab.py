@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,12 @@ from hypothesis import strategies as st
 from shiftlab import (
     BILATERAL,
     UNILATERAL,
+    MeasureSystem,
     SeqVector,
     WeightSequence,
     apply_backward,
+    apply_forward_inverse,
+    cli,
     construct_hc_approx,
     derive_weights,
     lp_distance,
@@ -18,6 +23,7 @@ from shiftlab import (
     weight_product,
 )
 from shiftlab.errors import HorizonExhausted
+from shiftlab.rationals import pow_maybe_exact
 
 from generators import TAIL_POOL, random_system
 
@@ -263,3 +269,70 @@ def test_experiment_matches_the_reference_when_a_weight_underflows():
     outcome = _experiment(w, canonical_targets(), 64)
     assert outcome == _reference(w, canonical_targets(), 64)
     assert outcome[0] == "ZeroDivisionError"
+
+
+# -- the sequence's float memo -------------------------------------------------
+#
+# Both shifts read every weight through one memo that lives on the sequence,
+# so what a call leaves in it must not change what a later call computes.
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path, distinct", [("configs/dyadic.json", 18), ("tests/golden/decay2.json", 30)])
+def test_the_experiment_roots_each_distinct_power_once(monkeypatch, path, distinct):
+    # counted wherever a shiftlab module binds pow_maybe_exact: the two
+    # stages share the sequence's memo, so neither roots a power again
+    calls = []
+
+    def counting(q, expo):
+        calls.append(q)
+        return pow_maybe_exact(q, expo)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("shiftlab") and getattr(module, "pow_maybe_exact", None) is pow_maybe_exact:
+            monkeypatch.setattr(module, "pow_maybe_exact", counting)
+    system = MeasureSystem.from_json((ROOT / path).read_text())
+    assert "error" not in cli._experiment(system, derive_weights(system), eps=1e-2, horizon=64)
+    assert len(calls) == len(set(calls)) == distinct
+
+
+# the sequences of the periodic-tail and unilateral reference tests above,
+# built once so that their memos carry over from one example to the next
+_PERIODIC = WeightSequence(
+    p=Fraction(3, 2), side=BILATERAL, lo=-1, hi=2,
+    wp={-1: Fraction(3), 0: Fraction(1, 5), 1: Fraction(2), 2: Fraction(1, 2)},
+    left_tail=(Fraction(1, 2), Fraction(3)), right_tail=(Fraction(2), Fraction(1, 3), Fraction(3, 2)),
+)
+_UNILATERAL = WeightSequence(
+    p=Fraction(2), side=UNILATERAL, lo=1, hi=3,
+    wp={1: Fraction(4), 2: Fraction(9, 4), 3: Fraction(1, 2)}, right_tail=(Fraction(1, 4), Fraction(9)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    which=st.sampled_from(["derived", "steep", "periodic", "unilateral"]),
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.lists(st.tuples(st.booleans(), st.integers(0, 6) | st.integers(7, 300)), min_size=1, max_size=12),
+)
+def test_a_series_of_shifts_on_one_sequence_matches_the_reference(which, seed, calls):
+    """Backward and forward-inverse calls with mixed steps, chained on one
+    sequence, each bit for bit the uncached reference's; steep tails push
+    some products out of the float range, with the same error both ways."""
+    rng = random.Random(seed)
+    if which in ("derived", "steep"):
+        pool = TAIL_POOL + (Fraction(1, 64), Fraction(64)) if which == "steep" else TAIL_POOL
+        w = derive_weights(random_system(rng, tail_pool=pool))
+    else:
+        w = _PERIODIC if which == "periodic" else _UNILATERAL
+    low = 0 if w.side == UNILATERAL else -8
+    x = SeqVector(w.side, {rng.randint(low, 8): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                           for _ in range(rng.randint(1, 4))})
+    for backward, steps in calls:
+        shift, ref = (apply_backward, _ref_backward) if backward else (apply_forward_inverse, _ref_forward_inverse)
+        expected = _outcome(lambda: _hex_vector(ref(w, x, steps)))
+        assert _outcome(lambda: _hex_vector(shift(w, x, steps))) == expected
+        if isinstance(expected, tuple):  # the same error on both sides ends the series
+            break
+        x = ref(w, x, steps)

@@ -50,6 +50,25 @@ def test_a_metric_past_its_bound_and_a_rise_in_failed_are_flagged():
     assert doc["metrics"]["ops_per_s"]["wins"] == 0
 
 
+def _pairs(this_ops: list[float], against_ops: list[float]) -> list[dict]:
+    return [{"this": perf_pairs.parse_result(_line(t, 0.01)), "against": perf_pairs.parse_result(_line(a, 0.01))}
+            for t, a in zip(this_ops, against_ops)]
+
+
+def test_a_spread_past_the_bound_is_unresolved_unless_this_beats_every_run():
+    against = [60.0, 80.0, 100.0, 120.0, 140.0]  # (q3 - q1) / median = 40 / 100, past the bound 0.25
+    doc = perf_pairs.summarize(SPEC, _pairs([a + 5 for a in against], against))
+    ops = doc["metrics"]["ops_per_s"]
+    # this wins every pair, yet its runs overlap the parent's: unresolved, not a gain
+    assert ops["against_spread"] == pytest.approx(0.4)
+    assert ops["unresolved"] and ops["wins"] == 5 and doc["flags"] == []
+    # op_p50_s has no spread at all: resolved
+    assert doc["metrics"]["op_p50_s"]["against_spread"] == 0 and not doc["metrics"]["op_p50_s"]["unresolved"]
+    # every run of this above every run of against: resolved however wide the spread
+    beaten = perf_pairs.summarize(SPEC, _pairs([a + 100 for a in against], against))["metrics"]["ops_per_s"]
+    assert beaten["against_spread"] == pytest.approx(0.4) and not beaten["unresolved"]
+
+
 def test_main_alternates_the_first_side_and_writes_the_pairs(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
     monkeypatch.setattr(perf_pairs, "ROOT", tmp_path)

@@ -12,7 +12,10 @@ the per-pair values, each side's median and quartiles and the pairs that
 "this" wins to ``BENCH_pairs-<workload>.json``, and flags a metric whose
 median on "this" is worse than on "against" by more than the metric's
 ``bound`` (a fraction of the "against" median), and any rise in ``failed``.
-It exits 1 when something is flagged.
+It exits 1 when something is flagged.  A metric whose "against" runs spread,
+as (q3 - q1) / median, wider than its bound is marked ``unresolved``: the
+pairs cannot tell a change within the bound from none, unless every run of
+"this" beats every run of "against".
 
 Standard library only; it writes nothing under ``perfbench/`` itself (the
 runs write their records to ``perfbench/out/`` of each checkout).
@@ -61,8 +64,12 @@ def summarize(spec: dict, pairs: list[dict[str, dict]]) -> dict:
         this, against = spread["this"]["median"], spread["against"]["median"]
         worse_by = (against - this if higher else this - against) / against if against else 0.0
         wins = sum(t > a if higher else t < a for t, a in zip(values["this"], values["against"]))
+        against_spread = (spread["against"]["q3"] - spread["against"]["q1"]) / against if against else 0.0
+        beats_all = (min(values["this"]) > max(values["against"]) if higher
+                     else max(values["this"]) < min(values["against"]))
         doc["metrics"][name] = {"better": metric["better"], "bound": metric["bound"], "values": values,
-                                **spread, "wins": wins, "worse_by": worse_by}
+                                **spread, "wins": wins, "worse_by": worse_by, "against_spread": against_spread,
+                                "unresolved": against_spread > metric["bound"] and not beats_all}
         if worse_by > metric["bound"]:
             doc["flags"].append(f"{name}: median {this:.6g} against {against:.6g}, "
                                 f"worse by {worse_by:.1%} > bound {metric['bound']:.0%}")
@@ -98,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, m in doc["metrics"].items():
         print(f"{name}: this {m['this']['median']:.6g} [{m['this']['q1']:.6g}, {m['this']['q3']:.6g}]  "
               f"against {m['against']['median']:.6g} [{m['against']['q1']:.6g}, {m['against']['q3']:.6g}]  "
-              f"wins {m['wins']}/{len(pairs)}")
+              f"wins {m['wins']}/{len(pairs)}{'  unresolved' if m['unresolved'] else ''}")
     for flag in doc["flags"]:
         print(f"FLAG {flag}")
     print(out)
