@@ -14,11 +14,11 @@ import csv
 import functools
 import hashlib
 import io
-import json
 import math
 import sys
 from dataclasses import is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from ._version import __version__
@@ -231,8 +231,55 @@ def _encode(value):
     raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
+def _scalar(value) -> str | None:
+    """The JSON text of a str, number, bool or None as ``json`` writes it,
+    ``NaN`` and the infinities included; None for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    return None
+
+
+def _emit(value, pad: str, out: list[str]) -> None:
+    """Append the text of value at the indent ``pad`` (a newline and the
+    spaces) to out, as ``json.dumps(value, sort_keys=True, indent=2,
+    default=_encode)`` writes it.  Keys must be strings, as in every
+    document here; any other key raises ``TypeError``."""
+    if (text := _scalar(value)) is not None:
+        out.append(text)
+    elif isinstance(value, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _emit(item, inner, out)
+            sep = ","
+        out.append(pad + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{"
+        for key in sorted(value):
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _emit(value[key], inner, out)
+            sep = ","
+        out.append(pad + "}" if value else "{}")
+    else:
+        _emit(_encode(value), pad, out)
+
+
 def render_json(result: dict) -> str:
-    return json.dumps(result, sort_keys=True, indent=2, default=_encode) + "\n"
+    """The document as ``json.dumps(result, sort_keys=True, indent=2,
+    default=_encode)`` writes it, plus a newline, byte for byte; written
+    here because ``json`` takes its pure-Python encoder whenever it indents."""
+    out: list[str] = []
+    _emit(result, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_csv(result: dict) -> str:

@@ -5,8 +5,12 @@ forward-inverse copies of the targets; pushing the sum back to a target's
 slot leaves the target plus cross terms killed by the weight products.
 Here the schedule is an arithmetic ramp whose gap doubles until every
 cross term fits the budget, checked a posteriori by direct iteration.
-Both stages shift through the sequence's float memo: every distinct power
-is rooted once, and a target's forward-inverse blocks serve again as backward ones.
+Both stages check the sides once and then run on plain entry dicts through
+``shift_space``'s shift, sum and distance kernels, which the ``SeqVector``
+functions wrap, so the floats are theirs bit for bit.  The kernels read the
+sequence's float memo: every distinct power is rooted once, a block deep in
+a tail is read once per (side, phase, length), and a target's
+forward-inverse blocks serve again as backward ones.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from .errors import HorizonExhausted
 from .shift_space import (
     SeqVector,
     WeightSequence,
-    apply_backward,
-    apply_forward_inverse,
-    lp_distance,
-    lp_distances,
+    _backward,
+    _check_sides,
+    _distances,
+    _forward_inverse,
+    _plus,
 )
 
 
@@ -55,18 +60,21 @@ def construct_hc_approx(
         # the zero vector already sits on every target, starting at step 0
         zero = SeqVector(w.side, {})
         return HCApproxResult(0, tuple(range(count)), zero, (0.0,) * count)
+    for y in targets:
+        _check_sides(w, y)
+    ys = [y.entries for y in targets]
     gap = 1
     while gap * count <= horizon:
         schedule = tuple(gap * (j + 1) for j in range(count))
-        x = SeqVector(w.side, {})
-        for m, y in zip(schedule, targets):
-            x = x.plus(apply_forward_inverse(w, y, m))
+        x: dict[int, complex] = {}
+        for m, ye in zip(schedule, ys):
+            x = _plus(x, _forward_inverse(w, ye, m))
         defects = tuple(
-            lp_distance(apply_backward(w, x, m), y, w.p)
-            for m, y in zip(schedule, targets)
+            _distances(_backward(w, x, m), (ye,), float(w.p))[0]
+            for m, ye in zip(schedule, ys)
         )
         if all(d <= eps for d in defects):
-            return HCApproxResult(gap, schedule, x, defects)
+            return HCApproxResult(gap, schedule, SeqVector(w.side, x), defects)
         gap *= 2
     raise HorizonExhausted(
         f"no gap with {count} targets fits within {horizon} steps at eps={eps}"
@@ -97,21 +105,27 @@ def orbit_density_report(
 ) -> OrbitDensityReport:
     """How much of the target list the finite orbit of x visits.
 
-    For each target the closest of x, Bx, ..., B^horizon x is recorded, one
-    ``lp_distances`` call per step; a target is hit when the distance is at
-    most eps.  The fraction of hits is a finite-orbit stand-in for orbit
-    density.
+    For each target the closest of x, Bx, ..., B^horizon x is recorded, the
+    distances to all targets taken at once per step; a target is hit when
+    the distance is at most eps.  The fraction of hits is a finite-orbit
+    stand-in for orbit density.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    pf = float(w.p)
+    if any(y.side != x.side for y in targets):
+        raise ValueError("cannot compare vectors of different sides")
+    if horizon:
+        _check_sides(w, x)
+    ys = [y.entries for y in targets]
     best: list[tuple[int, float]] = [(0, float("inf"))] * len(targets)
-    current = x
+    current = x.entries
     for t in range(horizon + 1):
-        for idx, d in enumerate(lp_distances(current, targets, w.p)):
+        for idx, d in enumerate(_distances(current, ys, pf)):
             if d < best[idx][1]:
                 best[idx] = (t, d)
         if t < horizon:
-            current = apply_backward(w, current, 1)
+            current = _backward(w, current, 1)
     hits = tuple(
         OrbitHit(idx, step, dist, dist <= eps)
         for idx, (step, dist) in enumerate(best)

@@ -73,7 +73,7 @@ def int_nthroot(n: int, k: int) -> int | None:
 
 def fraction_root(q: Fraction, k: int) -> Fraction | None:
     """Exact k-th root of a nonnegative rational, or None."""
-    if q < 0:
+    if q.numerator < 0:
         raise ValueError("fraction_root needs q >= 0")
     num = int_nthroot(q.numerator, k)
     if num is None:
@@ -89,9 +89,9 @@ def fraction_pow(q: Fraction, expo: Fraction) -> Fraction | None:
 
     q must be positive.  expo may be negative.
     """
-    if q <= 0:
+    if q.numerator <= 0:
         raise ValueError("fraction_pow needs q > 0")
-    if expo < 0:
+    if expo.numerator < 0:
         base = fraction_pow(q, -expo)
         return None if base is None else 1 / base
     # gcd(a, b) = 1, so q**a is a perfect b-th power exactly when q is: root first

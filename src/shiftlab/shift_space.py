@@ -12,9 +12,13 @@ tails carry everything.
 Every block product goes through ``wp_product``, which costs O(1) in the
 block length: the window part is a quotient of two entries of a prefix
 table, and each tail run is a power of its period product times fewer than
-one period of leftover entries.  The table is built on first use, not at
-construction, because validating a model or printing its weights never
-reads it.
+one period of leftover entries, built once per (side, phase, length).  The
+table is built on first use, not at construction, because validating a
+model or printing its weights never reads it.
+
+The shifts, the sum and the p-norm distances run on plain entry dicts
+through one private kernel each, which the ``SeqVector`` functions below
+wrap and the orbit experiment calls directly.
 """
 
 from __future__ import annotations
@@ -88,14 +92,37 @@ class WeightSequence:
         ))
 
     @cached_property
+    def _runs(self) -> Callable[[str, int, int], Fraction]:
+        """(side, phase, m) -> ``_tail_run`` of that side's tail, the phase
+        taken mod its period: each distinct run built once.  It holds only
+        the tails, so it forms no reference cycle."""
+        tails = {"left": self.left_tail, "right": self.right_tail}
+        return cache(lambda side, phase, m: _tail_run(tails[side], phase, m))
+
+    @cached_property
     def _floats(self) -> Callable[[int, int], float]:
         """(i, j) -> ``float(weight_product(self, i, j))``, the shifts' one
         read of the weights: each block and each distinct power rooted once,
         lazily (a weight never read may overflow), for as long as the sequence
-        lives.  It holds the sequence weakly, so it forms no reference cycle."""
-        expo, ref = 1 / self.p, weakref.ref(self)
+        lives.  A one-step block in the window reads its power, and a block
+        wholly inside a tail its tail run, so one-step reads deep in a tail
+        build no product past the first of each phase; every other block,
+        and so every error, goes through ``wp_product``.  It holds the
+        sequence weakly, so it forms no reference cycle."""
+        expo, ref, runs = 1 / self.p, weakref.ref(self), self._runs
+        lo, hi, wp, left, right = self.lo, self.hi, self.wp, self.left_tail, self.right_tail
         root = cache(lambda q: float(pow_maybe_exact(q, expo)))
-        return cache(lambda i, j: root(wp_product(ref(), i, j)))
+        run = cache(lambda side, phase, m: root(runs(side, phase, m)))
+
+        def block(i: int, j: int) -> float:
+            if i == j and lo <= i <= hi:
+                return root(wp[i])
+            if i <= j < lo and left is not None:
+                return run("left", (lo - 1 - j) % len(left), j - i + 1)
+            if hi < i <= j and right is not None:
+                return run("right", (i - hi - 1) % len(right), j - i + 1)
+            return root(wp_product(ref(), i, j))
+        return cache(block)
 
     def has_tail_rules(self) -> bool:
         if self.side == UNILATERAL:
@@ -157,7 +184,7 @@ def wp_product(w: WeightSequence, i: int, j: int) -> Fraction:
         if w.left_tail is None:
             raise TailRuleMissing(f"weight index {i} lies below lo and no tail rule is set")
         end = min(j, lo - 1)
-        parts.append(_tail_run(w.left_tail, lo - 1 - end, end - i + 1))
+        parts.append(w._runs("left", (lo - 1 - end) % len(w.left_tail), end - i + 1))
     a, b = max(i, lo), min(j, hi)
     if a < b:
         parts.append(w._prefix[b - lo + 1] / w._prefix[a - lo])
@@ -167,7 +194,7 @@ def wp_product(w: WeightSequence, i: int, j: int) -> Fraction:
         start = max(i, hi + 1)
         if w.right_tail is None:
             raise TailRuleMissing(f"weight index {start} lies beyond hi and no tail rule is set")
-        parts.append(_tail_run(w.right_tail, start - hi - 1, j - start + 1))
+        parts.append(w._runs("right", (start - hi - 1) % len(w.right_tail), j - start + 1))
     return reduce(mul, parts)
 
 
@@ -202,10 +229,7 @@ class SeqVector:
     def plus(self, other: "SeqVector") -> "SeqVector":
         if other.side != self.side:
             raise ValueError("cannot add vectors of different sides")
-        merged = dict(self.entries)
-        for n, v in other.entries.items():
-            merged[n] = merged.get(n, 0j) + v
-        return SeqVector(self.side, merged)
+        return SeqVector(self.side, _plus(self.entries, other.entries))
 
     def to_dict(self) -> dict:
         return {
@@ -217,21 +241,69 @@ class SeqVector:
         }
 
 
-def lp_distances(x: SeqVector, ys: Sequence[SeqVector], p: Fraction | float) -> list[float]:
-    """Float p-norm of x - y for each y in ys, over the union of the
-    supports, x's indices first and then y's others: the term order of
-    ``plus``, bit for bit.  |v|**p of an entry of x is taken once, when a
-    first target lacks its index, and reused for the later ones that do."""
-    pf, xs, alone, out = float(p), x.entries, {}, []
-    for y in ys:
-        if x.side != y.side:
-            raise ValueError("cannot compare vectors of different sides")
-        ye = y.entries
-        terms = [abs(v - ye[n]) ** pf if n in ye else alone[n] if n in alone else alone.setdefault(n, abs(v) ** pf)
-                 for n, v in xs.items()]
-        terms += [abs(v) ** pf for n, v in ye.items() if n not in xs]
+def _distances(xs: dict[int, complex], targets: Sequence[dict[int, complex]], pf: float) -> list[float]:
+    """Float pf-norm of xs - ye for each entry dict ye in targets, over the
+    union of the supports, xs's indices first and then ye's others: the
+    term order of ``plus``, bit for bit.  The terms |v|**pf of xs are taken
+    once, for every target whose support misses xs's."""
+    out, alone = [], None
+    for ye in targets:
+        if ye.keys().isdisjoint(xs.keys()):
+            if alone is None:
+                alone = [abs(v) ** pf for v in xs.values()]
+            terms = alone.copy()
+            for v in ye.values():  # a loop: a comprehension's frame costs more here
+                terms.append(abs(v) ** pf)
+        else:
+            terms = [abs(v - ye[n]) ** pf if n in ye else abs(v) ** pf for n, v in xs.items()]
+            terms += [abs(v) ** pf for n, v in ye.items() if n not in xs]
         out.append(sum(terms) ** (1.0 / pf))
     return out
+
+
+def _plus(xs: dict[int, complex], ys: dict[int, complex]) -> dict[int, complex]:
+    """The entries of xs + ys: ``0j + v`` at a new index, which turns an
+    imaginary -0.0 into 0.0, and exact zeros dropped, as ``SeqVector`` drops them."""
+    out = dict(xs)
+    for n, v in ys.items():
+        if s := out.get(n, 0j) + v:
+            out[n] = s
+        else:
+            out.pop(n, None)
+    return out
+
+
+def _backward(w: WeightSequence, xs: dict[int, complex], steps: int) -> dict[int, complex]:
+    """The entries of the steps-fold backward shift of xs, with the block
+    weights read through the sequence's float memo; exact zeros are
+    dropped, as ``SeqVector`` drops them."""
+    product, unilateral, out = w._floats, w.side == UNILATERAL, {}
+    for j, v in xs.items():
+        n = j - steps
+        if unilateral and n < 0:
+            continue
+        if z := v * product(n + 1, j):
+            out[n] = z
+    return out
+
+
+def _forward_inverse(w: WeightSequence, xs: dict[int, complex], steps: int) -> dict[int, complex]:
+    """The entries of the steps-fold forward inverse of xs, as ``_backward``."""
+    product, out = w._floats, {}
+    for j, v in xs.items():
+        n = j + steps
+        if z := v / product(j + 1, n):
+            out[n] = z
+    return out
+
+
+def lp_distances(x: SeqVector, ys: Sequence[SeqVector], p: Fraction | float) -> list[float]:
+    """Float p-norm of x - y for each y in ys, in ``plus``'s term order
+    (``_distances``)."""
+    pf = float(p)
+    if any(y.side != x.side for y in ys):
+        raise ValueError("cannot compare vectors of different sides")
+    return _distances(x.entries, [y.entries for y in ys], pf)
 
 
 def lp_distance(x: SeqVector, y: SeqVector, p: Fraction | float) -> float:
@@ -252,14 +324,7 @@ def apply_backward(w: WeightSequence, x: SeqVector, steps: int = 1) -> SeqVector
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_sides(w, x)
-    product = w._floats
-    out: dict[int, complex] = {}
-    for j, v in x.entries.items():
-        n = j - steps
-        if w.side == UNILATERAL and n < 0:
-            continue
-        out[n] = v * product(n + 1, j)
-    return SeqVector(x.side, out)
+    return SeqVector(x.side, _backward(w, x.entries, steps))
 
 
 def apply_forward_inverse(w: WeightSequence, x: SeqVector, steps: int = 1) -> SeqVector:
@@ -268,9 +333,4 @@ def apply_forward_inverse(w: WeightSequence, x: SeqVector, steps: int = 1) -> Se
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_sides(w, x)
-    product = w._floats
-    out: dict[int, complex] = {}
-    for j, v in x.entries.items():
-        n = j + steps
-        out[n] = v / product(j + 1, n)
-    return SeqVector(x.side, out)
+    return SeqVector(x.side, _forward_inverse(w, x.entries, steps))

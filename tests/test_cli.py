@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import MeasureSystem, conditionmix_lhs
+from shiftlab import BILATERAL, MeasureSystem, SeqVector, conditionmix_lhs
 from shiftlab import cli
+from shiftlab.criteria import Verdict
+from shiftlab.hc_lab import OrbitHit
 from shiftlab.cli import main
 from shiftlab.sampling import support_levels
 from shiftlab.shift_space import derive_weights
@@ -402,11 +405,61 @@ def test_csv_output(capsys):
     assert any(line.startswith("report,hypercyclicity,Satisfied") for line in lines)
 
 
-@pytest.mark.parametrize("value", [1j, object()], ids=["complex", "object"])
-def test_render_json_refuses_a_type_it_does_not_know(value):
-    # no fallback to str(): a new record type must not print its repr
+def test_render_json_refuses_a_key_that_is_not_a_string():
+    # every document's keys are strings; json.dumps would coerce a number
     with pytest.raises(TypeError):
+        cli.render_json({"a": {1: "x"}})
+
+
+@pytest.mark.parametrize("value", [1j, object(), {1, 2}, b"x"], ids=["complex", "object", "set", "bytes"])
+def test_render_json_refuses_a_type_it_does_not_know(value):
+    # no fallback to str(): a new record type must not print its repr; nested
+    # or not, the error is _encode's, as json.dumps would pass it on
+    with pytest.raises(TypeError, match=f"^cannot encode {type(value).__name__} as JSON$"):
         cli.render_json({"v": value})
+    with pytest.raises(TypeError, match=f"^cannot encode {type(value).__name__} as JSON$"):
+        cli.render_json({"a": [{"b": value}]})
+
+
+# leaves of every kind render_json meets: json's scalars (strings with
+# quotes, escapes, control and non-ASCII characters; ints past the 4300-digit
+# str limit; floats with -0.0, subnormals and the non-finite three), and the
+# values _encode turns into them, a Verdict among them
+_LEAVES = (
+    st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\ud800"])
+    | st.integers()
+    | st.integers(4301, 4310).map(lambda digits: 10**digits + 1)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan])
+    | st.booleans()
+    | st.none()
+    | st.fractions()
+    | st.sampled_from(list(Verdict))
+    | st.builds(lambda entries: SeqVector(BILATERAL, entries),
+                st.dictionaries(st.integers(-5, 5), st.complex_numbers(allow_nan=False, allow_infinity=False),
+                                max_size=3))
+    | st.builds(OrbitHit, st.integers(0, 9), st.integers(0, 64), st.floats(), st.booleans())
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(st.text(), _DOCUMENTS, max_size=5))
+def test_render_json_writes_the_bytes_of_json_dumps(doc):
+    # the CLI renders with the int-to-str digit limit lifted, as here
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = json.dumps(doc, sort_keys=True, indent=2, default=cli._encode) + "\n"
+        assert cli.render_json(doc) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_window_only_config_is_inconclusive_and_strict_fails(capsys):
@@ -585,6 +638,10 @@ def test_orbit_with_a_huge_exponent_finishes(tmp_path, capsys):
     assert code == 0
     # float(p) overflows before any weight is read
     assert json.loads(out)["experiment"]["error"].startswith("the orbit experiment leaves the float range")
+    # with fewer steps than targets no gap is tried, and p is never read
+    code, out, _ = run(capsys, "orbit", "--config", str(config), "--horizon", "2")
+    assert code == 0
+    assert json.loads(out)["experiment"] == {"error": "no gap with 3 targets fits within 2 steps at eps=0.01"}
 
 
 def test_orbit_whose_p_norm_overflows_does_not_blame_the_weights(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from shiftlab import (
     derive_weights,
     lp_distance,
     orbit_density_report,
+    shift_space,
     weight_product,
 )
 from shiftlab.errors import HorizonExhausted
@@ -189,27 +191,27 @@ def _outcome(run):
         return type(exc).__name__, str(exc)
 
 
-def _experiment(w, targets, horizon, x=None):
+def _experiment(w, targets, horizon, x=None, eps=1e-2):
     """Both experiments through the library, floats as hex; x given skips
     the construction."""
     def run():
         out = []
         vector = x
         if vector is None:
-            approx = construct_hc_approx(w, targets, eps=1e-2, horizon=horizon)
+            approx = construct_hc_approx(w, targets, eps=eps, horizon=horizon)
             vector = approx.vector
             out = [approx.gap, approx.schedule, _hex_vector(vector), [d.hex() for d in approx.defects]]
-        hits = orbit_density_report(w, vector, targets, eps=1e-2, horizon=horizon).hits
+        hits = orbit_density_report(w, vector, targets, eps=eps, horizon=horizon).hits
         return out + [[(h.best_step, h.best_distance.hex()) for h in hits]]
     return _outcome(run)
 
 
-def _reference(w, targets, horizon, x=None):
+def _reference(w, targets, horizon, x=None, eps=1e-2):
     def run():
         out = []
         vector = x
         if vector is None:
-            gap, schedule, vector, defects = _ref_approx(w, targets, 1e-2, horizon)
+            gap, schedule, vector, defects = _ref_approx(w, targets, eps, horizon)
             out = [gap, schedule, _hex_vector(vector), [d.hex() for d in defects]]
         return out + [[(t, d.hex()) for t, d in _ref_orbit(w, vector, targets, horizon)]]
     return _outcome(run)
@@ -271,6 +273,33 @@ def test_experiment_matches_the_reference_when_a_weight_underflows():
     assert outcome[0] == "ZeroDivisionError"
 
 
+def test_experiment_matches_the_reference_on_a_target_with_imaginary_minus_zero(dyadic):
+    # the sum adds each image to 0j at a new index, which turns the image's
+    # imaginary -0.0 into +0.0 in the vector that is printed
+    w = derive_weights(dyadic)
+    targets = [SeqVector(BILATERAL, {0: complex(1.0, -0.0)}), *canonical_targets()[1:]]
+    for horizon in (1, 64, 300):
+        assert _experiment(w, targets, horizon) == _reference(w, targets, horizon)
+    vector = construct_hc_approx(w, targets, eps=1e-2, horizon=64).vector
+    assert math.copysign(1.0, vector.entries[16].imag) == 1.0
+
+
+def test_experiment_matches_the_reference_where_two_images_cancel():
+    # unit weights, gap 1: the images of the first two targets meet at index
+    # 1 and cancel, so the entry is dropped, and the third target's image
+    # puts index 1 back at the end of the vector; that order is the order of
+    # the distance terms, which with 1e16 among them changes their float sum
+    w = WeightSequence(p=Fraction(1), side=BILATERAL, lo=0, hi=-1, wp={},
+                       left_tail=(Fraction(1),), right_tail=(Fraction(1),))
+    targets = [SeqVector(BILATERAL, {0: 1.0, 3: 1.0, 1: 1.0}), SeqVector(BILATERAL, {-1: -1.0}),
+               SeqVector(BILATERAL, {-2: 1e16})]
+    for horizon in (3, 6, 64):
+        assert _experiment(w, targets, horizon, eps=1e17) == _reference(w, targets, horizon, eps=1e17)
+    approx = construct_hc_approx(w, targets, eps=1e17, horizon=6)
+    assert approx.schedule == (1, 2, 3)
+    assert list(approx.vector.entries.items()) == [(4, 1.0), (2, 1.0), (1, 1e16)]
+
+
 # -- the sequence's float memo -------------------------------------------------
 #
 # Both shifts read every weight through one memo that lives on the sequence,
@@ -295,6 +324,30 @@ def test_the_experiment_roots_each_distinct_power_once(monkeypatch, path, distin
     system = MeasureSystem.from_json((ROOT / path).read_text())
     assert "error" not in cli._experiment(system, derive_weights(system), eps=1e-2, horizon=64)
     assert len(calls) == len(set(calls)) == distinct
+
+
+def test_the_experiment_builds_each_tail_run_once(monkeypatch):
+    # a block wholly inside a tail is read by its (side, phase, length) run,
+    # which wp_product shares, and a one-step block in the window by its
+    # power: each distinct run is built once, and the experiment on dyadic
+    # takes 37 block products (142 when every new block took one)
+    runs, products = [], []
+    tail_run, product = shift_space._tail_run, shift_space.wp_product
+
+    def counting_run(tail, phase, m):
+        runs.append((tail, phase, m))
+        return tail_run(tail, phase, m)
+
+    def counting_product(w, i, j):
+        products.append((i, j))
+        return product(w, i, j)
+
+    monkeypatch.setattr(shift_space, "_tail_run", counting_run)
+    monkeypatch.setattr(shift_space, "wp_product", counting_product)
+    system = MeasureSystem.from_json((ROOT / "configs/dyadic.json").read_text())
+    assert "error" not in cli._experiment(system, derive_weights(system), eps=1e-2, horizon=64)
+    assert len(runs) == len(set(runs)) == 19
+    assert len(products) == len(set(products)) == 37
 
 
 # the sequences of the periodic-tail and unilateral reference tests above,

@@ -99,6 +99,21 @@ def test_int_nthroot_with_an_index_past_the_bit_length():
     assert int_nthroot(3, 2) is None
 
 
+def test_the_root_path_refuses_a_sign_by_message():
+    # the sign tests read the numerator's sign; the messages are pinned
+    for q in (Fraction(0), Fraction(-4), Fraction(-1, 10**30)):
+        for expo in (Fraction(1, 2), Fraction(-1, 2), Fraction(2)):
+            with pytest.raises(ValueError, match=r"^fraction_pow needs q > 0$"):
+                fraction_pow(q, expo)
+            with pytest.raises(ValueError, match=r"^fraction_pow needs q > 0$"):
+                pow_maybe_exact(q, expo)
+    for q in (Fraction(-4), Fraction(-1, 10**30)):
+        with pytest.raises(ValueError, match=r"^fraction_root needs q >= 0$"):
+            fraction_root(q, 2)
+    assert fraction_root(Fraction(0), 3) == 0
+    assert fraction_pow(Fraction(9, 4), Fraction(-3, 2)) == Fraction(8, 27)
+
+
 def test_fraction_root_and_pow_exact_cases():
     assert fraction_root(Fraction(4, 9), 2) == Fraction(2, 3)
     assert fraction_root(Fraction(10), 2) is None

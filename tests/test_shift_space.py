@@ -302,3 +302,43 @@ def test_deriving_weights_leaves_the_prefix_table_unbuilt(dyadic):
     assert "_prefix" not in vars(w)
     assert wp_product(w, -3, 2) == dyadic.mu_W(-4) / dyadic.mu_W(2)
     assert "_prefix" in vars(w)
+
+
+# -- tail runs, read once per (side, phase, length) -----------------------------
+
+
+def test_tail_blocks_read_by_their_run_match_the_block_product():
+    # periods 2 and 3, so every phase of both tails, two periods deep, at
+    # every length up to 300; the memo is read cold and then warm
+    w = WeightSequence(
+        p=Fraction(3, 2), side=BILATERAL, lo=-1, hi=2,
+        wp={-1: Fraction(3), 0: Fraction(1, 5), 1: Fraction(2), 2: Fraction(1, 2)},
+        left_tail=(Fraction(1, 2), Fraction(3)), right_tail=(Fraction(2), Fraction(1, 3), Fraction(3, 2)),
+    )
+    blocks = [(j - m + 1, j) for j in range(w.lo - 1, w.lo - 1 - 2 * len(w.left_tail), -1) for m in range(1, 301)]
+    blocks += [(i, i + m - 1) for i in range(w.hi + 1, w.hi + 1 + 2 * len(w.right_tail)) for m in range(1, 301)]
+    for _ in range(2):
+        for i, j in blocks:
+            assert w._floats(i, j).hex() == float(weight_product(w, i, j)).hex()
+    # one exact run per (side, phase, length): lengths 1-300 at 2 and 3 phases
+    assert w._runs.cache_info().currsize == 300 * (2 + 3)
+
+
+def test_tail_blocks_past_a_side_with_no_tail_raise_as_wp_product():
+    left_only = WeightSequence(p=Fraction(2), side=BILATERAL, lo=0, hi=1, wp={0: Fraction(1), 1: Fraction(2)},
+                               left_tail=(Fraction(1, 2),))
+    right_only = WeightSequence(p=Fraction(2), side=BILATERAL, lo=0, hi=1, wp={0: Fraction(1), 1: Fraction(2)},
+                                right_tail=(Fraction(1, 2),))
+    unilateral = WeightSequence(p=Fraction(2), side=UNILATERAL, lo=1, hi=1, wp={1: Fraction(2)},
+                                right_tail=(Fraction(1, 2),))
+    for w, (i, j), error, message in [
+        (left_only, (3, 5), TailRuleMissing, "weight index 3 lies beyond hi and no tail rule is set"),
+        (left_only, (-3, 4), TailRuleMissing, "weight index 2 lies beyond hi and no tail rule is set"),
+        (right_only, (-5, -3), TailRuleMissing, "weight index -5 lies below lo and no tail rule is set"),
+        (unilateral, (0, 0), ValueError, "unilateral weights are indexed from 1, got 0"),
+        (unilateral, (-4, -2), ValueError, "unilateral weights are indexed from 1, got -4"),
+    ]:
+        for read in (w._floats, lambda i, j: wp_product(w, i, j)):
+            with pytest.raises(error) as raised:
+                read(i, j)
+            assert type(raised.value) is error and str(raised.value) == message

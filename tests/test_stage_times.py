@@ -21,7 +21,7 @@ def test_stage_times_writes_the_medians_of_each_stage(tmp_path):
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     stages = doc["configs"]["flat"]
     assert {"validate_star", "distortion_constant", "derive_weights", "weak_mixing_consistency",
-            "menet_unilateral", "_semicheck_section", "_experiment", "total"} <= set(stages)
+            "menet_unilateral", "_semicheck_section", "_experiment", "render_json", "total"} <= set(stages)
     assert all(t >= 0 for t in stages.values())
     assert sum(t for name, t in stages.items() if name != "total") <= stages["total"]
     assert isinstance(doc["bytecode_cache"], bool)

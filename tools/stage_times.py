@@ -10,6 +10,8 @@ afresh each time, and writes the medians in seconds to ``BENCH_<label>.json``.
 A stage is a call that ``run_command`` makes: the two structural constants,
 ``derive_weights``, each of the seven criteria, ``semicheck`` and the orbit
 experiment; a stage called inside another counts only in the outer one.
+``render_json`` of the result is one more stage, and ``total`` covers
+``run_command`` and the render.
 
 It also writes, per config, the median wall time of whole ``python -m
 shiftlab validate`` and ``report`` processes over the same repeat, which is
@@ -70,7 +72,7 @@ def _timed(name: str, fn, times: dict[str, float], depth: list[int]):
 
 
 def time_config(path: Path, repeat: int, samples: int) -> dict:
-    """Median seconds of each stage and of the whole run_command over repeat runs."""
+    """Median seconds of each stage and of the whole run_command and render over repeat runs."""
     text = path.read_text()
     runs: list[dict[str, float]] = []
     for _ in range(repeat):
@@ -82,8 +84,12 @@ def time_config(path: Path, repeat: int, samples: int) -> dict:
                 setattr(owner, name, _timed(name, fn, times, depth))
             system = MeasureSystem.from_json(text)
             start = time.perf_counter()
-            cli.run_command("report", system, horizon=64, samples=samples, eps=1e-2)
-            times["total"] = time.perf_counter() - start
+            result = cli.run_command("report", system, horizon=64, samples=samples, eps=1e-2)
+            rendered = time.perf_counter()
+            cli.render_json(result)
+            end = time.perf_counter()
+            times["render_json"] = end - rendered
+            times["total"] = end - start
         finally:
             for owner, name, fn in saved:
                 setattr(owner, name, fn)
