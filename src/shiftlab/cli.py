@@ -4,7 +4,7 @@ Six subcommands share one flag set.  ``validate`` stops after the structural
 constants, ``weights``/``criteria``/``semicheck``/``orbit`` each add one
 section, and ``report`` aggregates everything.  Every document embeds the
 config hash and the library version so reports are traceable to their
-inputs; identical config and seed give byte-identical output.
+inputs; the same config gives byte-identical output, whatever the seed.
 """
 
 from __future__ import annotations
@@ -148,28 +148,24 @@ def _experiment(system: MeasureSystem, w: WeightSequence, *, eps: float, horizon
 
 def _system_section(system: MeasureSystem, c: Fraction, big_k: Fraction) -> dict:
     return {
-        "p": str(system.p),
+        "p": system.p,
         "window": [system.k_min, system.k_max],
         "cells": list(system.cells),
-        "tails": (
-            {"left": str(system.left_tail), "right": str(system.right_tail)}
-            if system.has_tails
-            else None
-        ),
-        "star_c": str(c),
-        "distortion_K": str(big_k),
+        "tails": {"left": system.left_tail, "right": system.right_tail} if system.has_tails else None,
+        "star_c": c,
+        "distortion_K": big_k,
     }
 
 
 def _weights_section(w: WeightSequence) -> dict:
     return {
         "side": w.side,
-        "p": str(w.p),
+        "p": w.p,
         "lo": w.lo,
         "hi": w.hi,
-        "wp": {str(k): str(v) for k, v in w.wp.items()},
-        "left_tail": [str(v) for v in w.left_tail] if w.left_tail else None,
-        "right_tail": [str(v) for v in w.right_tail] if w.right_tail else None,
+        "wp": {str(k): v for k, v in w.wp.items()},
+        "left_tail": list(w.left_tail) if w.left_tail else None,
+        "right_tail": list(w.right_tail) if w.right_tail else None,
     }
 
 
@@ -177,7 +173,8 @@ def _semicheck_section(system: MeasureSystem, w: WeightSequence, *, samples: int
     # The identity is linear in phi and holds level by level (project tags
     # level k with (q_k, mu_W(k)), T_f moves q_k to k - 1, the shift scales
     # rho by wp(k), equals compares entries), so one phi with a unit on cell
-    # 0 of every sampled level passes exactly when every sample would.
+    # 0 of every sampled level passes exactly when every sample would; it
+    # runs whatever ``samples`` is, which the section only echoes.
     # Without tails the image of the window floor has no measure.
     levels = support_levels(system)
     if not system.has_tails:
@@ -185,13 +182,12 @@ def _semicheck_section(system: MeasureSystem, w: WeightSequence, *, samples: int
     if not levels:
         return {"samples": 0, "exact_zero": 0, "max_defect": "0",
                 "note": "window too small to shift a step function"}
-    if samples:
-        phi = StepFunction({(k, 0): 1 for k in levels})
-        defect = semiconjugacy_defect(system, phi, w)
-        if not (isinstance(defect, Fraction) and defect == 0):
-            raise InconsistentWitness(
-                f"factor identity defect {defect!r} on levels {levels.start}..{levels.stop - 1}"
-            )
+    phi = StepFunction({(k, 0): 1 for k in levels})
+    defect = semiconjugacy_defect(system, phi, w)
+    if not (isinstance(defect, Fraction) and defect == 0):
+        raise InconsistentWitness(
+            f"factor identity defect {defect!r} on levels {levels.start}..{levels.stop - 1}"
+        )
     return {"samples": samples, "exact_zero": samples, "max_defect": "0"}
 
 
@@ -232,8 +228,11 @@ def _encode(value):
 
 
 def _scalar(value) -> str | None:
-    """The JSON text of a str, number, bool or None as ``json`` writes it,
-    ``NaN`` and the infinities included; None for any other value."""
+    """The JSON text of a Fraction (through ``_encode``), str, number, bool
+    or None as ``json`` writes it, ``NaN`` and the infinities included; None
+    for any other value."""
+    if isinstance(value, Fraction):
+        return encode_basestring_ascii(_encode(value))
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:

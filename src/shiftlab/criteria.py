@@ -4,7 +4,9 @@ Every criterion here returns a report with one of three verdicts:
 
 * ``Satisfied`` and ``Violated`` are exact: they are backed by rational
   arithmetic on the window data plus the geometric tail rules, and the
-  witness field carries the numbers that decide the case.
+  witness field carries the numbers that decide the case, as exact values
+  (Fraction, int, bool, or float where a root is irrational); only the
+  renderers in ``cli`` write them as text.
 * ``InconclusiveWindow`` means the finite window alone cannot decide; this
   is the only possible answer when a system carries no tail rules, because
   window data bounds the relevant suprema and infima from one side only.
@@ -83,11 +85,6 @@ class CriterionReport:
     notes: str = ""
 
 
-def _frac_or_float(v: Fraction | float) -> str | float:
-    """Witness encoding: exact rationals as strings, floats as numbers."""
-    return str(v) if isinstance(v, Fraction) else float(v)
-
-
 # -- hypercyclicity ---------------------------------------------------------
 
 
@@ -111,8 +108,8 @@ def hypercyclicity_report(system: MeasureSystem) -> CriterionReport:
     decay_left = system.left_tail < 1
     decay_right = system.right_tail < 1
     witness = {
-        "left_ratio": str(system.left_tail),
-        "right_ratio": str(system.right_tail),
+        "left_ratio": system.left_tail,
+        "right_ratio": system.right_tail,
         "decay_left": decay_left,
         "decay_right": decay_right,
     }
@@ -151,7 +148,7 @@ def shift_hypercyclicity_report(w: WeightSequence) -> CriterionReport:
     if w.side == UNILATERAL:
         assert w.right_tail is not None
         pi = math.prod(w.right_tail, start=Fraction(1))
-        witness = {"period_product_wp": str(pi)}
+        witness = {"period_product_wp": pi}
         if pi > 1:
             return CriterionReport(
                 "shift_hypercyclicity", Verdict.SATISFIED, witness,
@@ -165,8 +162,8 @@ def shift_hypercyclicity_report(w: WeightSequence) -> CriterionReport:
     pi_left = math.prod(w.left_tail, start=Fraction(1))
     pi_right = math.prod(w.right_tail, start=Fraction(1))
     witness = {
-        "left_period_product_wp": str(pi_left),
-        "right_period_product_wp": str(pi_right),
+        "left_period_product_wp": pi_left,
+        "right_period_product_wp": pi_right,
     }
     if pi_left < 1 and pi_right > 1:
         return CriterionReport(
@@ -405,7 +402,7 @@ def menet_unilateral(w: WeightSequence) -> CriterionReport:
     pi = math.prod(period, start=Fraction(1))
     if pi > 1:
         return CriterionReport(
-            "menet_unilateral", Verdict.VIOLATED, {"period_product_wp": str(pi)},
+            "menet_unilateral", Verdict.VIOLATED, {"period_product_wp": pi},
             "tail period product > 1: the inner infima diverge, the supremum is infinite",
         )
     n_max, ks = max(hi, 1) + len(period) - 1, range(1, hi + len(period) + 1)
@@ -416,12 +413,12 @@ def menet_unilateral(w: WeightSequence) -> CriterionReport:
         criterion="menet_unilateral",
         verdict=Verdict.SATISFIED,
         witness={
-            "period_product_wp": str(pi),
-            "sup_inf_wp": str(sup_pp),
+            "period_product_wp": pi,
+            "sup_inf_wp": sup_pp,
             "attained_at_n": arg_n,
-            "bound_wp": str(bound_pp),
-            "sup_inf": _frac_or_float(pow_maybe_exact(sup_pp, inv_p)),
-            "bound": _frac_or_float(pow_maybe_exact(bound_pp, inv_p)),
+            "bound_wp": bound_pp,
+            "sup_inf": pow_maybe_exact(sup_pp, inv_p),
+            "bound": pow_maybe_exact(bound_pp, inv_p),
         },
         notes="tail period product <= 1: the supremum of inner infima is finite and attained",
     )
@@ -451,16 +448,16 @@ def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionRepor
         )
     assert system.left_tail is not None and system.right_tail is not None
     a, b = system.left_tail, 1 / system.right_tail
-    witness: dict = {"left_step": str(a), "right_step": str(b)}
+    witness: dict = {"left_step": a, "right_step": b}
     if a > 1 and b > 1:
         return CriterionReport(
             "conditionmix", Verdict.VIOLATED, {**witness, "unbounded": True},
             "both step ratios exceed 1: every candidate ratio diverges with n, the supremum is infinite",
         )
     k_min, k_max = system.k_min, system.k_max
-    n0, value = k_max - k_min + 1, None
+    n0 = k_max - k_min + 1
     table = _LogTable.of_weights(w, k_min - n0, k_max + n0)
-    best, arg, stopped = _sup_inf(w, table, lambda n: range(k_min - n, k_max + 1), n0 - 1, min(a, b), 1)
+    value, arg, stopped = _sup_inf(w, table, lambda n: range(k_min - n, k_max + 1), n0 - 1, min(a, b), 1)
     if not stopped:
         # from n0 on a pair with k < k_min scales by a per step (its right end fixed), any other by b
         (s_lo, lo), (s_hi, hi) = sorted((s, table.min_product(w, n0, ks)) for s, ks in
@@ -472,12 +469,12 @@ def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionRepor
             m = meet.least_crossing()  # the first m with hi * s_hi**m >= lo * s_lo**m
             m -= meet.sign(m) < 0
             coef, step, m = (hi, s_hi, m) if LogGap(hi / lo / s_lo, s_hi / s_lo).sign(m) >= 0 else (lo, s_lo, m + 1)
-        if arg == 0 or LogGap(coef / best, step).sign(m) > 0:
-            # a product where bit lengths allow more digits than int-to-str's 4300
+        if arg == 0 or LogGap(coef / value, step).sign(m) > 0:
+            # built, unless bit lengths allow it more digits than int-to-str's 4300: then its text
             bits = max(coef.numerator.bit_length() + m * step.numerator.bit_length(),
                        coef.denominator.bit_length() + m * step.denominator.bit_length())
-            value, arg = (str(coef * step**m) if bits * 30103 < 4299 * 10**5 else f"{coef}*({step})**{m}"), n0 + m
-    witness.update({"value": value or str(best), "attained": True, "attained_at_n": arg})
+            value, arg = (coef * step**m if bits * 30103 < 4299 * 10**5 else f"{coef}*({step})**{m}"), n0 + m
+    witness.update({"value": value, "attained": True, "attained_at_n": arg})
     return CriterionReport("conditionmix", Verdict.SATISFIED, witness, "supremum of worst-case mass ratios is <= 1")
 
 

@@ -91,9 +91,9 @@ class MeasureSystem:
                 raise ConfigError(f"mu[{k}]: expected {len(self.cells)} cell measures")
         for k in range(self.k_min, self.k_max + 1):
             for name, v in zip(self.cells, self.mu[k]):
-                if v <= 0:
+                if v.numerator <= 0:
                     raise NonPositiveMeasure(f"mu[{k}][{name}] = {v} is not positive")
-        if self.has_tails and (self.left_tail <= 0 or self.right_tail <= 0):
+        if self.has_tails and (self.left_tail.numerator <= 0 or self.right_tail.numerator <= 0):
             raise NonPositiveMeasure("tail ratios must be positive")
 
     # -- accessors ---------------------------------------------------------

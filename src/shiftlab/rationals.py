@@ -60,9 +60,12 @@ def int_nthroot(n: int, k: int) -> int | None:
     if k == 2:
         r = math.isqrt(n)
     else:
-        # integer Newton from 2**ceil(bits/k), which is above the root; the
-        # iterates fall monotonically to floor(n ** (1/k))
-        r = 1 << -(-n.bit_length() // k)
+        # integer Newton from a start at or above the root, whence the iterates fall
+        # monotonically to floor(n ** (1/k)): 2 ** (log2(n) / k), within a relative
+        # 2**-20 of the root, raised by that margin and 2, in floats to 53 bits only
+        e = math.log2(n) / k
+        shift = max(0, int(e) - 52)
+        r = int(2 ** (e - shift) * (1 + 2.0**-20)) + 2 << shift
         while True:
             s = ((k - 1) * r + n // r ** (k - 1)) // k
             if s >= r:

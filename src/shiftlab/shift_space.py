@@ -63,13 +63,13 @@ class WeightSequence:
         if len(self.wp) != self.hi - self.lo + 1 or not all(self.lo <= k <= self.hi for k in self.wp):
             raise ConfigError("weights: explicit powers must cover [lo, hi] exactly")
         for k, v in self.wp.items():
-            if v <= 0:
+            if v.numerator <= 0:
                 raise ConfigError(f"weights: power at {k} must be positive, got {v}")
         for name, tail in (("left", self.left_tail), ("right", self.right_tail)):
             if tail is not None:
                 if not tail:
                     raise ConfigError(f"weights: {name} tail must be nonempty")
-                if any(v <= 0 for v in tail):
+                if any(v.numerator <= 0 for v in tail):
                     raise ConfigError(f"weights: {name} tail values must be positive")
         if self.side == UNILATERAL:
             if self.lo != 1:

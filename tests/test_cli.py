@@ -293,7 +293,8 @@ def test_conditionmix_meeting_point_past_float_reach_in_the_cli(tmp_path, capsys
     assert code == 0
     report = {r["criterion"]: r for r in json.loads(out, parse_constant=_reject_constant)["reports"]}["conditionmix"]
     system = MeasureSystem.from_dict(doc)
-    assert report["witness"] == conditionmix_lhs(system, derive_weights(system)).witness
+    witness = conditionmix_lhs(system, derive_weights(system)).witness
+    assert report["witness"] == json.loads(json.dumps(witness, default=cli._encode))
     assert report["witness"]["attained"] is True
 
 
@@ -677,10 +678,12 @@ def _tripled(w, place):
 
 
 # one weight 3x off: dyadic's wp[1], the original case under its original
-# ids, then wide200's right edge and each tail, which one random sample on
-# its 405 levels almost never meets and the certificate always does
+# ids and again under --samples 0, which still makes the one exact check,
+# then wide200's right edge and each tail, which one random sample on its
+# 405 levels almost never meets and the certificate always does
 _BROKEN_WEIGHTS = [
     *(pytest.param(command, CONFIGS / "dyadic.json", "100", 1, id=command) for command in ("report", "semicheck")),
+    pytest.param("semicheck", CONFIGS / "dyadic.json", "0", 1, id="semicheck-samples-0"),
     *(pytest.param(command, GOLDEN / "wide200.json", "1", place, id=f"{command}-wide200-{place}")
       for place in (200, "right_tail", "left_tail") for command in ("report", "semicheck")),
 ]
@@ -695,7 +698,7 @@ def test_a_broken_factor_identity_exits_1_without_a_traceback(capsys, monkeypatc
     assert err.startswith("shiftlab: factor identity defect") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("samples, calls", [("0", 0), ("1", 1), ("100", 1)])
+@pytest.mark.parametrize("samples, calls", [("0", 1), ("1", 1), ("100", 1)])
 def test_semicheck_makes_one_exact_check_whatever_the_sample_count(capsys, monkeypatch, samples, calls):
     seen = []
     monkeypatch.setattr(cli, "semiconjugacy_defect", lambda *args: seen.append(args) or Fraction(0))

@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import sys
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -21,6 +22,7 @@ from shiftlab import (
     apply_Tf,
     apply_Tf_inverse,
     cofinite_quotient_witness,
+    cli,
     conditionmix_lhs,
     criteria,
     derive_weights,
@@ -78,8 +80,8 @@ def test_shift_route_agrees_on_dyadic(dyadic):
     w = derive_weights(dyadic)
     report = shift_hypercyclicity_report(w)
     assert report.verdict is Verdict.SATISFIED
-    assert report.witness["left_period_product_wp"] == "1/2"
-    assert report.witness["right_period_product_wp"] == "2"
+    assert report.witness["left_period_product_wp"] == Fraction(1, 2)
+    assert report.witness["right_period_product_wp"] == 2
 
 
 def test_shift_route_unilateral_cases():
@@ -185,7 +187,7 @@ def uni_tail(*values) -> WeightSequence:
 def test_menet_growing_weights_violate():
     report = menet_unilateral(uni_tail(2))
     assert report.verdict is Verdict.VIOLATED
-    assert report.witness["period_product_wp"] == "2"
+    assert report.witness["period_product_wp"] == 2
 
 
 def test_menet_constant_one_bound_one():
@@ -241,7 +243,7 @@ def test_menet_budget_and_missing_tail():
     # no enumeration budget: a window past the old 4096 gets the exact answer
     report = menet_unilateral(halves(4097))
     assert report.verdict is Verdict.SATISFIED
-    assert report.witness["sup_inf_wp"] == "1/2"
+    assert report.witness["sup_inf_wp"] == Fraction(1, 2)
     assert report.witness["attained_at_n"] == 1
     bare = WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=1,
                           wp={1: Fraction(2)})
@@ -270,7 +272,7 @@ def check_menet_against_brute_force(w: WeightSequence) -> None:
         return
     assert report.verdict is Verdict.SATISFIED
     best, arg = brute_menet(w)
-    assert (report.witness["sup_inf_wp"], report.witness["attained_at_n"]) == (str(best), arg)
+    assert (report.witness["sup_inf_wp"], report.witness["attained_at_n"]) == (best, arg)
 
 
 GENERIC_POOL = tuple(Fraction(n, d) for n in (1, 2, 3, 5, 7) for d in (1, 2, 3, 4, 5, 7))
@@ -325,7 +327,7 @@ def test_menet_stops_once_the_tail_caps_the_best(monkeypatch):
                                    right=Fraction(3, 2)))
     calls = count()
     report = menet_unilateral(w)
-    assert (report.witness["sup_inf_wp"], report.witness["attained_at_n"]) == ("2/3", 1)
+    assert (report.witness["sup_inf_wp"], report.witness["attained_at_n"]) == (Fraction(2, 3), 1)
     assert next(calls) <= w.hi + 1  # one n of k in [1, hi + 1], not 40 of them
 
 
@@ -351,13 +353,13 @@ def test_sup_inf_takes_few_products_exactly(monkeypatch):
     monkeypatch.setattr(criteria, "wp_product", counted)
     w = derive_weights(flat_window(400, Fraction(1, 2), 1))
     report = menet_unilateral(w)
-    assert (report.witness["sup_inf_wp"], report.witness["attained_at_n"]) == ("17/48", 390)
+    assert (report.witness["sup_inf_wp"], report.witness["attained_at_n"]) == (Fraction(17, 48), 390)
     assert next(calls) <= 4 * w.hi
     # steps a = b = 1: conditionmix has no cap stop either and meets the window span
     system = flat_window(200, 1, 1)
     calls = count()
     report = conditionmix_lhs(system, derive_weights(system))
-    assert (report.witness["value"], report.witness["attained_at_n"]) == ("9/85", 3)
+    assert (report.witness["value"], report.witness["attained_at_n"]) == (Fraction(9, 85), 3)
     assert next(calls) <= 4 * (system.k_max - system.k_min)
 
 
@@ -484,11 +486,11 @@ def test_conditionmix_meeting_point_past_float_reach(eps):
         assert abs(ln_c + int(e) * ln_r - ln_value) < Decimal(10) ** (10 - digits)
 
 
-def conditionmix_value(text: str) -> Fraction:
-    """A conditionmix value: a rational string or the product "c*(r)**e"."""
-    if "*" not in text:
-        return Fraction(text)
-    c, rest = text.split("*(")
+def conditionmix_value(value: Fraction | str) -> Fraction:
+    """A conditionmix value: an exact rational or the product text "c*(r)**e"."""
+    if isinstance(value, Fraction):
+        return value
+    c, rest = value.split("*(")
     r, e = rest.split(")**")
     return Fraction(c) * Fraction(r) ** int(e)
 
@@ -597,6 +599,37 @@ def test_sup_inf_near_ties_match_brute_force(w, system):
     # masses m * 10**30 + d for m in {1, 2, 3} and d in {-1, 0, 1}
     check_menet_against_brute_force(w)
     check_against_brute_force(system)
+
+
+@pytest.fixture
+def default_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_witnesses_stay_exact_under_the_default_digit_limit(default_digit_limit):
+    # masses of over 3000 digits and tails of over 5000: the witnesses keep
+    # exact values, which only the CLI's renderers write as text, so a
+    # library call never meets int-to-str's 4300-digit limit
+    big = 10**3000
+    one = single_cell({-1: Fraction(big + 1, big), 0: Fraction(big + 7, big + 3), 1: Fraction(big + 11, big + 9)},
+                      left=1, right=1)
+    reports = cli.run_command("criteria", one, horizon=64, samples=1, eps=1e-2)["reports"]
+    assert [r.criterion for r in reports] == ["hypercyclicity", "shift_hypercyclicity", "weak_mixing",
+                                              "menet_unilateral", "conditionmix", "cofinite_quotient",
+                                              "telescoping_bound"]
+    value, arg = brute_conditionmix(one, 8)
+    assert (reports[4].witness["value"], reports[4].witness["attained_at_n"]) == (value, arg)
+    tail = Fraction(10**5000 - 1, 10**5000)
+    two = single_cell({0: Fraction(1)}, left=tail, right=tail)
+    w = derive_weights(two)
+    verdicts = [hypercyclicity_report(two), shift_hypercyclicity_report(w), weak_mixing_consistency(two),
+                menet_unilateral(w)]
+    assert [r.verdict for r in verdicts] == [Verdict.SATISFIED] * 3 + [Verdict.VIOLATED]
+    assert verdicts[0].witness["left_ratio"] == tail
+    assert verdicts[3].witness["period_product_wp"] == 1 / tail
 
 
 def stop_by_power(w, table, ks, n_max, cap, period) -> tuple[tuple[Fraction, int, bool], int]:

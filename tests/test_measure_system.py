@@ -91,6 +91,16 @@ def test_nonpositive_tail_is_caught_by_validation():
         )
 
 
+def test_sign_checks_keep_their_messages():
+    # the checks read each sign off a numerator
+    with pytest.raises(NonPositiveMeasure, match=r"^mu\[1\]\[B2\] = -1/4 is not positive$"):
+        MeasureSystem(p=Fraction(2), k_min=0, k_max=1, cells=("B1", "B2"),
+                      mu={0: (Fraction(1, 2), Fraction(1, 2)), 1: (Fraction(1, 2), Fraction(-1, 4))})
+    with pytest.raises(NonPositiveMeasure, match="^tail ratios must be positive$"):
+        MeasureSystem(p=Fraction(2), k_min=0, k_max=0, cells=("B1",), mu={0: (Fraction(1),)},
+                      left_tail=Fraction(1, 2), right_tail=Fraction(-1, 2))
+
+
 def test_empty_window():
     with pytest.raises(EmptyWindow):
         MeasureSystem(p=Fraction(2), k_min=1, k_max=0, cells=("B1",), mu={})

@@ -1,6 +1,8 @@
 import decimal
 import math
+import random
 import signal
+import time
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
@@ -76,7 +78,7 @@ def test_int_nthroot():
     assert int_nthroot(2**60, 5) == 2**12
     assert int_nthroot(10, 2) is None
     assert int_nthroot(3**40 + 1, 4) is None
-    # exact integer iteration: no float seed, no walk, no float overflow
+    # exact integer iteration from a float start: no walk, no float overflow
     r70, r80 = 2**70 - 35, 2**80 - 3
     assert int_nthroot(r70**3, 3) == r70
     assert int_nthroot(r80**3, 3) == r80
@@ -89,6 +91,39 @@ def test_int_nthroot():
     assert fraction_pow(Fraction(1, 2**699), Fraction(2, 3)) == Fraction(1, 2**466)
     with pytest.raises(ValueError):
         int_nthroot(-1, 2)
+
+
+# per index k, root bit lengths: the float range's edge at 2**52 and 2**53,
+# and roots past 2**1024 where the power stays under about 110,000 bits
+_ROOT_BITS = {k: (2, 40, 52, 53, 54, 60, 200) + (() if k > 97 else (1030, 1100))
+              for k in (3, 4, 5, 7, 10, 31, 97, 1000)}
+_ROOT_BITS[9111] = (2, 20, 60)
+
+
+@pytest.mark.parametrize("k", sorted(_ROOT_BITS))
+def test_int_nthroot_finds_roots_and_only_roots(k):
+    # x**k has the root x, and x**k - 1 and x**k + 1 lie strictly between two
+    # consecutive k-th powers, so they have none; x near 2**52.6 at k = 31 is
+    # where a float start raised by 2 alone, with no shift, lies below the root
+    rng = random.Random(k)
+    roots = [rng.getrandbits(b) | 1 << (b - 1) for b in _ROOT_BITS[k] for _ in range(1 if k > 1000 else 3)]
+    roots += [2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53, 2**53 + 1, 7_012_532_710_746_230]
+    for x in roots:
+        n = x**k
+        assert int_nthroot(n, k) == x
+        assert int_nthroot(n - 1, k) is None and int_nthroot(n + 1, k) is None
+
+
+def test_int_nthroot_of_a_high_power_takes_few_newton_steps():
+    # from a start up to twice the root Newton shrinks it by only (k - 1) / k
+    # a step, about k ln 2 full-size powers; from within 2**-20 of it, a few
+    x = 2**50 + 12345
+    n = x**9111
+    start = time.perf_counter()
+    with undecided_after(2):
+        assert int_nthroot(n, 9111) == x
+        assert int_nthroot(n + 1, 9111) is None
+    assert time.perf_counter() - start < 2
 
 
 def test_int_nthroot_with_an_index_past_the_bit_length():

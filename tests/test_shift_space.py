@@ -87,6 +87,15 @@ def test_weight_sequence_validation():
                        right_tail=(Fraction(2),)).wp_at(0)
 
 
+def test_weight_sign_checks_keep_their_messages():
+    # the checks read each sign off a numerator
+    with pytest.raises(ConfigError, match="^weights: power at 1 must be positive, got 0$"):
+        WeightSequence(p=Fraction(1), side=BILATERAL, lo=0, hi=1, wp={0: Fraction(1), 1: Fraction(0)})
+    with pytest.raises(ConfigError, match="^weights: right tail values must be positive$"):
+        WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=0, wp={},
+                       right_tail=(Fraction(2), Fraction(-1, 3)))
+
+
 def test_products_inclusive_and_empty(dyadic):
     w = derive_weights(dyadic)
     assert wp_product(w, 5, 4) == 1
