@@ -24,6 +24,7 @@ from pathlib import Path
 from ._version import __version__
 from .criteria import (
     CriterionReport,
+    UnbuiltPower,
     Verdict,
     conditionmix_lhs,
     cofinite_quotient_witness,
@@ -217,9 +218,12 @@ def run_command(command: str, system: MeasureSystem, *, horizon: int, samples: i
 
 def _encode(value):
     """The JSON form of the values ``json`` does not know: a Fraction as its
-    string, a SeqVector in its own format, a result record as its fields."""
+    string, an UnbuiltPower as "coef*(step)**m", a SeqVector in its own
+    format, a result record as its fields."""
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, UnbuiltPower):
+        return f"{value.coef}*({value.step})**{value.m}"
     if isinstance(value, SeqVector):
         return value.to_dict()
     if is_dataclass(value):

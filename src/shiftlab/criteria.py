@@ -5,8 +5,8 @@ Every criterion here returns a report with one of three verdicts:
 * ``Satisfied`` and ``Violated`` are exact: they are backed by rational
   arithmetic on the window data plus the geometric tail rules, and the
   witness field carries the numbers that decide the case, as exact values
-  (Fraction, int, bool, or float where a root is irrational); only the
-  renderers in ``cli`` write them as text.
+  (Fraction, int, bool, float where a root is irrational, or an
+  ``UnbuiltPower``); only the renderers in ``cli`` write them as text.
 * ``InconclusiveWindow`` means the finite window alone cannot decide; this
   is the only possible answer when a system carries no tail rules, because
   window data bounds the relevant suprema and infima from one side only.
@@ -83,6 +83,15 @@ class CriterionReport:
     verdict: Verdict
     witness: dict = field(default_factory=dict)
     notes: str = ""
+
+
+@dataclass(frozen=True)
+class UnbuiltPower:
+    """coef * step**m, kept in its parts where built it could pass int-to-str's default digit limit."""
+
+    coef: Fraction
+    step: Fraction
+    m: int
 
 
 # -- hypercyclicity ---------------------------------------------------------
@@ -439,7 +448,8 @@ def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionRepor
     a**n, beta * b**n), alpha and beta taken at n0 = S + 1 from the
     engine's table: log-concave, its supremum is at n0 or where the growing
     term meets the other.  rationals.LogGap finds that n and compares the
-    values there and with the window's best, all exactly.
+    values there and with the window's best, all exactly.  A supremum whose
+    digits could pass int-to-str's default limit stays an ``UnbuiltPower``.
     """
     if not system.has_tails:
         return CriterionReport(
@@ -470,10 +480,10 @@ def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionRepor
             m -= meet.sign(m) < 0
             coef, step, m = (hi, s_hi, m) if LogGap(hi / lo / s_lo, s_hi / s_lo).sign(m) >= 0 else (lo, s_lo, m + 1)
         if arg == 0 or LogGap(coef / value, step).sign(m) > 0:
-            # built, unless bit lengths allow it more digits than int-to-str's 4300: then its text
+            # built, unless bit lengths allow it more digits than int-to-str's 4300: then its parts
             bits = max(coef.numerator.bit_length() + m * step.numerator.bit_length(),
                        coef.denominator.bit_length() + m * step.denominator.bit_length())
-            value, arg = (coef * step**m if bits * 30103 < 4299 * 10**5 else f"{coef}*({step})**{m}"), n0 + m
+            value, arg = (coef * step**m if bits * 30103 < 4299 * 10**5 else UnbuiltPower(coef, step, m)), n0 + m
     witness.update({"value": value, "attained": True, "attained_at_n": arg})
     return CriterionReport("conditionmix", Verdict.SATISFIED, witness, "supremum of worst-case mass ratios is <= 1")
 

@@ -14,8 +14,9 @@ Two constants summarise how wild the measures are:
 * the least K >= 1 bounding how far any cell's share of its level drifts
   from its share of W (``distortion_constant``).
 
-A model is checked once, at construction: a malformed, non-positive or
-empty one is never built.  All arithmetic is exact.
+A model is checked once, at construction, in the pass that writes each
+level over one common denominator: a malformed, non-positive or empty one
+is never built.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConfigError, EmptyWindow, NonPositiveMeasure, TailRuleMissing
-from .rationals import as_fraction
+from .rationals import as_fraction, plain_fraction
 
 
 def _unique_names(pairs: list[tuple[str, object]]) -> dict:
@@ -58,7 +59,9 @@ class MeasureSystem:
     ``mu[k]`` holds the cell measures of level k, ordered like ``cells``.
     ``left_tail`` / ``right_tail`` are the per-step ratios applied below
     ``k_min`` and above ``k_max``; both present or both absent.  Every
-    cell measure and tail ratio must be positive.
+    cell measure and tail ratio must be positive.  ``_table`` holds (D_k,
+    S_k, N_k) for each level k in window order: D_k is the lcm of the
+    level's denominators, N_k the cell numerators over D_k, S_k their sum.
     """
 
     p: Fraction
@@ -89,10 +92,16 @@ class MeasureSystem:
         for k, row in self.mu.items():
             if len(row) != len(self.cells):
                 raise ConfigError(f"mu[{k}]: expected {len(self.cells)} cell measures")
+        table = []
         for k in range(self.k_min, self.k_max + 1):
-            for name, v in zip(self.cells, self.mu[k]):
-                if v.numerator <= 0:
-                    raise NonPositiveMeasure(f"mu[{k}][{name}] = {v} is not positive")
+            row = self.mu[k]
+            den = math.lcm(*[v.denominator for v in row])
+            nums = tuple([v.numerator * (den // v.denominator) for v in row])
+            if min(nums) <= 0:  # a cell is positive exactly when its numerator is
+                name, v = next((name, v) for name, v in zip(self.cells, row) if v <= 0)
+                raise NonPositiveMeasure(f"mu[{k}][{name}] = {v} is not positive")
+            table.append((den, sum(nums), nums))
+        object.__setattr__(self, "_table", tuple(table))
         if self.has_tails and (self.left_tail.numerator <= 0 or self.right_tail.numerator <= 0):
             raise NonPositiveMeasure("tail ratios must be positive")
 
@@ -122,17 +131,14 @@ class MeasureSystem:
 
     @cached_property
     def _level_mass(self) -> dict[int, Fraction]:
-        """Total measure of each window level, summed on first use over one common denominator."""
-        masses = {}
-        for k, row in self.mu.items():
-            den = math.lcm(*(v.denominator for v in row))
-            masses[k] = Fraction(sum(v.numerator * (den // v.denominator) for v in row), den)
-        return masses
+        """Total measure of each window level, S_k / D_k from the table."""
+        return {k: Fraction(total, den) for k, (den, total, _) in enumerate(self._table, self.k_min)}
 
     @cached_property
     def _w_shares(self) -> tuple[tuple[int, int], ...]:
         """Each cell's share of W, mu(0, i) / mu_W(0), as a (numerator, denominator) pair in lowest terms."""
-        return tuple(share.as_integer_ratio() for share in (b / self._level_mass[0] for b in self.mu[0]))
+        _, total, nums = self._table[-self.k_min]
+        return tuple(Fraction(n, total).as_integer_ratio() for n in nums)
 
     def mu_W(self, k: int) -> Fraction:
         """Total measure of level k."""
@@ -164,11 +170,11 @@ class MeasureSystem:
         mu(f^k W) mu(B) for every window level k and cell B.
 
         Tail levels copy the boundary proportions, so they never enlarge K.
+        The table's denominators cancel: the pairs are (N_k,i S_0, S_k N_0,i).
         """
-        mass = self._level_mass
+        _, total_0, nums_0 = self._table[-self.k_min]
         return _widest_ratio(
-            (a.numerator * mass[k].denominator * w_den, a.denominator * mass[k].numerator * w_num)
-            for k, row in self.mu.items() for a, (w_num, w_den) in zip(row, self._w_shares)
+            (n * total_0, total * n_0) for _, total, nums in self._table for n, n_0 in zip(nums, nums_0)
         )
 
     # -- serialisation -----------------------------------------------------
@@ -202,7 +208,10 @@ class MeasureSystem:
                 raise ConfigError(f"mu: level key {key!r} is not a canonical integer")
             if not isinstance(row, list):
                 raise ConfigError(f"mu[{key}]: expected a list of measures")
-            mu[k] = tuple(as_fraction(v, f"mu[{key}][{i}]") for i, v in enumerate(row))
+            try:
+                mu[k] = tuple(map(plain_fraction, row))
+            except (AttributeError, ValueError, ZeroDivisionError):  # the general parse names the fault
+                mu[k] = tuple(as_fraction(v, f"mu[{key}][{i}]") for i, v in enumerate(row))
         tails = doc.get("tails")
         left = right = None
         if tails is not None:

@@ -16,14 +16,23 @@ from fractions import Fraction
 from .errors import ConfigError
 
 
+def plain_fraction(text: str) -> Fraction:
+    """Read a plain ASCII "[-]digits[/digits]" string with int(), faster than
+    ``as_fraction``.  Any other value raises (AttributeError, ValueError or
+    ZeroDivisionError), for ``as_fraction`` to read or name its fault."""
+    num, slash, den = text.partition("/")
+    if not (text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
+        raise ValueError(f"not a plain rational: {text!r}")
+    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+
+
 def as_fraction(value: object, field: str = "value") -> Fraction:
     """Parse a JSON-ish value into an exact Fraction.
 
     Accepts int, Fraction, or a string like "3/4" or "2".  Floats are
-    rejected: configs must be exact.  Plain ASCII "[-]digits[/digits]" is
-    read with int(); every other string goes to Fraction(str), unless its
-    decimal exponent e has |e| >= the int-string digit limit, as 10**|e|
-    would pass that limit and take Fraction(str) seconds to build.
+    rejected: configs must be exact.  A string goes to Fraction(str),
+    unless its decimal exponent e has |e| >= the int-string digit limit, as
+    10**|e| would pass that limit and take Fraction(str) seconds to build.
     """
     if isinstance(value, Fraction):
         return value
@@ -32,10 +41,7 @@ def as_fraction(value: object, field: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        num, slash, den = value.partition("/")
         try:
-            if value.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-                return Fraction(int(num), int(den or 1))
             _, e, exponent = value.lower().rpartition("e")
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
             if e and limit and abs(int(exponent)) >= limit:

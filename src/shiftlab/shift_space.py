@@ -134,11 +134,12 @@ def derive_weights(system: MeasureSystem) -> WeightSequence:
     """Weight sequence of the backward shift the cell model factors onto.
 
     The p-th power at index k is the measure ratio of level k-1 to level k,
-    so outside the window the powers are constant: the left tail ratio on
+    S_k-1 D_k / (D_k-1 S_k) in the model's common-denominator table, so
+    outside the window the powers are constant: the left tail ratio on
     the left and the reciprocal of the right tail ratio on the right.
     """
-    lo, hi = system.k_min + 1, system.k_max
-    wp = {k: system.mu_W(k - 1) / system.mu_W(k) for k in range(lo, hi + 1)}
+    lo, hi, table = system.k_min + 1, system.k_max, system._table
+    wp = {k: Fraction(s0 * d1, d0 * s1) for k, (d0, s0, _), (d1, s1, _) in zip(range(lo, hi + 1), table, table[1:])}
     left = right = None
     if system.has_tails:
         assert system.left_tail is not None and system.right_tail is not None

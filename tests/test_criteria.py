@@ -33,7 +33,7 @@ from shiftlab import (
     weak_mixing_consistency,
     wp_product,
 )
-from shiftlab.criteria import DECAY_TOL
+from shiftlab.criteria import DECAY_TOL, UnbuiltPower
 from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabError, TailRuleMissing
 from shiftlab.rationals import fraction_pow
 from shiftlab.sampling import support_levels
@@ -469,7 +469,7 @@ def decimal_conditionmix(system: MeasureSystem, digits: int) -> tuple[int, Decim
 def test_conditionmix_meeting_point_past_float_reach(eps):
     # the tail terms meet near n = 10**12, 10**15 or 10**400, where float
     # logs cannot place the meeting point: the witness still gives the
-    # least n attaining the supremum, and its exact value as "c*(r)**e",
+    # least n attaining the supremum, and its exact value as c*r**e,
     # as a decimal search at three times those digits finds them
     system = single_cell({0: Fraction(1), 1: Fraction(1, 100), 2: Fraction(1)}, left=1 - eps, right=1 - eps)
     report = conditionmix_lhs(system, derive_weights(system))
@@ -478,21 +478,19 @@ def test_conditionmix_meeting_point_past_float_reach(eps):
     digits = 3 * len(str(eps.denominator)) + 60
     n, ln_value = decimal_conditionmix(system, digits)
     assert report.witness["attained_at_n"] == n
-    c, rest = report.witness["value"].split("*(")
-    r, e = rest.split(")**")
+    value = report.witness["value"]
+    assert isinstance(value, UnbuiltPower)
     with decimal.localcontext() as ctx:
         ctx.prec = digits
-        ln_c, ln_r = (Decimal(q.numerator).ln() - Decimal(q.denominator).ln() for q in map(Fraction, (c, r)))
-        assert abs(ln_c + int(e) * ln_r - ln_value) < Decimal(10) ** (10 - digits)
+        ln_c, ln_r = (Decimal(q.numerator).ln() - Decimal(q.denominator).ln() for q in (value.coef, value.step))
+        assert abs(ln_c + value.m * ln_r - ln_value) < Decimal(10) ** (10 - digits)
 
 
-def conditionmix_value(value: Fraction | str) -> Fraction:
-    """A conditionmix value: an exact rational or the product text "c*(r)**e"."""
+def conditionmix_value(value: Fraction | UnbuiltPower) -> Fraction:
+    """A conditionmix value, built."""
     if isinstance(value, Fraction):
         return value
-    c, rest = value.split("*(")
-    r, e = rest.split(")**")
-    return Fraction(c) * Fraction(r) ** int(e)
+    return value.coef * value.step**value.m
 
 
 def brute_conditionmix(system: MeasureSystem, bound: int) -> tuple[Fraction, int]:
@@ -630,6 +628,21 @@ def test_witnesses_stay_exact_under_the_default_digit_limit(default_digit_limit)
     assert [r.verdict for r in verdicts] == [Verdict.SATISFIED] * 3 + [Verdict.VIOLATED]
     assert verdicts[0].witness["left_ratio"] == tail
     assert verdicts[3].witness["period_product_wp"] == 1 / tail
+
+
+def test_conditionmix_keeps_a_value_past_the_digit_limit_unbuilt(default_digit_limit):
+    # one level of mass 1 and tails within 10**-5000 of 1: the supremum has
+    # over 4300 digits, so the witness keeps its exact parts, which only the
+    # CLI's renderers write, after lifting the limit
+    tail = Fraction(10**5000 - 1, 10**5000)
+    system = single_cell({0: Fraction(1)}, left=tail, right=tail)
+    report = conditionmix_lhs(system, derive_weights(system))
+    assert report.verdict is Verdict.SATISFIED
+    value = report.witness["value"]
+    assert isinstance(value, UnbuiltPower)
+    assert (conditionmix_value(value), report.witness["attained_at_n"]) == brute_conditionmix(system, 8)
+    sys.set_int_max_str_digits(0)
+    assert cli._encode(value) == f"{value.coef}*({value.step})**{value.m}"
 
 
 def stop_by_power(w, table, ks, n_max, cap, period) -> tuple[tuple[Fraction, int, bool], int]:

@@ -1,11 +1,14 @@
 import dataclasses
+import json
+import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import MeasureSystem, measure_system
@@ -293,6 +296,115 @@ def test_constants_are_the_least_ones_on_generated_systems(seed, tails):
         system = dataclasses.replace(system, left_tail=None, right_tail=None)
     assert system.validate_star() == _star_reference(system)
     assert system.distortion_constant() == _distortion_reference(system)
+
+
+def _hand_doc(mu, tails=None):
+    doc = {"window": {"min": min(map(int, mu)), "max": max(map(int, mu))},
+           "cells": [f"B{i + 1}" for i in range(len(next(iter(mu.values()))))], "mu": mu}
+    return doc if tails is None else {**doc, "tails": {"left": tails[0], "right": tails[1]}}
+
+
+@st.composite
+def config_docs(draw):
+    """A config whose masses take each form the parse reads: unreduced
+    ratios, integer strings, JSON integers, over mixed and coprime
+    denominators; its levels listed in any order, with or without tails."""
+    k_min, k_max, n_cells = -draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(1, 4))
+
+    def mass():
+        num, scale = draw(st.integers(1, 10**6)), draw(st.integers(1, 4))
+        den = draw(st.sampled_from((1, 2, 3, 7, 12, 101, 1009, 2**20, 10**9 + 7)))
+        form = draw(st.sampled_from(("ratio", "text", "int")))
+        if den == 1 and form != "ratio":
+            return num if form == "int" else str(num)
+        return f"{num * scale}/{den * scale}"
+
+    mu = {str(k): [mass() for _ in range(n_cells)] for k in draw(st.permutations(range(k_min, k_max + 1)))}
+    tails = draw(st.none() | st.tuples(*[st.sampled_from(("1/2", "2/3", "1", "3", "5/7"))] * 2))
+    return _hand_doc(mu, tails)
+
+
+def _generated_doc(seed):
+    return random_system(random.Random(seed), max_half_span=6, max_cells=4).to_dict()
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=config_docs() | st.integers(0, 2**32).map(_generated_doc))
+@example(doc=_hand_doc({"0": ["2/4", "6/3", "4"], "1": ["3/9", "10/100", "2"]}, ("2/4", "4/2")))  # unreduced
+@example(doc=_hand_doc({"-1": [3, "5"], "0": [1, 2], "1": ["7", 9]}))  # integers
+@example(doc=_hand_doc({"0": ["1/2", "2/3", "3/4"], "1": ["5/6", "1/12", "7/10"]}))  # mixed denominators
+@example(doc=_hand_doc({"0": ["1/7", "2/11", "3/13"], "1": ["5/17", "4/19", "9/23"]}, ("1/29", "31")))  # coprime
+@example(doc=_hand_doc({"2": ["1/8", "3/8"], "-1": ["1", "1/3"], "0": ["1/2", "1/5"], "1": ["1/4", "1"]}))  # order
+def test_table_readers_match_fraction_arithmetic(doc):
+    # the common-denominator table against one Fraction at a time
+    system = MeasureSystem.from_json(json.dumps(doc))
+    for k, (den, total, nums) in enumerate(system._table, system.k_min):
+        assert den == math.lcm(*(v.denominator for v in system.mu[k]))
+        assert [Fraction(n, den) for n in nums] == list(system.mu[k]) and total == sum(nums)
+    assert system.validate_star() == _star_reference(system)
+    assert system.distortion_constant() == _distortion_reference(system)
+    mass_0 = sum(system.mu[0])
+    assert system._w_shares == tuple((b / mass_0).as_integer_ratio() for b in system.mu[0])
+    for k, row in system.mu.items():
+        assert system.mu_W(k) == sum(row)
+    if system.has_tails:
+        for d in (1, 2, 5):
+            assert system.mu_W(system.k_min - d) == sum(system.mu[system.k_min]) * system.left_tail**d
+            assert system.mu_W(system.k_max + d) == sum(system.mu[system.k_max]) * system.right_tail**d
+
+
+MALFORMED_MASSES = [
+    ("1/0", 2, "mu[0][1]: cannot parse '1/0' as a rational"),
+    ("0/3", 2, "mu[0][B2] = 0 is not positive"),
+    ("-0", 2, "mu[0][B2] = 0 is not positive"),
+    ("+1", 0, None),
+    (" 1", 0, None),
+    ("1/-2", 2, "mu[0][1]: cannot parse '1/-2' as a rational"),
+    ("1.5", 0, None),
+    ("1e3", 0, None),
+    ("\u0661", 0, None),
+    (True, 2, "mu[0][1]: expected a rational, got a bool"),
+    (1.5, 2, "mu[0][1]: expected a rational string, got float"),
+    (None, 2, "mu[0][1]: expected a rational string, got NoneType"),
+    ([], 2, "mu[0][1]: expected a rational string, got list"),
+    ("1e5000", 2, "mu[0][1]: the exponent of '1e5000' passes the 4300-digit limit"),
+    ("1" * 4301, 2, f"mu[0][1]: cannot parse '{'1' * 4301}' as a rational"),
+    ("1/" + "3" * 4301, 2, f"mu[0][1]: cannot parse '1/{'3' * 4301}' as a rational"),
+]
+
+
+@pytest.mark.parametrize("value, code, message", MALFORMED_MASSES, ids=[repr(v)[:12] for v, _, _ in MALFORMED_MASSES])
+def test_validate_keeps_its_verdict_on_each_mass_form(tmp_path, capsys, value, code, message):
+    config = tmp_path / "mass.json"
+    config.write_text(json.dumps(_hand_doc({"0": ["1/2", value], "1": ["1/4", "1/4"]})))
+    assert main(["validate", "--config", str(config)]) == code
+    assert capsys.readouterr().err == ("" if message is None else f"shiftlab: invalid config: {message}\n")
+
+
+@pytest.mark.parametrize("mu, message", [
+    ({"1": ["-1/4", "1/4"], "0": ["1/2", "0"]}, "mu[0][B2] = 0 is not positive"),
+    ({"1": ["1/4", "-1/4"], "0": ["1/2", "1/2"]}, "mu[1][B2] = -1/4 is not positive"),
+], ids=["earlier_level_wins", "later_level_listed_first"])
+def test_the_first_non_positive_cell_is_named_in_level_order(tmp_path, capsys, mu, message):
+    config = tmp_path / "mass.json"
+    config.write_text(json.dumps(_hand_doc(mu)))
+    assert main(["validate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"shiftlab: invalid config: {message}\n"
+
+
+def test_star_multiplies_cell_pairs_not_common_denominator_numerators():
+    # 32 pairwise coprime 1000-digit denominators, N * i + 1 with every
+    # prime below 32 in N: over one common denominator per level the
+    # numerators would have some 16,000 digits; star stays on the cells'
+    # own 1000-digit pairs
+    n = math.factorial(32) * 10**1000
+    system = MeasureSystem(p=Fraction(2), k_min=0, k_max=1, cells=tuple(f"B{i}" for i in range(16)),
+                           mu={0: tuple(Fraction(n + i, n * i + 1) for i in range(1, 17)),
+                               1: tuple(Fraction(n - i, n * (i + 16) + 1) for i in range(1, 17))})
+    start = time.perf_counter()
+    c = system.validate_star()
+    assert time.perf_counter() - start < 0.1
+    assert c == _star_reference(system)
 
 
 def test_report_computes_each_structural_constant_once(monkeypatch, capsys):

@@ -20,7 +20,7 @@ def test_stage_times_writes_the_medians_of_each_stage(tmp_path):
     assert done.returncode == 0, done.stderr
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     stages = doc["configs"]["flat"]
-    assert {"validate_star", "distortion_constant", "derive_weights", "weak_mixing_consistency",
+    assert {"from_json", "validate_star", "distortion_constant", "derive_weights", "weak_mixing_consistency",
             "menet_unilateral", "_semicheck_section", "_experiment", "render_json", "total"} <= set(stages)
     assert all(t >= 0 for t in stages.values())
     assert sum(t for name, t in stages.items() if name != "total") <= stages["total"]
@@ -44,7 +44,7 @@ def test_stage_times_interleaves_two_checkouts(tmp_path):
     assert doc["sides"] == {"this": str(ROOT), "against": str(ROOT)}
     for side in ("this", "against"):
         stages = doc["configs"][side]["flat"]
-        assert {"_experiment", "conditionmix_lhs", "total"} <= set(stages)
+        assert {"from_json", "_experiment", "conditionmix_lhs", "total"} <= set(stages)
         assert all(0 <= s["q1"] <= s["median"] <= s["q3"] for s in stages.values())
         walls = doc["process_wall"][side]["flat"]
         assert set(walls) == {"validate", "report"}
@@ -56,3 +56,33 @@ def test_stage_times_interleaves_two_checkouts(tmp_path):
         capture_output=True, text=True, timeout=30,
     )
     assert refused.returncode == 2 and "--repeat >= 2" in refused.stderr
+
+
+STAGELESS = """import argparse, json, pathlib
+parser = argparse.ArgumentParser()
+for flag in ("--label", "--repeat", "--seed", "--samples", "--out-dir"):
+    parser.add_argument(flag)
+parser.add_argument("configs", nargs="*")
+args = parser.parse_args()
+stems = [pathlib.Path(path).stem for path in args.configs]
+doc = {"configs": {stem: {"validate_star": 1e-4, "total": 1e-3} for stem in stems},
+       "process_wall": {stem: {"validate": 0.1, "report": 0.2} for stem in stems}}
+(pathlib.Path(args.out_dir) / f"BENCH_{args.label}.json").write_text(json.dumps(doc))
+"""
+
+
+def test_stage_times_interleaves_a_checkout_that_times_fewer_stages(tmp_path):
+    # the other checkout's script writes no from_json stage: each side keeps its own stages
+    other = tmp_path / "other"
+    (other / "tools").mkdir(parents=True)
+    (other / "tools" / "stage_times.py").write_text(STAGELESS)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "stage_times.py"), "--label", "pair", "--repeat", "2",
+         "--against", str(other), "--out-dir", str(tmp_path), str(ROOT / "configs" / "flat.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads((tmp_path / "BENCH_pair.json").read_text())
+    assert "from_json" in doc["configs"]["this"]["flat"]
+    assert set(doc["configs"]["against"]["flat"]) == {"validate_star", "total"}
+    assert doc["configs"]["against"]["flat"]["total"]["median"] == 1e-3

@@ -7,11 +7,12 @@
 Runs ``cli.run_command("report", ...)`` in-process on each config (by
 default ``configs/*.json`` and six golden windows), loading the config
 afresh each time, and writes the medians in seconds to ``BENCH_<label>.json``.
-A stage is a call that ``run_command`` makes: the two structural constants,
-``derive_weights``, each of the seven criteria, ``semicheck`` and the orbit
-experiment; a stage called inside another counts only in the outer one.
-``render_json`` of the result is one more stage, and ``total`` covers
-``run_command`` and the render.
+A stage is the parse, ``MeasureSystem.from_json``, or a call that
+``run_command`` makes: the two structural constants, ``derive_weights``,
+each of the seven criteria, ``semicheck`` and the orbit experiment; a stage
+called inside another counts only in the outer one.  ``render_json`` of the
+result is one more stage, and ``total`` covers the parse, ``run_command``
+and the render.
 
 It also writes, per config, the median wall time of whole ``python -m
 shiftlab validate`` and ``report`` processes over the same repeat, which is
@@ -26,7 +27,9 @@ two trees instead: each of ``--repeat`` rounds runs one process of this
 script and one of PATH's own ``tools/stage_times.py`` (one in-process run
 each, on this checkout's config files), the order swapped every round, and
 it writes each side's per-stage and process-wall medians and quartiles over
-the rounds.
+the rounds.  Each side has the stages its own script times: a checkout whose
+script does not time the parse has no ``from_json`` entry, and its
+``total`` leaves the parse out.
 
 Standard library only; it imports ``shiftlab`` from this checkout's ``src/``.
 """
@@ -51,11 +54,13 @@ from shiftlab import cli  # noqa: E402
 from shiftlab.measure_system import MeasureSystem  # noqa: E402
 
 GOLDEN = ("wide020", "wide100", "wide200", "decay2", "decay32", "near400")
-STAGES = [(MeasureSystem, "validate_star"), (MeasureSystem, "distortion_constant")] + [(cli, name) for name in (
-    "derive_weights", "hypercyclicity_report", "shift_hypercyclicity_report", "weak_mixing_consistency",
-    "menet_unilateral", "conditionmix_lhs", "_cofinite_report", "_telescoping_report",
-    "_semicheck_section", "_experiment",
-)]
+STAGES = [(MeasureSystem, name) for name in ("from_json", "validate_star", "distortion_constant")] + [
+    (cli, name) for name in (
+        "derive_weights", "hypercyclicity_report", "shift_hypercyclicity_report", "weak_mixing_consistency",
+        "menet_unilateral", "conditionmix_lhs", "_cofinite_report", "_telescoping_report",
+        "_semicheck_section", "_experiment",
+    )
+]
 
 
 def _timed(name: str, fn, times: dict[str, float], depth: list[int]):
@@ -72,18 +77,18 @@ def _timed(name: str, fn, times: dict[str, float], depth: list[int]):
 
 
 def time_config(path: Path, repeat: int, samples: int) -> dict:
-    """Median seconds of each stage and of the whole run_command and render over repeat runs."""
+    """Median seconds of each stage and of the whole parse, run_command and render over repeat runs."""
     text = path.read_text()
     runs: list[dict[str, float]] = []
     for _ in range(repeat):
         times: dict[str, float] = {}
         depth = [0]
-        saved = [(owner, name, getattr(owner, name)) for owner, name in STAGES]
+        saved = [(owner, name, vars(owner)[name]) for owner, name in STAGES]
         try:
-            for owner, name, fn in saved:
-                setattr(owner, name, _timed(name, fn, times, depth))
-            system = MeasureSystem.from_json(text)
+            for owner, name, _ in saved:
+                setattr(owner, name, _timed(name, getattr(owner, name), times, depth))
             start = time.perf_counter()
+            system = MeasureSystem.from_json(text)
             result = cli.run_command("report", system, horizon=64, samples=samples, eps=1e-2)
             rendered = time.perf_counter()
             cli.render_json(result)
