@@ -16,6 +16,7 @@ forward-inverse blocks serve again as backward ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Sequence
 
 from .errors import HorizonExhausted
@@ -50,8 +51,8 @@ def construct_hc_approx(
 
     x sums the m_j-fold forward-inverse images of the targets over an
     arithmetic schedule with gap g; g doubles until every defect, computed
-    by actually iterating the shift, is at most eps.  Raises
-    HorizonExhausted when no gap fits the horizon.
+    by actually iterating the shift up to a gap's first defect above eps,
+    is at most eps.  Raises HorizonExhausted when no gap fits the horizon.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -69,11 +70,9 @@ def construct_hc_approx(
         x: dict[int, complex] = {}
         for m, ye in zip(schedule, ys):
             x = _plus(x, _forward_inverse(w, ye, m))
-        defects = tuple(
-            _distances(_backward(w, x, m), (ye,), float(w.p))[0]
-            for m, ye in zip(schedule, ys)
-        )
-        if all(d <= eps for d in defects):
+        scored = (_distances(_backward(w, x, m), (ye,), float(w.p))[0] for m, ye in zip(schedule, ys))
+        defects = tuple(takewhile(lambda d: d <= eps, scored))
+        if len(defects) == count:
             return HCApproxResult(gap, schedule, SeqVector(w.side, x), defects)
         gap *= 2
     raise HorizonExhausted(

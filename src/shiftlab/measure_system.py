@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConfigError, EmptyWindow, NonPositiveMeasure, TailRuleMissing
-from .rationals import as_fraction, plain_fraction
+from .rationals import as_fraction, plain_pair
 
 
 def _unique_names(pairs: list[tuple[str, object]]) -> dict:
@@ -59,9 +59,11 @@ class MeasureSystem:
     ``mu[k]`` holds the cell measures of level k, ordered like ``cells``.
     ``left_tail`` / ``right_tail`` are the per-step ratios applied below
     ``k_min`` and above ``k_max``; both present or both absent.  Every
-    cell measure and tail ratio must be positive.  ``_table`` holds (D_k,
-    S_k, N_k) for each level k in window order: D_k is the lcm of the
-    level's denominators, N_k the cell numerators over D_k, S_k their sum.
+    cell measure and tail ratio must be positive.  ``_rows[k]`` holds the
+    cells' (numerator, denominator) pairs in lowest terms, from which a parsed
+    system builds ``mu`` on first read.  ``_table`` holds (D_k, S_k, N_k) for
+    each level k in window order: D_k is the lcm of the level's denominators,
+    N_k the cell numerators over D_k, S_k their sum.
     """
 
     p: Fraction
@@ -72,7 +74,16 @@ class MeasureSystem:
     left_tail: Fraction | None = None
     right_tail: Fraction | None = None
 
-    def __post_init__(self) -> None:
+    def __getattr__(self, name: str):
+        if name != "mu" or "_rows" not in vars(self):  # a parsed system lacks mu until its first read
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "mu", {k: tuple([Fraction(n, d) for n, d in row]) for k, row in self._rows.items()})
+        return self.mu
+
+    def __post_init__(self, rows: dict[int, tuple[tuple[int, int], ...]] | None = None) -> None:
+        """The one check of a model, which builds the table from the cells' pairs: the parse's, or mu's."""
+        if rows is None:
+            rows = {k: tuple([(v.numerator, v.denominator) for v in row]) for k, row in self.mu.items()}
         if self.p < 1:
             raise ConfigError(f"p: must be >= 1, got {self.p}")
         if not self.cells:
@@ -87,20 +98,21 @@ class MeasureSystem:
             raise ConfigError(
                 f"window: must contain level 0, got [{self.k_min}, {self.k_max}]"
             )
-        if len(self.mu) != self.k_max - self.k_min + 1 or not all(self.k_min <= k <= self.k_max for k in self.mu):
+        if len(rows) != self.k_max - self.k_min + 1 or not all(self.k_min <= k <= self.k_max for k in rows):
             raise ConfigError("mu: levels must cover the window exactly")
-        for k, row in self.mu.items():
+        for k, row in rows.items():
             if len(row) != len(self.cells):
                 raise ConfigError(f"mu[{k}]: expected {len(self.cells)} cell measures")
         table = []
         for k in range(self.k_min, self.k_max + 1):
-            row = self.mu[k]
-            den = math.lcm(*[v.denominator for v in row])
-            nums = tuple([v.numerator * (den // v.denominator) for v in row])
+            row = rows[k]
+            den = math.lcm(*[d for _, d in row])
+            nums = tuple([n * (den // d) for n, d in row])
             if min(nums) <= 0:  # a cell is positive exactly when its numerator is
-                name, v = next((name, v) for name, v in zip(self.cells, row) if v <= 0)
-                raise NonPositiveMeasure(f"mu[{k}][{name}] = {v} is not positive")
+                name, (n, d) = next((name, pair) for name, pair in zip(self.cells, row) if pair[0] <= 0)
+                raise NonPositiveMeasure(f"mu[{k}][{name}] = {Fraction(n, d)} is not positive")
             table.append((den, sum(nums), nums))
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_table", tuple(table))
         if self.has_tails and (self.left_tail.numerator <= 0 or self.right_tail.numerator <= 0):
             raise NonPositiveMeasure("tail ratios must be positive")
@@ -153,8 +165,8 @@ class MeasureSystem:
     def _star_c(self) -> Fraction:
         """validate_star's constant, computed on first use."""
         pairs = [(t.numerator, t.denominator) for t in (self.left_tail, self.right_tail) if t is not None]
-        pairs += [(a.numerator * b.denominator, a.denominator * b.numerator)
-                  for k in range(self.k_min, self.k_max) for a, b in zip(self.mu[k], self.mu[k + 1])]
+        pairs += [(a * d, b * c) for k in range(self.k_min, self.k_max)
+                  for (a, b), (c, d) in zip(self._rows[k], self._rows[k + 1])]
         return _widest_ratio(pairs)
 
     def validate_star(self) -> Fraction:
@@ -198,7 +210,7 @@ class MeasureSystem:
             raise ConfigError("cells: expected a list of names")
         if not isinstance(mu_doc, dict):
             raise ConfigError("mu: expected an object keyed by level")
-        mu: dict[int, tuple[Fraction, ...]] = {}
+        rows: dict[int, tuple[tuple[int, int], ...]] = {}
         for key, row in mu_doc.items():
             try:
                 k = int(key)
@@ -209,9 +221,9 @@ class MeasureSystem:
             if not isinstance(row, list):
                 raise ConfigError(f"mu[{key}]: expected a list of measures")
             try:
-                mu[k] = tuple(map(plain_fraction, row))
+                rows[k] = tuple(map(plain_pair, row))
             except (AttributeError, ValueError, ZeroDivisionError):  # the general parse names the fault
-                mu[k] = tuple(as_fraction(v, f"mu[{key}][{i}]") for i, v in enumerate(row))
+                rows[k] = tuple(as_fraction(v, f"mu[{key}][{i}]").as_integer_ratio() for i, v in enumerate(row))
         tails = doc.get("tails")
         left = right = None
         if tails is not None:
@@ -219,15 +231,11 @@ class MeasureSystem:
                 raise ConfigError("tails: expected an object with left and right")
             left = as_fraction(tails["left"], "tails.left")
             right = as_fraction(tails["right"], "tails.right")
-        return cls(
-            p=as_fraction(doc.get("p", "2"), "p"),
-            k_min=k_min,
-            k_max=k_max,
-            cells=tuple(cells),
-            mu=mu,
-            left_tail=left,
-            right_tail=right,
-        )
+        system = cls.__new__(cls)  # every field but mu, which the pairs stand for until it is read
+        vars(system).update(p=as_fraction(doc.get("p", "2"), "p"), k_min=k_min, k_max=k_max, cells=tuple(cells),
+                            left_tail=left, right_tail=right)
+        system.__post_init__(rows)
+        return system
 
     def to_dict(self) -> dict:
         doc: dict = {

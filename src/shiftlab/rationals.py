@@ -16,14 +16,16 @@ from fractions import Fraction
 from .errors import ConfigError
 
 
-def plain_fraction(text: str) -> Fraction:
-    """Read a plain ASCII "[-]digits[/digits]" string with int(), faster than
-    ``as_fraction``.  Any other value raises (AttributeError, ValueError or
-    ZeroDivisionError), for ``as_fraction`` to read or name its fault."""
+def plain_pair(text: str) -> tuple[int, int]:
+    """Read a plain ASCII "[-]digits[/digits]" string with int() as a reduced
+    (numerator, denominator) pair.  Any other value raises (AttributeError,
+    ValueError or ZeroDivisionError), for ``as_fraction`` to read or name its fault."""
     num, slash, den = text.partition("/")
     if not (text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
         raise ValueError(f"not a plain rational: {text!r}")
-    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    n, d = int(num), int(den or 1)
+    g = math.gcd(n, d) if d else 0  # a zero denominator raises ZeroDivisionError below
+    return n // g, d // g
 
 
 def as_fraction(value: object, field: str = "value") -> Fraction:

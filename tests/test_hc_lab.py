@@ -308,7 +308,7 @@ def test_experiment_matches_the_reference_where_two_images_cancel():
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("path, distinct", [("configs/dyadic.json", 18), ("tests/golden/decay2.json", 30)])
+@pytest.mark.parametrize("path, distinct", [("configs/dyadic.json", 13), ("tests/golden/decay2.json", 16)])
 def test_the_experiment_roots_each_distinct_power_once(monkeypatch, path, distinct):
     # counted wherever a shiftlab module binds pow_maybe_exact: the two
     # stages share the sequence's memo, so neither roots a power again
@@ -330,7 +330,7 @@ def test_the_experiment_builds_each_tail_run_once(monkeypatch):
     # a block wholly inside a tail is read by its (side, phase, length) run,
     # which wp_product shares, and a one-step block in the window by its
     # power: each distinct run is built once, and the experiment on dyadic
-    # takes 37 block products (142 when every new block took one)
+    # takes 23 block products
     runs, products = [], []
     tail_run, product = shift_space._tail_run, shift_space.wp_product
 
@@ -346,8 +346,8 @@ def test_the_experiment_builds_each_tail_run_once(monkeypatch):
     monkeypatch.setattr(shift_space, "wp_product", counting_product)
     system = MeasureSystem.from_json((ROOT / "configs/dyadic.json").read_text())
     assert "error" not in cli._experiment(system, derive_weights(system), eps=1e-2, horizon=64)
-    assert len(runs) == len(set(runs)) == 19
-    assert len(products) == len(set(products)) == 37
+    assert len(runs) == len(set(runs)) == 18
+    assert len(products) == len(set(products)) == 23
 
 
 # the sequences of the periodic-tail and unilateral reference tests above,

@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import MeasureSystem, measure_system
-from shiftlab.cli import main
+from shiftlab.cli import main, run_command
 from shiftlab.errors import ConfigError, EmptyWindow, NonPositiveMeasure, TailRuleMissing
+from shiftlab.rationals import as_fraction
 from shiftlab.shift_space import UNILATERAL, WeightSequence
 
 from conftest import make_dyadic
@@ -336,8 +337,23 @@ def _generated_doc(seed):
 @example(doc=_hand_doc({"0": ["1/7", "2/11", "3/13"], "1": ["5/17", "4/19", "9/23"]}, ("1/29", "31")))  # coprime
 @example(doc=_hand_doc({"2": ["1/8", "3/8"], "-1": ["1", "1/3"], "0": ["1/2", "1/5"], "1": ["1/4", "1"]}))  # order
 def test_table_readers_match_fraction_arithmetic(doc):
-    # the common-denominator table against one Fraction at a time
+    # the parse's integer pairs against the public constructor on as_fraction
+    # of each value, and the common-denominator table against one Fraction at
+    # a time
     system = MeasureSystem.from_json(json.dumps(doc))
+    left, right = [as_fraction(doc["tails"][side]) for side in ("left", "right")] if "tails" in doc else [None, None]
+    built = MeasureSystem(
+        p=as_fraction(doc.get("p", "2")), k_min=doc["window"]["min"], k_max=doc["window"]["max"],
+        cells=tuple(doc["cells"]), mu={int(k): tuple(map(as_fraction, row)) for k, row in doc["mu"].items()},
+        left_tail=left, right_tail=right,
+    )
+    assert "mu" not in vars(system)
+    assert system._table == built._table
+    assert system.validate_star() == built.validate_star()
+    assert system.distortion_constant() == built.distortion_constant()
+    assert "mu" not in vars(system)
+    assert list(system.mu.items()) == list(built.mu.items()) and system == built
+    assert all(type(v) is Fraction for row in system.mu.values() for v in row)
     for k, (den, total, nums) in enumerate(system._table, system.k_min):
         assert den == math.lcm(*(v.denominator for v in system.mu[k]))
         assert [Fraction(n, den) for n in nums] == list(system.mu[k]) and total == sum(nums)
@@ -405,6 +421,44 @@ def test_star_multiplies_cell_pairs_not_common_denominator_numerators():
     c = system.validate_star()
     assert time.perf_counter() - start < 0.1
     assert c == _star_reference(system)
+
+
+def test_validate_and_weights_build_no_fraction_per_cell(monkeypatch):
+    # wide100 has 804 cells; the same window with every cell written three
+    # times has 2412: the parse builds p and the two tails, validate its two
+    # constants and weights one more Fraction per window weight and one for
+    # the right tail's reciprocal, whatever the cells
+    doc = json.loads((Path(__file__).parent / "golden" / "wide100.json").read_text())
+    tripled = {**doc, "cells": [f"{name}{copy}" for copy in "abc" for name in doc["cells"]],
+               "mu": {k: row * 3 for k, row in doc["mu"].items()}}
+    built = [0]
+
+    def counting(new):
+        def construct(*args, **kwargs):
+            built[0] += 1
+            return new(*args, **kwargs)
+        return construct
+
+    counts = {}
+    for name, config in (("wide100", doc), ("tripled", tripled)):
+        for command in ("validate", "weights"):
+            text = json.dumps(config)
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", staticmethod(counting(Fraction.__new__)))
+                if hasattr(Fraction, "_from_coprime_ints"):  # builds arithmetic results from Python 3.12 on
+                    from_ints = Fraction._from_coprime_ints.__func__
+                    patch.setattr(Fraction, "_from_coprime_ints", classmethod(counting(from_ints)))
+                built[0] = 0
+                system = MeasureSystem.from_json(text)
+                run_command(command, system, horizon=64, samples=0, eps=1e-2)
+            counts[name, command] = built[0]
+            assert "mu" not in vars(system)
+    levels = doc["window"]["max"] - doc["window"]["min"]
+    assert counts["wide100", "validate"] == counts["tripled", "validate"] <= 3 + 2
+    assert counts["wide100", "weights"] == counts["tripled", "weights"] <= 3 + 2 + levels + 1
+    system = MeasureSystem.from_json(json.dumps(doc))
+    run_command("report", system, horizon=64, samples=100, eps=1e-2)
+    assert "mu" not in vars(system)
 
 
 def test_report_computes_each_structural_constant_once(monkeypatch, capsys):

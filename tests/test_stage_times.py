@@ -30,6 +30,21 @@ def test_stage_times_writes_the_medians_of_each_stage(tmp_path):
     assert all(t > 0 for t in walls.values())
 
 
+def test_stage_times_times_the_stages_of_the_quick_commands(tmp_path):
+    # validate and weights, the commands of perfbench's quick_commands workload
+    for command, extra in (("validate", set()), ("weights", {"derive_weights"})):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "stage_times.py"), "--label", command, "--repeat", "1",
+             "--command", command, "--out-dir", str(tmp_path), str(ROOT / "configs" / "flat.json")],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        doc = json.loads((tmp_path / f"BENCH_{command}.json").read_text())
+        assert doc["command"] == command
+        assert set(doc["configs"]["flat"]) == {"from_json", "validate_star", "distortion_constant", "render_json",
+                                               "total"} | extra
+
+
 def test_stage_times_interleaves_two_checkouts(tmp_path):
     # this checkout against itself: two rounds of one process per side
     start = time.perf_counter()

@@ -1,18 +1,21 @@
-"""Median wall time of each stage ``shiftlab report`` runs, per config.
+"""Median wall time of each stage a ``shiftlab`` command runs, per config.
 
     python tools/stage_times.py --label before
     python tools/stage_times.py --label after --repeat 9 configs/flat.json
+    python tools/stage_times.py --label quick --command validate --repeat 9
     python tools/stage_times.py --label pair --repeat 10 --against ../parent
 
-Runs ``cli.run_command("report", ...)`` in-process on each config (by
+Runs ``cli.run_command(command, ...)`` in-process on each config (by
 default ``configs/*.json`` and six golden windows), loading the config
 afresh each time, and writes the medians in seconds to ``BENCH_<label>.json``.
+The command is ``report`` unless ``--command`` names ``validate`` or
+``weights``, the two that perfbench's ``quick_commands`` workload runs.
 A stage is the parse, ``MeasureSystem.from_json``, or a call that
 ``run_command`` makes: the two structural constants, ``derive_weights``,
 each of the seven criteria, ``semicheck`` and the orbit experiment; a stage
-called inside another counts only in the outer one.  ``render_json`` of the
-result is one more stage, and ``total`` covers the parse, ``run_command``
-and the render.
+called inside another counts only in the outer one, and a stage the
+command does not reach is left out.  ``render_json`` of the result is one
+more stage, and ``total`` covers the parse, ``run_command`` and the render.
 
 It also writes, per config, the median wall time of whole ``python -m
 shiftlab validate`` and ``report`` processes over the same repeat, which is
@@ -29,7 +32,8 @@ each, on this checkout's config files), the order swapped every round, and
 it writes each side's per-stage and process-wall medians and quartiles over
 the rounds.  Each side has the stages its own script times: a checkout whose
 script does not time the parse has no ``from_json`` entry, and its
-``total`` leaves the parse out.
+``total`` leaves the parse out.  ``--command`` other than ``report`` is
+passed on to PATH's script, which must then know the option too.
 
 Standard library only; it imports ``shiftlab`` from this checkout's ``src/``.
 """
@@ -76,7 +80,7 @@ def _timed(name: str, fn, times: dict[str, float], depth: list[int]):
     return stage
 
 
-def time_config(path: Path, repeat: int, samples: int) -> dict:
+def time_config(path: Path, repeat: int, samples: int, command: str) -> dict:
     """Median seconds of each stage and of the whole parse, run_command and render over repeat runs."""
     text = path.read_text()
     runs: list[dict[str, float]] = []
@@ -89,7 +93,7 @@ def time_config(path: Path, repeat: int, samples: int) -> dict:
                 setattr(owner, name, _timed(name, getattr(owner, name), times, depth))
             start = time.perf_counter()
             system = MeasureSystem.from_json(text)
-            result = cli.run_command("report", system, horizon=64, samples=samples, eps=1e-2)
+            result = cli.run_command(command, system, horizon=64, samples=samples, eps=1e-2)
             rendered = time.perf_counter()
             cli.render_json(result)
             end = time.perf_counter()
@@ -139,7 +143,8 @@ def interleave(against: Path, paths: list[Path], args: argparse.Namespace) -> di
                     [sys.executable, *(["-B"] if sys.dont_write_bytecode else []),
                      str(sides[side] / "tools" / "stage_times.py"), "--label", label,
                      "--repeat", "1", "--seed", str(args.seed), "--samples", str(args.samples),
-                     "--out-dir", tmp, *map(str, paths)],
+                     "--out-dir", tmp, *(["--command", args.command] if args.command != "report" else []),
+                     *map(str, paths)],
                     stdout=subprocess.DEVNULL, check=True,
                 )
                 runs[side].append(json.loads((Path(tmp) / f"BENCH_{label}.json").read_text()))
@@ -158,6 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeat", type=int, default=5, help="runs per config; the medians are written")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=100)
+    parser.add_argument("--command", choices=("validate", "weights", "report"), default="report",
+                        help="the command whose stages are timed (default: report)")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     parser.add_argument("--against", type=Path, help="another checkout to interleave with, --repeat rounds")
     parser.add_argument("configs", nargs="*", type=Path, help="config files (default: the family above)")
@@ -167,13 +174,13 @@ def main(argv: list[str] | None = None) -> int:
     paths = args.configs or sorted(ROOT.glob("configs/*.json")) + [ROOT / f"tests/golden/{n}.json" for n in GOLDEN]
     doc = {
         "label": args.label, "python": platform.python_version(), "repeat": args.repeat,
-        "seed": args.seed, "samples": args.samples, "unit": "s",
+        "seed": args.seed, "samples": args.samples, "command": args.command, "unit": "s",
         "bytecode_cache": not sys.dont_write_bytecode,
     }
     if args.against:
         doc.update(interleave(args.against.resolve(), [path.resolve() for path in paths], args))
     else:
-        doc["configs"] = {path.stem: time_config(path, args.repeat, args.samples) for path in paths}
+        doc["configs"] = {path.stem: time_config(path, args.repeat, args.samples, args.command) for path in paths}
         doc["process_wall"] = {path.stem: process_wall(path, args.repeat, args.seed, args.samples) for path in paths}
     out = args.out_dir / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
