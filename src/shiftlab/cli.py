@@ -173,9 +173,9 @@ def _weights_section(w: WeightSequence) -> dict:
 def _semicheck_section(system: MeasureSystem, w: WeightSequence, *, samples: int) -> dict:
     # The identity is linear in phi and holds level by level (project tags
     # level k with (q_k, mu_W(k)), T_f moves q_k to k - 1, the shift scales
-    # rho by wp(k), equals compares entries), so one phi with a unit on cell
-    # 0 of every sampled level passes exactly when every sample would; it
-    # runs whatever ``samples`` is, which the section only echoes.
+    # rho by wp(k)), so one phi with a unit on cell 0 of every sampled level
+    # passes exactly when every sample would; its tags' integers decide it,
+    # whatever ``samples`` is, which the section only echoes.
     # Without tails the image of the window floor has no measure.
     levels = support_levels(system)
     if not system.has_tails:

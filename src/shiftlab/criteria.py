@@ -57,7 +57,7 @@ The certificates:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -218,8 +218,8 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
     assert left is not None and right is not None
     n0 = max(hi - k_min, system.k_max - lo) + 1
     first, a, b = lo - n0, n0, n0 + len(levels)  # logs[j - first] is level j; [a, b) the levels
-    tables = [_LogTable([system.mu[k][i] for k in range(k_min, system.k_max + 1)], k_min, (1 / left,), (right,),
-                        first, hi + n0) for i in range(len(system.cells))]
+    tables = [_LogTable([_float_log(system.mu[k][i]) for k in range(k_min, system.k_max + 1)], k_min, (1 / left,),
+                        (right,), first, hi + n0) for i in range(len(system.cells))]
     columns, bound = [t.logs for t in tables], max(t.bound for t in tables)
     theta = float(min(p, 2**960)) * math.log(DECAY_TOL)
     t_lo, t_hi = (theta * (1 + 2.0**-49) if p <= 2**960 else -math.inf), theta * (1 - 2.0**-49)
@@ -309,12 +309,13 @@ def weak_mixing_consistency(system: MeasureSystem) -> CriterionReport:
 
 class _LogTable:
     """Float logs l(j), j from first to last, of a column c(j) of positive
-    rationals given on [lo, lo + len - 1] and extended past it by periodic
-    tail factors: c(hi + m) is c(hi) times the first m right factors, c(lo - m)
-    is c(lo) over the first m left factors, each tuple read cyclically from
-    its start; and the bound B of the differences of two logs (_sup_inf)."""
+    rationals given on [lo, lo + len - 1] by the ``_float_log`` of each entry
+    and extended past it by periodic tail factors: c(hi + m) is c(hi) times
+    the first m right factors, c(lo - m) is c(lo) over the first m left
+    factors, each tuple read cyclically from its start; and the bound B of
+    the differences of two logs (_sup_inf)."""
 
-    def __init__(self, column: list[Fraction], lo: int, left: tuple[Fraction, ...], right: tuple[Fraction, ...],
+    def __init__(self, logs: Sequence[float], lo: int, left: tuple[Fraction, ...], right: tuple[Fraction, ...],
                  first: int, last: int) -> None:
         def tail_logs(tail: tuple[Fraction, ...], count: int) -> tuple[list[float], float]:
             # q * ln Pi + ln pp_r for the first m = q * L + r <= count entries, and a bound on the terms' sizes
@@ -323,9 +324,8 @@ class _LogTable:
             logs = [q * whole + heads[r] for q, r in (divmod(m, period) for m in range(1, count + 1))]
             return logs, count // period * abs(whole) + max(map(abs, heads))
 
-        logs = [_float_log(v) for v in column]
-        top, (run, size) = logs[-1], tail_logs(right, last - lo - len(column) + 1)
-        logs, size = logs + [top + x for x in run], max(abs(top) + size, *map(abs, logs))
+        top, (run, size) = logs[-1], tail_logs(right, last - lo - len(logs) + 1)
+        logs, size = [*logs, *(top + x for x in run)], max(abs(top) + size, *map(abs, logs))
         if first < lo:
             bottom, (run, size_left) = logs[0], tail_logs(left, lo - first)
             logs, size = [bottom - x for x in reversed(run)] + logs, max(size, abs(bottom) + size_left)
@@ -333,10 +333,11 @@ class _LogTable:
 
     @classmethod
     def of_weights(cls, w: WeightSequence, first: int, last: int) -> "_LogTable":
-        """Logs of the prefix products P(j) of w's powers, P(lo - 1) = 1."""
+        """Logs of the prefix products P(j) of w's powers, P(lo - 1) = 1,
+        extending the sequence's own column ``_prefix_logs``."""
         if first < w.lo - 1 and w.left_tail is None:
             wp_product(w, first + 1, w.lo - 1)  # raises TailRuleMissing on index first + 1
-        return cls(w._prefix, w.lo - 1, w.left_tail or (), w.right_tail, first, last)
+        return cls(w._prefix_logs, w.lo - 1, w.left_tail or (), w.right_tail, first, last)
 
     def min_product(self, w: WeightSequence, n: int, ks: range, floor: float = -math.inf) -> Fraction | None:
         """min over k in ks of wp_product(w, k + 1, k + n); None if below e**floor."""

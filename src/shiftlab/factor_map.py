@@ -13,25 +13,22 @@ summed in integers over each cell's share of W, one Fraction per level.  On
 these tagged sequences the derived backward shift acts exactly, and the
 intertwining with the composition operator can be checked with zero
 tolerance; where it holds, the tags agree exactly and no power is taken.
+Two kernels on plain dicts, ``_tags`` and ``_block_factors``, read the tags
+and the weight products; ``project`` and ``tagged_backward`` wrap them, and
+``semiconjugacy_defect`` compares their integers without building a vector.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lp_space import StepFunction, apply_Tf
+from .lp_space import Coefficient, StepFunction, apply_Tf
 from .measure_system import MeasureSystem
 from .rationals import pow_maybe_exact
-from .shift_space import (
-    BILATERAL,
-    SeqVector,
-    WeightSequence,
-    _check_sides,
-    derive_weights,
-    lp_distance,
-    wp_product,
-)
+from .shift_space import (BILATERAL, UNILATERAL, SeqVector, WeightSequence, _check_sides, derive_weights,
+                          lp_distance, wp_product)
 
 
 @dataclass
@@ -93,26 +90,42 @@ class ExactSeqVector:
         )
 
 
-def project(system: MeasureSystem, phi: StepFunction) -> ExactSeqVector:
-    """Factor map: level k contributes the tag
-
-        q_k = (sum of coefficient * cell mass at level 0 over its terms) / mass of W
-        rho_k = mass of level k.
-
-    Each coefficient is read once, in order, so the entries follow the order
-    the levels first appear in; it adds coefficient * c / d to an unreduced
-    integer pair for q_k, c / d its cell's share of W (``_w_shares``).
-    Coefficients must be rational; float data has no exact image.
-    """
+def _tags(system: MeasureSystem, coeffs: dict[tuple[int, int], Coefficient]) -> dict[int, tuple[int, int, Fraction]]:
+    """Level k -> (a, b, mu_W(k)) for each level of coeffs, in first-appearance
+    order: q_k = a / b unreduced, to which each coefficient, read once, adds
+    coefficient * c / d, c / d its cell's share of W (``_w_shares``).  Every
+    level's mass is read, q = 0 or not, so one with no tail rule raises."""
     shares = system._w_shares
     sums: dict[int, tuple[int, int]] = {}
-    for (k, i), v in phi.coeffs.items():
+    for (k, i), v in coeffs.items():
         if not isinstance(v, (Fraction, int)):
             raise TypeError(f"coefficient at {(k, i)} is not rational; exact projection needs Fraction data")
         (c, d), (a, b) = shares[i], sums.get(k, (0, 1))
         sd = v.denominator * d
         sums[k] = (a * sd + v.numerator * c * b, b * sd)
-    return ExactSeqVector(system.p, BILATERAL, {k: (Fraction(a, b), system.mu_W(k)) for k, (a, b) in sums.items()})
+    return {k: (a, b, system.mu_W(k)) for k, (a, b) in sums.items()}
+
+
+def project(system: MeasureSystem, phi: StepFunction) -> ExactSeqVector:
+    """Factor map: level k contributes the tag (``_tags``)
+
+        q_k = (sum of coefficient * cell mass at level 0 over its terms) / mass of W
+        rho_k = mass of level k.
+
+    Coefficients must be rational; float data has no exact image."""
+    tags = _tags(system, phi.coeffs)
+    return ExactSeqVector(system.p, BILATERAL, {k: (Fraction(a, b), rho) for k, (a, b, rho) in tags.items()})
+
+
+def _block_factors(w: WeightSequence, indices: Iterable[int], steps: int) -> dict[int, Fraction]:
+    """j -> the weight power product over [j - steps + 1, j] for each j in
+    order, except a j shifted below index 0 on the unilateral side: a one-step
+    block in the window read from ``w.wp``, any other through ``wp_product``."""
+    lo, hi, wp, unilateral, out = w.lo, w.hi, w.wp, w.side == UNILATERAL, {}
+    for j in indices:
+        if not (unilateral and j < steps):
+            out[j] = wp[j] if steps == 1 and lo <= j <= hi else wp_product(w, j - steps + 1, j)
+    return out
 
 
 def tagged_backward(w: WeightSequence, x: ExactSeqVector, steps: int = 1) -> ExactSeqVector:
@@ -120,32 +133,36 @@ def tagged_backward(w: WeightSequence, x: ExactSeqVector, steps: int = 1) -> Exa
     value multiplies its rho tag by the weight's p-th power."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_sides(w, x)
-    out: dict[int, tuple[Fraction, Fraction]] = {}
-    for j, (q, rho) in x.entries.items():
-        n = j - steps
-        if w.side != BILATERAL and n < 0:
-            continue
-        out[n] = (q, rho * wp_product(w, n + 1, j))
-    return ExactSeqVector(p=x.p, side=x.side, entries=out)
+    _check_sides(w, x.side)
+    factors = _block_factors(w, x.entries, steps)
+    return ExactSeqVector(x.p, x.side, {j - steps: (q, rho * f) for j, f in factors.items()
+                                        for q, rho in [x.entries[j]]})
 
 
-def semiconjugacy_defect(
-    system: MeasureSystem,
-    phi: StepFunction,
-    w: WeightSequence | None = None,
-) -> Fraction | float:
+def semiconjugacy_defect(system: MeasureSystem, phi: StepFunction, w: WeightSequence | None = None) -> Fraction | float:
     """Distance between projecting after the composition operator and
     shifting after projecting.
 
     Exactly zero (a Fraction) whenever the tagged sequences agree entry by
     entry, which the model guarantees; otherwise the float p-norm of the
-    collapsed difference is returned.
+    collapsed difference is returned.  The kernels read both sides in
+    ``project``'s and ``tagged_backward``'s order, so an input raises as that
+    composition does; where every tag agrees by integer cross-multiplication
+    (q_k moved down by T_f, mu_W(k - 1) against mu_W(k) * wp(k)) no vector is
+    built, else the composition runs and its vectors are compared.
     """
     if w is None:
         w = derive_weights(system)
-    lhs = project(system, apply_Tf(phi))
-    rhs = tagged_backward(w, project(system, phi))
+    moved, tags = _tags(system, apply_Tf(phi).coeffs), _tags(system, phi.coeffs)
+    _check_sides(w, BILATERAL)
+    factors = _block_factors(w, [k for k, (a, _, _) in tags.items() if a], 1)
+    # a level missing on the left reads as q = 0, which no nonzero q matches
+    if sum(1 for a, _, _ in moved.values() if a) == len(factors) and all(
+        a * d == b * c and r.numerator * s.denominator * f.denominator == r.denominator * s.numerator * f.numerator
+        for k, f in factors.items() for (a, b, s), (c, d, r) in [(tags[k], moved.get(k - 1, (0, 1, 1)))]
+    ):
+        return Fraction(0)
+    lhs, rhs = project(system, apply_Tf(phi)), tagged_backward(w, project(system, phi))
     if lhs.equals(rhs):
         return Fraction(0)
     return lp_distance(lhs.collapse(), rhs.collapse(), system.p)

@@ -62,7 +62,7 @@ def construct_hc_approx(
         zero = SeqVector(w.side, {})
         return HCApproxResult(0, tuple(range(count)), zero, (0.0,) * count)
     for y in targets:
-        _check_sides(w, y)
+        _check_sides(w, y.side)
     ys = [y.entries for y in targets]
     gap = 1
     while gap * count <= horizon:
@@ -115,7 +115,7 @@ def orbit_density_report(
     if any(y.side != x.side for y in targets):
         raise ValueError("cannot compare vectors of different sides")
     if horizon:
-        _check_sides(w, x)
+        _check_sides(w, x.side)
     ys = [y.entries for y in targets]
     best: list[tuple[int, float]] = [(0, float("inf"))] * len(targets)
     current = x.entries

@@ -143,7 +143,7 @@ class MeasureSystem:
 
     @cached_property
     def _level_mass(self) -> dict[int, Fraction]:
-        """Total measure of each window level, S_k / D_k from the table."""
+        """Total measure of each window level, S_k / D_k from the table, and of the tail levels mu_W keeps."""
         return {k: Fraction(total, den) for k, (den, total, _) in enumerate(self._table, self.k_min)}
 
     @cached_property
@@ -157,7 +157,10 @@ class MeasureSystem:
         if (mass := self._level_mass.get(k)) is not None:
             return mass
         base, factor = self._tail_factor(k)
-        return self._level_mass[base] * factor
+        mass = self._level_mass[base] * factor
+        if abs(k - base) <= 8:  # a fixed few: a search far out rebuilds its levels, not grows the memo
+            self._level_mass[k] = mass
+        return mass
 
     # -- structural constants ---------------------------------------------
 

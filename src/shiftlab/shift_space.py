@@ -34,7 +34,7 @@ from operator import mul
 
 from .errors import ConfigError, TailRuleMissing
 from .measure_system import MeasureSystem
-from .rationals import pow_maybe_exact
+from .rationals import _float_log, pow_maybe_exact
 
 BILATERAL = "bilateral"
 UNILATERAL = "unilateral"
@@ -90,6 +90,12 @@ class WeightSequence:
         return tuple(accumulate(
             (self.wp[k] for k in range(self.lo, self.hi + 1)), mul, initial=Fraction(1),
         ))
+
+    @cached_property
+    def _prefix_logs(self) -> tuple[float, ...]:
+        """``_float_log`` of each ``_prefix`` entry: the column every sup-inf
+        log table of the sequence extends, taken once."""
+        return tuple(map(_float_log, self._prefix))
 
     @cached_property
     def _runs(self) -> Callable[[str, int, int], Fraction]:
@@ -312,9 +318,9 @@ def lp_distance(x: SeqVector, y: SeqVector, p: Fraction | float) -> float:
     return lp_distances(x, (y,), p)[0]
 
 
-def _check_sides(w: WeightSequence, x: SeqVector) -> None:
-    if w.side != x.side:
-        raise ValueError(f"weight side {w.side} does not match vector side {x.side}")
+def _check_sides(w: WeightSequence, side: str) -> None:
+    if w.side != side:
+        raise ValueError(f"weight side {w.side} does not match vector side {side}")
 
 
 def apply_backward(w: WeightSequence, x: SeqVector, steps: int = 1) -> SeqVector:
@@ -324,7 +330,7 @@ def apply_backward(w: WeightSequence, x: SeqVector, steps: int = 1) -> SeqVector
     shifted past index 0 is discarded."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_sides(w, x)
+    _check_sides(w, x.side)
     return SeqVector(x.side, _backward(w, x.entries, steps))
 
 
@@ -333,5 +339,5 @@ def apply_forward_inverse(w: WeightSequence, x: SeqVector, steps: int = 1) -> Se
     to n + steps, divided by the block's weight product as in ``apply_backward``."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_sides(w, x)
+    _check_sides(w, x.side)
     return SeqVector(x.side, _forward_inverse(w, x.entries, steps))

@@ -33,6 +33,7 @@ from shiftlab import (
     weak_mixing_consistency,
     wp_product,
 )
+from shiftlab import shift_space
 from shiftlab.criteria import DECAY_TOL, UnbuiltPower
 from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabError, TailRuleMissing
 from shiftlab.rationals import fraction_pow
@@ -900,3 +901,20 @@ def test_telescoping_argument_validation(dyadic):
         telescoping_bound_check(dyadic, 0, 0, 1, Fraction(2))
     with pytest.raises(ValueError):
         telescoping_bound_check(dyadic, 0, 1, 1, Fraction(1, 2))
+
+
+def test_menet_and_conditionmix_share_one_prefix_log_column(monkeypatch):
+    # both sup-inf tables of one weight sequence extend its _prefix_logs,
+    # so each prefix entry's float log is taken once, not once per table
+    system = MeasureSystem.from_json((Path(__file__).parent / "golden" / "wide100.json").read_text())
+    w = derive_weights(system)
+    logs, float_log = count(), shift_space._float_log
+
+    def counted(q):
+        next(logs)
+        return float_log(q)
+
+    monkeypatch.setattr(shift_space, "_float_log", counted)
+    menet_unilateral(w)
+    conditionmix_lhs(system, w)
+    assert next(logs) == len(w._prefix) == w.hi - w.lo + 2

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,10 @@ from shiftlab import (
     tagged_backward,
 )
 from shiftlab import cli
-from shiftlab.errors import InconsistentWitness
+from shiftlab.errors import InconsistentWitness, TailRuleMissing
 from shiftlab.rationals import abs_pow
 from shiftlab.sampling import random_step_function, support_levels
-from shiftlab.shift_space import wp_product
+from shiftlab.shift_space import UNILATERAL, WeightSequence, lp_distance, wp_product
 
 from generators import random_system
 
@@ -269,3 +270,119 @@ def test_the_identity_fails_exactly_on_samples_that_meet_a_bad_level(seed, data,
     else:
         with pytest.raises(InconsistentWitness, match="factor identity defect"):
             cli._semicheck_section(system, w, samples=1)
+
+
+# -- the integer filter against the vector composition -------------------------
+
+
+def _defect_by_vectors(system, phi, w):
+    """The defect as the composition of the public wrappers: equals, else
+    the float distance of the collapses."""
+    lhs = project(system, apply_Tf(phi))
+    rhs = tagged_backward(w, project(system, phi))
+    return Fraction(0) if lhs.equals(rhs) else lp_distance(lhs.collapse(), rhs.collapse(), system.p)
+
+
+def _outcome(f, *args):
+    """A call's result with its type, or the type and message of what it raised."""
+    try:
+        value = f(*args)
+    except (TypeError, ValueError, TailRuleMissing) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), tails=st.booleans(), cancel=st.booleans(),
+       weights=st.sampled_from(["derived", "one_off", "doubled", "untailed"]), reach=st.integers(0, 2))
+def test_the_integer_filter_matches_the_vector_composition(seed, tails, cancel, weights, reach):
+    rng = random.Random(seed)
+    system = random_system(rng)
+    if not tails:
+        system = MeasureSystem(p=system.p, k_min=system.k_min, k_max=system.k_max, cells=system.cells, mu=system.mu)
+    w = derive_weights(system)
+    if weights == "one_off":
+        k = rng.randint(w.lo, w.hi) if w.hi >= w.lo else None
+        if k is not None:
+            w = replace(w, wp={**w.wp, k: 3 * w.wp[k]})
+    elif weights == "doubled":
+        w = replace(w, wp={k: 2 * v for k, v in w.wp.items()},
+                    left_tail=w.left_tail and tuple(2 * v for v in w.left_tail),
+                    right_tail=w.right_tail and tuple(2 * v for v in w.right_tail))
+    elif weights == "untailed":
+        w = replace(w, left_tail=None, right_tail=None)
+    coeffs = dict(random_step_function(rng, system).coeffs)
+    # up to `reach` levels past the window, where a model or sequence with no tail rule raises
+    k = rng.randint(system.k_min - reach, system.k_max + reach)
+    if cancel and len(system.cells) > 1:
+        # a pair of cells whose level sum q is zero: the level's mass is still read
+        m0, m1 = system.mu_cell(0, 0), system.mu_cell(0, 1)
+        coeffs[(k, 0)] = m1.numerator * m0.denominator
+        coeffs[(k, 1)] = -m0.numerator * m1.denominator
+    else:
+        coeffs[(k, rng.randrange(len(system.cells)))] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    phi = StepFunction(coeffs)
+    assert _outcome(semiconjugacy_defect, system, phi, w) == _outcome(_defect_by_vectors, system, phi, w)
+
+
+def _untailed_pair():
+    """A two-cell model with no tail rules on [-1, 1], and coefficients on
+    level 2, past its right edge, whose sum q cancels."""
+    system = MeasureSystem(p=Fraction(2), k_min=-1, k_max=1, cells=("A", "B"),
+                           mu={k: (Fraction(1, 3), Fraction(2, 3)) for k in (-1, 0, 1)})
+    return system, {(2, 0): 2, (2, 1): -1}
+
+
+@pytest.mark.parametrize("case", ["float_coefficient", "unilateral_weights", "cancelled_level_past_the_window"])
+def test_the_defect_raises_what_the_composition_raises(dyadic, case):
+    system, w = dyadic, None
+    if case == "float_coefficient":
+        phi = StepFunction({(0, 0): Fraction(1), (2, 0): 0.5})
+        expected = TypeError, r"^coefficient at \(1, 0\) is not rational; exact projection needs Fraction data$"
+    elif case == "unilateral_weights":
+        phi = StepFunction({(1, 0): Fraction(1)})
+        w = WeightSequence(p=dyadic.p, side=UNILATERAL, lo=1, hi=1, wp={1: Fraction(2)}, right_tail=(Fraction(2),))
+        expected = ValueError, r"^weight side unilateral does not match vector side bilateral$"
+    else:
+        # a filter that dropped the zero level before reading its mass would return 0 here
+        system, coeffs = _untailed_pair()
+        phi = StepFunction({(0, 0): Fraction(1), **coeffs})
+        assert project(system, apply_Tf(phi)).entries.keys() == {-1}
+        expected = TailRuleMissing, r"^level 2 lies right of the window and no tail rule is set$"
+    for f in (semiconjugacy_defect, _defect_by_vectors):
+        with pytest.raises(expected[0], match=expected[1]):
+            f(system, phi, w or derive_weights(system))
+
+
+def _counting(counter, name, new):
+    def construct(*args, **kwargs):
+        counter[name] += 1
+        return new(*args, **kwargs)
+    return construct
+
+
+def test_semicheck_builds_no_vector_and_no_fraction_per_level(monkeypatch):
+    # wide100 and wide200 have 4 cells on 201 and 401 levels, with tails:
+    # where the identity holds, one semicheck call builds no ExactSeqVector,
+    # and its Fractions do not grow with the window: the shares of W, a power
+    # and a product for each of the five tail levels read (two past each
+    # edge, and one more below, where T_f moves the lowest), and the zero it
+    # returns
+    counts = {}
+    for name in ("wide100", "wide200"):
+        system = MeasureSystem.from_json((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+        w = derive_weights(system)
+        system.mu_W(0)  # the window's mass column, read once per model by every stage that reads a mass
+        counter = {"vectors": 0, "fractions": 0}
+        with monkeypatch.context() as patch:
+            patch.setattr(ExactSeqVector, "__post_init__",
+                          _counting(counter, "vectors", ExactSeqVector.__post_init__))
+            patch.setattr(Fraction, "__new__", staticmethod(_counting(counter, "fractions", Fraction.__new__)))
+            if hasattr(Fraction, "_from_coprime_ints"):  # builds arithmetic results from Python 3.12 on
+                from_ints = Fraction._from_coprime_ints.__func__
+                patch.setattr(Fraction, "_from_coprime_ints", classmethod(_counting(counter, "fractions", from_ints)))
+            assert cli._semicheck_section(system, w, samples=100)["exact_zero"] == 100
+        counts[name] = counter
+    assert counts["wide100"] == counts["wide200"]
+    assert counts["wide100"]["vectors"] == 0
+    assert counts["wide100"]["fractions"] <= len(system.cells) + 2 * 5 + 1
