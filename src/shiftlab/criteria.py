@@ -309,11 +309,10 @@ def weak_mixing_consistency(system: MeasureSystem) -> CriterionReport:
 
 class _LogTable:
     """Float logs l(j), j from first to last, of a column c(j) of positive
-    rationals given on [lo, lo + len - 1] by the ``_float_log`` of each entry
-    and extended past it by periodic tail factors: c(hi + m) is c(hi) times
-    the first m right factors, c(lo - m) is c(lo) over the first m left
-    factors, each tuple read cyclically from its start; and the bound B of
-    the differences of two logs (_sup_inf)."""
+    rationals, given as logs on [lo, lo + len - 1] and extended past it by
+    periodic tail factors: c(hi + m) is c(hi) times the first m right factors,
+    c(lo - m) is c(lo) over the first m left factors, each tuple read
+    cyclically from its start; and the bound B of two logs' differences (_sup_inf)."""
 
     def __init__(self, logs: Sequence[float], lo: int, left: tuple[Fraction, ...], right: tuple[Fraction, ...],
                  first: int, last: int) -> None:
@@ -333,8 +332,7 @@ class _LogTable:
 
     @classmethod
     def of_weights(cls, w: WeightSequence, first: int, last: int) -> "_LogTable":
-        """Logs of the prefix products P(j) of w's powers, P(lo - 1) = 1,
-        extending the sequence's own column ``_prefix_logs``."""
+        """Logs of the prefix products P(j) of w's powers, P(lo - 1) = 1, from ``w._prefix_logs``."""
         if first < w.lo - 1 and w.left_tail is None:
             wp_product(w, first + 1, w.lo - 1)  # raises TailRuleMissing on index first + 1
         return cls(w._prefix_logs, w.lo - 1, w.left_tail or (), w.right_tail, first, last)

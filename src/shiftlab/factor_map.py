@@ -12,23 +12,26 @@ else compared by cross-powering, which stays inside the rationals.  q is
 summed in integers over each cell's share of W, one Fraction per level.  On
 these tagged sequences the derived backward shift acts exactly, and the
 intertwining with the composition operator can be checked with zero
-tolerance; where it holds, the tags agree exactly and no power is taken.
-Two kernels on plain dicts, ``_tags`` and ``_block_factors``, read the tags
-and the weight products; ``project`` and ``tagged_backward`` wrap them, and
-``semiconjugacy_defect`` compares their integers without building a vector.
+tolerance; where it holds, ``_tags``' integers decide it, with no vector built.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lp_space import Coefficient, StepFunction, apply_Tf
 from .measure_system import MeasureSystem
 from .rationals import pow_maybe_exact
-from .shift_space import (BILATERAL, UNILATERAL, SeqVector, WeightSequence, _check_sides, derive_weights,
-                          lp_distance, wp_product)
+from .shift_space import (
+    BILATERAL,
+    SeqVector,
+    WeightSequence,
+    _check_sides,
+    derive_weights,
+    lp_distance,
+    wp_product,
+)
 
 
 @dataclass
@@ -117,52 +120,47 @@ def project(system: MeasureSystem, phi: StepFunction) -> ExactSeqVector:
     return ExactSeqVector(system.p, BILATERAL, {k: (Fraction(a, b), rho) for k, (a, b, rho) in tags.items()})
 
 
-def _block_factors(w: WeightSequence, indices: Iterable[int], steps: int) -> dict[int, Fraction]:
-    """j -> the weight power product over [j - steps + 1, j] for each j in
-    order, except a j shifted below index 0 on the unilateral side: a one-step
-    block in the window read from ``w.wp``, any other through ``wp_product``."""
-    lo, hi, wp, unilateral, out = w.lo, w.hi, w.wp, w.side == UNILATERAL, {}
-    for j in indices:
-        if not (unilateral and j < steps):
-            out[j] = wp[j] if steps == 1 and lo <= j <= hi else wp_product(w, j - steps + 1, j)
-    return out
-
-
 def tagged_backward(w: WeightSequence, x: ExactSeqVector, steps: int = 1) -> ExactSeqVector:
     """Weighted backward shift on tagged values: folding one weight into a
     value multiplies its rho tag by the weight's p-th power."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_sides(w, x.side)
-    factors = _block_factors(w, x.entries, steps)
-    return ExactSeqVector(x.p, x.side, {j - steps: (q, rho * f) for j, f in factors.items()
-                                        for q, rho in [x.entries[j]]})
+    out: dict[int, tuple[Fraction, Fraction]] = {}
+    for j, (q, rho) in x.entries.items():
+        n = j - steps
+        if w.side != BILATERAL and n < 0:
+            continue
+        out[n] = (q, rho * wp_product(w, n + 1, j))
+    return ExactSeqVector(p=x.p, side=x.side, entries=out)
 
 
-def semiconjugacy_defect(system: MeasureSystem, phi: StepFunction, w: WeightSequence | None = None) -> Fraction | float:
+def semiconjugacy_defect(
+    system: MeasureSystem,
+    phi: StepFunction,
+    w: WeightSequence | None = None,
+) -> Fraction | float:
     """Distance between projecting after the composition operator and
     shifting after projecting.
 
     Exactly zero (a Fraction) whenever the tagged sequences agree entry by
     entry, which the model guarantees; otherwise the float p-norm of the
-    collapsed difference is returned.  The kernels read both sides in
-    ``project``'s and ``tagged_backward``'s order, so an input raises as that
-    composition does; where every tag agrees by integer cross-multiplication
-    (q_k moved down by T_f, mu_W(k - 1) against mu_W(k) * wp(k)) no vector is
-    built, else the composition runs and its vectors are compared.
+    collapsed difference is returned.  Unless T_f drops a zero that an edited
+    ``coeffs`` holds, T_f phi has phi's q-sums one level down, so no vector is
+    built where mu_W(k - 1) = mu_W(k) * wp(k) on every level with q != 0.
     """
     if w is None:
         w = derive_weights(system)
-    moved, tags = _tags(system, apply_Tf(phi).coeffs), _tags(system, phi.coeffs)
-    _check_sides(w, BILATERAL)
-    factors = _block_factors(w, [k for k, (a, _, _) in tags.items() if a], 1)
-    # a level missing on the left reads as q = 0, which no nonzero q matches
-    if sum(1 for a, _, _ in moved.values() if a) == len(factors) and all(
-        a * d == b * c and r.numerator * s.denominator * f.denominator == r.denominator * s.numerator * f.numerator
-        for k, f in factors.items() for (a, b, s), (c, d, r) in [(tags[k], moved.get(k - 1, (0, 1, 1)))]
-    ):
-        return Fraction(0)
-    lhs, rhs = project(system, apply_Tf(phi)), tagged_backward(w, project(system, phi))
+    moved = apply_Tf(phi)
+    if len(moved.coeffs) == len(phi.coeffs):
+        tags = _tags(system, moved.coeffs)
+        masses = [system.mu_W(k + 1) for k in tags]  # phi's, before the side check, as the composition reads
+        _check_sides(w, BILATERAL)
+        if all(r.numerator * s.denominator * f.denominator == r.denominator * s.numerator * f.numerator
+               for (k, (a, _, r)), s in zip(tags.items(), masses) if a for f in [w.wp_at(k + 1)]):
+            return Fraction(0)
+    lhs = project(system, moved)
+    rhs = tagged_backward(w, project(system, phi))
     if lhs.equals(rhs):
         return Fraction(0)
     return lp_distance(lhs.collapse(), rhs.collapse(), system.p)

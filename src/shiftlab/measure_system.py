@@ -153,13 +153,12 @@ class MeasureSystem:
         return tuple(Fraction(n, total).as_integer_ratio() for n in nums)
 
     def mu_W(self, k: int) -> Fraction:
-        """Total measure of level k."""
-        if (mass := self._level_mass.get(k)) is not None:
-            return mass
-        base, factor = self._tail_factor(k)
-        mass = self._level_mass[base] * factor
-        if abs(k - base) <= 8:  # a fixed few: a search far out rebuilds its levels, not grows the memo
-            self._level_mass[k] = mass
+        """Total measure of level k; a tail level at most 3 past the window is built once."""
+        if (mass := self._level_mass.get(k)) is None:
+            base, factor = self._tail_factor(k)
+            mass = self._level_mass[base] * factor
+            if abs(k - base) <= 3:  # semicheck's reach, LEVEL_MARGIN and T_f's one; farther reads come once
+                self._level_mass[k] = mass
         return mass
 
     # -- structural constants ---------------------------------------------

@@ -78,8 +78,8 @@ class WeightSequence:
                 raise ConfigError("weights: a unilateral sequence has no left tail")
 
     def wp_at(self, k: int) -> Fraction:
-        """p-th power of the weight at index k."""
-        return wp_product(self, k, k)
+        """p-th power of the weight at index k, read from ``wp`` in the window."""
+        return self.wp[k] if self.lo <= k <= self.hi else wp_product(self, k, k)
 
     @cached_property
     def _prefix(self) -> tuple[Fraction, ...]:
@@ -93,8 +93,7 @@ class WeightSequence:
 
     @cached_property
     def _prefix_logs(self) -> tuple[float, ...]:
-        """``_float_log`` of each ``_prefix`` entry: the column every sup-inf
-        log table of the sequence extends, taken once."""
+        """``_float_log`` of each ``_prefix`` entry, the column every sup-inf log table of w extends."""
         return tuple(map(_float_log, self._prefix))
 
     @cached_property

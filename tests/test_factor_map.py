@@ -294,8 +294,9 @@ def _outcome(f, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32), tails=st.booleans(), cancel=st.booleans(),
-       weights=st.sampled_from(["derived", "one_off", "doubled", "untailed"]), reach=st.integers(0, 2))
-def test_the_integer_filter_matches_the_vector_composition(seed, tails, cancel, weights, reach):
+       weights=st.sampled_from(["derived", "one_off", "doubled", "untailed"]), reach=st.integers(0, 2),
+       edited=st.booleans())
+def test_the_integer_filter_matches_the_vector_composition(seed, tails, cancel, weights, reach, edited):
     rng = random.Random(seed)
     system = random_system(rng)
     if not tails:
@@ -322,6 +323,8 @@ def test_the_integer_filter_matches_the_vector_composition(seed, tails, cancel, 
     else:
         coeffs[(k, rng.randrange(len(system.cells)))] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
     phi = StepFunction(coeffs)
+    if edited:  # a zero put into coeffs after construction, which T_f drops
+        phi.coeffs[(rng.randint(system.k_min - reach, system.k_max + reach), rng.randrange(len(system.cells)))] = 0
     assert _outcome(semiconjugacy_defect, system, phi, w) == _outcome(_defect_by_vectors, system, phi, w)
 
 
@@ -333,7 +336,8 @@ def _untailed_pair():
     return system, {(2, 0): 2, (2, 1): -1}
 
 
-@pytest.mark.parametrize("case", ["float_coefficient", "unilateral_weights", "cancelled_level_past_the_window"])
+@pytest.mark.parametrize("case", ["float_coefficient", "unilateral_weights", "cancelled_level_past_the_window",
+                                  "edited_zero_past_the_window"])
 def test_the_defect_raises_what_the_composition_raises(dyadic, case):
     system, w = dyadic, None
     if case == "float_coefficient":
@@ -343,11 +347,18 @@ def test_the_defect_raises_what_the_composition_raises(dyadic, case):
         phi = StepFunction({(1, 0): Fraction(1)})
         w = WeightSequence(p=dyadic.p, side=UNILATERAL, lo=1, hi=1, wp={1: Fraction(2)}, right_tail=(Fraction(2),))
         expected = ValueError, r"^weight side unilateral does not match vector side bilateral$"
-    else:
+    elif case == "cancelled_level_past_the_window":
         # a filter that dropped the zero level before reading its mass would return 0 here
         system, coeffs = _untailed_pair()
         phi = StepFunction({(0, 0): Fraction(1), **coeffs})
         assert project(system, apply_Tf(phi)).entries.keys() == {-1}
+        expected = TailRuleMissing, r"^level 2 lies right of the window and no tail rule is set$"
+    else:
+        # a zero put into coeffs after construction: T_f drops it, project(phi)
+        # still reads its level's mass, so phi's q-sums are not T_f phi's
+        system, _ = _untailed_pair()
+        phi = StepFunction({(1, 0): Fraction(1)})
+        phi.coeffs[(2, 1)] = Fraction(0)
         expected = TailRuleMissing, r"^level 2 lies right of the window and no tail rule is set$"
     for f in (semiconjugacy_defect, _defect_by_vectors):
         with pytest.raises(expected[0], match=expected[1]):

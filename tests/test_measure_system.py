@@ -495,8 +495,9 @@ def test_dyadic_helper_extends_window_consistently():
 
 
 def test_tail_level_masses_are_kept_only_near_the_window():
-    # a level at most 8 past an edge is built once; a farther one each time,
-    # so a scan far out leaves the memo as it was; equality and repr ignore it
+    # a level at most 3 past an edge, as far as semicheck reads, is built
+    # once; a farther one each time, so a scan far out leaves the memo as it
+    # was; equality and repr ignore it
     system = make_dyadic()
     text, size = repr(system), len(system._level_mass)
 
@@ -505,10 +506,10 @@ def test_tail_level_masses_are_kept_only_near_the_window():
             return system.mu_W(system.k_min) * system.left_tail ** (system.k_min - k)
         return system.mu_W(system.k_max) * system.right_tail ** (k - system.k_max)
 
-    near = [system.k_min - 8, system.k_min - 1, system.k_max + 1, system.k_max + 8]
+    near = [system.k_min - 3, system.k_min - 1, system.k_max + 1, system.k_max + 3]
     for k in near:
         assert system.mu_W(k) is system.mu_W(k) and system.mu_W(k) == extended(k)
-    for k in (system.k_min - 9, system.k_max + 9, system.k_max + 10**4):
+    for k in (system.k_min - 4, system.k_max + 4, system.k_max + 8, system.k_max + 10**4):
         assert system.mu_W(k) is not system.mu_W(k) and system.mu_W(k) == extended(k)
     assert len(system._level_mass) == size + len(near)
     assert repr(system) == text and system == make_dyadic()
