@@ -200,8 +200,9 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
     (rationals.LogGap, no power built).  Past n0 every shifted cell lies in a
     tail (< 1), where each ratio falls by the tail ratio a step: one least
     crossing per side from the largest ratio at -n0 and n0.  Below n0 a
-    certified float filter decides first: f, a difference of two _LogTable
-    logs of a cell column, is within its bound B of ln r (_sup_inf); theta =
+    certified float filter decides first: f, a difference of two logs of a
+    column of the model's _cell_logs extended by one pair of tail runs
+    (_LogTable), is within its bound B of ln r (_sup_inf); theta =
     float(p) * math.log(DECAY_TOL) is within 4.1u of p ln DECAY_TOL (u =
     2**-53), and 1 -+ 2**-49 widen it to [t_lo, t_hi] past that and their own
     roundings (past p = 2**960, t_hi at 2**960 and t_lo = -inf).  So r exceeds
@@ -211,24 +212,29 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
     m more steps while max f + B + m L < t_lo (in Fractions), as each ln r
     moves at most L = B + the largest one-step difference in a column a
     step.  The named cell is the exact argmax, first in (level, cell) order,
-    among the cells with f >= max f - 2B, which hold all that attain it.
+    among the cells with f >= max f - 2B, which hold all that attain it; exact
+    ratios are read from the model's pairs, so ``mu`` is never built.
     """
-    p, k_min, lo, hi = system.p, system.k_min, levels.start, levels.stop - 1
-    left, right = system.left_tail, system.right_tail
+    p, k_min, k_max, lo, hi = system.p, system.k_min, system.k_max, levels.start, levels.stop - 1
+    left, right, pairs, tol = system.left_tail, system.right_tail, system._rows, (Fraction(DECAY_TOL), -p)
     assert left is not None and right is not None
-    n0 = max(hi - k_min, system.k_max - lo) + 1
+    n0 = max(hi - k_min, k_max - lo) + 1
     first, a, b = lo - n0, n0, n0 + len(levels)  # logs[j - first] is level j; [a, b) the levels
-    tables = [_LogTable([_float_log(system.mu[k][i]) for k in range(k_min, system.k_max + 1)], k_min, (1 / left,),
-                        (right,), first, hi + n0) for i in range(len(system.cells))]
+    runs = _tail_logs((1 / left,), k_min - first), _tail_logs((right,), hi + n0 - k_max)
+    tables = [_LogTable(logs, k_min, *runs) for logs in system._cell_logs]
     columns, bound = [t.logs for t in tables], max(t.bound for t in tables)
     theta = float(min(p, 2**960)) * math.log(DECAY_TOL)
     t_lo, t_hi = (theta * (1 + 2.0**-49) if p <= 2**960 else -math.inf), theta * (1 - 2.0**-49)
 
+    def mass(k: int, i: int) -> Fraction:  # mu_cell, from the pairs
+        base, factor = (k, 1) if k_min <= k <= k_max else system._tail_factor(k)
+        return Fraction(*pairs[base][i]) * factor
+
     def ratio(k: int, i: int, s: int) -> Fraction:
-        return system.mu_cell(k + s, i) / system.mu_cell(k, i)
+        return mass(k + s, i) / mass(k, i)
 
     def above(r: Fraction) -> bool:
-        return LogGap(((r, 1), (Fraction(DECAY_TOL), -p)), Fraction(1)).sign(0) > 0
+        return LogGap(((r, 1), tol), Fraction(1)).sign(0) > 0
 
     def exceeds(k: int, i: int, s: int) -> bool:
         f = columns[i][k + s - first] - columns[i][k - first]
@@ -267,7 +273,7 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
 
     n = next((n for n in range(1, n0) if passes(-n) and passes(n)), None)
     if n is None:
-        ends = [(LogGap(((r, 1), (Fraction(DECAY_TOL), -p)), tail).least_crossing(), k, i, s)
+        ends = [(LogGap(((r, 1), tol), tail).least_crossing(), k, i, s)
                 for s, tail in ((-n0, left), (n0, right)) for r, k, i in [top(s)]]
         m, k, i, s = max(ends, key=itemgetter(0))
         if m:  # past n0 every ratio falls by its side's tail a step, so the argmax at n0 is the one at N - 1
@@ -307,35 +313,37 @@ def weak_mixing_consistency(system: MeasureSystem) -> CriterionReport:
 # -- spaceability: sup over n of inf over k of weight products --------------
 
 
+def _tail_logs(tail: tuple[Fraction, ...], count: int) -> tuple[list[float], float]:
+    """Float logs of the first count products of a periodic tail, q * ln Pi + ln pp_r for
+    m = q * L + r, and a bound on their terms' sizes (_sup_inf); none for count <= 0."""
+    if count <= 0:
+        return [], 0.0
+    heads = [_float_log(v) for v in accumulate(tail[:-1], mul, initial=Fraction(1))]
+    whole, period = _float_log(math.prod(tail, start=Fraction(1))), len(tail)
+    logs = [q * whole + heads[r] for q, r in (divmod(m, period) for m in range(1, count + 1))]
+    return logs, count // period * abs(whole) + max(map(abs, heads))
+
+
 class _LogTable:
-    """Float logs l(j), j from first to last, of a column c(j) of positive
-    rationals, given as logs on [lo, lo + len - 1] and extended past it by
-    periodic tail factors: c(hi + m) is c(hi) times the first m right factors,
-    c(lo - m) is c(lo) over the first m left factors, each tuple read
-    cyclically from its start; and the bound B of two logs' differences (_sup_inf)."""
+    """Float logs l(j) of a column c(j) of positive rationals, given as logs on
+    [lo, lo + len - 1] and extended past it by two _tail_logs runs: c(hi + m) is c(hi)
+    times the first m right products, c(lo - m) is c(lo) over the first m left ones;
+    and the bound B of two logs' differences (_sup_inf)."""
 
-    def __init__(self, logs: Sequence[float], lo: int, left: tuple[Fraction, ...], right: tuple[Fraction, ...],
-                 first: int, last: int) -> None:
-        def tail_logs(tail: tuple[Fraction, ...], count: int) -> tuple[list[float], float]:
-            # q * ln Pi + ln pp_r for the first m = q * L + r <= count entries, and a bound on the terms' sizes
-            heads = [_float_log(v) for v in accumulate(tail[:-1], mul, initial=Fraction(1))]
-            whole, period = _float_log(math.prod(tail, start=Fraction(1))), len(tail)
-            logs = [q * whole + heads[r] for q, r in (divmod(m, period) for m in range(1, count + 1))]
-            return logs, count // period * abs(whole) + max(map(abs, heads))
-
-        top, (run, size) = logs[-1], tail_logs(right, last - lo - len(logs) + 1)
-        logs, size = [*logs, *(top + x for x in run)], max(abs(top) + size, *map(abs, logs))
-        if first < lo:
-            bottom, (run, size_left) = logs[0], tail_logs(left, lo - first)
-            logs, size = [bottom - x for x in reversed(run)] + logs, max(size, abs(bottom) + size_left)
-        self.first, self.logs, self.bound = min(first, lo), logs, 2.0**-47 * size + 2.0**-990
+    def __init__(self, logs: Sequence[float], lo: int, left: tuple[list[float], float],
+                 right: tuple[list[float], float]) -> None:
+        (run_l, size_l), (run_r, size_r) = left, right
+        size = max(abs(logs[0]) + size_l, abs(logs[-1]) + size_r, *map(abs, logs))
+        self.first, self.bound = lo - len(run_l), 2.0**-47 * size + 2.0**-990
+        self.logs = [logs[0] - x for x in reversed(run_l)] + [*logs] + [logs[-1] + x for x in run_r]
 
     @classmethod
     def of_weights(cls, w: WeightSequence, first: int, last: int) -> "_LogTable":
         """Logs of the prefix products P(j) of w's powers, P(lo - 1) = 1, from ``w._prefix_logs``."""
         if first < w.lo - 1 and w.left_tail is None:
             wp_product(w, first + 1, w.lo - 1)  # raises TailRuleMissing on index first + 1
-        return cls(w._prefix_logs, w.lo - 1, w.left_tail or (), w.right_tail, first, last)
+        lo, logs = w.lo - 1, w._prefix_logs
+        return cls(logs, lo, _tail_logs(w.left_tail, lo - first), _tail_logs(w.right_tail, last - lo - len(logs) + 1))
 
     def min_product(self, w: WeightSequence, n: int, ks: range, floor: float = -math.inf) -> Fraction | None:
         """min over k in ks of wp_product(w, k + 1, k + n); None if below e**floor."""

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConfigError, EmptyWindow, NonPositiveMeasure, TailRuleMissing
-from .rationals import as_fraction, plain_pair
+from .rationals import _float_log, as_fraction, plain_pair
 
 
 def _unique_names(pairs: list[tuple[str, object]]) -> dict:
@@ -145,6 +145,12 @@ class MeasureSystem:
     def _level_mass(self) -> dict[int, Fraction]:
         """Total measure of each window level, S_k / D_k from the table, and of the tail levels mu_W keeps."""
         return {k: Fraction(total, den) for k, (den, total, _) in enumerate(self._table, self.k_min)}
+
+    @cached_property
+    def _cell_logs(self) -> list[list[float]]:
+        """_float_log of every window cell mass from its pair, a column per cell over k_min..k_max."""
+        rows = [self._rows[k] for k in range(self.k_min, self.k_max + 1)]
+        return [[_float_log(*row[i]) for row in rows] for i in range(len(self.cells))]
 
     @cached_property
     def _w_shares(self) -> tuple[tuple[int, int], ...]:

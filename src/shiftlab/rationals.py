@@ -3,7 +3,7 @@
 Everything here works over `fractions.Fraction`.  Roots are taken only when
 they are exact in the rationals; otherwise the caller receives None and is
 expected to fall back to floats explicitly.  No silent precision loss.
-``LogGap`` decides ln(k * r**m) <= 0 exactly in integer fixed-point logs.
+``LogGap`` decides ln(k * r**m) <= 0 exactly: certified floats, else fixed point.
 """
 
 from __future__ import annotations
@@ -153,15 +153,19 @@ def abs_pow(value: Fraction | float | complex, expo: Fraction) -> Fraction | flo
 # -- crossings of ln(k * r**m) ----------------------------------------------
 
 
-def _float_log(q: Fraction) -> float:
-    """ln q within 11u * |ln q| + 2**-1073, u = 2**-53.  Between 1/2 and 2, log1p of
-    float(q - 1), off by u * |q - 1| <= 1.45u * |ln q| (or 2**-1075, subnormal),
-    which log1p at most doubles, adding 2u.  Else q * 2**-e (e the difference of the
-    bit lengths) is in (1/2, 2): its float costs 2.4u, and e * ln 2 <= 2|ln q| 3u."""
-    n, d = q.numerator, q.denominator
+def _float_log(q: Fraction, d: int = 1) -> float:
+    """ln q within 11u * |ln q| + 2**-1073, u = 2**-53, for q, or q / d where q is an int.
+    Between 1/2 and 2, log1p of float(q - 1), off by u * |q - 1| <= 1.45u * |ln q| (or
+    2**-1075, subnormal), which log1p at most doubles, adding 2u.  Else |ln q| >= ln 2:
+    if n / d is normal, its rounding moves the log by 1.01u <= 1.46u |ln q| and log's
+    last bit adds 2.01u |ln q|; if not, q * 2**-e (e the difference of the bit lengths)
+    is in (1/2, 2): its float costs 2.4u, and e * ln 2 <= 2|ln q| 3u."""
+    n, d = q.numerator, q.denominator * d
     if d < 2 * n and n < 2 * d:
         return math.log1p((n - d) / d)  # int / int is correctly rounded
     e = n.bit_length() - d.bit_length()
+    if -1000 < e < 1000:  # 2**-1000 < q < 2**1000
+        return math.log(n / d)
     return math.log(n / (d << e) if e >= 0 else (n << -e) / d) + e * math.log(2)
 
 
@@ -237,9 +241,10 @@ def _valuation(q: Fraction, b: int) -> int:
 
 
 class LogGap:
-    """g(m) = ln(k * r**m) for rationals k, r > 0, decided in integer fixed-point
-    logs (_ln_fixed).  k is a rational or, where a power of it is too large to
-    build, pairs (q, e) of rationals q > 0 and e with k = prod q**e."""
+    """g(m) = ln(k * r**m) for rationals k, r > 0, decided in certified float logs
+    (_float_log) where they fix the sign, else in integer fixed-point logs
+    (_ln_fixed).  k is a rational or, where a power of it is too large to build,
+    pairs (q, e) of rationals q > 0 and e with k = prod q**e."""
 
     def __init__(self, k: Fraction | tuple[tuple[Fraction, Fraction], ...], r: Fraction) -> None:
         self.terms = ((k, Fraction(1)),) if isinstance(k, Fraction) else tuple((q, Fraction(e)) for q, e in k)
@@ -248,6 +253,12 @@ class LogGap:
         self.slack = sum(math.ceil(abs(e)) + 1 for _, e in self.terms) + 1
         self._logs: dict[Fraction, tuple[int, int]] = {}
         self._b = 64 + self.slack.bit_length()
+        try:  # sign's float tier: F = fsum of E l(q) over k's terms, l(r), and F's bound B_k, inf past the floats
+            pairs = [(float(e), _float_log(q)) for q, e in self.terms]
+            size, tiny = sum(abs(e * x) for e, x in pairs), sum(abs(e) + abs(x) + 1 for e, x in pairs)
+            self._floats = math.fsum(e * x for e, x in pairs), _float_log(r), 2.0**-48 * size + 2.0**-1070 * tiny
+        except (OverflowError, ValueError):
+            self._floats = None
 
     def _ln(self, q: Fraction, b: int) -> int:
         """2**b ln q within 1: the most precise log taken yet, rounded to b bits (1/2 + 1/2)."""
@@ -269,11 +280,22 @@ class LogGap:
         return [(sum(e * _valuation(q, b) for q, e in self.terms), _valuation(self.r, b)) for b in base]
 
     def sign(self, m: int) -> int:
-        """Sign of g(m), m >= 0.  With t = bitlen(m), G = 2**t 2**b ln k + m 2**(b + t)
+        """Sign of g(m), m >= 0.  First in floats, u = 2**-53: E = float(e) is within u|E|
+        + 2**-1075 of e (m alike), l = _float_log(q) within 11u|ln q| + 2**-1073, and the
+        product P = E l rounds within u|P| + 2**-1075, so each term is within 13.02u|P| +
+        2**-1071 (|E| + |l| + 1) of e ln q.  fsum and the last sum add u|f| each, so f is
+        within 15.1u S + 2**-1071 T of g(m), S = sum |P| and T = sum (|E| + |l| + 1); B =
+        2**-48 S + 2**-1070 T, at 32u, covers that and B's own roundings, so g has f's
+        sign where |f| > B.  Else, with t = bitlen(m), G = 2**t 2**b ln k + m 2**(b + t)
         ln r is within slack 2**t of 2**(b + t) g(m), so G's sign is g's once |G| >=
         slack 2**t: ln k needs about the bits of g, ln r t more.  b starts at the
-        largest b taken so far and doubles.  Where G does not decide, a tie g(m)
-        = 0 is tested: every exponent of k * r**m over a coprime base is 0."""
+        largest b taken so far and doubles.  Where G does not decide, a tie g(m) = 0
+        is tested: every exponent of k * r**m over a coprime base is 0."""
+        if (floats := self._floats) is not None and m.bit_length() < 1000:
+            head, log_r, bound = floats
+            f = head + (tail := m * log_r)
+            if abs(f) > bound + 2.0**-48 * abs(tail) + 2.0**-1070 * (m + abs(log_r) + 1):
+                return 1 if f > 0 else -1
         t, b = m.bit_length(), self._b
         while True:
             g = (self._head(b) << t) + (m * self._ln(self.r, b + t) if m else 0)
@@ -285,17 +307,26 @@ class LogGap:
 
     def least_crossing(self) -> int:
         """Least m >= 0 with g(m) <= 0, for r < 1: ceil(X) for X = -ln k / -ln r when
-        X > 0.  With D = bitlen(den r), -ln r >= 1 / den r > 2**-D, and Z an integer
-        bound on |ln k|, X < Z 2**D.  The estimate takes ln k at b_k = D +
-        bitlen(slack) + 6 bits and ln r at b_r = 2D + 64 bits (more only where
-        bitlen(Z slack) passes 50, so ln r's bits and _atanh_ln's memo do not move
-        with k): each error over -ln r adds at most 2**-5 to X, so the estimate is
-        within one step, and exact signs walk it onto the answer."""
-        z = 1 + math.ceil(sum(abs(e) * (q.numerator.bit_length() + q.denominator.bit_length())
-                              for q, e in self.terms))
-        big = self.r.denominator.bit_length()
-        b_k, b_r = big + self.slack.bit_length() + 6, 2 * big + 64 + max(0, (z * self.slack).bit_length() - 50)
-        m = max(0, math.ceil(Fraction(self._head(b_k), 1 << b_k) / Fraction(-self._ln(self.r, b_r), 1 << b_r)))
+        X > 0.  With D = -l(r) > 2**-1000 (sign's floats), |D + ln r| < 12u |ln r|, so
+        X' = F / D is within 1.001 B_k / D + 13.01u |X'| + 2**-1070 of X: where B_k / D
+        + 2**-48 |X'| < 0.2, X' is within a quarter step.  Else, with D =
+        bitlen(den r), -ln r >= 1 / den r > 2**-D, and Z an integer bound on |ln k|,
+        X < Z 2**D; ln k at b_k = D + bitlen(slack) + 6 bits and ln r at b_r = 2D +
+        64 bits (more only where bitlen(Z slack) passes 50, so ln r's bits and
+        _atanh_ln's memo do not move with k) put the estimate within one step, as
+        each error over -ln r adds at most 2**-5 to X.  Exact signs walk either
+        estimate onto the answer."""
+        if self.r.numerator >= self.r.denominator:
+            raise ValueError(f"least_crossing needs r < 1, got r = {self.r}")
+        head, log_r, bound = self._floats or (0.0, 0.0, math.inf)
+        if -log_r > 2.0**-1000 and bound / -log_r + 2.0**-48 * abs(x := head / -log_r) < 0.2:
+            m = max(0, math.ceil(x))
+        else:
+            z = 1 + math.ceil(sum(abs(e) * (q.numerator.bit_length() + q.denominator.bit_length())
+                                  for q, e in self.terms))
+            big = self.r.denominator.bit_length()
+            b_k, b_r = big + self.slack.bit_length() + 6, 2 * big + 64 + max(0, (z * self.slack).bit_length() - 50)
+            m = max(0, math.ceil(Fraction(self._head(b_k), 1 << b_k) / Fraction(-self._ln(self.r, b_r), 1 << b_r)))
         while self.sign(m) > 0:
             m += 1
         while m > 0 and self.sign(m - 1) <= 0:

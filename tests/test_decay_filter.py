@@ -10,7 +10,9 @@ a closed form or the cell-by-cell reference.
 """
 
 import decimal
+import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -19,11 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import MeasureSystem, Verdict, criteria, weak_mixing_consistency
+from shiftlab import MeasureSystem, Verdict, cli, criteria, measure_system, rationals, weak_mixing_consistency
 from shiftlab.criteria import DECAY_TOL, _uniform_decay_step
 
 from generators import random_system, uniform_decay_step_reference
 
+ROOT = Path(__file__).resolve().parent.parent
 TOL = Fraction(DECAY_TOL)
 LEVEL_0 = range(0, 1)
 
@@ -198,15 +201,72 @@ def test_wide_windows_match_the_cell_by_cell_reference(seed):
 
 def test_dyadic_builds_almost_no_exact_logs(monkeypatch):
     # every window step is decided in floats; the exact path builds the two
-    # tail crossings at n0 and the check of the slowest cell's side
-    system = MeasureSystem.from_json((Path(__file__).resolve().parent.parent / "configs" / "dyadic.json").read_text())
-    built = []
+    # tail crossings at n0 and the check of the slowest cell's side, and
+    # LogGap's float tier decides all three here, on decay32 too, with no
+    # fixed-point log.  The float logs are one per window cell (the model's
+    # table) and a constant per side: two for its tail run and three for
+    # its crossing's LogGap, not one per cell and tail entry
+    built, counts = [], Counter()
 
     def counted(*args):
         built.append(args)
         return real(*args)
 
-    real = criteria.LogGap
+    def tally(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    real, float_log = criteria.LogGap, rationals._float_log
     monkeypatch.setattr(criteria, "LogGap", counted)
-    assert weak_mixing_consistency(system).verdict is Verdict.SATISFIED
-    assert len(built) <= 3
+    monkeypatch.setattr(rationals, "_ln_fixed", tally("ln_fixed", rationals._ln_fixed))
+    for module in (rationals, criteria, measure_system):
+        monkeypatch.setattr(module, "_float_log", tally("float_log", float_log))
+    for path in ("configs/dyadic.json", "tests/golden/decay32.json"):
+        system = MeasureSystem.from_json((ROOT / path).read_text())
+        built.clear(), counts.clear()
+        assert weak_mixing_consistency(system).verdict is Verdict.SATISFIED
+        assert len(built) <= 3
+        assert counts["ln_fixed"] == 0
+        cells = len(system.cells) * (system.k_max - system.k_min + 1)
+        assert cells <= counts["float_log"] <= cells + 2 * 5
+
+
+@pytest.mark.parametrize("path", ["configs/dyadic.json", "tests/golden/decay32.json"])
+def test_report_leaves_mu_unbuilt(path):
+    # the certificate reads its logs and exact ratios from the model's pairs
+    system = MeasureSystem.from_json((ROOT / path).read_text())
+    cli.render_json(cli.run_command("report", system, horizon=64, samples=100, eps=1e-2))
+    assert "mu" not in vars(system)
+    assert system.mu[0] == tuple(Fraction(*pair) for pair in system._rows[0])
+
+
+def test_the_widening_of_theta_is_what_keeps_a_tight_filter_sound(monkeypatch):
+    # theta = float(p) * math.log(DECAY_TOL) for p = 73/2 rounds 0.83 of an ulp
+    # above p ln DECAY_TOL.  The forward ratio at n = 1 is a rational r with ln r
+    # 0.7 of an ulp below theta, so above the tolerance, and N = 2.  With B
+    # narrowed to f's own error on this model (f = l(r) - l(1), measured
+    # against decimals: the least B that is sound here), only theta's 1 -+
+    # 2**-49 widening sends r to the exact path; without it f + B < theta
+    # would pass r, and N would be 1
+    p = Fraction(73, 2)
+    theta = float(p) * math.log(DECAY_TOL)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        exact = Decimal(p.numerator) / p.denominator * (Decimal(TOL.numerator).ln() - Decimal(TOL.denominator).ln())
+        r = Fraction((Decimal(theta) - Decimal(0.7) * Decimal(math.ulp(theta))).exp())
+        ln_r = Decimal(r.numerator).ln() - Decimal(r.denominator).ln()
+        f = rationals._float_log(r)
+        error = abs(Decimal(f) - ln_r)
+        assert exact < ln_r < Decimal(theta) and Decimal(f) + error < Decimal(theta)
+    system = MeasureSystem(p=p, k_min=-1, k_max=1, cells=("B1",), mu={-1: (r,), 0: (Fraction(1),), 1: (TOL**80,)},
+                           left_tail=Fraction(1, 10**8), right_tail=Fraction(1, 2))
+    init = criteria._LogTable.__init__
+
+    def narrowed(self, *args):
+        init(self, *args)
+        self.bound = float(error)
+
+    monkeypatch.setattr(criteria._LogTable, "__init__", narrowed)
+    assert _uniform_decay_step(system, LEVEL_0) == (2, 0, 0, -1) == (uniform_decay_step_reference(system, LEVEL_0), 0, 0, -1)

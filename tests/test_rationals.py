@@ -327,6 +327,59 @@ def test_least_crossing_with_a_huge_rational_power_in_k(e):
         assert m == int(expected.to_integral_value(decimal.ROUND_CEILING))
 
 
+@pytest.mark.parametrize("r", [Fraction(3, 2), Fraction(1), 1 + Fraction(1, 10**400)])
+def test_least_crossing_needs_r_below_one(r):
+    # k * r**m never falls to 1 from k = 2 where r >= 1
+    with undecided_after(5), pytest.raises(ValueError, match="r < 1"):
+        LogGap(Fraction(2), r).least_crossing()
+
+
+NEAR_ONE = [1 + Fraction(1, 10**400), 1 - Fraction(1, 10**400)]  # l(r) underflows to 0
+
+
+@st.composite
+def tier_cases(draw):
+    """(k, r, m) for LogGap: exact ties across bases and nudges of 1 +- 10**-40;
+    r within 10**-400 of 1; exponents and m past the float range; crossings
+    past 2**50 and at r = 1 - 10**-20, where a float start is many steps off."""
+    kind = draw(st.sampled_from(["tie", "near_one", "huge", "far"]))
+    r = draw(smooth)
+    if kind == "tie":
+        terms, m = draw(st.lists(st.tuples(smooth, st.integers(-6, 6)), min_size=1, max_size=3)), draw(st.integers(0, 12))
+        exact = math.prod((q**e for q, e in terms), start=Fraction(1)) * r**m
+        nudge = draw(st.sampled_from([Fraction(1), 1 + Fraction(1, 10**40), 1 - Fraction(1, 10**40)]))
+        return (*terms, (1 / exact, 1), (nudge, 1)), r, m
+    if kind == "near_one":
+        return ((draw(smooth), 1),), draw(st.sampled_from(NEAR_ONE)), draw(st.integers(0, 2**1100))
+    if kind == "huge":
+        e = draw(st.sampled_from([10**300, 10**400, Fraction(-(10**400), 3)]))
+        q = draw(st.sampled_from([Fraction(3, 2), 1 + Fraction(1, 10**300), 1 - Fraction(1, 10**320)]))
+        return ((q, e), (draw(smooth), 1)), r, draw(st.sampled_from([0, 7, 2**1000 + 1, 10**400]))
+    e = draw(st.integers(2**50, 2**70))
+    return ((Fraction(3), e), (draw(smooth), 1)), draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3),
+                                                                          1 - Fraction(1, 10**20)])), e
+
+
+def no_float_log(q, d=1):
+    raise OverflowError("the float tier is off")
+
+
+@settings(max_examples=300, deadline=None)
+@given(tier_cases())
+@example((((Fraction(2), 1), (Fraction(3), -1), (Fraction(3, 2), 1)), Fraction(1, 2), 0))
+def test_log_gap_float_tier_matches_the_fixed_point_path(case):
+    # the same signs and least crossing with the float tier switched off
+    terms, r, m = case
+    answers = []
+    for tier in (True, False):
+        with pytest.MonkeyPatch.context() as patch, undecided_after(20):
+            if not tier:
+                patch.setattr(rationals, "_float_log", no_float_log)
+            gap = LogGap(terms, r)
+            answers.append((gap.sign(m), gap.sign(m + 1), gap.least_crossing() if r < 1 else None))
+    assert answers[0] == answers[1]
+
+
 def test_coprime_base_splits_shared_factors():
     base = rationals._coprime_base([12, 18, 2**72, 4722366482869645, 1])
     assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1:])
@@ -342,6 +395,18 @@ def test_coprime_base_splits_shared_factors():
 @example(Fraction(10**400 - 1, 10**400))
 @example(Fraction(2**1100 + 1, 2**1100))
 @example(Fraction(1, 3**700))
+@example(Fraction(2**53 + 1, 3))  # n and d at 2**53 +- 1, where int / int rounds
+@example(Fraction(7, 2**53 - 1))
+@example(Fraction(2**53 - 1, 2**54 + 1))
+@example(Fraction(2**1022 + 1))  # near 2**+-1022 and the fast path's ends, e = +-999 and +-1000
+@example(Fraction(1, 2**1022 - 1))
+@example(Fraction(2**999 + 1, 3))
+@example(Fraction(3, 2**1000 + 1))
+@example(Fraction(2**1000 - 1))
+@example(Fraction(2**61 + 1, 2**60))  # just outside [1/2, 2], and on its ends
+@example(Fraction(2**60 - 1, 2**61))
+@example(Fraction(2))
+@example(Fraction(1, 2))
 def test_float_log_is_within_its_bound(q):
     # 11u |ln q| + 2**-1073, u = 2**-53, as the _float_log docstring derives;
     # |q - 1| >= 1 / den, so the reference loses fewer digits than den has

@@ -1,9 +1,11 @@
 """Smoke test of tools/stage_times.py, the per-stage timer of ``report``."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,3 +103,18 @@ def test_stage_times_interleaves_a_checkout_that_times_fewer_stages(tmp_path):
     assert "from_json" in doc["configs"]["this"]["flat"]
     assert set(doc["configs"]["against"]["flat"]) == {"validate_star", "total"}
     assert doc["configs"]["against"]["flat"]["total"]["median"] == 1e-3
+
+
+def test_the_default_family_holds_the_generated_decaying_window(tmp_path):
+    # configs/*.json, the six golden windows and perfbench's decaying window of
+    # half-span 2000, written into the given directory and not timed here
+    spec = importlib.util.spec_from_file_location("stage_times", ROOT / "tools" / "stage_times.py")
+    stage_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stage_times)
+    paths = stage_times.default_family(tmp_path)
+    assert paths[:-1] == sorted(ROOT.glob("configs/*.json")) + [ROOT / f"tests/golden/{name}.json" for name in
+                                                               stage_times.GOLDEN]
+    assert paths[-1] == tmp_path / "decaying2000.json" and list(tmp_path.iterdir()) == [paths[-1]]
+    doc = json.loads(paths[-1].read_text())
+    assert doc["window"] == {"min": -2000, "max": 2000} and len(doc["cells"]) == 4
+    assert Fraction(doc["p"]) == 2 and doc["tails"] == {"left": "1/3", "right": "1/2"}

@@ -6,8 +6,11 @@
     python tools/stage_times.py --label pair --repeat 10 --against ../parent
 
 Runs ``cli.run_command(command, ...)`` in-process on each config (by
-default ``configs/*.json`` and six golden windows), loading the config
-afresh each time, and writes the medians in seconds to ``BENCH_<label>.json``.
+default ``configs/*.json``, six golden windows and ``decaying2000``,
+perfbench's decaying window of half-span 2000 with 4 cells, p = 2 and tails
+1/3 and 1/2, generated into a temporary directory at each run, as it is
+6.5 MB), loading the config afresh each time, and writes the medians in
+seconds to ``BENCH_<label>.json``.
 The command is ``report`` unless ``--command`` names ``validate`` or
 ``weights``, the two that perfbench's ``quick_commands`` workload runs.
 A stage is the parse, ``MeasureSystem.from_json``, or a call that
@@ -44,20 +47,33 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
+import workloads  # noqa: E402
 from shiftlab import cli  # noqa: E402
 from shiftlab.measure_system import MeasureSystem  # noqa: E402
 
 GOLDEN = ("wide020", "wide100", "wide200", "decay2", "decay32", "near400")
+DECAYING_HALF_SPAN = 2000
+
+
+def default_family(tmp: Path) -> list[Path]:
+    """``configs/*.json``, the golden windows, and the decaying window written into tmp."""
+    window = workloads._decaying_window(random.Random(DECAYING_HALF_SPAN), f"decaying{DECAYING_HALF_SPAN}",
+                                        DECAYING_HALF_SPAN, 4, Fraction(2), (Fraction(1, 3), Fraction(1, 2)))
+    (path := tmp / f"{window.name}.json").write_text(window.to_json())
+    return sorted(ROOT.glob("configs/*.json")) + [ROOT / f"tests/golden/{n}.json" for n in GOLDEN] + [path]
 STAGES = [(MeasureSystem, name) for name in ("from_json", "validate_star", "distortion_constant")] + [
     (cli, name) for name in (
         "derive_weights", "hypercyclicity_report", "shift_hypercyclicity_report", "weak_mixing_consistency",
@@ -171,17 +187,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.against and args.repeat < 2:
         parser.error("--against needs --repeat >= 2 for quartiles")
-    paths = args.configs or sorted(ROOT.glob("configs/*.json")) + [ROOT / f"tests/golden/{n}.json" for n in GOLDEN]
     doc = {
         "label": args.label, "python": platform.python_version(), "repeat": args.repeat,
         "seed": args.seed, "samples": args.samples, "command": args.command, "unit": "s",
         "bytecode_cache": not sys.dont_write_bytecode,
     }
-    if args.against:
-        doc.update(interleave(args.against.resolve(), [path.resolve() for path in paths], args))
-    else:
-        doc["configs"] = {path.stem: time_config(path, args.repeat, args.samples, args.command) for path in paths}
-        doc["process_wall"] = {path.stem: process_wall(path, args.repeat, args.seed, args.samples) for path in paths}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = args.configs or default_family(Path(tmp))
+        if args.against:
+            doc.update(interleave(args.against.resolve(), [path.resolve() for path in paths], args))
+        else:
+            doc["configs"] = {path.stem: time_config(path, args.repeat, args.samples, args.command) for path in paths}
+            doc["process_wall"] = {path.stem: process_wall(path, args.repeat, args.seed, args.samples)
+                                   for path in paths}
     out = args.out_dir / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(out)
