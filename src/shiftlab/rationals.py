@@ -283,7 +283,7 @@ class LogGap:
         """Sign of g(m), m >= 0.  First in floats, u = 2**-53: E = float(e) is within u|E|
         + 2**-1075 of e (m alike), l = _float_log(q) within 11u|ln q| + 2**-1073, and the
         product P = E l rounds within u|P| + 2**-1075, so each term is within 13.02u|P| +
-        2**-1071 (|E| + |l| + 1) of e ln q.  fsum and the last sum add u|f| each, so f is
+        2**-1071 (|E| + |l| + 1) of e ln q.  fsum and the last sum add u S each, so f is
         within 15.1u S + 2**-1071 T of g(m), S = sum |P| and T = sum (|E| + |l| + 1); B =
         2**-48 S + 2**-1070 T, at 32u, covers that and B's own roundings, so g has f's
         sign where |f| > B.  Else, with t = bitlen(m), G = 2**t 2**b ln k + m 2**(b + t)
