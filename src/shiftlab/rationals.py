@@ -258,7 +258,7 @@ class LogGap:
             size, tiny = sum(abs(e * x) for e, x in pairs), sum(abs(e) + abs(x) + 1 for e, x in pairs)
             self._floats = math.fsum(e * x for e, x in pairs), _float_log(r), 2.0**-48 * size + 2.0**-1070 * tiny
         except (OverflowError, ValueError):
-            self._floats = None
+            self._floats = 0.0, 0.0, math.inf
 
     def _ln(self, q: Fraction, b: int) -> int:
         """2**b ln q within 1: the most precise log taken yet, rounded to b bits (1/2 + 1/2)."""
@@ -291,11 +291,10 @@ class LogGap:
         slack 2**t: ln k needs about the bits of g, ln r t more.  b starts at the
         largest b taken so far and doubles.  Where G does not decide, a tie g(m) = 0
         is tested: every exponent of k * r**m over a coprime base is 0."""
-        if (floats := self._floats) is not None and m.bit_length() < 1000:
-            head, log_r, bound = floats
-            f = head + (tail := m * log_r)
-            if abs(f) > bound + 2.0**-48 * abs(tail) + 2.0**-1070 * (m + abs(log_r) + 1):
-                return 1 if f > 0 else -1
+        head, log_r, bound = self._floats
+        if m.bit_length() < 1000 and abs(f := head + (tail := m * log_r)) > \
+                bound + 2.0**-48 * abs(tail) + 2.0**-1070 * (m + abs(log_r) + 1):
+            return 1 if f > 0 else -1
         t, b = m.bit_length(), self._b
         while True:
             g = (self._head(b) << t) + (m * self._ln(self.r, b + t) if m else 0)
@@ -318,7 +317,7 @@ class LogGap:
         estimate onto the answer."""
         if self.r.numerator >= self.r.denominator:
             raise ValueError(f"least_crossing needs r < 1, got r = {self.r}")
-        head, log_r, bound = self._floats or (0.0, 0.0, math.inf)
+        head, log_r, bound = self._floats
         if -log_r > 2.0**-1000 and bound / -log_r + 2.0**-48 * abs(x := head / -log_r) < 0.2:
             m = max(0, math.ceil(x))
         else:

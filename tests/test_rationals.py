@@ -345,7 +345,8 @@ def tier_cases(draw):
     kind = draw(st.sampled_from(["tie", "near_one", "huge", "far"]))
     r = draw(smooth)
     if kind == "tie":
-        terms, m = draw(st.lists(st.tuples(smooth, st.integers(-6, 6)), min_size=1, max_size=3)), draw(st.integers(0, 12))
+        terms = draw(st.lists(st.tuples(smooth, st.integers(-6, 6)), min_size=1, max_size=3))
+        m = draw(st.integers(0, 12))
         exact = math.prod((q**e for q, e in terms), start=Fraction(1)) * r**m
         nudge = draw(st.sampled_from([Fraction(1), 1 + Fraction(1, 10**40), 1 - Fraction(1, 10**40)]))
         return (*terms, (1 / exact, 1), (nudge, 1)), r, m
