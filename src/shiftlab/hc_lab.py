@@ -8,19 +8,22 @@ cross term fits the budget, checked a posteriori by direct iteration.
 Both stages check the sides once and then run on plain entry dicts through
 ``shift_space``'s shift, sum and distance kernels, which the ``SeqVector``
 functions wrap, so the floats are theirs bit for bit.  The kernels read the
-sequence's float memo: every distinct power is rooted once, a block deep in
-a tail is read once per (side, phase, length), and a target's
-forward-inverse blocks serve again as backward ones.
+sequence's float memo: every distinct power is rooted once, from its integer
+pair, a block deep in a tail is read once per (side, phase, length), and a
+target's forward-inverse blocks serve again as backward ones.  The orbit is
+scanned as per-entry trajectories, replayed step by step on an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import accumulate, islice, repeat, takewhile, zip_longest
+from operator import mul
 from typing import Sequence
 
-from .errors import HorizonExhausted
+from .errors import HorizonExhausted, ShiftlabError
 from .shift_space import (
+    UNILATERAL,
     SeqVector,
     WeightSequence,
     _backward,
@@ -105,9 +108,10 @@ def orbit_density_report(
     """How much of the target list the finite orbit of x visits.
 
     For each target the closest of x, Bx, ..., B^horizon x is recorded, the
-    distances to all targets taken at once per step; a target is hit when
-    the distance is at most eps.  The fraction of hits is a finite-orbit
-    stand-in for orbit density.
+    first on a tie; a target is hit when the distance is at most eps.  The
+    fraction of hits is a finite-orbit stand-in for orbit density.  The
+    orbit is scanned by ``_scan``; on an error it is replayed step by step,
+    which raises the first error in step order.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -117,14 +121,16 @@ def orbit_density_report(
     if horizon:
         _check_sides(w, x.side)
     ys = [y.entries for y in targets]
-    best: list[tuple[int, float]] = [(0, float("inf"))] * len(targets)
-    current = x.entries
-    for t in range(horizon + 1):
-        for idx, d in enumerate(_distances(current, ys, pf)):
-            if d < best[idx][1]:
-                best[idx] = (t, d)
-        if t < horizon:
-            current = _backward(w, current, 1)
+    try:
+        best = _scan(w, x.entries, ys, pf, horizon)
+    except (ArithmeticError, ShiftlabError):
+        best, current = [(0, float("inf"))] * len(ys), x.entries
+        for t in range(horizon + 1):
+            for idx, d in enumerate(_distances(current, ys, pf)):
+                if d < best[idx][1]:
+                    best[idx] = (t, d)
+            if t < horizon:
+                current = _backward(w, current, 1)
     hits = tuple(
         OrbitHit(idx, step, dist, dist <= eps)
         for idx, (step, dist) in enumerate(best)
@@ -133,3 +139,41 @@ def orbit_density_report(
         sum(1 for h in hits if h.hit) / len(hits) if hits else 1.0
     )
     return OrbitDensityReport(fraction, hits)
+
+
+_CHUNK = 256  # orbit steps scanned at a time
+
+
+def _scan(w: WeightSequence, xs: dict, ys: list[dict], pf: float, horizon: int) -> list[tuple[int, float]]:
+    """(step, distance) of the first closest B^t x, t <= horizon, to each target, bit for bit
+    the step loop's.  The entry at j takes the values accumulate(weights at j, j - 1, ..., mul,
+    initial=v), ``_backward``'s products, _CHUNK steps at a time, up to its first exact 0 or
+    past index 0 on the unilateral side.  Per step the |v|**pf of the live entries are summed
+    in vector order (a dead one adds +0.0, which moves no sum of nonnegative terms), and a
+    target whose support they miss adds its own terms after them, as ``sum`` does over
+    ``_distances``' terms, which score a step where an entry sits on the support.  The scan
+    ends at the first step with no live entry: every later one repeats its distances."""
+    product, unilateral, inv = w._floats, w.side == UNILATERAL, 1.0 / pf
+    paths = []  # (j, the entry's values from step 0); once it has stopped, it yields none
+    for j, v in xs.items():
+        ks = range(j, max(j - horizon, 0) if unilateral else j - horizon, -1)
+        paths.append((j, takewhile(bool, accumulate(map(product, ks, ks), mul, initial=v))))
+    own = [[abs(v) ** pf for v in ye.values()] for ye in ys]
+    meets = [{j - n for j in xs for n in ye} for ye in ys]  # steps at which an entry sits on the support
+    best = [(0, float("inf"))] * len(ys)
+    for start in range(0, horizon + 1, _CHUNK):
+        size = min(_CHUNK, horizon + 1 - start)
+        rows = [(j, list(islice(values, size))) for j, values in paths]
+        sums = list(map(sum, zip_longest(*(map(pow, map(abs, vs), repeat(pf)) for _, vs in rows), fillvalue=0.0)))
+        if stop := len(sums) < size:
+            sums.append(0)
+        for idx, ye in enumerate(ys):
+            ds = list(map(pow, map(sum, repeat(own[idx]), sums), repeat(inv)))
+            for s in (t - start for t in meets[idx]):
+                if 0 <= s < len(ds):
+                    ds[s] = _distances({j - start - s: vs[s] for j, vs in rows if s < len(vs)}, (ye,), pf)[0]
+            if (d := min(filter(best[idx][1].__gt__, ds), default=None)) is not None:
+                best[idx] = (start + ds.index(d), d)
+        if stop:
+            break
+    return best

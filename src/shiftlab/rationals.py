@@ -86,13 +86,15 @@ def fraction_root(q: Fraction, k: int) -> Fraction | None:
     """Exact k-th root of a nonnegative rational, or None."""
     if q.numerator < 0:
         raise ValueError("fraction_root needs q >= 0")
-    num = int_nthroot(q.numerator, k)
-    if num is None:
-        return None
-    den = int_nthroot(q.denominator, k)
-    if den is None:
-        return None
-    return Fraction(num, den)
+    pair = _root_pair(q.numerator, q.denominator, k)
+    return None if pair is None else Fraction(*pair)
+
+
+def _root_pair(n: int, d: int, k: int) -> tuple[int, int] | None:
+    """The exact k-th roots of n >= 0 and d > 0, or None where either is not a perfect power."""
+    num = int_nthroot(n, k)
+    den = None if num is None else int_nthroot(d, k)
+    return None if den is None else (num, den)
 
 
 def fraction_pow(q: Fraction, expo: Fraction) -> Fraction | None:
@@ -118,13 +120,17 @@ def log_fraction(q: Fraction | float) -> float:
     range, is taken as log(numerator) - log(denominator), which math.log
     computes for big ints from their leading bits and bit count.
     """
+    return math.log(q) if isinstance(q, float) else _log_pair(q.numerator, q.denominator)
+
+
+def _log_pair(n: int, d: int) -> float:
+    """``log_fraction`` of n / d: math.log of the correctly rounded quotient where it is normal."""
     try:
-        f = float(q)
-        if f >= sys.float_info.min or not isinstance(q, Fraction):
+        if (f := n / d) >= sys.float_info.min:
             return math.log(f)
     except OverflowError:
         pass
-    return math.log(q.numerator) - math.log(q.denominator)
+    return math.log(n) - math.log(d)
 
 
 def pow_maybe_exact(q: Fraction, expo: Fraction) -> Fraction | float:
@@ -133,6 +139,16 @@ def pow_maybe_exact(q: Fraction, expo: Fraction) -> Fraction | float:
     if exact is not None:
         return exact
     return math.exp(float(expo) * log_fraction(q))
+
+
+def float_root(n: int, d: int, expo: Fraction) -> float:
+    """``float(pow_maybe_exact(n / d, expo))`` bit for bit, for coprime n, d > 0 and expo > 0,
+    built from the pair: the correctly rounded quotient of the exact power, else exp of the log."""
+    a, b = expo.numerator, expo.denominator
+    root = (n, d) if b == 1 else _root_pair(n, d, b)
+    if root is None:
+        return math.exp(float(expo) * _log_pair(n, d))
+    return root[0] ** a / root[1] ** a
 
 
 def abs_pow(value: Fraction | float | complex, expo: Fraction) -> Fraction | float:

@@ -9,12 +9,14 @@ A weight sequence holds an explicit block of powers on [lo, hi] plus an
 optional periodic tail per side.  ``hi == lo - 1`` is allowed and means the
 tails carry everything.
 
-Every block product goes through ``wp_product``, which costs O(1) in the
+Every block product is split in one place, ``_split``, at O(1) cost in the
 block length: the window part is a quotient of two entries of a prefix
 table, and each tail run is a power of its period product times fewer than
 one period of leftover entries, built once per (side, phase, length).  The
 table is built on first use, not at construction, because validating a
-model or printing its weights never reads it.
+model or printing its weights never reads it.  ``wp_product`` multiplies
+the parts; the shifts' float memo folds them into the block's reduced
+integer pair and roots that, with the same float and no Fraction built.
 
 The shifts, the sum and the p-norm distances run on plain entry dicts
 through one private kernel each, which the ``SeqVector`` functions below
@@ -34,7 +36,7 @@ from operator import mul
 
 from .errors import ConfigError, TailRuleMissing
 from .measure_system import MeasureSystem
-from .rationals import _float_log, pow_maybe_exact
+from .rationals import _float_log, float_root, pow_maybe_exact
 
 BILATERAL = "bilateral"
 UNILATERAL = "unilateral"
@@ -107,26 +109,30 @@ class WeightSequence:
     @cached_property
     def _floats(self) -> Callable[[int, int], float]:
         """(i, j) -> ``float(weight_product(self, i, j))``, the shifts' one
-        read of the weights: each block and each distinct power rooted once,
-        lazily (a weight never read may overflow), for as long as the sequence
-        lives.  A one-step block in the window reads its power, and a block
-        wholly inside a tail its tail run, so one-step reads deep in a tail
-        build no product past the first of each phase; every other block,
-        and so every error, goes through ``wp_product``.  It holds the
-        sequence weakly, so it forms no reference cycle."""
+        read of the weights: each block and each distinct power, keyed by its
+        integer pair, rooted once by ``float_root``, lazily (a weight never
+        read may overflow), for as long as the sequence lives.  A one-step
+        block in the window reads its power, and a block wholly inside a tail
+        its tail run, so one-step reads deep in a tail build no product past
+        the first of each phase; every other block, and so every error, goes
+        through ``_split`` and ``_pair``.  It holds the sequence weakly, so it
+        forms no reference cycle."""
         expo, ref, runs = 1 / self.p, weakref.ref(self), self._runs
         lo, hi, wp, left, right = self.lo, self.hi, self.wp, self.left_tail, self.right_tail
-        root = cache(lambda q: float(pow_maybe_exact(q, expo)))
-        run = cache(lambda side, phase, m: root(runs(side, phase, m)))
+        root = cache(lambda n, d: float_root(n, d, expo))
+
+        def rooted(q: Fraction) -> float:  # keyed on q's own ints, which a tail run's memo holds too
+            return root(q.numerator, q.denominator)
+        run = cache(lambda side, phase, m: rooted(runs(side, phase, m)))
 
         def block(i: int, j: int) -> float:
             if i == j and lo <= i <= hi:
-                return root(wp[i])
+                return rooted(wp[i])
             if i <= j < lo and left is not None:
                 return run("left", (lo - 1 - j) % len(left), j - i + 1)
             if hi < i <= j and right is not None:
                 return run("right", (i - hi - 1) % len(right), j - i + 1)
-            return root(wp_product(ref(), i, j))
+            return root(*_pair(_split(ref(), i, j)))
         return cache(block)
 
     def has_tail_rules(self) -> bool:
@@ -170,18 +176,14 @@ def _tail_run(tail: tuple[Fraction, ...], phase: int, m: int) -> Fraction:
     return out
 
 
-def wp_product(w: WeightSequence, i: int, j: int) -> Fraction:
-    """Exact product of weight powers over the inclusive block [i, j];
-    empty blocks give 1.
-
-    O(1) in the block length: the block splits into a left-tail run, a
-    window part read from the lazily built prefix table, and a right-tail
-    run in closed form.  Raises ``TailRuleMissing`` on the first index of
-    the block past a side with no tail rule, and ``ValueError`` below
-    index 1 on the unilateral side.
-    """
+def _split(w: WeightSequence, i: int, j: int) -> list[tuple[Fraction, Fraction | None]]:
+    """The parts of the block [i, j], none if it is empty: a left-tail run,
+    the window part and a right-tail run, each where the block reaches it,
+    as (q, None) or, for a window part of two or more steps, as the prefix
+    quotient (q, r) = q / r.  Raises ``TailRuleMissing`` on the first index
+    past a side with no tail rule, ``ValueError`` below 1 on the unilateral side."""
     if j < i:
-        return Fraction(1)
+        return []
     if w.side == UNILATERAL and i < 1:
         raise ValueError(f"unilateral weights are indexed from 1, got {i}")
     lo, hi = w.lo, w.hi
@@ -190,18 +192,48 @@ def wp_product(w: WeightSequence, i: int, j: int) -> Fraction:
         if w.left_tail is None:
             raise TailRuleMissing(f"weight index {i} lies below lo and no tail rule is set")
         end = min(j, lo - 1)
-        parts.append(w._runs("left", (lo - 1 - end) % len(w.left_tail), end - i + 1))
+        parts.append((w._runs("left", (lo - 1 - end) % len(w.left_tail), end - i + 1), None))
     a, b = max(i, lo), min(j, hi)
     if a < b:
-        parts.append(w._prefix[b - lo + 1] / w._prefix[a - lo])
+        parts.append((w._prefix[b - lo + 1], w._prefix[a - lo]))
     elif a == b:
-        parts.append(w.wp[a])
+        parts.append((w.wp[a], None))
     if j > hi:
         start = max(i, hi + 1)
         if w.right_tail is None:
             raise TailRuleMissing(f"weight index {start} lies beyond hi and no tail rule is set")
-        parts.append(w._runs("right", (start - hi - 1) % len(w.right_tail), j - start + 1))
-    return reduce(mul, parts)
+        parts.append((w._runs("right", (start - hi - 1) % len(w.right_tail), j - start + 1), None))
+    return parts
+
+
+def _pair(parts: list[tuple[Fraction, Fraction | None]]) -> tuple[int, int]:
+    """The reduced (numerator, denominator) of the product of ``_split``'s
+    parts, folded part by part as ``Fraction``'s * and / fold them."""
+    n = d = 1
+    for q, r in parts:
+        a, b = q.numerator, q.denominator
+        if r is not None:
+            a, b = _times(a, b, r.denominator, r.numerator)
+        n, d = (a, b) if n == d == 1 else _times(n, d, a, b)
+    return n, d
+
+
+def _times(n: int, d: int, a: int, b: int) -> tuple[int, int]:
+    """(n / d) * (a / b) for reduced pairs, cancelled crosswise as ``Fraction._mul``
+    does: each gcd is of two reduced entries, never of two products."""
+    if (g := math.gcd(n, b)) > 1:
+        n, b = n // g, b // g
+    if (h := math.gcd(a, d)) > 1:
+        a, d = a // h, d // h
+    return n * a, d * b
+
+
+def wp_product(w: WeightSequence, i: int, j: int) -> Fraction:
+    """Exact product of weight powers over the inclusive block [i, j], O(1)
+    in its length: the product of ``_split``'s parts (a one-part block's
+    part itself); empty blocks give 1."""
+    parts = [q if r is None else q / r for q, r in _split(w, i, j)]
+    return reduce(mul, parts) if parts else Fraction(1)
 
 
 def weight_product(w: WeightSequence, i: int, j: int) -> Fraction | float:
@@ -250,19 +282,11 @@ class SeqVector:
 def _distances(xs: dict[int, complex], targets: Sequence[dict[int, complex]], pf: float) -> list[float]:
     """Float pf-norm of xs - ye for each entry dict ye in targets, over the
     union of the supports, xs's indices first and then ye's others: the
-    term order of ``plus``, bit for bit.  The terms |v|**pf of xs are taken
-    once, for every target whose support misses xs's."""
-    out, alone = [], None
+    term order of ``plus``, bit for bit."""
+    out = []
     for ye in targets:
-        if ye.keys().isdisjoint(xs.keys()):
-            if alone is None:
-                alone = [abs(v) ** pf for v in xs.values()]
-            terms = alone.copy()
-            for v in ye.values():  # a loop: a comprehension's frame costs more here
-                terms.append(abs(v) ** pf)
-        else:
-            terms = [abs(v - ye[n]) ** pf if n in ye else abs(v) ** pf for n, v in xs.items()]
-            terms += [abs(v) ** pf for n, v in ye.items() if n not in xs]
+        terms = [abs(v - ye[n]) ** pf if n in ye else abs(v) ** pf for n, v in xs.items()]
+        terms += [abs(v) ** pf for n, v in ye.items() if n not in xs]
         out.append(sum(terms) ** (1.0 / pf))
     return out
 

@@ -353,6 +353,15 @@ def test_hostile_configs_end_in_a_subprocess_within_5_s(tmp_path_factory, doc):
     assert proc.returncode in (0, 2), proc.stderr
 
 
+def test_a_long_orbit_on_near400_ends_in_a_subprocess_within_2_s(tmp_path):
+    # near400's weight blocks are exact pairs of hundreds of digits: the
+    # orbit folds them part by part, each gcd of two reduced entries; with
+    # a gcd of the two unreduced products instead it took 9 s on a 2-core VM
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "near400.json").read_text())
+    proc = _shiftlab_subprocess(tmp_path, doc, ["orbit", "--horizon", "2000"], timeout=2)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_tails_within_10_to_the_minus_1800_of_1_end_within_5_s(tmp_path):
     # the tail crossings lie near 10**1800 steps, so LogGap takes logs at
     # about 12,000 bits, where decimal logs once took 28 s on a 2-core VM

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,13 +20,14 @@ from shiftlab import (
     cli,
     construct_hc_approx,
     derive_weights,
+    hc_lab,
     lp_distance,
     orbit_density_report,
     shift_space,
     weight_product,
 )
 from shiftlab.errors import HorizonExhausted
-from shiftlab.rationals import pow_maybe_exact
+from shiftlab.rationals import float_root
 
 from generators import TAIL_POOL, random_system
 
@@ -310,17 +312,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("path, distinct", [("configs/dyadic.json", 13), ("tests/golden/decay2.json", 16)])
 def test_the_experiment_roots_each_distinct_power_once(monkeypatch, path, distinct):
-    # counted wherever a shiftlab module binds pow_maybe_exact: the two
-    # stages share the sequence's memo, so neither roots a power again
+    # counted at the memo's pair root, wherever a shiftlab module binds
+    # float_root: the two stages share the sequence's memo, so neither
+    # roots a power again
     calls = []
 
-    def counting(q, expo):
-        calls.append(q)
-        return pow_maybe_exact(q, expo)
+    def counting(n, d, expo):
+        calls.append((n, d))
+        return float_root(n, d, expo)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("shiftlab") and getattr(module, "pow_maybe_exact", None) is pow_maybe_exact:
-            monkeypatch.setattr(module, "pow_maybe_exact", counting)
+        if name.startswith("shiftlab") and getattr(module, "float_root", None) is float_root:
+            monkeypatch.setattr(module, "float_root", counting)
     system = MeasureSystem.from_json((ROOT / path).read_text())
     assert "error" not in cli._experiment(system, derive_weights(system), eps=1e-2, horizon=64)
     assert len(calls) == len(set(calls)) == distinct
@@ -330,20 +333,20 @@ def test_the_experiment_builds_each_tail_run_once(monkeypatch):
     # a block wholly inside a tail is read by its (side, phase, length) run,
     # which wp_product shares, and a one-step block in the window by its
     # power: each distinct run is built once, and the experiment on dyadic
-    # takes 23 block products
+    # splits 23 blocks into parts, at the split wp_product shares
     runs, products = [], []
-    tail_run, product = shift_space._tail_run, shift_space.wp_product
+    tail_run, split = shift_space._tail_run, shift_space._split
 
     def counting_run(tail, phase, m):
         runs.append((tail, phase, m))
         return tail_run(tail, phase, m)
 
-    def counting_product(w, i, j):
+    def counting_split(w, i, j):
         products.append((i, j))
-        return product(w, i, j)
+        return split(w, i, j)
 
     monkeypatch.setattr(shift_space, "_tail_run", counting_run)
-    monkeypatch.setattr(shift_space, "wp_product", counting_product)
+    monkeypatch.setattr(shift_space, "_split", counting_split)
     system = MeasureSystem.from_json((ROOT / "configs/dyadic.json").read_text())
     assert "error" not in cli._experiment(system, derive_weights(system), eps=1e-2, horizon=64)
     assert len(runs) == len(set(runs)) == 18
@@ -389,3 +392,136 @@ def test_a_series_of_shifts_on_one_sequence_matches_the_reference(which, seed, c
         if isinstance(expected, tuple):  # the same error on both sides ends the series
             break
         x = ref(w, x, steps)
+
+
+# -- the orbit's trajectory scan -----------------------------------------------
+#
+# The orbit is scanned as per-entry trajectories, 256 steps at a time
+# (hc_lab._CHUNK); an entry stops at its first exact 0 or past index 0, and
+# the scan at the first step with no live entry.  A weight of power
+# 10**-400 has the float 0.0, so at p = 1 an entry at j dies at step j + 1,
+# when it crosses that weight at index 0.
+
+def _unit_weights(p):
+    return WeightSequence(p=p, side=BILATERAL, lo=0, hi=-1, wp={},
+                          left_tail=(Fraction(1),), right_tail=(Fraction(1),))
+
+
+def _underflow_at_0():
+    wp = {k: Fraction(1) for k in range(-3, 4)}
+    wp[0] = Fraction(1, 10**400)
+    return WeightSequence(p=Fraction(1), side=BILATERAL, lo=-3, hi=3, wp=wp,
+                          left_tail=(Fraction(1),), right_tail=(Fraction(1),))
+
+
+def _random_vector(rng, side, low, high, most=4):
+    return SeqVector(side, {rng.randint(low, high): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                            for _ in range(rng.randint(0, most))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.sampled_from(["derived", "steep", "underflow", "periodic", "unilateral"]),
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.sampled_from([0, 1, 64, 255, 256, 257, 513]),
+)
+def test_the_scan_matches_the_reference_on_random_vectors_and_targets(which, seed, horizon):
+    """Random vectors and targets whose supports the entries cross at
+    several steps, on sequences where entries die (underflow, the
+    unilateral side) and where products leave the float range (steep
+    tails), with the same error both ways."""
+    rng = random.Random(seed)
+    if which in ("derived", "steep"):
+        pool = TAIL_POOL + (Fraction(1, 64), Fraction(64)) if which == "steep" else TAIL_POOL
+        w = derive_weights(random_system(rng, tail_pool=pool))
+    else:
+        w = {"underflow": _underflow_at_0(), "periodic": _PERIODIC, "unilateral": _UNILATERAL}[which]
+    low = 0 if w.side == UNILATERAL else -300
+    x = _random_vector(rng, w.side, low, 300)
+    targets = [_random_vector(rng, w.side, low, 300, most=3) for _ in range(rng.randint(1, 3))]
+    assert _experiment(w, targets, horizon, x) == _reference(w, targets, horizon, x)
+
+
+@pytest.mark.parametrize("horizon", [255, 256, 257, 513])
+def test_the_scan_matches_the_reference_where_entries_die_mid_chunk_and_on_a_chunk_boundary(horizon):
+    # the entries at 100 and 254 die at steps 101 and 255, inside the first
+    # chunk; those at 255 and 511 at steps 256 and 512, the first steps of
+    # the second and third; the targets sit on their paths before and after
+    w = _underflow_at_0()
+    x = SeqVector(BILATERAL, {255: 1.0, 100: 0.5j, 511: -2.0, 254: 1 + 1j})
+    targets = [SeqVector(BILATERAL, {0: 1.0}), SeqVector(BILATERAL, {-1: 2.0, 200: 0.5}),
+               SeqVector(BILATERAL, {-300: 1.0})]
+    assert _experiment(w, targets, horizon, x) == _reference(w, targets, horizon, x)
+
+
+@pytest.mark.parametrize("horizon", [255, 256, 257, 513])
+def test_the_scan_matches_the_reference_where_unilateral_entries_pass_index_0(horizon):
+    x = SeqVector(UNILATERAL, {255: 1.0, 10: 1j, 256: 0.5, 300: -1e-3})
+    targets = [SeqVector(UNILATERAL, {0: 1.0}), SeqVector(UNILATERAL, {0: 1.0, 1: 1.0}),
+               SeqVector(UNILATERAL, {45: 1.0})]
+    assert _experiment(_UNILATERAL, targets, horizon, x) == _reference(_UNILATERAL, targets, horizon, x)
+
+
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(3, 2)])
+def test_the_scan_matches_the_reference_on_unit_tails_where_no_entry_dies(p):
+    rng = random.Random(1000)
+    w = _unit_weights(p)
+    for _ in range(3):
+        x = _random_vector(rng, BILATERAL, -8, 8)
+        targets = [_random_vector(rng, BILATERAL, -1000, 8, most=3) for _ in range(3)]
+        assert _experiment(w, targets, 1000, x) == _reference(w, targets, 1000, x)
+
+
+def test_a_stopped_entry_reads_no_later_weight():
+    # each block read is one entry of the sequence's float memo: the entry
+    # at 5 reads the weights at 5, ..., 0 and stops at 0.0, and on the
+    # unilateral side the entry at 5 reads those at 5, ..., 1 and stops
+    # past index 0, whatever the horizon
+    w = _underflow_at_0()
+    orbit_density_report(w, SeqVector(BILATERAL, {5: 1.0}), canonical_targets(), horizon=600)
+    assert w._floats.cache_info().currsize == 6
+    w = WeightSequence(p=Fraction(2), side=UNILATERAL, lo=1, hi=3, wp=dict(_UNILATERAL.wp),
+                       right_tail=_UNILATERAL.right_tail)
+    orbit_density_report(w, SeqVector(UNILATERAL, {5: 1.0}), [SeqVector(UNILATERAL, {0: 1.0})], horizon=600)
+    assert w._floats.cache_info().currsize == 5
+
+
+def test_the_replay_raises_the_first_error_in_step_order():
+    # no left tail: the scan reads the chunk's weights first and meets the
+    # missing rule at index -4, the weight of step 8, but the step loop stops
+    # at step 1, where |v|**2 of 10**160 leaves the float range
+    wp = {k: Fraction(1) for k in range(-3, 4)}
+    wp[3] = Fraction(10**20)
+    w = WeightSequence(p=Fraction(2), side=BILATERAL, lo=-3, hi=3, wp=wp, right_tail=(Fraction(1),))
+    x = SeqVector(BILATERAL, {3: 1e150})
+    outcome = _experiment(w, canonical_targets(), 64, x)
+    assert outcome == _reference(w, canonical_targets(), 64, x)
+    assert outcome[0] == "OverflowError"
+
+
+def _no_replay(*args):
+    raise AssertionError("the step loop ran")
+
+
+@pytest.mark.parametrize("horizon", [64, 2000])
+def test_the_scan_needs_no_replay_on_dyadic(monkeypatch, dyadic, horizon):
+    # only the step-by-step replay calls _backward
+    w = derive_weights(dyadic)
+    x = construct_hc_approx(w, canonical_targets(), eps=1e-2, horizon=64).vector
+    expected = _reference(w, canonical_targets(), horizon, x)
+    monkeypatch.setattr(hc_lab, "_backward", _no_replay)
+    assert _experiment(w, canonical_targets(), horizon, x) == expected
+
+
+def test_a_million_steps_on_dyadic_stop_with_the_last_live_entry(dyadic):
+    # every entry underflows to 0 within about 1100 steps, after which each
+    # step repeats the same distances; the step loop took about 1.7 s on a
+    # 2-core VM
+    w = derive_weights(dyadic)
+    x = construct_hc_approx(w, canonical_targets(), eps=1e-2, horizon=64).vector
+    start = time.perf_counter()
+    report = orbit_density_report(w, x, canonical_targets(), eps=1e-2, horizon=10**6)
+    assert time.perf_counter() - start < 0.2
+    assert report.fraction == 1.0
+    assert [(h.best_step, h.best_distance.hex()) for h in report.hits] == [
+        (16, "0x1.0002000000000p-15"), (32, "0x1.4000000000000p-14"), (48, "0x1.4000400000000p-14")]

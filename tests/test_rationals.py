@@ -21,8 +21,10 @@ from shiftlab.rationals import (
     abs_pow,
     as_fraction,
     fraction_pow,
+    float_root,
     fraction_root,
     int_nthroot,
+    log_fraction,
     plain_pair,
     pow_maybe_exact,
 )
@@ -201,6 +203,38 @@ def test_pow_maybe_exact_float_fallback():
     assert tiny == pytest.approx(math.exp(2000 * 2 / 3 * math.log(2 / 3)))
     huge = pow_maybe_exact(Fraction(3, 2) ** 5000, Fraction(1, 7))
     assert huge == pytest.approx(math.exp(5000 / 7 * math.log(3 / 2)))
+
+
+def test_log_fraction_takes_the_pair_below_the_normal_range():
+    # q = 8805.75 * 2**-1074, whose float is the subnormal 8806 * 2**-1074:
+    # its log is off by 3e-5, the pair's logs are not
+    q = Fraction(35223, 2**1076)
+    assert log_fraction(q) == math.log(35223) - math.log(2**1076) != math.log(float(q))
+    assert log_fraction(float(q)) == math.log(float(q))
+
+
+def _outcome(run):
+    try:
+        return run().hex()
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)),
+    power=st.integers(-3000, 3000),
+    exact=st.booleans(),
+    p=st.sampled_from(["1", "3/2", "2", "3", "5/3", "7/2", "9111/9110"]),
+)
+def test_float_root_is_the_float_of_pow_maybe_exact(base, power, exact, p):
+    """From the reduced pair, bit for bit, errors in type and text: q a
+    perfect power of p's numerator or not, normal, subnormal, 0.0 and past
+    the float range as an exact power and through the log."""
+    expo = 1 / Fraction(p)
+    q = base ** (int(power / expo.denominator) * expo.denominator if exact else power)
+    assert _outcome(lambda: float_root(q.numerator, q.denominator, expo)) == \
+        _outcome(lambda: float(pow_maybe_exact(q, expo)))
 
 
 def test_abs_pow_handles_sign_zero_and_complex():

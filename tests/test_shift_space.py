@@ -20,6 +20,7 @@ from shiftlab import (
     wp_product,
 )
 from shiftlab.errors import ConfigError, TailRuleMissing
+from shiftlab.rationals import pow_maybe_exact
 from shiftlab.shift_space import lp_distances
 from shiftlab.sampling import P_POOL
 
@@ -292,18 +293,30 @@ def _weight_sequences(draw):
 )
 def test_wp_product_matches_the_per_term_loop(w, picks):
     """Blocks [i, j] with lo - 8 <= i <= hi + 12 and i - 1 <= j <= hi + 12,
-    the empty block included; an error must be the one the loop raises."""
+    the empty block included; an error must be the one the loop raises.
+    The float memo, which folds the block's parts into an integer pair,
+    gives the float of their product's root and the same errors."""
     for a, b in picks:
         i = w.lo - 8 + a % (w.hi - w.lo + 21)
         j = i - 1 + b % (w.hi + 14 - i)
         try:
             expected = _loop_product(w, i, j)
         except (ValueError, TailRuleMissing) as exc:
-            with pytest.raises(type(exc)) as raised:
-                wp_product(w, i, j)
-            assert type(raised.value) is type(exc)
+            for read in (wp_product, lambda w, i, j: w._floats(i, j)):
+                with pytest.raises(type(exc)) as raised:
+                    read(w, i, j)
+                assert type(raised.value) is type(exc)
         else:
             assert wp_product(w, i, j) == expected
+            assert w._floats(i, j).hex() == float(pow_maybe_exact(expected, 1 / w.p)).hex()
+
+
+def test_a_one_part_block_is_its_part():
+    w = WeightSequence(p=Fraction(2), side=BILATERAL, lo=0, hi=2, wp={k: Fraction(k + 1, 3) for k in range(3)},
+                       left_tail=(Fraction(1, 2), Fraction(3)), right_tail=(Fraction(5),))
+    assert all(wp_product(w, k, k) is w.wp[k] for k in range(3))
+    assert wp_product(w, -7, -2) is w._runs("left", 1, 6)
+    assert wp_product(w, 4, 9) is w._runs("right", 0, 6)
 
 
 def test_deriving_weights_leaves_the_prefix_table_unbuilt(dyadic):

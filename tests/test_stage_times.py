@@ -105,12 +105,29 @@ def test_stage_times_interleaves_a_checkout_that_times_fewer_stages(tmp_path):
     assert doc["configs"]["against"]["flat"]["total"]["median"] == 1e-3
 
 
-def test_the_default_family_holds_the_generated_decaying_window(tmp_path):
-    # configs/*.json, the six golden windows and perfbench's decaying window of
-    # half-span 2000, written into the given directory and not timed here
+def _load_stage_times():
     spec = importlib.util.spec_from_file_location("stage_times", ROOT / "tools" / "stage_times.py")
     stage_times = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(stage_times)
+    return stage_times
+
+
+def test_each_timed_run_starts_after_a_full_collection(monkeypatch):
+    # a collection of earlier runs' garbage would land in whichever stage
+    # crosses the threshold: one gc.collect() per run, before the stages
+    # are wrapped and the clock starts
+    stage_times = _load_stage_times()
+    seen = []
+    monkeypatch.setattr(stage_times.gc, "collect", lambda: seen.append(vars(stage_times.MeasureSystem)["from_json"]))
+    original = vars(stage_times.MeasureSystem)["from_json"]
+    stage_times.time_config(ROOT / "configs" / "flat.json", 3, 100, "validate")
+    assert seen == [original] * 3
+
+
+def test_the_default_family_holds_the_generated_decaying_window(tmp_path):
+    # configs/*.json, the six golden windows and perfbench's decaying window of
+    # half-span 2000, written into the given directory and not timed here
+    stage_times = _load_stage_times()
     paths = stage_times.default_family(tmp_path)
     assert paths[:-1] == sorted(ROOT.glob("configs/*.json")) + [ROOT / f"tests/golden/{name}.json" for name in
                                                                stage_times.GOLDEN]

@@ -19,10 +19,10 @@ def test_two_sweeps_of_one_config_print_the_same_lines(capsys):
     assert time.perf_counter() - start < 5
     assert outs[0] == outs[1]
     lines = [line.split(" ", 2) for line in outs[0].splitlines()]
-    assert len(lines) == 14
+    assert len(lines) == 15
     assert all(code == "0" and len(digest) == 64 for code, digest, _ in lines)
     assert lines[0][2] == "configs/dyadic.json validate --output json"
-    assert lines[-1][2] == "configs/dyadic.json report --horizon 300"
+    assert lines[-1][2] == "configs/dyadic.json orbit --horizon 2000"
     assert len({digest for _, digest, _ in lines}) == len(lines)
 
 

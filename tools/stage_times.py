@@ -9,8 +9,9 @@ Runs ``cli.run_command(command, ...)`` in-process on each config (by
 default ``configs/*.json``, six golden windows and ``decaying2000``,
 perfbench's decaying window of half-span 2000 with 4 cells, p = 2 and tails
 1/3 and 1/2, generated into a temporary directory at each run, as it is
-6.5 MB), loading the config afresh each time, and writes the medians in
-seconds to ``BENCH_<label>.json``.
+6.5 MB), loading the config afresh each time after a full garbage
+collection, so that no collection of earlier runs' garbage lands in a
+stage, and writes the medians in seconds to ``BENCH_<label>.json``.
 The command is ``report`` unless ``--command`` names ``validate`` or
 ``weights``, the two that perfbench's ``quick_commands`` workload runs.
 A stage is the parse, ``MeasureSystem.from_json``, or a call that
@@ -44,6 +45,7 @@ Standard library only; it imports ``shiftlab`` from this checkout's ``src/``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -104,6 +106,7 @@ def time_config(path: Path, repeat: int, samples: int, command: str) -> dict:
         times: dict[str, float] = {}
         depth = [0]
         saved = [(owner, name, vars(owner)[name]) for owner, name in STAGES]
+        gc.collect()  # so that no full collection of earlier garbage lands in a stage
         try:
             for owner, name, _ in saved:
                 setattr(owner, name, _timed(name, getattr(owner, name), times, depth))

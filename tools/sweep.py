@@ -8,7 +8,9 @@ Runs ``python -m shiftlab`` with ``PYTHONPATH=<root>/src`` (``--root``
 defaults to this checkout) on this checkout's ``configs/*.json`` and the
 config files of ``tests/golden/``, or on the config paths given.  Each
 config gets all six commands with ``--output json`` and with ``--output
-csv``, then ``orbit`` and ``report`` at ``--horizon 300``.  It prints one
+csv``, then ``orbit`` and ``report`` at ``--horizon 300`` and ``orbit`` at
+``--horizon 2000``, where the orbit's entries die and its scan stops
+early.  It prints one
 line per run: the exit code, the SHA-256 of the standard output, and a
 label naming the config and the flags, so two sweeps of the same configs
 compare with ``diff``.  The runs write no bytecode cache into the root.
@@ -44,7 +46,7 @@ def runs(config: Path) -> list[tuple[str, list[str]]]:
     except ValueError:
         name = str(config)
     flags = [[command, "--output", fmt] for command in COMMANDS for fmt in ("json", "csv")]
-    flags += [[command, "--horizon", "300"] for command in ("orbit", "report")]
+    flags += [[command, "--horizon", "300"] for command in ("orbit", "report")] + [["orbit", "--horizon", "2000"]]
     return [(" ".join([name, *f]), [f[0], "--config", str(path), *f[1:]]) for f in flags]
 
 
