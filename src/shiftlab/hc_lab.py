@@ -30,6 +30,7 @@ from .shift_space import (
     _check_sides,
     _distances,
     _forward_inverse,
+    _one_steps,
     _plus,
 )
 
@@ -153,11 +154,11 @@ def _scan(w: WeightSequence, xs: dict, ys: list[dict], pf: float, horizon: int) 
     target whose support they miss adds its own terms after them, as ``sum`` does over
     ``_distances``' terms, which score a step where an entry sits on the support.  The scan
     ends at the first step with no live entry: every later one repeats its distances."""
-    product, unilateral, inv = w._floats, w.side == UNILATERAL, 1.0 / pf
+    unilateral, inv = w.side == UNILATERAL, 1.0 / pf
     paths = []  # (j, the entry's values from step 0); once it has stopped, it yields none
     for j, v in xs.items():
-        ks = range(j, max(j - horizon, 0) if unilateral else j - horizon, -1)
-        paths.append((j, takewhile(bool, accumulate(map(product, ks, ks), mul, initial=v))))
+        weights = _one_steps(w, j, max(j - horizon, 0) if unilateral else j - horizon)
+        paths.append((j, takewhile(bool, accumulate(weights, mul, initial=v))))
     own = [[abs(v) ** pf for v in ye.values()] for ye in ys]
     meets = [{j - n for j in xs for n in ye} for ye in ys]  # steps at which an entry sits on the support
     best = [(0, float("inf"))] * len(ys)

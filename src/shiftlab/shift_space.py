@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import accumulate
+from itertools import accumulate, chain, cycle, islice
 from operator import mul
 
 from .errors import ConfigError, TailRuleMissing
@@ -315,6 +315,22 @@ def _backward(w: WeightSequence, xs: dict[int, complex], steps: int) -> dict[int
         if z := v * product(n + 1, j):
             out[n] = z
     return out
+
+
+def _one_steps(w: WeightSequence, j: int, stop: int) -> Iterator[float]:
+    """The floats of the one-step blocks at j, j - 1, ..., stop + 1, lazily,
+    as ``_backward`` reads them, but each index in a tail read at the index
+    of its phase in the tail's first period, whose block has the same float
+    (a missing tail raises there too): a long path adds one memo entry per
+    phase, not one per index."""
+    lo, hi, product = w.lo, w.hi, w._floats
+    right, left = len(w.right_tail or "."), len(w.left_tail or ".")  # a missing tail: one index, which raises
+    rights = [hi + 1 + (j - hi - 1 - t) % right for t in range(right)]  # the phases from j down
+    lefts = [lo - 1 - (max(lo - 1 - j, 0) + t) % left for t in range(left)]  # and from min(j, lo - 1) down
+    n, m = max(j - max(hi, stop), 0), max(min(j, lo - 1) - stop, 0)  # the path's steps in each tail
+    window = range(min(j, hi), max(lo - 1, stop), -1)
+    return chain(map(product, islice(cycle(rights), n), islice(cycle(rights), n)), map(product, window, window),
+                 map(product, islice(cycle(lefts), m), islice(cycle(lefts), m)))
 
 
 def _forward_inverse(w: WeightSequence, xs: dict[int, complex], steps: int) -> dict[int, complex]:

@@ -473,13 +473,15 @@ def test_the_scan_matches_the_reference_on_unit_tails_where_no_entry_dies(p):
 
 
 def test_a_stopped_entry_reads_no_later_weight():
-    # each block read is one entry of the sequence's float memo: the entry
-    # at 5 reads the weights at 5, ..., 0 and stops at 0.0, and on the
-    # unilateral side the entry at 5 reads those at 5, ..., 1 and stops
-    # past index 0, whatever the horizon
+    # each distinct block read is one entry of the sequence's float memo, a
+    # tail index read at the index of its phase in the first period: the
+    # entry at 5 reads the weights at 5 and 4 (both at 4, the right tail's
+    # period being 1) and 3, ..., 0, and stops at 0.0; on the unilateral
+    # side the entry at 5 reads those at 5, ..., 1 and stops past index 0,
+    # whatever the horizon
     w = _underflow_at_0()
     orbit_density_report(w, SeqVector(BILATERAL, {5: 1.0}), canonical_targets(), horizon=600)
-    assert w._floats.cache_info().currsize == 6
+    assert w._floats.cache_info().currsize == 5
     w = WeightSequence(p=Fraction(2), side=UNILATERAL, lo=1, hi=3, wp=dict(_UNILATERAL.wp),
                        right_tail=_UNILATERAL.right_tail)
     orbit_density_report(w, SeqVector(UNILATERAL, {5: 1.0}), [SeqVector(UNILATERAL, {0: 1.0})], horizon=600)

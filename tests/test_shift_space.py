@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from shiftlab import (
 )
 from shiftlab.errors import ConfigError, TailRuleMissing
 from shiftlab.rationals import pow_maybe_exact
-from shiftlab.shift_space import lp_distances
+from shiftlab.shift_space import _one_steps, lp_distances
 from shiftlab.sampling import P_POOL
 
 from generators import random_system
@@ -309,6 +310,28 @@ def test_wp_product_matches_the_per_term_loop(w, picks):
         else:
             assert wp_product(w, i, j) == expected
             assert w._floats(i, j).hex() == float(pow_maybe_exact(expected, 1 / w.p)).hex()
+
+
+def _reads(floats):
+    out = []
+    try:
+        out.extend(f.hex() for f in floats)
+    except TailRuleMissing:
+        out.append("TailRuleMissing")
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=_weight_sequences(), j=st.integers(-30, 30), length=st.integers(0, 40))
+def test_one_step_reads_along_a_path_match_the_memo_at_each_index(w, j, length):
+    """A tail index read at its phase's index in the first period gives the
+    index's own float, and a missing tail fails at the same step; however
+    long the path, the memo keeps the window and one entry per phase."""
+    j = abs(j) if w.side == UNILATERAL else j
+    stop = max(j - length, 0) if w.side == UNILATERAL else j - length
+    twin = dataclasses.replace(w)  # the same weights, its own memo
+    assert _reads(_one_steps(w, j, stop)) == _reads(twin._floats(k, k) for k in range(j, stop, -1))
+    assert w._floats.cache_info().currsize <= len(w.wp) + len(w.left_tail or ()) + len(w.right_tail or ())
 
 
 def test_a_one_part_block_is_its_part():
