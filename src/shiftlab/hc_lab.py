@@ -147,7 +147,7 @@ _CHUNK = 256  # orbit steps scanned at a time
 
 def _scan(w: WeightSequence, xs: dict, ys: list[dict], pf: float, horizon: int) -> list[tuple[int, float]]:
     """(step, distance) of the first closest B^t x, t <= horizon, to each target, bit for bit
-    the step loop's.  The entry at j takes the values accumulate(weights at j, j - 1, ..., mul,
+    the step loop's.  The entry at j takes the values accumulate(``_one_steps`` from j, mul,
     initial=v), ``_backward``'s products, _CHUNK steps at a time, up to its first exact 0 or
     past index 0 on the unilateral side.  Per step the |v|**pf of the live entries are summed
     in vector order (a dead one adds +0.0, which moves no sum of nonnegative terms), and a
@@ -166,7 +166,7 @@ def _scan(w: WeightSequence, xs: dict, ys: list[dict], pf: float, horizon: int) 
         size = min(_CHUNK, horizon + 1 - start)
         rows = [(j, list(islice(values, size))) for j, values in paths]
         sums = list(map(sum, zip_longest(*(map(pow, map(abs, vs), repeat(pf)) for _, vs in rows), fillvalue=0.0)))
-        if stop := len(sums) < size:
+        if ended := len(sums) < size:
             sums.append(0)
         for idx, ye in enumerate(ys):
             ds = list(map(pow, map(sum, repeat(own[idx]), sums), repeat(inv)))
@@ -175,6 +175,6 @@ def _scan(w: WeightSequence, xs: dict, ys: list[dict], pf: float, horizon: int) 
                     ds[s] = _distances({j - start - s: vs[s] for j, vs in rows if s < len(vs)}, (ye,), pf)[0]
             if (d := min(filter(best[idx][1].__gt__, ds), default=None)) is not None:
                 best[idx] = (start + ds.index(d), d)
-        if stop:
+        if ended:
             break
     return best

@@ -20,7 +20,8 @@ integer pair and roots that, with the same float and no Fraction built.
 
 The shifts, the sum and the p-norm distances run on plain entry dicts
 through one private kernel each, which the ``SeqVector`` functions below
-wrap and the orbit experiment calls directly.
+wrap and the orbit experiment calls directly, with ``_one_steps`` for the
+one-step weights along an orbit path.
 """
 
 from __future__ import annotations
