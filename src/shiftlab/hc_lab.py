@@ -8,10 +8,11 @@ cross term fits the budget, checked a posteriori by direct iteration.
 Both stages check the sides once and then run on plain entry dicts through
 ``shift_space``'s shift, sum and distance kernels, which the ``SeqVector``
 functions wrap, so the floats are theirs bit for bit.  The kernels read the
-sequence's float memo: every distinct power is rooted once, from its integer
-pair, a block deep in a tail is read once per (side, phase, length), and a
-target's forward-inverse blocks serve again as backward ones.  The orbit is
-scanned as per-entry trajectories, replayed step by step on an error.
+sequence's float memo, where every block is split once and every distinct
+reduced pair rooted once, so a target's forward-inverse blocks serve again
+as backward ones.  The orbit is scanned as per-entry trajectories, each
+tail phase's weight read once per path; on an error only the failing chunk
+is replayed step by step.
 """
 
 from __future__ import annotations
@@ -111,27 +112,16 @@ def orbit_density_report(
     For each target the closest of x, Bx, ..., B^horizon x is recorded, the
     first on a tie; a target is hit when the distance is at most eps.  The
     fraction of hits is a finite-orbit stand-in for orbit density.  The
-    orbit is scanned by ``_scan``; on an error it is replayed step by step,
-    which raises the first error in step order.
+    orbit is scanned by ``_scan``, whose floats and errors are those of the
+    step-by-step loop, which it replays over a chunk that meets an error.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    pf = float(w.p)
     if any(y.side != x.side for y in targets):
         raise ValueError("cannot compare vectors of different sides")
     if horizon:
         _check_sides(w, x.side)
-    ys = [y.entries for y in targets]
-    try:
-        best = _scan(w, x.entries, ys, pf, horizon)
-    except (ArithmeticError, ShiftlabError):
-        best, current = [(0, float("inf"))] * len(ys), x.entries
-        for t in range(horizon + 1):
-            for idx, d in enumerate(_distances(current, ys, pf)):
-                if d < best[idx][1]:
-                    best[idx] = (t, d)
-            if t < horizon:
-                current = _backward(w, current, 1)
+    best = _scan(w, x.entries, [y.entries for y in targets], float(w.p), horizon)
     hits = tuple(
         OrbitHit(idx, step, dist, dist <= eps)
         for idx, (step, dist) in enumerate(best)
@@ -153,28 +143,44 @@ def _scan(w: WeightSequence, xs: dict, ys: list[dict], pf: float, horizon: int) 
     in vector order (a dead one adds +0.0, which moves no sum of nonnegative terms), and a
     target whose support they miss adds its own terms after them, as ``sum`` does over
     ``_distances``' terms, which score a step where an entry sits on the support.  The scan
-    ends at the first step with no live entry: every later one repeats its distances."""
+    ends at the first step with no live entry: every later one repeats its distances.  A
+    chunk's first ``ArithmeticError`` or ``ShiftlabError`` need not be the step loop's, so the
+    step loop replays that chunk from the entries at the step before and the bests so far
+    (those the chunk set are its own); past it, every weight was read and the scan goes on."""
     unilateral, inv = w.side == UNILATERAL, 1.0 / pf
     paths = []  # (j, the entry's values from step 0); once it has stopped, it yields none
     for j, v in xs.items():
         weights = _one_steps(w, j, max(j - horizon, 0) if unilateral else j - horizon)
         paths.append((j, takewhile(bool, accumulate(weights, mul, initial=v))))
-    own = [[abs(v) ** pf for v in ye.values()] for ye in ys]
     meets = [{j - n for j in xs for n in ye} for ye in ys]  # steps at which an entry sits on the support
-    best = [(0, float("inf"))] * len(ys)
+    best, last = [(0, float("inf"))] * len(ys), xs  # last: the entries at the step before the chunk
     for start in range(0, horizon + 1, _CHUNK):
         size = min(_CHUNK, horizon + 1 - start)
-        rows = [(j, list(islice(values, size))) for j, values in paths]
-        sums = list(map(sum, zip_longest(*(map(pow, map(abs, vs), repeat(pf)) for _, vs in rows), fillvalue=0.0)))
-        if ended := len(sums) < size:
-            sums.append(0)
-        for idx, ye in enumerate(ys):
-            ds = list(map(pow, map(sum, repeat(own[idx]), sums), repeat(inv)))
-            for s in (t - start for t in meets[idx]):
-                if 0 <= s < len(ds):
-                    ds[s] = _distances({j - start - s: vs[s] for j, vs in rows if s < len(vs)}, (ye,), pf)[0]
-            if (d := min(filter(best[idx][1].__gt__, ds), default=None)) is not None:
-                best[idx] = (start + ds.index(d), d)
-        if ended:
-            break
+        try:
+            rows = [(j, list(islice(values, size))) for j, values in paths]
+            sums = list(map(sum, zip_longest(*(map(pow, map(abs, vs), repeat(pf)) for _, vs in rows),
+                                             fillvalue=0.0)))
+            if ended := len(sums) < size:
+                sums.append(0)
+            for idx, ye in enumerate(ys):
+                own = [abs(v) ** pf for v in ye.values()]
+                ds = list(map(pow, map(sum, repeat(own), sums), repeat(inv)))
+                for s in (t - start for t in meets[idx]):
+                    if 0 <= s < len(ds):
+                        ds[s] = _distances({j - start - s: vs[s] for j, vs in rows if s < len(vs)}, (ye,), pf)[0]
+                if (d := min(filter(best[idx][1].__gt__, ds), default=None)) is not None:
+                    best[idx] = (start + ds.index(d), d)
+            if ended:
+                return best
+            last = {j - start - size + 1: vs[-1] for j, vs in rows if len(vs) == size}
+            continue
+        except (ArithmeticError, ShiftlabError):
+            pass  # replayed below, outside the handler, so that the step loop's error has no context
+        current = _backward(w, last, 1) if start else xs
+        for t in range(start, start + size):
+            for idx, d in enumerate(_distances(current, ys, pf)):
+                if d < best[idx][1]:
+                    best[idx] = (t, d)
+            if t < horizon:
+                last, current = current, _backward(w, current, 1)
     return best

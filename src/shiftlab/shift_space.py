@@ -15,13 +15,14 @@ table, and each tail run is a power of its period product times fewer than
 one period of leftover entries, built once per (side, phase, length).  The
 table is built on first use, not at construction, because validating a
 model or printing its weights never reads it.  ``wp_product`` multiplies
-the parts; the shifts' float memo folds them into the block's reduced
-integer pair and roots that, with the same float and no Fraction built.
+the parts; the shifts' float memo, for every block it reads, folds them
+into the block's reduced integer pair and roots that, with the same float
+and no Fraction built.
 
 The shifts, the sum and the p-norm distances run on plain entry dicts
 through one private kernel each, which the ``SeqVector`` functions below
 wrap and the orbit experiment calls directly, with ``_one_steps`` for the
-one-step weights along an orbit path.
+one-step weights along an orbit path, each tail phase read once and cycled.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import accumulate, chain, cycle, islice
+from itertools import accumulate, chain, cycle, islice, repeat
 from operator import mul
 
 from .errors import ConfigError, TailRuleMissing
@@ -110,31 +111,13 @@ class WeightSequence:
     @cached_property
     def _floats(self) -> Callable[[int, int], float]:
         """(i, j) -> ``float(weight_product(self, i, j))``, the shifts' one
-        read of the weights: each block and each distinct power, keyed by its
-        integer pair, rooted once by ``float_root``, lazily (a weight never
-        read may overflow), for as long as the sequence lives.  A one-step
-        block in the window reads its power, and a block wholly inside a tail
-        its tail run, so one-step reads deep in a tail build no product past
-        the first of each phase; every other block, and so every error, goes
-        through ``_split`` and ``_pair``.  It holds the sequence weakly, so it
-        forms no reference cycle."""
-        expo, ref, runs = 1 / self.p, weakref.ref(self), self._runs
-        lo, hi, wp, left, right = self.lo, self.hi, self.wp, self.left_tail, self.right_tail
+        read of the weights: ``_split``, ``_pair`` and ``float_root``, each
+        block and each distinct reduced pair once, lazily (a weight never
+        read may overflow), for as long as the sequence lives.  It holds the
+        sequence weakly, so it forms no reference cycle."""
+        expo, ref = 1 / self.p, weakref.ref(self)
         root = cache(lambda n, d: float_root(n, d, expo))
-
-        def rooted(q: Fraction) -> float:  # keyed on q's own ints, which a tail run's memo holds too
-            return root(q.numerator, q.denominator)
-        run = cache(lambda side, phase, m: rooted(runs(side, phase, m)))
-
-        def block(i: int, j: int) -> float:
-            if i == j and lo <= i <= hi:
-                return rooted(wp[i])
-            if i <= j < lo and left is not None:
-                return run("left", (lo - 1 - j) % len(left), j - i + 1)
-            if hi < i <= j and right is not None:
-                return run("right", (i - hi - 1) % len(right), j - i + 1)
-            return root(*_pair(_split(ref(), i, j)))
-        return cache(block)
+        return cache(lambda i, j: root(*_pair(_split(ref(), i, j))))
 
     def has_tail_rules(self) -> bool:
         if self.side == UNILATERAL:
@@ -283,12 +266,12 @@ class SeqVector:
 def _distances(xs: dict[int, complex], targets: Sequence[dict[int, complex]], pf: float) -> list[float]:
     """Float pf-norm of xs - ye for each entry dict ye in targets, over the
     union of the supports, xs's indices first and then ye's others: the
-    term order of ``plus``, bit for bit."""
+    term order of ``plus``, bit for bit, each abs taken before any power."""
     out = []
     for ye in targets:
-        terms = [abs(v - ye[n]) ** pf if n in ye else abs(v) ** pf for n, v in xs.items()]
-        terms += [abs(v) ** pf for n, v in ye.items() if n not in xs]
-        out.append(sum(terms) ** (1.0 / pf))
+        gaps = [abs(v - ye[n]) if n in ye else abs(v) for n, v in xs.items()]
+        gaps += [abs(v) for n, v in ye.items() if n not in xs]
+        out.append(sum(map(pow, gaps, repeat(pf))) ** (1.0 / pf))
     return out
 
 
@@ -320,18 +303,18 @@ def _backward(w: WeightSequence, xs: dict[int, complex], steps: int) -> dict[int
 
 def _one_steps(w: WeightSequence, j: int, stop: int) -> Iterator[float]:
     """The floats of the one-step blocks at j, j - 1, ..., stop + 1, lazily,
-    as ``_backward`` reads them, but each index in a tail read at the index
-    of its phase in the tail's first period, whose block has the same float
-    (a missing tail raises there too): a long path adds one memo entry per
-    phase, not one per index."""
+    as ``_backward`` reads them, but each tail phase read once, at its index
+    in the tail's first period, whose block has the same float (a missing
+    tail raises there too), and cycled: a long path costs one memo read and
+    one memo entry per phase, not one per index."""
     lo, hi, product = w.lo, w.hi, w._floats
     right, left = len(w.right_tail or "."), len(w.left_tail or ".")  # a missing tail: one index, which raises
     rights = [hi + 1 + (j - hi - 1 - t) % right for t in range(right)]  # the phases from j down
     lefts = [lo - 1 - (max(lo - 1 - j, 0) + t) % left for t in range(left)]  # and from min(j, lo - 1) down
     n, m = max(j - max(hi, stop), 0), max(min(j, lo - 1) - stop, 0)  # the path's steps in each tail
     window = range(min(j, hi), max(lo - 1, stop), -1)
-    return chain(map(product, islice(cycle(rights), n), islice(cycle(rights), n)), map(product, window, window),
-                 map(product, islice(cycle(lefts), m), islice(cycle(lefts), m)))
+    return chain(islice(cycle(map(product, rights, rights)), n), map(product, window, window),
+                 islice(cycle(map(product, lefts, lefts)), m))
 
 
 def _forward_inverse(w: WeightSequence, xs: dict[int, complex], steps: int) -> dict[int, complex]:

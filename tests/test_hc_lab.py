@@ -330,10 +330,10 @@ def test_the_experiment_roots_each_distinct_power_once(monkeypatch, path, distin
 
 
 def test_the_experiment_builds_each_tail_run_once(monkeypatch):
-    # a block wholly inside a tail is read by its (side, phase, length) run,
-    # which wp_product shares, and a one-step block in the window by its
-    # power: each distinct run is built once, and the experiment on dyadic
-    # splits 23 blocks into parts, at the split wp_product shares
+    # every block the memo reads goes through the split that wp_product
+    # shares, one-step and tail-only blocks too, and a block wholly inside a
+    # tail is its (side, phase, length) run: each distinct run is built
+    # once, and the experiment on dyadic splits each of its 45 blocks once
     runs, products = [], []
     tail_run, split = shift_space._tail_run, shift_space._split
 
@@ -350,7 +350,7 @@ def test_the_experiment_builds_each_tail_run_once(monkeypatch):
     system = MeasureSystem.from_json((ROOT / "configs/dyadic.json").read_text())
     assert "error" not in cli._experiment(system, derive_weights(system), eps=1e-2, horizon=64)
     assert len(runs) == len(set(runs)) == 18
-    assert len(products) == len(set(products)) == 23
+    assert len(products) == len(set(products)) == 45
 
 
 # the sequences of the periodic-tail and unilateral reference tests above,
@@ -414,22 +414,27 @@ def _underflow_at_0():
                           left_tail=(Fraction(1),), right_tail=(Fraction(1),))
 
 
-def _random_vector(rng, side, low, high, most=4):
-    return SeqVector(side, {rng.randint(low, high): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+def _random_vector(rng, side, low, high, most=4, scale=1.0):
+    return SeqVector(side, {rng.randint(low, high): complex(rng.uniform(-2, 2) * scale, rng.uniform(-2, 2) * scale)
                             for _ in range(rng.randint(0, most))})
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     which=st.sampled_from(["derived", "steep", "underflow", "periodic", "unilateral"]),
     seed=st.integers(0, 2**32 - 1),
     horizon=st.sampled_from([0, 1, 64, 255, 256, 257, 513]),
+    edge=st.booleans(),
 )
-def test_the_scan_matches_the_reference_on_random_vectors_and_targets(which, seed, horizon):
+def test_the_scan_matches_the_reference_on_random_vectors_and_targets(which, seed, horizon, edge):
     """Random vectors and targets whose supports the entries cross at
     several steps, on sequences where entries die (underflow, the
     unilateral side) and where products leave the float range (steep
-    tails), with the same error both ways."""
+    tails), with the same error both ways.  Near the float edge the
+    entries are about 1e154, whose squares sit at the top of the range,
+    and a target's parts may reach 1.5e308, whose abs may overflow, so
+    abs and p-th powers overflow at different steps and in different
+    chunks."""
     rng = random.Random(seed)
     if which in ("derived", "steep"):
         pool = TAIL_POOL + (Fraction(1, 64), Fraction(64)) if which == "steep" else TAIL_POOL
@@ -437,8 +442,9 @@ def test_the_scan_matches_the_reference_on_random_vectors_and_targets(which, see
     else:
         w = {"underflow": _underflow_at_0(), "periodic": _PERIODIC, "unilateral": _UNILATERAL}[which]
     low = 0 if w.side == UNILATERAL else -300
-    x = _random_vector(rng, w.side, low, 300)
-    targets = [_random_vector(rng, w.side, low, 300, most=3) for _ in range(rng.randint(1, 3))]
+    x = _random_vector(rng, w.side, low, 300, scale=1e154 if edge else 1.0)
+    targets = [_random_vector(rng, w.side, low, 300, most=3, scale=rng.choice([1.0, 0.75e308]) if edge else 1.0)
+               for _ in range(rng.randint(1, 3))]
     assert _experiment(w, targets, horizon, x) == _reference(w, targets, horizon, x)
 
 
@@ -488,17 +494,96 @@ def test_a_stopped_entry_reads_no_later_weight():
     assert w._floats.cache_info().currsize == 5
 
 
-def test_the_replay_raises_the_first_error_in_step_order():
+@pytest.mark.parametrize("j, horizon", [(3, 64), (300, 297), (300, 298), (300, 600)])
+def test_the_replay_raises_the_first_error_in_step_order(j, horizon):
     # no left tail: the scan reads the chunk's weights first and meets the
-    # missing rule at index -4, the weight of step 8, but the step loop stops
-    # at step 1, where |v|**2 of 10**160 leaves the float range
+    # missing rule at index -4, the weight of step j + 5, but the step loop
+    # stops at step j - 2, where |v|**2 of 10**160 leaves the float range; at
+    # j = 300 that is in chunk 1, which alone is replayed, and at horizon 297
+    # no step reaches it
     wp = {k: Fraction(1) for k in range(-3, 4)}
     wp[3] = Fraction(10**20)
     w = WeightSequence(p=Fraction(2), side=BILATERAL, lo=-3, hi=3, wp=wp, right_tail=(Fraction(1),))
-    x = SeqVector(BILATERAL, {3: 1e150})
-    outcome = _experiment(w, canonical_targets(), 64, x)
-    assert outcome == _reference(w, canonical_targets(), 64, x)
-    assert outcome[0] == "OverflowError"
+    x = SeqVector(BILATERAL, {j: 1e150})
+    outcome = _experiment(w, canonical_targets(), horizon, x)
+    assert outcome == _reference(w, canonical_targets(), horizon, x)
+    assert (outcome[0] == "OverflowError") == (horizon >= j - 2)
+
+
+@pytest.mark.parametrize("horizon", [300, 301, 302])
+def test_the_replay_returns_where_only_the_scan_overflows(horizon):
+    # at step 301 the entry sits on the target at 0 with 1.5e154, whose
+    # square the scan takes and which leaves the float range, but the step
+    # loop squares the gap 0.5e154; at step 302 the entry has left the
+    # target and the step loop overflows too
+    wp = {k: Fraction(1) for k in range(-3, 4)}
+    wp[1] = Fraction(9, 4)
+    w = WeightSequence(p=Fraction(2), side=BILATERAL, lo=-3, hi=3, wp=wp,
+                       left_tail=(Fraction(1),), right_tail=(Fraction(1),))
+    x, targets = SeqVector(BILATERAL, {301: 1e154}), [SeqVector(BILATERAL, {0: 1e154})]
+    outcome = _experiment(w, targets, horizon, x)
+    assert outcome == _reference(w, targets, horizon, x)
+    assert (outcome[0] == "OverflowError") == (horizon == 302)
+
+
+def _scan_only_overflow():
+    # weight 3/2 at index 1 and 1/2 at index 0: the entry from 301 at 0.9e154
+    # reaches 0 at step 301 as 1.35e154, whose square leaves the float range,
+    # and leaves it at 0.675e154; every target has an entry at 0, where the
+    # step loop squares only the gaps, and no other square of it overflows
+    wp = {k: Fraction(1) for k in range(-3, 4)}
+    wp[1], wp[0] = Fraction(9, 4), Fraction(1, 4)
+    return WeightSequence(p=Fraction(2), side=BILATERAL, lo=-3, hi=3, wp=wp,
+                          left_tail=(Fraction(1),), right_tail=(Fraction(1),))
+
+
+@pytest.mark.parametrize("horizon", [301, 511, 512, 600, 1000])
+def test_the_scan_goes_on_after_a_replayed_chunk(horizon):
+    # only the scan overflows, at steps 301 and 600, where the entries from
+    # 301 and 600 reach 0: the step loop replays chunks 1 and 2 alone, the
+    # second from the entries the first replay left, and the scan goes on
+    # with chunk 3; the second target's best, at horizon 1000, is at step
+    # 701, where the first entry meets its other entry
+    x = SeqVector(BILATERAL, {301: 0.9e154, 600: 0.9e154})
+    targets = [SeqVector(BILATERAL, {0: 0.9e154}), SeqVector(BILATERAL, {0: 0.5e154, -400: 1e153})]
+    outcome = _experiment(_scan_only_overflow(), targets, horizon, x)
+    assert outcome == _reference(_scan_only_overflow(), targets, horizon, x)
+    assert outcome[0][0][0] == (301 if horizon < 600 else 600)
+
+
+def test_a_replayed_chunk_leaves_the_rest_of_the_orbit_to_the_scan():
+    # a million steps past a replay of chunk 1: every distance past step 701
+    # repeats one before it, so the hits are those of horizon 1000; a step
+    # loop over the rest took 1.8 s on a 2-core VM
+    x = SeqVector(BILATERAL, {301: 0.9e154})
+    targets = [SeqVector(BILATERAL, {0: 0.9e154}), SeqVector(BILATERAL, {0: 0.5e154, -400: 1e153})]
+    expected = orbit_density_report(_scan_only_overflow(), x, targets, horizon=1000).hits
+    start = time.perf_counter()
+    assert orbit_density_report(_scan_only_overflow(), x, targets, horizon=10**6).hits == expected
+    assert time.perf_counter() - start < 1
+
+
+def test_the_distance_takes_every_abs_before_a_power():
+    # |1e200|**2 overflows, but the target's abs overflows first, as in the
+    # reference, which takes every abs before the powers
+    w = _unit_weights(Fraction(2))
+    x, targets = SeqVector(BILATERAL, {0: 1e200}), [SeqVector(BILATERAL, {5: 1.5e308 + 1.5e308j})]
+    outcome = _experiment(w, targets, 64, x)
+    assert outcome == _reference(w, targets, 64, x)
+    assert outcome == ("OverflowError", "absolute value too large")
+
+
+def test_a_late_error_replays_only_its_chunk():
+    # under a left tail of weight 1.001 at p = 2, |v|**2 of the entry from 0
+    # leaves the float range near step 355,000; the whole step loop takes
+    # over a second on a 2-core VM, the scan up to the error about 0.2 s
+    w = WeightSequence(p=Fraction(2), side=BILATERAL, lo=0, hi=-1, wp={},
+                       left_tail=(Fraction(1002001, 1000000),), right_tail=(Fraction(1),))
+    start = time.perf_counter()
+    with pytest.raises(OverflowError) as raised:
+        orbit_density_report(w, SeqVector(BILATERAL, {0: 1.0}), canonical_targets(), horizon=400_000)
+    assert time.perf_counter() - start < 0.5
+    assert str(raised.value) == "(34, 'Numerical result out of range')"
 
 
 def _no_replay(*args):

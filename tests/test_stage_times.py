@@ -15,7 +15,7 @@ def test_stage_times_writes_the_medians_of_each_stage(tmp_path):
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "stage_times.py"), "--label", "smoke", "--repeat", "1",
-         "--out-dir", str(tmp_path), str(ROOT / "configs" / "flat.json")],
+         "--out-dir", str(tmp_path), str(ROOT / "configs" / "flat.json"), str(ROOT / "configs" / "dyadic.json")],
         capture_output=True, text=True, timeout=30,
     )
     assert time.perf_counter() - start < 2
@@ -23,7 +23,10 @@ def test_stage_times_writes_the_medians_of_each_stage(tmp_path):
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     stages = doc["configs"]["flat"]
     assert {"from_json", "validate_star", "distortion_constant", "derive_weights", "weak_mixing_consistency",
-            "menet_unilateral", "_semicheck_section", "_experiment", "render_json", "total"} <= set(stages)
+            "menet_unilateral", "_semicheck_section", "construct_hc_approx", "render_json", "total"} <= set(stages)
+    # flat's construction exhausts the horizon, so its orbit stage is never reached and left out
+    assert "orbit_density_report" not in stages
+    assert {"construct_hc_approx", "orbit_density_report"} <= set(doc["configs"]["dyadic"])
     assert all(t >= 0 for t in stages.values())
     assert sum(t for name, t in stages.items() if name != "total") <= stages["total"]
     assert isinstance(doc["bytecode_cache"], bool)
@@ -61,7 +64,7 @@ def test_stage_times_interleaves_two_checkouts(tmp_path):
     assert doc["sides"] == {"this": str(ROOT), "against": str(ROOT)}
     for side in ("this", "against"):
         stages = doc["configs"][side]["flat"]
-        assert {"from_json", "_experiment", "conditionmix_lhs", "total"} <= set(stages)
+        assert {"from_json", "construct_hc_approx", "conditionmix_lhs", "total"} <= set(stages)
         assert all(0 <= s["q1"] <= s["median"] <= s["q3"] for s in stages.values())
         walls = doc["process_wall"][side]["flat"]
         assert set(walls) == {"validate", "report"}

@@ -16,7 +16,8 @@ The command is ``report`` unless ``--command`` names ``validate`` or
 ``weights``, the two that perfbench's ``quick_commands`` workload runs.
 A stage is the parse, ``MeasureSystem.from_json``, or a call that
 ``run_command`` makes: the two structural constants, ``derive_weights``,
-each of the seven criteria, ``semicheck`` and the orbit experiment; a stage
+each of the seven criteria, ``semicheck`` and the orbit experiment's two
+stages, ``construct_hc_approx`` and ``orbit_density_report``; a stage
 called inside another counts only in the outer one, and a stage the
 command does not reach is left out.  ``render_json`` of the result is one
 more stage, and ``total`` covers the parse, ``run_command`` and the render.
@@ -80,7 +81,7 @@ STAGES = [(MeasureSystem, name) for name in ("from_json", "validate_star", "dist
     (cli, name) for name in (
         "derive_weights", "hypercyclicity_report", "shift_hypercyclicity_report", "weak_mixing_consistency",
         "menet_unilateral", "conditionmix_lhs", "_cofinite_report", "_telescoping_report",
-        "_semicheck_section", "_experiment",
+        "_semicheck_section", "construct_hc_approx", "orbit_density_report",
     )
 ]
 
