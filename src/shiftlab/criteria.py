@@ -61,6 +61,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, compress, islice
 from operator import itemgetter, mul, sub
 
@@ -211,9 +212,11 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
     before it scans them all; a side that passed with max f + B < t_lo passes
     m more steps while max f + B + m L < t_lo (in Fractions), as each ln r
     moves at most L = B + the largest one-step difference in a column a
-    step.  The named cell is the exact argmax, first in (level, cell) order,
-    among the cells with f >= max f - 2B, which hold all that attain it; exact
-    ratios are read from the model's pairs, so ``mu`` is never built.
+    step.  Exact ratios are LogGap terms: the cell's window pairs' quotient
+    and, per end past the window, the tail ratio to the +-distance
+    (_tail_factor), so no power and no ``mu`` is built.  The named cell is
+    the exact argmax by LogGap signs, first in (level, cell) order, among
+    the cells with f >= max f - 2B, which hold all that attain it.
     """
     p, k_min, k_max, lo, hi = system.p, system.k_min, system.k_max, levels.start, levels.stop - 1
     left, right, pairs, tol = system.left_tail, system.right_tail, system._rows, (Fraction(DECAY_TOL), -p)
@@ -226,19 +229,17 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
     theta = float(min(p, 2**960)) * math.log(DECAY_TOL)
     t_lo, t_hi = (theta * (1 + 2.0**-49) if p <= 2**960 else -math.inf), theta * (1 - 2.0**-49)
 
-    def mass(k: int, i: int) -> Fraction:  # mu_cell, from the pairs
-        base, factor = (k, 1) if k_min <= k <= k_max else system._tail_factor(k)
-        return Fraction(*pairs[base][i]) * factor
+    def ratio(k: int, i: int, s: int) -> tuple[tuple[Fraction, int], ...]:  # mu(k + s, i) / mu(k, i), as terms
+        (j, t, m), (h, u, v) = [(x, 1, 0) if k_min <= x <= k_max else system._tail_factor(x) for x in (k + s, k)]
+        (x, y), (z, w) = pairs[j][i], pairs[h][i]
+        return (Fraction(x * w, y * z), 1), (t, m), (u, -v)
 
-    def ratio(k: int, i: int, s: int) -> Fraction:
-        return mass(k + s, i) / mass(k, i)
-
-    def above(r: Fraction) -> bool:
-        return LogGap(((r, 1), tol), Fraction(1)).sign(0) > 0
+    def above(*terms: tuple[Fraction, Fraction]) -> bool:  # the product of the terms is above 1
+        return LogGap(terms, Fraction(1)).sign(0) > 0
 
     def exceeds(k: int, i: int, s: int) -> bool:
         f = columns[i][k + s - first] - columns[i][k - first]
-        return f - bound > t_hi or (f + bound >= t_lo and above(ratio(k, i, s)))
+        return f - bound > t_hi or (f + bound >= t_lo and above(*ratio(k, i, s), tol))
 
     def gaps(s: int) -> tuple[list[list[float]], float, int]:
         """f of every cell at shift s, column by column, and the largest f and its column."""
@@ -246,10 +247,11 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
         top_f, i = max((max(row), i) for i, row in enumerate(rows))
         return rows, top_f, i
 
-    def top(s: int) -> tuple[Fraction, int, int]:
+    def top(s: int) -> tuple[tuple[tuple[Fraction, int], ...], int, int]:
         rows, top_f, _ = gaps(s)
-        return max(((ratio(k, i, s), k, i) for k in levels for i, row in enumerate(rows)
-                    if row[k - lo] >= top_f - 2 * bound), key=itemgetter(0))
+        return reduce(lambda best, cell: cell if above(*cell[0], *[(q, -e) for q, e in best[0]]) else best,
+                      ((ratio(k, i, s), k, i) for k in levels for i, row in enumerate(rows)
+                       if row[k - lo] >= top_f - 2 * bound))
 
     lip = Fraction(max(max(map(abs, map(sub, logs[1:], logs[:-1]))) for logs in columns)) + Fraction(bound)
     last: dict[bool, tuple[int, int] | None] = {}
@@ -273,13 +275,13 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
 
     n = next((n for n in range(1, n0) if passes(-n) and passes(n)), None)
     if n is None:
-        ends = [(LogGap(((r, 1), tol), tail).least_crossing(), k, i, s)
+        ends = [(LogGap((*r, tol), tail).least_crossing(), k, i, s)
                 for s, tail in ((-n0, left), (n0, right)) for r, k, i in [top(s)]]
         m, k, i, s = max(ends, key=itemgetter(0))
         if m:  # past n0 every ratio falls by its side's tail a step, so the argmax at n0 is the one at N - 1
             return n0 + m, k, i, (n0 + m - 1) * (1 if s > 0 else -1)
         n = n0
-    s = 1 - n if above(top(1 - n)[0]) else n - 1  # where the forward side passes at n - 1, the inverse one fails
+    s = 1 - n if above(*top(1 - n)[0], tol) else n - 1  # where the forward side passes at n - 1, the inverse one fails
     return (n, *top(s)[1:], s)
 
 

@@ -42,13 +42,13 @@ def _unique_names(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _widest_ratio(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """max(1, x/y, y/x) over pairs of positive integers, by cross-multiplication."""
+    """max(1, x/y, y/x) over pairs of positive integers, by cross-multiplication with the best so far, kept reduced."""
     top, bottom = 1, 1
     for x, y in pairs:
         if x < y:
             x, y = y, x
         if x * bottom > top * y:
-            top, bottom = x, y
+            top, bottom = x // (g := math.gcd(x, y)), y // g
     return Fraction(top, bottom)
 
 
@@ -123,23 +123,23 @@ class MeasureSystem:
     def has_tails(self) -> bool:
         return self.left_tail is not None
 
-    def _tail_factor(self, k: int) -> tuple[int, Fraction]:
-        """(boundary level, scale factor) of a level k outside the window."""
+    def _tail_factor(self, k: int) -> tuple[int, Fraction, int]:
+        """(boundary level, tail ratio, distance) of a level k past the window; only mu_cell and mu_W take the power."""
         if k < self.k_min:
             if self.left_tail is None:
                 raise TailRuleMissing(f"level {k} lies left of the window and no tail rule is set")
-            return self.k_min, self.left_tail ** (self.k_min - k)
+            return self.k_min, self.left_tail, self.k_min - k
         if self.right_tail is None:
             raise TailRuleMissing(f"level {k} lies right of the window and no tail rule is set")
-        return self.k_max, self.right_tail ** (k - self.k_max)
+        return self.k_max, self.right_tail, k - self.k_max
 
     def mu_cell(self, k: int, i: int) -> Fraction:
         """Measure of cell i at level k, tail-extended when k is outside
         the window."""
         if (row := self.mu.get(k)) is not None:
             return row[i]
-        base, factor = self._tail_factor(k)
-        return self.mu[base][i] * factor
+        base, tail, distance = self._tail_factor(k)
+        return self.mu[base][i] * tail**distance
 
     @cached_property
     def _level_mass(self) -> dict[int, Fraction]:
@@ -161,9 +161,9 @@ class MeasureSystem:
     def mu_W(self, k: int) -> Fraction:
         """Total measure of level k; a tail level at most 3 past the window is built once."""
         if (mass := self._level_mass.get(k)) is None:
-            base, factor = self._tail_factor(k)
-            mass = self._level_mass[base] * factor
-            if abs(k - base) <= 3:  # semicheck's reach, LEVEL_MARGIN and T_f's one; farther reads come once
+            base, tail, distance = self._tail_factor(k)
+            mass = self._level_mass[base] * tail**distance
+            if distance <= 3:  # semicheck's reach, LEVEL_MARGIN and T_f's one; farther reads come once
                 self._level_mass[k] = mass
         return mass
 

@@ -260,10 +260,14 @@ class LogGap:
     """g(m) = ln(k * r**m) for rationals k, r > 0, decided in certified float logs
     (_float_log) where they fix the sign, else in integer fixed-point logs
     (_ln_fixed).  k is a rational or, where a power of it is too large to build,
-    pairs (q, e) of rationals q > 0 and e with k = prod q**e."""
+    pairs (q, e) of rationals q > 0 and e with k = prod q**e.  A base may repeat: its
+    exponents are summed, and one whose sum is 0 drops out before any log or tie test."""
 
     def __init__(self, k: Fraction | tuple[tuple[Fraction, Fraction], ...], r: Fraction) -> None:
-        self.terms = ((k, Fraction(1)),) if isinstance(k, Fraction) else tuple((q, Fraction(e)) for q, e in k)
+        exponents: dict[Fraction, Fraction] = {}
+        for q, e in ((k, 1),) if isinstance(k, Fraction) else k:
+            exponents[q] = exponents.get(q, 0) + e
+        self.terms = tuple((q, e) for q, e in exponents.items() if e)
         self.r = r
         # the units of error of 2**b ln k (_head), plus one for ln r
         self.slack = sum(math.ceil(abs(e)) + 1 for _, e in self.terms) + 1

@@ -327,18 +327,11 @@ def _forward_inverse(w: WeightSequence, xs: dict[int, complex], steps: int) -> d
     return out
 
 
-def lp_distances(x: SeqVector, ys: Sequence[SeqVector], p: Fraction | float) -> list[float]:
-    """Float p-norm of x - y for each y in ys, in ``plus``'s term order
-    (``_distances``)."""
-    pf = float(p)
-    if any(y.side != x.side for y in ys):
-        raise ValueError("cannot compare vectors of different sides")
-    return _distances(x.entries, [y.entries for y in ys], pf)
-
-
 def lp_distance(x: SeqVector, y: SeqVector, p: Fraction | float) -> float:
-    """Float p-norm of x - y: ``lp_distances`` with one target."""
-    return lp_distances(x, (y,), p)[0]
+    """Float p-norm of x - y, in ``plus``'s term order (``_distances``)."""
+    if y.side != x.side:
+        raise ValueError("cannot compare vectors of different sides")
+    return _distances(x.entries, [y.entries], float(p))[0]
 
 
 def _check_sides(w: WeightSequence, side: str) -> None:

@@ -231,12 +231,6 @@ def _shiftlab_subprocess(tmp_path, doc, argv, timeout):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
-def _hangs(reason):
-    # strict: once the hang is fixed the case passes, and the XPASS fails
-    # the run until the mark comes off
-    return pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason=reason)
-
-
 def _decaying_window(half_span: int, cells: int) -> dict:
     """Level masses 3**-|k| to the left of level 0 and 2**-|k| to its right,
     split at random into cells (random.Random(half_span)), tails 1/3 and 1/2,
@@ -263,9 +257,9 @@ def _decaying_window(half_span: int, cells: int) -> dict:
 # takes tens of seconds without its float filter; and both tails 1 - 10**-400
 # on a window of half-span 400, where conditionmix's _sup_inf once built
 # cap ** ((n + 1) // period) afresh for each of its 800 values of n, cap
-# within 10**-400 of 1.  One valid config still stalls it: at p = 1, a left
-# tail 1 - 10**-1500 on that window, where past n0 the uniform decay step
-# takes every cell ratio's tail power and a max over ratios of millions of bits
+# within 10**-400 of 1; and at p = 1, a left tail 1 - 10**-1500 on that
+# window, where past n0 the uniform decay step built every cell ratio's tail
+# power and took a max over ratios of millions of bits
 _NINES = "0." + "9" * 3000
 _HOSTILE = [
     pytest.param(("p",), "1000001/1000000", (0, 2), id="p_near_1"),
@@ -278,9 +272,7 @@ _HOSTILE = [
     pytest.param((), {**_decaying_window(400, 1), "tails": {"left": "0." + "9" * 400, "right": "0." + "9" * 400}},
                  (0,), id="tails_1_minus_1e-400_half_span_400"),
     pytest.param((), {**_decaying_window(400, 1), "p": "1", "tails": {"left": "0." + "9" * 1500, "right": "1/3"}},
-                 (0,), id="left_tail_1_minus_1e-1500_half_span_400",
-                 marks=_hangs("_uniform_decay_step's top() past n0 takes mu_cell tail powers and a max over "
-                              "exact ratios of millions of bits")),
+                 (0,), id="left_tail_1_minus_1e-1500_half_span_400"),
 ]
 
 

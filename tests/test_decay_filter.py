@@ -10,6 +10,7 @@ a closed form or the cell-by-cell reference.
 """
 
 import decimal
+import json
 import math
 import random
 from collections import Counter
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 from shiftlab import MeasureSystem, Verdict, cli, criteria, measure_system, rationals, weak_mixing_consistency
 from shiftlab.criteria import DECAY_TOL, _uniform_decay_step
 
-from generators import random_system, uniform_decay_step_reference
+from generators import random_fraction, random_system, uniform_decay_step_reference
+from test_cli_contract import _decaying_window
 
 ROOT = Path(__file__).resolve().parent.parent
 TOL = Fraction(DECAY_TOL)
@@ -199,13 +201,70 @@ def test_wide_windows_match_the_cell_by_cell_reference(seed):
     assert _uniform_decay_step(system, levels)[0] == uniform_decay_step_reference(system, levels)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), digits=st.tuples(st.integers(1, 40), st.integers(1, 40)))
+def test_near_1_tails_and_proportional_cells_match_the_cell_by_cell_reference(seed, digits):
+    # tails 1 - 10**-k for k up to 40, and a cell B2 that is a fixed multiple of B1
+    # on every level, so that the two ratios tie exactly at every shift: past
+    # n0 top() compares exact ties.  The named cell is the first argmax in
+    # (level, cell) order of the exact ratios at its shift, or, past n0, at
+    # +-n0, as every ratio on a side falls by the same tail a step
+    rng = random.Random(seed)
+    base, scale = random_system(rng, max_half_span=6, max_cells=2), random_fraction(rng)
+    system = MeasureSystem(
+        p=base.p, k_min=base.k_min, k_max=base.k_max, cells=("B1", "B2", "B3")[:len(base.cells) + 1],
+        mu={k: (row[0], scale * row[0], *row[1:]) for k, row in base.mu.items()},
+        left_tail=1 - Fraction(1, 10 ** digits[0]), right_tail=1 - Fraction(1, 10 ** digits[1]),
+    )
+    levels = range(system.k_min - 2, system.k_max + 3)
+    n, k, i, s = _uniform_decay_step(system, levels)
+    assert n == uniform_decay_step_reference(system, levels)
+    n0 = max(levels[-1] - system.k_min, system.k_max - levels[0]) + 1
+    shift = s if abs(s) < n0 else n0 * (1 if s > 0 else -1)
+    ratios = [(system.mu_cell(j + shift, c) / system.mu_cell(j, c), j, c)
+              for j in levels for c in range(len(system.cells))]
+    assert (k, i) == max(ratios, key=lambda ratio: ratio[0])[1:]
+
+
+def test_near_1_tails_build_no_power(monkeypatch):
+    # a decaying window of half-span 400 at p = 1 with a left tail t = 1 -
+    # 10**-1500, and dyadic with both tails 1 - 10**-3000.  Past n0 = 803
+    # the slowest ratio is t**803 at level -402; on dyadic, past n0 = 13, it
+    # is 1/t at level 7.  The crossings are closed forms in ln DECAY_TOL (of
+    # its binary value): 1 / -ln(1 - x) = 1/x - 1/2 - x/12 - ... for x =
+    # 10**-digits, where the terms past 1/2 move no ceiling here.  Ratios
+    # are compared as LogGap terms, so no Fraction power is built
+    window = {**_decaying_window(400, 1), "p": "1", "tails": {"left": "0." + "9" * 1500, "right": "1/3"}}
+    dyadic = {**json.loads((ROOT / "configs/dyadic.json").read_text()),
+              "tails": {"left": "0." + "9" * 3000, "right": "0." + "9" * 3000}}
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3060
+        ln_tol = Decimal(TOL.numerator).ln() - Decimal(TOL.denominator).ln()
+
+        def steps(digits: int) -> int:
+            return int((-ln_tol * (Decimal(10) ** digits - Decimal("0.5"))).to_integral_value(decimal.ROUND_CEILING))
+
+        cases = [(window, steps(1500), -402), (dyadic, 13 + 1 + steps(3000), 7)]
+    powers, real = [], Fraction.__pow__
+    for doc, n, level in cases:
+        system = MeasureSystem.from_json(json.dumps(doc))
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__pow__", lambda *args: powers.append(args) or real(*args))
+            witness = weak_mixing_consistency(system).witness
+        assert powers == []
+        assert witness["uniform_step"] == n
+        assert witness["slowest_cell"] == {"level": level, "cell": "B1", "direction": "forward"}
+
+
 def test_dyadic_builds_almost_no_exact_logs(monkeypatch):
     # every window step is decided in floats; the exact path builds the two
     # tail crossings at n0 and the check of the slowest cell's side, and
     # LogGap's float tier decides all three here, on decay32 too, with no
     # fixed-point log.  The float logs are one per window cell (the model's
-    # table) and a constant per side: two for its tail run and three for
-    # its crossing's LogGap, not one per cell and tail entry
+    # table) and a constant per side: two for its tail run and five for its
+    # crossing's LogGap, one per term (the built quotient of two window
+    # pairs, a tail ratio per end past the window, the tolerance) and one
+    # for the tail, not one per cell and tail entry
     built, counts = [], Counter()
 
     def counted(*args):
@@ -230,7 +289,7 @@ def test_dyadic_builds_almost_no_exact_logs(monkeypatch):
         assert len(built) <= 3
         assert counts["ln_fixed"] == 0
         cells = len(system.cells) * (system.k_max - system.k_min + 1)
-        assert cells <= counts["float_log"] <= cells + 2 * 5
+        assert cells <= counts["float_log"] <= cells + 2 * 7
 
 
 @pytest.mark.parametrize("path", ["configs/dyadic.json", "tests/golden/decay32.json"])

@@ -236,6 +236,21 @@ def _star_reference(system):
     return max([Fraction(1)] + ratios + [1 / t for t in ratios])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 2**80), st.integers(1, 2**80)), max_size=12),
+       st.integers(1, 2**40))
+def test_widest_ratio_matches_the_unreduced_rule(pairs, scale):
+    # the best kept in lowest terms picks the same ratio as the best kept as
+    # drawn; common factors (scale) only move the unreduced operands
+    pairs = [(x * scale, y * scale) if j % 2 else (x, y) for j, (x, y) in enumerate(pairs)]
+    top, bottom = 1, 1
+    for x, y in pairs:
+        x, y = max(x, y), min(x, y)
+        if x * bottom > top * y:
+            top, bottom = x, y
+    assert measure_system._widest_ratio(iter(pairs)) == Fraction(top, bottom)
+
+
 def _distortion_reference(system):
     """The least distortion constant, one Fraction ratio at a time."""
     mu_w0 = sum(system.mu[0])

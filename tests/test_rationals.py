@@ -415,6 +415,22 @@ def test_log_gap_float_tier_matches_the_fixed_point_path(case):
     assert answers[0] == answers[1]
 
 
+@pytest.mark.parametrize("digits", [3, 1500])
+@pytest.mark.parametrize("pair, sign", [(Fraction(7, 5), 1), (Fraction(5, 7), -1), (Fraction(1), 0)])
+def test_a_repeated_tail_base_cancels_before_the_tie_test(monkeypatch, digits, pair, sign):
+    # a ratio of two tail-extended masses, pair * 5/8 * t**805 / t**2, over
+    # another, 5/8 * t**803: the tail's powers cancel, so the sign is pair's,
+    # and a tie (pair = 1) goes to the exact test, whose coprime base holds
+    # the window quotients' numbers and not the tail's
+    t, seen, real = 1 - Fraction(1, 10**digits), [], rationals._coprime_base
+    monkeypatch.setattr(rationals, "_coprime_base", lambda numbers: seen.extend(numbers) or real(numbers))
+    terms = ((pair * Fraction(5, 8), 1), (t, 805), (t, -2), (Fraction(8, 5), 1), (t, -803))
+    with undecided_after(5):
+        assert LogGap(terms, Fraction(1)).sign(0) == sign
+    assert (sign == 0) == bool(seen)
+    assert t.numerator not in seen and t.denominator not in seen
+
+
 def test_coprime_base_splits_shared_factors():
     base = rationals._coprime_base([12, 18, 2**72, 4722366482869645, 1])
     assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1:])

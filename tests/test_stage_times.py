@@ -30,6 +30,8 @@ def test_stage_times_writes_the_medians_of_each_stage(tmp_path):
     assert all(t >= 0 for t in stages.values())
     assert sum(t for name, t in stages.items() if name != "total") <= stages["total"]
     assert isinstance(doc["bytecode_cache"], bool)
+    # no timed figure depends on --seed or --samples: the tool takes neither
+    assert not {"seed", "samples"} & set(doc)
     walls = doc["process_wall"]["flat"]
     assert set(walls) == {"validate", "report"}
     assert all(t > 0 for t in walls.values())
@@ -80,7 +82,7 @@ def test_stage_times_interleaves_two_checkouts(tmp_path):
 
 STAGELESS = """import argparse, json, pathlib
 parser = argparse.ArgumentParser()
-for flag in ("--label", "--repeat", "--seed", "--samples", "--out-dir"):
+for flag in ("--label", "--repeat", "--out-dir"):
     parser.add_argument(flag)
 parser.add_argument("configs", nargs="*")
 args = parser.parse_args()
@@ -123,7 +125,7 @@ def test_each_timed_run_starts_after_a_full_collection(monkeypatch):
     seen = []
     monkeypatch.setattr(stage_times.gc, "collect", lambda: seen.append(vars(stage_times.MeasureSystem)["from_json"]))
     original = vars(stage_times.MeasureSystem)["from_json"]
-    stage_times.time_config(ROOT / "configs" / "flat.json", 3, 100, "validate")
+    stage_times.time_config(ROOT / "configs" / "flat.json", 3, "validate")
     assert seen == [original] * 3
 
 

@@ -99,7 +99,7 @@ def _timed(name: str, fn, times: dict[str, float], depth: list[int]):
     return stage
 
 
-def time_config(path: Path, repeat: int, samples: int, command: str) -> dict:
+def time_config(path: Path, repeat: int, command: str) -> dict:
     """Median seconds of each stage and of the whole parse, run_command and render over repeat runs."""
     text = path.read_text()
     runs: list[dict[str, float]] = []
@@ -113,7 +113,7 @@ def time_config(path: Path, repeat: int, samples: int, command: str) -> dict:
                 setattr(owner, name, _timed(name, getattr(owner, name), times, depth))
             start = time.perf_counter()
             system = MeasureSystem.from_json(text)
-            result = cli.run_command(command, system, horizon=64, samples=samples, eps=1e-2)
+            result = cli.run_command(command, system, horizon=64, samples=100, eps=1e-2)  # the CLI's defaults
             rendered = time.perf_counter()
             cli.render_json(result)
             end = time.perf_counter()
@@ -126,15 +126,14 @@ def time_config(path: Path, repeat: int, samples: int, command: str) -> dict:
     return {name: statistics.median(run[name] for run in runs) for name in runs[0]}
 
 
-def process_wall(path: Path, repeat: int, seed: int, samples: int) -> dict:
+def process_wall(path: Path, repeat: int) -> dict:
     """Median wall seconds of a ``validate`` and a ``report`` process over repeat runs."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     if sys.dont_write_bytecode:
         env["PYTHONDONTWRITEBYTECODE"] = "1"
     walls = {}
     for command in ("validate", "report"):
-        argv = [sys.executable, "-m", "shiftlab", command, "--config", str(path),
-                "--seed", str(seed), "--samples", str(samples)]
+        argv = [sys.executable, "-m", "shiftlab", command, "--config", str(path)]
         runs = []
         for _ in range(repeat):
             start = time.perf_counter()
@@ -162,9 +161,8 @@ def interleave(against: Path, paths: list[Path], args: argparse.Namespace) -> di
                 subprocess.run(
                     [sys.executable, *(["-B"] if sys.dont_write_bytecode else []),
                      str(sides[side] / "tools" / "stage_times.py"), "--label", label,
-                     "--repeat", "1", "--seed", str(args.seed), "--samples", str(args.samples),
-                     "--out-dir", tmp, *(["--command", args.command] if args.command != "report" else []),
-                     *map(str, paths)],
+                     "--repeat", "1", "--out-dir", tmp,
+                     *(["--command", args.command] if args.command != "report" else []), *map(str, paths)],
                     stdout=subprocess.DEVNULL, check=True,
                 )
                 runs[side].append(json.loads((Path(tmp) / f"BENCH_{label}.json").read_text()))
@@ -181,8 +179,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--repeat", type=int, default=5, help="runs per config; the medians are written")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--command", choices=("validate", "weights", "report"), default="report",
                         help="the command whose stages are timed (default: report)")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
@@ -193,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--against needs --repeat >= 2 for quartiles")
     doc = {
         "label": args.label, "python": platform.python_version(), "repeat": args.repeat,
-        "seed": args.seed, "samples": args.samples, "command": args.command, "unit": "s",
+        "command": args.command, "unit": "s",
         "bytecode_cache": not sys.dont_write_bytecode,
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -201,9 +197,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.against:
             doc.update(interleave(args.against.resolve(), [path.resolve() for path in paths], args))
         else:
-            doc["configs"] = {path.stem: time_config(path, args.repeat, args.samples, args.command) for path in paths}
-            doc["process_wall"] = {path.stem: process_wall(path, args.repeat, args.seed, args.samples)
-                                   for path in paths}
+            doc["configs"] = {path.stem: time_config(path, args.repeat, args.command) for path in paths}
+            doc["process_wall"] = {path.stem: process_wall(path, args.repeat) for path in paths}
     out = args.out_dir / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(out)
