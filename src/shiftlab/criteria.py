@@ -61,7 +61,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, compress, islice
 from operator import itemgetter, mul, sub
 
@@ -190,6 +190,18 @@ def shift_hypercyclicity_report(w: WeightSequence) -> CriterionReport:
 DECAY_TOL = 1e-6  # an iterate has decayed once its norm is at most this fraction of the norm it left from
 
 
+def _ratio(system: MeasureSystem, rows: dict, j: int, h: int, i: int) -> tuple[tuple[Fraction, int], ...]:
+    """mu(j, i) / mu(h, i) as LogGap terms, from rows' window pairs (numerator, denominator): their quotient
+    and, per end past the window, the tail ratio to the +-distance (_tail_factor)."""
+    (j, t, m), (h, u, v) = [(x, 1, 0) if system.k_min <= x <= system.k_max else system._tail_factor(x) for x in (j, h)]
+    (x, y), (z, w) = rows[j][i], rows[h][i]
+    return (Fraction(x * w, y * z), 1), (t, m), (u, -v)
+
+
+def _above(*terms: tuple[Fraction, Fraction]) -> bool:  # the product of the LogGap terms is above 1
+    return LogGap(terms, Fraction(1)).sign(0) > 0
+
+
 def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int, int, int]:
     """N, the least n >= 1 at which every nonzero step function phi on these
     levels has ||T^n phi|| and ||T^-n phi|| at most DECAY_TOL ||phi||, and the
@@ -198,7 +210,8 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
     ||T^n phi||^p / ||phi||^p is a convex combination of the cell ratios
     r = mu(k - n, i) / mu(k, i) (+n for T^-n), so every phi decays at n exactly
     when max r <= DECAY_TOL ** p, decided as the sign of ln r - p ln DECAY_TOL
-    (rationals.LogGap, no power built).  Past n0 every shifted cell lies in a
+    (rationals.LogGap, no power built), DECAY_TOL being the double nearest
+    10**-6, 4722366482869645 / 2**72.  Past n0 every shifted cell lies in a
     tail (< 1), where each ratio falls by the tail ratio a step: one least
     crossing per side from the largest ratio at -n0 and n0.  Below n0 a
     certified float filter decides first: f, a difference of two logs of a
@@ -212,9 +225,8 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
     before it scans them all; a side that passed with max f + B < t_lo passes
     m more steps while max f + B + m L < t_lo (in Fractions), as each ln r
     moves at most L = B + the largest one-step difference in a column a
-    step.  Exact ratios are LogGap terms: the cell's window pairs' quotient
-    and, per end past the window, the tail ratio to the +-distance
-    (_tail_factor), so no power and no ``mu`` is built.  The named cell is
+    step.  Exact ratios are _ratio's LogGap terms over the model's _rows,
+    so no power and no ``mu`` is built.  The named cell is
     the exact argmax by LogGap signs, first in (level, cell) order, among
     the cells with f >= max f - 2B, which hold all that attain it.
     """
@@ -229,17 +241,9 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
     theta = float(min(p, 2**960)) * math.log(DECAY_TOL)
     t_lo, t_hi = (theta * (1 + 2.0**-49) if p <= 2**960 else -math.inf), theta * (1 - 2.0**-49)
 
-    def ratio(k: int, i: int, s: int) -> tuple[tuple[Fraction, int], ...]:  # mu(k + s, i) / mu(k, i), as terms
-        (j, t, m), (h, u, v) = [(x, 1, 0) if k_min <= x <= k_max else system._tail_factor(x) for x in (k + s, k)]
-        (x, y), (z, w) = pairs[j][i], pairs[h][i]
-        return (Fraction(x * w, y * z), 1), (t, m), (u, -v)
-
-    def above(*terms: tuple[Fraction, Fraction]) -> bool:  # the product of the terms is above 1
-        return LogGap(terms, Fraction(1)).sign(0) > 0
-
     def exceeds(k: int, i: int, s: int) -> bool:
         f = columns[i][k + s - first] - columns[i][k - first]
-        return f - bound > t_hi or (f + bound >= t_lo and above(*ratio(k, i, s), tol))
+        return f - bound > t_hi or (f + bound >= t_lo and _above(*_ratio(system, pairs, k + s, k, i), tol))
 
     def gaps(s: int) -> tuple[list[list[float]], float, int]:
         """f of every cell at shift s, column by column, and the largest f and its column."""
@@ -249,8 +253,8 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
 
     def top(s: int) -> tuple[tuple[tuple[Fraction, int], ...], int, int]:
         rows, top_f, _ = gaps(s)
-        return reduce(lambda best, cell: cell if above(*cell[0], *[(q, -e) for q, e in best[0]]) else best,
-                      ((ratio(k, i, s), k, i) for k in levels for i, row in enumerate(rows)
+        return reduce(lambda best, cell: cell if _above(*cell[0], *[(q, -e) for q, e in best[0]]) else best,
+                      ((_ratio(system, pairs, k + s, k, i), k, i) for k in levels for i, row in enumerate(rows)
                        if row[k - lo] >= top_f - 2 * bound))
 
     lip = Fraction(max(max(map(abs, map(sub, logs[1:], logs[:-1]))) for logs in columns)) + Fraction(bound)
@@ -281,7 +285,7 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
         if m:  # past n0 every ratio falls by its side's tail a step, so the argmax at n0 is the one at N - 1
             return n0 + m, k, i, (n0 + m - 1) * (1 if s > 0 else -1)
         n = n0
-    s = 1 - n if above(*top(1 - n)[0], tol) else n - 1  # where the forward side passes at n - 1, the inverse one fails
+    s = 1 - n if _above(*top(1 - n)[0], tol) else n - 1  # where the forward side passes at n - 1, the inverse one fails
     return (n, *top(s)[1:], s)
 
 
@@ -330,7 +334,7 @@ class _LogTable:
     """Float logs l(j) of a column c(j) of positive rationals, given as logs on
     [lo, lo + len - 1] and extended past it by two _tail_logs runs: c(hi + m) is c(hi)
     times the first m right products, c(lo - m) is c(lo) over the first m left ones;
-    and the bound B of two logs' differences (_sup_inf)."""
+    and the bound B of two logs' differences, which sets each n's band (_sup_inf)."""
 
     def __init__(self, logs: Sequence[float], lo: int, left: tuple[list[float], float],
                  right: tuple[list[float], float]) -> None:
@@ -347,13 +351,13 @@ class _LogTable:
         lo, logs = w.lo - 1, w._prefix_logs
         return cls(logs, lo, _tail_logs(w.left_tail, lo - first), _tail_logs(w.right_tail, last - lo - len(logs) + 1))
 
-    def min_product(self, w: WeightSequence, n: int, ks: range, floor: float = -math.inf) -> Fraction | None:
-        """min over k in ks of wp_product(w, k + 1, k + n); None if below e**floor."""
+    def band(self, n: int, ks: range, floor: float = -math.inf) -> list[int]:
+        """The k in ks with f(k, n) <= min f + 2B (_sup_inf), every argmin of c(k + n) / c(k); none if below floor."""
         a, b, logs = ks.start - self.first, ks.stop - self.first, self.logs
         gaps = list(map(sub, logs[a + n:b + n], logs[a:b]))
         if (low := min(gaps)) + self.bound < floor:
-            return None
-        return min(wp_product(w, k + 1, k + n) for k in compress(ks, map((low + 2 * self.bound).__ge__, gaps)))
+            return []
+        return list(compress(ks, map((low + 2 * self.bound).__ge__, gaps)))
 
 
 def _sup_inf(w: WeightSequence, table: _LogTable, ks: Callable[[int], range], n_max: int, cap: Fraction,
@@ -378,13 +382,11 @@ def _sup_inf(w: WeightSequence, table: _LogTable, ks: Callable[[int], range], n_
     ln q(n).  B = 2**-47 * S + 2**-990 also covers the roundings of S, min f
     + B and min f + 2B.  An n with min f + B below the float log of best less
     2**-49 of its size and 2**-1000 (at most ln best) has q(n) < best and is
-    skipped; else the k with f <= min f + 2B, the exact argmin among them,
-    are taken exactly.
+    skipped; else its band, the k with f <= min f + 2B, is taken exactly.
     """
     best, arg, floor, stop = Fraction(0), 0, -math.inf, math.inf
     for n in range(1, n_max + 1):
-        v = table.min_product(w, n, ks(n), floor)
-        if v is not None and v > best:
+        if (band := table.band(n, ks(n), floor)) and (v := min(wp_product(w, k + 1, k + n) for k in band)) > best:
             best, arg = v, n
             floor = (log_best := _float_log(best)) - (2.0**-49 * abs(log_best) + 2.0**-1000)
             stop = 0 if best >= 1 else 1 if cap <= best else LogGap(1 / best, cap).least_crossing() if cap < 1 else stop
@@ -454,11 +456,12 @@ def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionRepor
     the engine's cap: the supremum is infinite (Violated) exactly when a > 1
     and b > 1, else at most 1.  Past S, if that cap never stopped the
     engine, each pair has an end in a tail, so the infimum is min(alpha *
-    a**n, beta * b**n), alpha and beta taken at n0 = S + 1 from the
-    engine's table: log-concave, its supremum is at n0 or where the growing
-    term meets the other.  rationals.LogGap finds that n and compares the
-    values there and with the window's best, all exactly.  A supremum whose
-    digits could pass int-to-str's default limit stays an ``UnbuiltPower``.
+    a**n, beta * b**n), alpha and beta _ratio's LogGap terms over the level
+    masses at each side's first exact argmin in the engine's table's band
+    at n0 = S + 1: log-concave, its supremum is at n0 or where the growing
+    term meets the other.  LogGap finds that n and compares the values there
+    and with the window's best on terms; only a tail supremum is built, and
+    one whose digits could pass int-to-str's limit stays an ``UnbuiltPower``.
     """
     if not system.has_tails:
         return CriterionReport(
@@ -479,17 +482,22 @@ def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionRepor
     value, arg, stopped = _sup_inf(w, table, lambda n: range(k_min - n, k_max + 1), n0 - 1, min(a, b), 1)
     if not stopped:
         # from n0 on a pair with k < k_min scales by a per step (its right end fixed), any other by b
-        (s_lo, lo), (s_hi, hi) = sorted((s, table.min_product(w, n0, ks)) for s, ks in
-                                        ((a, range(k_min - n0, k_min)), (b, range(k_min, k_max + 1))))
-        coef, step, m = min(lo, hi), Fraction(1), 0
-        if s_hi > 1 and hi < lo:
+        q = partial(_ratio, system, {k: ((total, den),) for k, (den, total, _) in enumerate(system._table, k_min)}, i=0)
+        # each side's first exact argmin k over its band, then its ratio mass(k) / mass(k + n0) and inverse as terms
+        ends = sorted([(s, reduce(lambda x, y: y if _above(*q(x, x + n0), *q(y + n0, y)) else x, table.band(n0, ks)))
+                       for s, ks in ((a, range(k_min - n0, k_min)), (b, range(k_min, k_max + 1)))], key=itemgetter(0))
+        (s_lo, lo, lo_inv), (s_hi, hi, hi_inv) = [(s, q(k, k + n0), q(k + n0, k)) for s, k in ends]
+        coef, step, m = hi if (below := _above(*lo, *hi_inv)) else lo, Fraction(1), 0
+        if s_hi > 1 and below:
             # hi * s_hi**m grows to meet lo * s_lo**m: the supremum is at the last m up to it or the next
-            meet = LogGap(lo / hi, s_lo / s_hi)
+            meet = LogGap((*lo, *hi_inv), s_lo / s_hi)
             m = meet.least_crossing()  # the first m with hi * s_hi**m >= lo * s_lo**m
             m -= meet.sign(m) < 0
-            coef, step, m = (hi, s_hi, m) if LogGap(hi / lo / s_lo, s_hi / s_lo).sign(m) >= 0 else (lo, s_lo, m + 1)
-        if arg == 0 or LogGap(coef / value, step).sign(m) > 0:
+            hi_wins = LogGap((*hi, *lo_inv, (s_lo, -1)), s_hi / s_lo).sign(m) >= 0  # hi * s_hi**m >= lo * s_lo**(m + 1)
+            coef, step, m = (hi, s_hi, m) if hi_wins else (lo, s_lo, m + 1)
+        if arg == 0 or LogGap((*coef, (value, -1)), step).sign(m) > 0:
             # built, unless bit lengths allow it more digits than int-to-str's 4300: then its parts
+            coef = math.prod(t**e for t, e in coef)
             bits = max(coef.numerator.bit_length() + m * step.numerator.bit_length(),
                        coef.denominator.bit_length() + m * step.denominator.bit_length())
             value, arg = (coef * step**m if bits * 30103 < 4299 * 10**5 else UnbuiltPower(coef, step, m)), n0 + m

@@ -1,6 +1,6 @@
 """Seeded generators that only the tests use: random windowed systems,
-systems with a guaranteed backward decay, and level-indexed functionals;
-and an exact reference for the uniform decay step."""
+systems with a guaranteed backward decay, a draw with tails near 1 and
+level-indexed functionals; and an exact reference for the uniform decay step."""
 
 import decimal
 import random
@@ -83,6 +83,17 @@ def random_decay_system(
         left_tail=left,
         right_tail=right,
     )
+
+
+def near_1_tails_draw(half_span: int) -> dict:
+    """The config of a valid draw with tails near 1: 4 cells of masses
+    randint(1, 5) / 2**|k| (random.Random(half_span)) on levels -half_span
+    .. half_span, p = 3/2, left tail 1 - 10**-960 and right tail 1 - 10**-1870."""
+    rng = random.Random(half_span)
+    mu = {str(k): [str(Fraction(rng.randint(1, 5), 2 ** abs(k))) for _ in range(4)]
+          for k in range(-half_span, half_span + 1)}
+    return {"p": "3/2", "window": {"min": -half_span, "max": half_span}, "cells": ["B1", "B2", "B3", "B4"],
+            "mu": mu, "tails": {"left": "0." + "9" * 960, "right": "0." + "9" * 1870}}
 
 
 def random_functional(

@@ -23,7 +23,7 @@ from shiftlab.cli import COMMANDS, main
 from shiftlab.measure_system import MeasureSystem
 from shiftlab.sampling import P_POOL
 
-from generators import random_system
+from generators import near_1_tails_draw, random_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -259,7 +259,10 @@ def _decaying_window(half_span: int, cells: int) -> dict:
 # cap ** ((n + 1) // period) afresh for each of its 800 values of n, cap
 # within 10**-400 of 1; and at p = 1, a left tail 1 - 10**-1500 on that
 # window, where past n0 the uniform decay step built every cell ratio's tail
-# power and took a max over ratios of millions of bits
+# power and took a max over ratios of millions of bits; and tails 1 - 10**-960
+# and 1 - 10**-1870 past a 4-cell window of half-span 400 at p = 3/2, where
+# conditionmix built each side's infimum just past the span, a tail's power
+# up to the 801st, only to compare the two
 _NINES = "0." + "9" * 3000
 _HOSTILE = [
     pytest.param(("p",), "1000001/1000000", (0, 2), id="p_near_1"),
@@ -273,6 +276,7 @@ _HOSTILE = [
                  (0,), id="tails_1_minus_1e-400_half_span_400"),
     pytest.param((), {**_decaying_window(400, 1), "p": "1", "tails": {"left": "0." + "9" * 1500, "right": "1/3"}},
                  (0,), id="left_tail_1_minus_1e-1500_half_span_400"),
+    pytest.param((), near_1_tails_draw(400), (0,), id="conditionmix_near_1_tails_half_span_400"),
 ]
 
 

@@ -33,13 +33,13 @@ from shiftlab import (
     weak_mixing_consistency,
     wp_product,
 )
-from shiftlab import shift_space
+from shiftlab import rationals, shift_space
 from shiftlab.criteria import DECAY_TOL, UnbuiltPower
 from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabError, TailRuleMissing
 from shiftlab.rationals import fraction_pow
 from shiftlab.sampling import support_levels
 
-from generators import random_functional, random_system, uniform_decay_step_reference
+from generators import near_1_tails_draw, random_functional, random_system, uniform_decay_step_reference
 
 
 def single_cell(masses: dict[int, Fraction], left, right, p="1") -> MeasureSystem:
@@ -545,6 +545,12 @@ def test_conditionmix_closed_form_matches_brute_force(system):
     check_against_brute_force(system)
 
 
+# levels -1..2 with left step 2 and right step 1: at n0 = 4 each side's band
+# holds two k of equal products, 1/8 at k = -4, -3 and 1 at k = -1, 2, and
+# the growing side meets the flat one exactly at n = 7, where the supremum 1 is
+TIED_BANDS = single_cell({-1: Fraction(1, 8), 0: Fraction(8), 1: Fraction(4), 2: Fraction(1, 8)}, left=2, right=1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(stepped_systems(
     st.integers(-6, 6).map(lambda i: Fraction(2) ** i), (Fraction(1, 2), Fraction(1), Fraction(2)),
@@ -552,11 +558,47 @@ def test_conditionmix_closed_form_matches_brute_force(system):
 @example(single_cell({-1: Fraction(1, 2), 0: Fraction(4), 1: Fraction(1, 2)}, left=2, right=1))
 @example(single_cell({-1: Fraction(4, 5) ** 3, 0: Fraction(5, 4) ** 6, 1: Fraction(4, 5) ** 6},
                      left=Fraction(5, 4), right=1))
+@example(TIED_BANDS)
 def test_conditionmix_exact_ties_match_brute_force(system):
     # powers of 2 make ties exact, where only the exact comparison may
     # decide; in the examples the growing term meets the flat one exactly,
-    # at n = 4, and at n = 10 through float logs of 5/4 that do not cancel
+    # at n = 4, at n = 10 through float logs of 5/4 that do not cancel, and
+    # at n = 7 from tied bands
     check_against_brute_force(system)
+
+
+def test_conditionmix_tail_bands_of_equal_products_meet_the_tie_test(monkeypatch):
+    # each side's infimum at n0 is its first argmin by LogGap signs, so each
+    # band's two equal products meet LogGap's tie test, a sign of 0 at m = 0
+    bands, band, signs, sign = [], criteria._LogTable.band, [], rationals.LogGap.sign
+
+    def counted(self, n, ks, floor=-math.inf):
+        bands.append((n, got := band(self, n, ks, floor)))
+        return got
+
+    monkeypatch.setattr(criteria._LogTable, "band", counted)
+    monkeypatch.setattr(rationals.LogGap, "sign", lambda self, m: signs.append((m, got := sign(self, m))) or got)
+    w = derive_weights(TIED_BANDS)
+    report = conditionmix_lhs(TIED_BANDS, w)
+    assert (report.witness["value"], report.witness["attained_at_n"]) == (1, 7)
+    tail = [ks for n, ks in bands if n == 4]
+    assert tail == [[-4, -3], [-1, 2]]
+    assert [{wp_product(w, k + 1, k + 4) for k in ks} for ks in tail] == [{Fraction(1, 8)}, {Fraction(1)}]
+    assert signs.count((0, 0)) == 2
+
+
+@pytest.mark.parametrize("half_span, value", [(400, Fraction(1, 6)), (923, Fraction(2, 19))])
+def test_conditionmix_builds_no_tail_power_past_the_span(monkeypatch, half_span, value):
+    # tails 1 - 10**-960 and 1 - 10**-1870: the two infima just past the
+    # span stay LogGap terms, where building them took two Fraction powers
+    # with exponents up to 2 * half_span + 1 and, at half-span 400, about 3 s
+    system = MeasureSystem.from_dict(near_1_tails_draw(half_span))
+    w = derive_weights(system)
+    powers, real = [], Fraction.__pow__
+    monkeypatch.setattr(Fraction, "__pow__", lambda *args: powers.append(args) or real(*args))
+    report = conditionmix_lhs(system, w)
+    assert powers == []
+    assert (report.witness["value"], report.witness["attained_at_n"]) == (value, 1)
 
 
 # products equal, or within 10**-12 .. 10**-60 of each other in relative
@@ -652,7 +694,7 @@ def stop_by_power(w, table, ks, n_max, cap, period) -> tuple[tuple[Fraction, int
     it, stopped) and the number of n evaluated."""
     best, arg = Fraction(0), 0
     for n in range(1, n_max + 1):
-        if (v := table.min_product(w, n, ks(n))) > best:
+        if (v := min(wp_product(w, k + 1, k + n) for k in table.band(n, ks(n)))) > best:
             best, arg = v, n
         if cap ** ((n + 1) // period) <= best:
             return (best, arg, True), n
@@ -662,12 +704,12 @@ def stop_by_power(w, table, ks, n_max, cap, period) -> tuple[tuple[Fraction, int
 def engine_runs_checked_against_powers(call) -> int:
     """Run call() with every _sup_inf run checked against stop_by_power: the
     same (best, arg, stopped) after as many n evaluated, counted as calls of
-    min_product.  Returns the number of runs checked."""
-    engine, min_product, evaluated, runs = criteria._sup_inf, criteria._LogTable.min_product, count(), count()
+    band.  Returns the number of runs checked."""
+    engine, band, evaluated, runs = criteria._sup_inf, criteria._LogTable.band, count(), count()
 
     def counted(self, *args):
         next(evaluated)
-        return min_product(self, *args)
+        return band(self, *args)
 
     def checked(w, table, ks, n_max, cap, period):
         before = next(evaluated)
@@ -677,7 +719,7 @@ def engine_runs_checked_against_powers(call) -> int:
         return got
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(criteria._LogTable, "min_product", counted)
+        patch.setattr(criteria._LogTable, "band", counted)
         patch.setattr(criteria, "_sup_inf", checked)
         call()
     return next(runs)
