@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import hashlib
 import io
@@ -216,12 +217,29 @@ def run_command(command: str, system: MeasureSystem, *, horizon: int, samples: i
     return result
 
 
+def _digits(n: int) -> str:
+    """``str(n)`` in quasi-linear time where CPython 3.11's is quadratic: n split by shifts and
+    joined as hi * 2**h + lo in exact ``decimal`` (CPython 3.12's ``_pylong``, gh-90716)."""
+    power = functools.cache(decimal.Decimal(2).__pow__)
+
+    def join(n: int, w: int) -> decimal.Decimal:  # n < 2**w
+        if w <= 1 << 10:
+            return decimal.Decimal(n)
+        hi = n >> (h := w >> 1)
+        return join(n - (hi << h), h) + join(hi, w - h) * power(h)
+
+    with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)):
+        return "-" * (n < 0) + str(join(abs(n), n.bit_length()))
+
+
 def _encode(value):
-    """The JSON form of the values ``json`` does not know: a Fraction as its
-    string, an UnbuiltPower as "coef*(step)**m", a SeqVector in its own
+    """The JSON form of the values ``json`` does not know: a Fraction as its string (past 2**15
+    bits through ``_digits``), an UnbuiltPower as "coef*(step)**m", a SeqVector in its own
     format, a result record as its fields."""
     if isinstance(value, Fraction):
-        return str(value)
+        n, d = value.as_integer_ratio()
+        text = _digits if n.bit_length() + d.bit_length() > 1 << 15 else str
+        return f"{text(n)}/{text(d)}" if d != 1 else text(n)
     if isinstance(value, UnbuiltPower):
         return f"{value.coef}*({value.step})**{value.m}"
     if isinstance(value, SeqVector):

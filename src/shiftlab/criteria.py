@@ -69,7 +69,7 @@ from .errors import HypothesisViolated, NoAdmissibleLevels
 from .measure_system import MeasureSystem
 from .rationals import LogGap, _float_log, abs_pow, pow_maybe_exact
 from .sampling import support_levels
-from .shift_space import UNILATERAL, WeightSequence, wp_product
+from .shift_space import UNILATERAL, WeightSequence, _split, wp_product
 
 
 class Verdict(str, Enum):
@@ -370,6 +370,7 @@ def _sup_inf(w: WeightSequence, table: _LogTable, ks: Callable[[int], range], n_
     not grow with r.  So once (n + 1) // period >= stop, the least q with
     cap**q <= best (0 or 1 by one comparison, else one exact LogGap crossing
     per new best; never for cap = 1 > best), no later n beats the best.
+    Its crossing reads 1 / best as an argmin block's inverted ``_split`` terms.
 
     A certified float filter (Shewchuk 1997) picks the products taken
     exactly.  _LogTable's l(j) is a _float_log of a prefix entry or, in a
@@ -386,10 +387,12 @@ def _sup_inf(w: WeightSequence, table: _LogTable, ks: Callable[[int], range], n_
     """
     best, arg, floor, stop = Fraction(0), 0, -math.inf, math.inf
     for n in range(1, n_max + 1):
-        if (band := table.band(n, ks(n), floor)) and (v := min(wp_product(w, k + 1, k + n) for k in band)) > best:
-            best, arg = v, n
+        band = table.band(n, ks(n), floor)
+        if band and (least := min((wp_product(w, k + 1, k + n), k) for k in band))[0] > best:
+            (best, k), arg = least, n
+            inverse = tuple((q, -e) for q, e in _split(w, k + 1, k + n))  # 1 / best, unbuilt
             floor = (log_best := _float_log(best)) - (2.0**-49 * abs(log_best) + 2.0**-1000)
-            stop = 0 if best >= 1 else 1 if cap <= best else LogGap(1 / best, cap).least_crossing() if cap < 1 else stop
+            stop = 0 if best >= 1 else 1 if cap <= best else LogGap(inverse, cap).least_crossing() if cap < 1 else stop
         if (n + 1) // period >= stop:
             return best, arg, True
     return best, arg, False

@@ -9,15 +9,16 @@ A weight sequence holds an explicit block of powers on [lo, hi] plus an
 optional periodic tail per side.  ``hi == lo - 1`` is allowed and means the
 tails carry everything.
 
-Every block product is split in one place, ``_split``, at O(1) cost in the
-block length: the window part is a quotient of two entries of a prefix
-table, and each tail run is a power of its period product times fewer than
-one period of leftover entries, built once per (side, phase, length).  The
+Every block product is split in one place, ``_split``, into ``LogGap``
+terms (q, e) at O(1) cost in the block length: the window part is a
+quotient of two entries of a prefix table, and each tail run is a power of
+its period product times fewer than one period of leftover entries.  The
 table is built on first use, not at construction, because validating a
 model or printing its weights never reads it.  ``wp_product`` multiplies
-the parts; the shifts' float memo, for every block it reads, folds them
-into the block's reduced integer pair and roots that, with the same float
-and no Fraction built.
+the terms, each distinct whole-period power built once per sequence; the
+shifts' float memo, for every block it reads, folds them into the block's
+reduced integer pair and roots that, with the same float and no other
+Fraction built; the sup-inf engine in ``criteria`` reads them unbuilt.
 
 The shifts, the sum and the p-norm distances run on plain entry dicts
 through one private kernel each, which the ``SeqVector`` functions below
@@ -32,7 +33,7 @@ import weakref
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import accumulate, chain, cycle, islice, repeat
 from operator import mul
 
@@ -101,12 +102,10 @@ class WeightSequence:
         return tuple(map(_float_log, self._prefix))
 
     @cached_property
-    def _runs(self) -> Callable[[str, int, int], Fraction]:
-        """(side, phase, m) -> ``_tail_run`` of that side's tail, the phase
-        taken mod its period: each distinct run built once.  It holds only
-        the tails, so it forms no reference cycle."""
-        tails = {"left": self.left_tail, "right": self.right_tail}
-        return cache(lambda side, phase, m: _tail_run(tails[side], phase, m))
+    def _powers(self) -> Callable[[Fraction, int], Fraction]:
+        """(q, e) -> q ** e for ``_split``'s terms of e >= 2 whole periods of a
+        tail, each distinct power built once; it holds no sequence, so no cycle."""
+        return cache(pow)
 
     @cached_property
     def _floats(self) -> Callable[[int, int], float]:
@@ -115,9 +114,9 @@ class WeightSequence:
         block and each distinct reduced pair once, lazily (a weight never
         read may overflow), for as long as the sequence lives.  It holds the
         sequence weakly, so it forms no reference cycle."""
-        expo, ref = 1 / self.p, weakref.ref(self)
+        expo, ref, powers = 1 / self.p, weakref.ref(self), self._powers
         root = cache(lambda n, d: float_root(n, d, expo))
-        return cache(lambda i, j: root(*_pair(_split(ref(), i, j))))
+        return cache(lambda i, j: root(*_pair(_split(ref(), i, j), powers)))
 
     def has_tail_rules(self) -> bool:
         if self.side == UNILATERAL:
@@ -146,58 +145,47 @@ def derive_weights(system: MeasureSystem) -> WeightSequence:
     )
 
 
-def _tail_run(tail: tuple[Fraction, ...], phase: int, m: int) -> Fraction:
-    """Product of m >= 1 consecutive entries of a periodic tail, the first
-    at position ``phase`` of the period: the whole periods as one power,
-    then the fewer than one period of entries left over."""
-    period = len(tail)
-    if m == 1:
-        return tail[phase % period]
-    whole, rest = divmod(m, period)
-    out = math.prod(tail) ** whole
-    for t in range(phase, phase + rest):
-        out *= tail[t % period]
-    return out
-
-
-def _split(w: WeightSequence, i: int, j: int) -> list[tuple[Fraction, Fraction | None]]:
-    """The parts of the block [i, j], none if it is empty: a left-tail run,
-    the window part and a right-tail run, each where the block reaches it,
-    as (q, None) or, for a window part of two or more steps, as the prefix
-    quotient (q, r) = q / r.  Raises ``TailRuleMissing`` on the first index
-    past a side with no tail rule, ``ValueError`` below 1 on the unilateral side."""
+def _split(w: WeightSequence, i: int, j: int) -> list[tuple[Fraction, int]]:
+    """The block [i, j] as ``LogGap`` terms (q, e), its product prod q**e, none if it is
+    empty: the window part and each tail run the block reaches, at O(1) cost in its
+    length.  The window part [a, b] is (P(b), 1), (P(a - 1), -1) for the prefix products
+    P of ``_prefix``, or (wp[a], 1) for one step; a tail run is its period product raised
+    to the whole periods, then its leftover entries, the first at the run's phase.  Raises
+    ``TailRuleMissing`` on the first index past a side with no tail rule, ``ValueError``
+    below 1 on the unilateral side."""
     if j < i:
         return []
     if w.side == UNILATERAL and i < 1:
         raise ValueError(f"unilateral weights are indexed from 1, got {i}")
-    lo, hi = w.lo, w.hi
-    parts = []
+    lo, hi, runs = w.lo, w.hi, []
     if i < lo:
         if w.left_tail is None:
             raise TailRuleMissing(f"weight index {i} lies below lo and no tail rule is set")
         end = min(j, lo - 1)
-        parts.append((w._runs("left", (lo - 1 - end) % len(w.left_tail), end - i + 1), None))
-    a, b = max(i, lo), min(j, hi)
-    if a < b:
-        parts.append((w._prefix[b - lo + 1], w._prefix[a - lo]))
-    elif a == b:
-        parts.append((w.wp[a], None))
+        runs.append((w.left_tail, lo - 1 - end, end - i + 1))
     if j > hi:
         start = max(i, hi + 1)
         if w.right_tail is None:
             raise TailRuleMissing(f"weight index {start} lies beyond hi and no tail rule is set")
-        parts.append((w._runs("right", (start - hi - 1) % len(w.right_tail), j - start + 1), None))
-    return parts
+        runs.append((w.right_tail, start - hi - 1, j - start + 1))
+    a, b = max(i, lo), min(j, hi)
+    terms = [(w.wp[a], 1)] if a == b else [(w._prefix[b - lo + 1], 1), (w._prefix[a - lo], -1)] if a < b else []
+    for tail, phase, m in runs:
+        whole, rest = divmod(m, len(tail))
+        if whole:  # start=tail[0]: a one-entry tail's period product is its entry
+            terms.append((math.prod(tail[1:], start=tail[0]), whole))
+        terms += [(tail[t % len(tail)], 1) for t in range(phase, phase + rest)] if rest else []
+    return terms
 
 
-def _pair(parts: list[tuple[Fraction, Fraction | None]]) -> tuple[int, int]:
+def _pair(terms: list[tuple[Fraction, int]], powers: Callable[[Fraction, int], Fraction]) -> tuple[int, int]:
     """The reduced (numerator, denominator) of the product of ``_split``'s
-    parts, folded part by part as ``Fraction``'s * and / fold them."""
+    terms, folded term by term as ``Fraction``'s * and / fold them, each
+    whole-period power read from powers, the sequence's ``_powers``."""
     n = d = 1
-    for q, r in parts:
-        a, b = q.numerator, q.denominator
-        if r is not None:
-            a, b = _times(a, b, r.denominator, r.numerator)
+    for q, e in terms:
+        q = powers(q, e) if e > 1 else q
+        a, b = (q.numerator, q.denominator) if e > 0 else (q.denominator, q.numerator)
         n, d = (a, b) if n == d == 1 else _times(n, d, a, b)
     return n, d
 
@@ -213,11 +201,14 @@ def _times(n: int, d: int, a: int, b: int) -> tuple[int, int]:
 
 
 def wp_product(w: WeightSequence, i: int, j: int) -> Fraction:
-    """Exact product of weight powers over the inclusive block [i, j], O(1)
-    in its length: the product of ``_split``'s parts (a one-part block's
-    part itself); empty blocks give 1."""
-    parts = [q if r is None else q / r for q, r in _split(w, i, j)]
-    return reduce(mul, parts) if parts else Fraction(1)
+    """Exact product of weight powers over the inclusive block [i, j], O(1) in its length:
+    ``_split``'s terms, the first with e > 0, multiplied or divided in, whole-period powers
+    from the sequence's ``_powers`` (a one-term block with e = 1 is its q); empty blocks give 1."""
+    out = None
+    for q, e in _split(w, i, j):
+        q = q if abs(e) == 1 else w._powers(q, e)
+        out = q if out is None else out * q if e > 0 else out / q
+    return Fraction(1) if out is None else out
 
 
 def weight_product(w: WeightSequence, i: int, j: int) -> Fraction | float:

@@ -1,5 +1,5 @@
 """Seeded generators that only the tests use: random windowed systems,
-systems with a guaranteed backward decay, a draw with tails near 1 and
+systems with a guaranteed backward decay, two draws with tails near 1 and
 level-indexed functionals; and an exact reference for the uniform decay step."""
 
 import decimal
@@ -94,6 +94,19 @@ def near_1_tails_draw(half_span: int) -> dict:
           for k in range(-half_span, half_span + 1)}
     return {"p": "3/2", "window": {"min": -half_span, "max": half_span}, "cells": ["B1", "B2", "B3", "B4"],
             "mu": mu, "tails": {"left": "0." + "9" * 960, "right": "0." + "9" * 1870}}
+
+
+def near_1_menet_tie(half_span: int) -> dict:
+    """The config of a valid draw whose menet supremum meets the cap in a
+    tie test: 4 cells of masses randint(1, 5) / 3**|k| (random.Random(1)) on
+    levels -half_span .. half_span, then mu["18"][1] = 9e20 and mu["43"][2]
+    = 4e16 (half_span >= 43), p = 2, left tail 1e-858, right tail 1 + 10**-300."""
+    rng = random.Random(1)
+    mu = {str(k): [str(Fraction(rng.randint(1, 5), 3 ** abs(k))) for _ in range(4)]
+          for k in range(-half_span, half_span + 1)}
+    mu["18"][1], mu["43"][2] = "9e20", "4e16"
+    return {"p": "2", "window": {"min": -half_span, "max": half_span}, "cells": ["B1", "B2", "B3", "B4"],
+            "mu": mu, "tails": {"left": "1e-858", "right": str(1 + Fraction(1, 10**300))}}
 
 
 def random_functional(

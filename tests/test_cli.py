@@ -463,6 +463,25 @@ def test_render_json_writes_the_bytes_of_json_dumps(doc):
         sys.set_int_max_str_digits(limit)
 
 
+def test_long_integers_render_as_str_writes_them():
+    # past 2**15 bits a Fraction's numerator and denominator are written
+    # through the decimal split of cli._digits, with the bytes of str: at
+    # the threshold, for negative values and for a 1.69M-bit integer
+    rng = random.Random(15)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for bits in [*range((1 << 15) - 33, (1 << 15) + 34, 11), 1 << 16, 1_690_000]:
+            n = 231 * (rng.getrandbits(bits - 8) | 1 << (bits - 9)) + 1  # prime to 3, 7 and 11
+            text = str(n)  # one quadratic str per size
+            assert cli._digits(n) == text and cli._digits(-n) == "-" + text
+            assert [cli._encode(q) for q in (Fraction(n), Fraction(-n, 7), Fraction(3, n), Fraction(n, 11**9))] == \
+                [text, f"-{text}/7", f"3/{text}", f"{text}/{11**9}"]
+        assert [cli._digits(n) for n in (0, 1, -1, 2**1024, 10**400)] == ["0", "1", "-1", str(2**1024), str(10**400)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_window_only_config_is_inconclusive_and_strict_fails(capsys):
     config = str(CONFIGS / "window_only.json")
     code, out, _ = run(capsys, "report", "--config", config)

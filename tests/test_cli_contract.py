@@ -294,10 +294,10 @@ def test_hostile_values_end_in_a_subprocess_within_2_s(tmp_path, path, value, co
 
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-# widest half-span drawn with tails near 1: past it some draws still stall,
-# such as a tie of the supremum with a 538th power of a tail within 10**-1048
-# of 1, whose exact tie test and 9111th root (p = 9111/9110) take minutes
-_NEAR_1_SPAN = 50
+# tails near 1 are drawn at every half-span: menet's cap crossing reads its
+# best as the argmin block's terms, so its tie test factors the tail's period
+# product, where it once factored a supremum of millions of bits, for minutes
+# on a window of half-span 882 at p = 2 with a right tail 1 + 10**-2800
 
 
 def _decimal_exponent(draw, signs=(-1, 1)) -> str:
@@ -322,7 +322,7 @@ def _hostile_configs(draw):
         mu[str(draw(st.integers(-half_span, half_span)))][draw(st.integers(0, cells - 1))] = _decimal_exponent(draw)
 
     def tail() -> str:
-        kind = draw(st.sampled_from(["tame", "exponent", "near_0", "near_1"][:4 if half_span <= _NEAR_1_SPAN else 3]))
+        kind = draw(st.sampled_from(["tame", "exponent", "near_0", "near_1"]))
         if kind == "tame":
             return draw(st.sampled_from(["1/3", "1/2", "2"]))
         if kind == "exponent":

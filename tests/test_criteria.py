@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import random
 import sys
@@ -39,7 +40,7 @@ from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabErro
 from shiftlab.rationals import fraction_pow
 from shiftlab.sampling import support_levels
 
-from generators import near_1_tails_draw, random_functional, random_system, uniform_decay_step_reference
+from generators import near_1_menet_tie, near_1_tails_draw, random_functional, random_system, uniform_decay_step_reference
 
 
 def single_cell(masses: dict[int, Fraction], left, right, p="1") -> MeasureSystem:
@@ -330,6 +331,20 @@ def test_menet_stops_once_the_tail_caps_the_best(monkeypatch):
     report = menet_unilateral(w)
     assert (report.witness["sup_inf_wp"], report.witness["attained_at_n"]) == (Fraction(2, 3), 1)
     assert next(calls) <= w.hi + 1  # one n of k in [1, hi + 1], not 40 of them
+
+
+def test_menet_crosses_the_cap_on_the_argmin_blocks_terms(monkeypatch):
+    # the best here is a 24,915-bit product that ties a power of the cap:
+    # its crossing reads the argmin block's terms, a power of the tail's
+    # period product, so the tie test factors small bases, not the best
+    sizes = []
+    base = rationals._coprime_base
+    monkeypatch.setattr(rationals, "_coprime_base", lambda ns: sizes.append(max(map(int.bit_length, ns))) or base(ns))
+    system = MeasureSystem.from_json(json.dumps(near_1_menet_tie(60)))
+    report = menet_unilateral(derive_weights(system))
+    assert report.witness["attained_at_n"] == 25
+    assert report.witness["sup_inf_wp"].numerator.bit_length() == 24915
+    assert sizes and max(sizes) <= system.right_tail.numerator.bit_length() == 997
 
 
 def flat_window(half_span: int, left, right, seed: int = 1) -> MeasureSystem:

@@ -331,25 +331,26 @@ def test_the_experiment_roots_each_distinct_power_once(monkeypatch, path, distin
 
 def test_the_experiment_builds_each_tail_run_once(monkeypatch):
     # every block the memo reads goes through the split that wp_product
-    # shares, one-step and tail-only blocks too, and a block wholly inside a
-    # tail is its (side, phase, length) run: each distinct run is built
-    # once, and the experiment on dyadic splits each of its 45 blocks once
-    runs, products = [], []
-    tail_run, split = shift_space._tail_run, shift_space._split
+    # shares, one-step and tail-only blocks too, and a tail run's whole
+    # periods are one power from the sequence's cache: each distinct power
+    # is built once, and the experiment on dyadic splits each of its 45
+    # blocks once
+    powers, products = [], []
+    power, split = Fraction.__pow__, shift_space._split
 
-    def counting_run(tail, phase, m):
-        runs.append((tail, phase, m))
-        return tail_run(tail, phase, m)
+    def counting_power(q, e, *rest):
+        powers.append((q, e))
+        return power(q, e, *rest)
 
     def counting_split(w, i, j):
         products.append((i, j))
         return split(w, i, j)
 
-    monkeypatch.setattr(shift_space, "_tail_run", counting_run)
+    monkeypatch.setattr(Fraction, "__pow__", counting_power)
     monkeypatch.setattr(shift_space, "_split", counting_split)
     system = MeasureSystem.from_json((ROOT / "configs/dyadic.json").read_text())
     assert "error" not in cli._experiment(system, derive_weights(system), eps=1e-2, horizon=64)
-    assert len(runs) == len(set(runs)) == 18
+    assert len(powers) == len(set(powers)) == 16
     assert len(products) == len(set(products)) == 45
 
 

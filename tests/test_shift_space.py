@@ -2,6 +2,8 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from shiftlab import (
 )
 from shiftlab.errors import ConfigError, TailRuleMissing
 from shiftlab.rationals import pow_maybe_exact
-from shiftlab.shift_space import _one_steps
+from shiftlab.shift_space import _one_steps, _split
 from shiftlab.sampling import P_POOL
 
 from generators import random_system
@@ -334,8 +336,10 @@ def test_a_one_part_block_is_its_part():
     w = WeightSequence(p=Fraction(2), side=BILATERAL, lo=0, hi=2, wp={k: Fraction(k + 1, 3) for k in range(3)},
                        left_tail=(Fraction(1, 2), Fraction(3)), right_tail=(Fraction(5),))
     assert all(wp_product(w, k, k) is w.wp[k] for k in range(3))
-    assert wp_product(w, -7, -2) is w._runs("left", 1, 6)
-    assert wp_product(w, 4, 9) is w._runs("right", 0, 6)
+    assert all(wp_product(w, k, k) is t for k, t in zip((-1, -2, 3), (*w.left_tail, *w.right_tail)))
+    # whole periods only: the cached power, here (1/2 * 3)**3 and 5**6
+    assert wp_product(w, -7, -2) is w._powers(Fraction(3, 2), 3)
+    assert wp_product(w, 4, 9) is w._powers(Fraction(5), 6)
 
 
 def test_deriving_weights_leaves_the_prefix_table_unbuilt(dyadic):
@@ -345,24 +349,28 @@ def test_deriving_weights_leaves_the_prefix_table_unbuilt(dyadic):
     assert "_prefix" in vars(w)
 
 
-# -- tail runs, read once per (side, phase, length) -----------------------------
+# -- tail runs: whole periods as one power, built once per sequence ------------
 
 
 def test_tail_blocks_read_by_their_run_match_the_block_product():
     # periods 2 and 3, so every phase of both tails, two periods deep, at
-    # every length up to 300; the memo is read cold and then warm
+    # every length up to 300: the split's terms multiply to the per-term
+    # product of wp_at, as wp_product and the memo, read cold and then warm
     w = WeightSequence(
         p=Fraction(3, 2), side=BILATERAL, lo=-1, hi=2,
         wp={-1: Fraction(3), 0: Fraction(1, 5), 1: Fraction(2), 2: Fraction(1, 2)},
         left_tail=(Fraction(1, 2), Fraction(3)), right_tail=(Fraction(2), Fraction(1, 3), Fraction(3, 2)),
     )
-    blocks = [(j - m + 1, j) for j in range(w.lo - 1, w.lo - 1 - 2 * len(w.left_tail), -1) for m in range(1, 301)]
-    blocks += [(i, i + m - 1) for i in range(w.hi + 1, w.hi + 1 + 2 * len(w.right_tail)) for m in range(1, 301)]
+    runs = [range(j, j - 300, -1) for j in range(w.lo - 1, w.lo - 1 - 2 * len(w.left_tail), -1)]
+    runs += [range(i, i + 300) for i in range(w.hi + 1, w.hi + 1 + 2 * len(w.right_tail))]
     for _ in range(2):
-        for i, j in blocks:
-            assert w._floats(i, j).hex() == float(weight_product(w, i, j)).hex()
-    # one exact run per (side, phase, length): lengths 1-300 at 2 and 3 phases
-    assert w._runs.cache_info().currsize == 300 * (2 + 3)
+        for run in runs:
+            for k, expected in zip(run, accumulate(map(w.wp_at, run), mul)):
+                i, j = sorted((run[0], k))
+                assert math.prod(q**e for q, e in _split(w, i, j)) == wp_product(w, i, j) == expected
+                assert w._floats(i, j).hex() == float(pow_maybe_exact(expected, 1 / w.p)).hex()
+    # one power per side and count of whole periods: 2 to 150 of 2, 2 to 100 of 3
+    assert w._powers.cache_info().currsize == 149 + 99
 
 
 def test_tail_blocks_past_a_side_with_no_tail_raise_as_wp_product():
