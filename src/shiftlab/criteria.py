@@ -36,7 +36,8 @@ The certificates:
 ``menet_unilateral`` and ``conditionmix_lhs``
     One engine, ``_sup_inf``: sup over n of inf over k of n-fold weight
     products, stopped once a deep-tail cap shows no later n does better; a
-    certified float filter picks the few products evaluated exactly.
+    certified float filter (``_LogTable``) keeps a band per n, and ``min``
+    by built product takes its first exact argmin (by _order everywhere else).
     menet, the unilateral spaceability test, takes k >= 1 and periodic
     tails; conditionmix takes k over all of Z on derived weights, where the
     product is the mass ratio of levels k and k + n.  Past the window span
@@ -61,7 +62,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cmp_to_key
 from itertools import accumulate, compress, islice
 from operator import itemgetter, mul, sub
 
@@ -190,16 +191,20 @@ def shift_hypercyclicity_report(w: WeightSequence) -> CriterionReport:
 DECAY_TOL = 1e-6  # an iterate has decayed once its norm is at most this fraction of the norm it left from
 
 
-def _ratio(system: MeasureSystem, rows: dict, j: int, h: int, i: int) -> tuple[tuple[Fraction, int], ...]:
-    """mu(j, i) / mu(h, i) as LogGap terms, from rows' window pairs (numerator, denominator): their quotient
+def _ratio(system: MeasureSystem, j: int, h: int, i: int) -> tuple[tuple[Fraction, int], ...]:
+    """mu(j, i) / mu(h, i) as LogGap terms, from the model's window pairs (_rows): their quotient
     and, per end past the window, the tail ratio to the +-distance (_tail_factor)."""
     (j, t, m), (h, u, v) = [(x, 1, 0) if system.k_min <= x <= system.k_max else system._tail_factor(x) for x in (j, h)]
-    (x, y), (z, w) = rows[j][i], rows[h][i]
+    (x, y), (z, w) = system._rows[j][i], system._rows[h][i]
     return (Fraction(x * w, y * z), 1), (t, m), (u, -v)
 
 
-def _above(*terms: tuple[Fraction, Fraction]) -> bool:  # the product of the LogGap terms is above 1
-    return LogGap(terms, Fraction(1)).sign(0) > 0
+def _sign(x: Sequence[tuple[Fraction, int]], y: Sequence[tuple[Fraction, int]] = ()) -> int:
+    """The sign of ln(prod x / prod y) for LogGap term lists x and y: LogGap's sign at m = 0."""
+    return LogGap((*x, *[(q, -e) for q, e in y]), Fraction(1)).sign(0)
+
+
+_order = cmp_to_key(_sign)  # the exact order of term lists: min and max by it keep the first of equal products
 
 
 def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int, int, int]:
@@ -214,66 +219,58 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
     10**-6, 4722366482869645 / 2**72.  Past n0 every shifted cell lies in a
     tail (< 1), where each ratio falls by the tail ratio a step: one least
     crossing per side from the largest ratio at -n0 and n0.  Below n0 a
-    certified float filter decides first: f, a difference of two logs of a
-    column of the model's _cell_logs extended by one pair of tail runs
-    (_LogTable), is within its bound B of ln r (_sup_inf); theta =
+    certified float filter decides first: f, a difference of two logs in one
+    _LogTable over the model's _cell_logs (a column per cell, extended by one
+    pair of tail runs), is within its bound B of ln r (_sup_inf); theta =
     float(p) * math.log(DECAY_TOL) is within 4.1u of p ln DECAY_TOL (u =
     2**-53), and 1 -+ 2**-49 widen it to [t_lo, t_hi] past that and their own
     roundings (past p = 2**960, t_hi at 2**960 and t_lo = -inf).  So r exceeds
-    the tolerance where f - B > t_hi, does not where f + B < t_lo, and LogGap
-    decides between.  A step retries the cell that failed last on its side
-    before it scans them all; a side that passed with max f + B < t_lo passes
-    m more steps while max f + B + m L < t_lo (in Fractions), as each ln r
-    moves at most L = B + the largest one-step difference in a column a
-    step.  Exact ratios are _ratio's LogGap terms over the model's _rows,
-    so no power and no ``mu`` is built.  The named cell is
-    the exact argmax by LogGap signs, first in (level, cell) order, among
-    the cells with f >= max f - 2B, which hold all that attain it.
+    the tolerance where f - B > t_hi, does not where f + B < t_lo, and between
+    a step fails exactly where the exact argmax, top(), exceeds it.  A step
+    retries the cell that failed last on its side before it scans them all; a
+    side that passed with max f + B < t_lo passes m more steps while max f + B
+    + m L < t_lo (in Fractions), as each ln r moves at most L = B + the largest
+    one-step difference in a column a step.  Exact ratios are _ratio's LogGap
+    terms over the model's _rows, so no power and no ``mu`` is built.  top(),
+    also the named cell, is ``max`` by _order, the first exact argmax in (level,
+    cell) order, over the cells with f >= max f - 2B, which hold all that attain it.
     """
     p, k_min, k_max, lo, hi = system.p, system.k_min, system.k_max, levels.start, levels.stop - 1
-    left, right, pairs, tol = system.left_tail, system.right_tail, system._rows, (Fraction(DECAY_TOL), -p)
+    left, right, tol = system.left_tail, system.right_tail, (Fraction(DECAY_TOL), -p)
     assert left is not None and right is not None
     n0 = max(hi - k_min, k_max - lo) + 1
-    first, a, b = lo - n0, n0, n0 + len(levels)  # logs[j - first] is level j; [a, b) the levels
-    runs = _tail_logs((1 / left,), k_min - first), _tail_logs((right,), hi + n0 - k_max)
-    tables = [_LogTable(logs, k_min, *runs) for logs in system._cell_logs]
-    columns, bound = [t.logs for t in tables], max(t.bound for t in tables)
+    table = _LogTable(system._cell_logs, k_min, _tail_logs((1 / left,), k_min - lo + n0),
+                      _tail_logs((right,), hi + n0 - k_max))
+    logs, bound, first = table.logs, table.bound, table.first  # logs[i][j - first] is cell i of level j
     theta = float(min(p, 2**960)) * math.log(DECAY_TOL)
     t_lo, t_hi = (theta * (1 + 2.0**-49) if p <= 2**960 else -math.inf), theta * (1 - 2.0**-49)
 
     def exceeds(k: int, i: int, s: int) -> bool:
-        f = columns[i][k + s - first] - columns[i][k - first]
-        return f - bound > t_hi or (f + bound >= t_lo and _above(*_ratio(system, pairs, k + s, k, i), tol))
+        f = logs[i][k + s - first] - logs[i][k - first]
+        return f - bound > t_hi or (f + bound >= t_lo and _sign((*_ratio(system, k + s, k, i), tol)) > 0)
 
-    def gaps(s: int) -> tuple[list[list[float]], float, int]:
-        """f of every cell at shift s, column by column, and the largest f and its column."""
-        rows = [list(map(sub, logs[a + s:b + s], logs[a:b])) for logs in columns]
-        top_f, i = max((max(row), i) for i, row in enumerate(rows))
-        return rows, top_f, i
+    def top(s: int, rows: list[list[float]] | None = None) -> tuple[tuple[tuple[Fraction, int], ...], int, int]:
+        cut = max(map(max, rows := rows or table.gaps(s, levels))) - 2 * bound
+        return max(((_ratio(system, k + s, k, i), k, i) for k in levels for i, row in enumerate(rows)
+                    if row[k - lo] >= cut), key=lambda cell: _order(cell[0]))
 
-    def top(s: int) -> tuple[tuple[tuple[Fraction, int], ...], int, int]:
-        rows, top_f, _ = gaps(s)
-        return reduce(lambda best, cell: cell if _above(*cell[0], *[(q, -e) for q, e in best[0]]) else best,
-                      ((_ratio(system, pairs, k + s, k, i), k, i) for k in levels for i, row in enumerate(rows)
-                       if row[k - lo] >= top_f - 2 * bound))
-
-    lip = Fraction(max(max(map(abs, map(sub, logs[1:], logs[:-1]))) for logs in columns)) + Fraction(bound)
+    lip = Fraction(max(max(map(abs, map(sub, column[1:], column[:-1]))) for column in logs)) + Fraction(bound)
     last: dict[bool, tuple[int, int] | None] = {}
     clear = {False: 0, True: 0}  # per side, the |shift| up to which it is known to pass
 
     def passes(s: int) -> bool:
         cell = last.get(s > 0)
         if abs(s) > clear[s > 0] and (cell is None or not exceeds(*cell, s)):
-            rows, top_f, i = gaps(s)
+            rows = table.gaps(s, levels)
+            top_f, i = max((max(row), i) for i, row in enumerate(rows))
             if top_f - bound > t_hi:
                 cell = lo + rows[i].index(top_f), i
             elif top_f + bound < t_lo:
                 room = Fraction(t_lo) - Fraction(top_f) - Fraction(bound)
                 cell, clear[s > 0] = None, abs(s) + math.ceil(room / lip) - 1
-            else:  # the cells within the filter's band, by decreasing f
-                band = sorted(((f, lo + j, i) for i, row in enumerate(rows) for j, f in enumerate(row)
-                               if f + bound >= t_lo), reverse=True)
-                cell = next(((k, i) for _, k, i in band if exceeds(k, i, s)), None)
+            else:  # the exact argmax of the band exceeds exactly where any cell does
+                cell = top(s, rows)[1:]
+                cell = cell if exceeds(*cell, s) else None
             last[s > 0] = cell
         return cell is None
 
@@ -285,7 +282,7 @@ def _uniform_decay_step(system: MeasureSystem, levels: range) -> tuple[int, int,
         if m:  # past n0 every ratio falls by its side's tail a step, so the argmax at n0 is the one at N - 1
             return n0 + m, k, i, (n0 + m - 1) * (1 if s > 0 else -1)
         n = n0
-    s = 1 - n if _above(*top(1 - n)[0], tol) else n - 1  # where the forward side passes at n - 1, the inverse one fails
+    s = 1 - n if _sign((*top(1 - n)[0], tol)) > 0 else n - 1  # the forward side fails at n - 1, or else the inverse
     return (n, *top(s)[1:], s)
 
 
@@ -331,30 +328,35 @@ def _tail_logs(tail: tuple[Fraction, ...], count: int) -> tuple[list[float], flo
 
 
 class _LogTable:
-    """Float logs l(j) of a column c(j) of positive rationals, given as logs on
-    [lo, lo + len - 1] and extended past it by two _tail_logs runs: c(hi + m) is c(hi)
-    times the first m right products, c(lo - m) is c(lo) over the first m left ones;
-    and the bound B of two logs' differences, which sets each n's band (_sup_inf)."""
+    """Float logs l(j) of columns c(j) of positive rationals, each given as logs on [lo, lo + len - 1]
+    and extended past it by the same two _tail_logs runs: c(hi + m) is c(hi) times the first m right
+    products, c(lo - m) is c(lo) over the first m left ones; and the bound B of two logs' differences
+    in a column, which sets the band of gaps(n, ks), its differences at a shift n (_sup_inf)."""
 
-    def __init__(self, logs: Sequence[float], lo: int, left: tuple[list[float], float],
+    def __init__(self, columns: Sequence[Sequence[float]], lo: int, left: tuple[list[float], float],
                  right: tuple[list[float], float]) -> None:
         (run_l, size_l), (run_r, size_r) = left, right
-        size = max(abs(logs[0]) + size_l, abs(logs[-1]) + size_r, *map(abs, logs))
+        size = max(max(abs(logs[0]) + size_l, abs(logs[-1]) + size_r, *map(abs, logs)) for logs in columns)
         self.first, self.bound = lo - len(run_l), 2.0**-47 * size + 2.0**-990
-        self.logs = [logs[0] - x for x in reversed(run_l)] + [*logs] + [logs[-1] + x for x in run_r]
+        self.logs = [[c[0] - x for x in reversed(run_l)] + [*c] + [c[-1] + x for x in run_r] for c in columns]
 
     @classmethod
     def of_weights(cls, w: WeightSequence, first: int, last: int) -> "_LogTable":
         """Logs of the prefix products P(j) of w's powers, P(lo - 1) = 1, from ``w._prefix_logs``."""
-        if first < w.lo - 1 and w.left_tail is None:
-            wp_product(w, first + 1, w.lo - 1)  # raises TailRuleMissing on index first + 1
-        lo, logs = w.lo - 1, w._prefix_logs
-        return cls(logs, lo, _tail_logs(w.left_tail, lo - first), _tail_logs(w.right_tail, last - lo - len(logs) + 1))
+        if first < (lo := w.lo - 1) and w.left_tail is None:
+            wp_product(w, first + 1, lo)  # raises TailRuleMissing on index first + 1
+        return cls((w._prefix_logs,), lo, _tail_logs(w.left_tail, lo - first), _tail_logs(w.right_tail, last - w.hi))
+
+    def gaps(self, n: int, ks: range) -> list[list[float]]:
+        """f(k, n) = l(k + n) - l(k) for the k in ks, a list per column: within B of ln c(k + n) / c(k)."""
+        a, b, out = ks.start - self.first, ks.stop - self.first, []
+        for logs in self.logs:  # a loop: a comprehension's frame cost _sup_inf about 3% on Python 3.11
+            out.append(list(map(sub, logs[a + n:b + n], logs[a:b])))
+        return out
 
     def band(self, n: int, ks: range, floor: float = -math.inf) -> list[int]:
         """The k in ks with f(k, n) <= min f + 2B (_sup_inf), every argmin of c(k + n) / c(k); none if below floor."""
-        a, b, logs = ks.start - self.first, ks.stop - self.first, self.logs
-        gaps = list(map(sub, logs[a + n:b + n], logs[a:b]))
+        (gaps,) = self.gaps(n, ks)
         if (low := min(gaps)) + self.bound < floor:
             return []
         return list(compress(ks, map((low + 2 * self.bound).__ge__, gaps)))
@@ -370,7 +372,8 @@ def _sup_inf(w: WeightSequence, table: _LogTable, ks: Callable[[int], range], n_
     not grow with r.  So once (n + 1) // period >= stop, the least q with
     cap**q <= best (0 or 1 by one comparison, else one exact LogGap crossing
     per new best; never for cap = 1 > best), no later n beats the best.
-    Its crossing reads 1 / best as an argmin block's inverted ``_split`` terms.
+    Its crossing reads 1 / best as an argmin block's inverted ``_split`` terms, taken only where
+    its sign at the loop's last q, (n_max + 1) // period, puts it in the loop; else stop stays past.
 
     A certified float filter (Shewchuk 1997) picks the products taken
     exactly.  _LogTable's l(j) is a _float_log of a prefix entry or, in a
@@ -385,14 +388,15 @@ def _sup_inf(w: WeightSequence, table: _LogTable, ks: Callable[[int], range], n_
     2**-49 of its size and 2**-1000 (at most ln best) has q(n) < best and is
     skipped; else its band, the k with f <= min f + 2B, is taken exactly.
     """
-    best, arg, floor, stop = Fraction(0), 0, -math.inf, math.inf
+    best, arg, floor, stop, last = Fraction(0), 0, -math.inf, math.inf, (n_max + 1) // period
     for n in range(1, n_max + 1):
         band = table.band(n, ks(n), floor)
         if band and (least := min((wp_product(w, k + 1, k + n), k) for k in band))[0] > best:
             (best, k), arg = least, n
-            inverse = tuple((q, -e) for q, e in _split(w, k + 1, k + n))  # 1 / best, unbuilt
             floor = (log_best := _float_log(best)) - (2.0**-49 * abs(log_best) + 2.0**-1000)
-            stop = 0 if best >= 1 else 1 if cap <= best else LogGap(inverse, cap).least_crossing() if cap < 1 else stop
+            stop = 0 if best >= 1 else 1 if cap <= best else stop
+            if best < cap < 1 and (gap := LogGap([(q, -e) for q, e in _split(w, k + 1, k + n)], cap)).sign(last) <= 0:
+                stop = gap.least_crossing()  # of cap**q / best, best as its argmin block's terms: inside the loop
         if (n + 1) // period >= stop:
             return best, arg, True
     return best, arg, False
@@ -459,12 +463,12 @@ def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionRepor
     the engine's cap: the supremum is infinite (Violated) exactly when a > 1
     and b > 1, else at most 1.  Past S, if that cap never stopped the
     engine, each pair has an end in a tail, so the infimum is min(alpha *
-    a**n, beta * b**n), alpha and beta _ratio's LogGap terms over the level
-    masses at each side's first exact argmin in the engine's table's band
-    at n0 = S + 1: log-concave, its supremum is at n0 or where the growing
-    term meets the other.  LogGap finds that n and compares the values there
-    and with the window's best on terms; only a tail supremum is built, and
-    one whose digits could pass int-to-str's limit stays an ``UnbuiltPower``.
+    a**n, beta * b**n), alpha and beta the ``_split`` terms of each side's
+    block at n0 = S + 1, ``min`` by _order over the engine's table's band:
+    log-concave, its supremum is at n0 or where the growing term meets the
+    other.  LogGap finds that n and compares the values there and with the
+    window's best on terms; only a tail supremum is built, and one whose
+    digits could pass int-to-str's limit stays an ``UnbuiltPower``.
     """
     if not system.has_tails:
         return CriterionReport(
@@ -485,18 +489,16 @@ def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionRepor
     value, arg, stopped = _sup_inf(w, table, lambda n: range(k_min - n, k_max + 1), n0 - 1, min(a, b), 1)
     if not stopped:
         # from n0 on a pair with k < k_min scales by a per step (its right end fixed), any other by b
-        q = partial(_ratio, system, {k: ((total, den),) for k, (den, total, _) in enumerate(system._table, k_min)}, i=0)
-        # each side's first exact argmin k over its band, then its ratio mass(k) / mass(k + n0) and inverse as terms
-        ends = sorted([(s, reduce(lambda x, y: y if _above(*q(x, x + n0), *q(y + n0, y)) else x, table.band(n0, ks)))
-                       for s, ks in ((a, range(k_min - n0, k_min)), (b, range(k_min, k_max + 1)))], key=itemgetter(0))
-        (s_lo, lo, lo_inv), (s_hi, hi, hi_inv) = [(s, q(k, k + n0), q(k + n0, k)) for s, k in ends]
-        coef, step, m = hi if (below := _above(*lo, *hi_inv)) else lo, Fraction(1), 0
+        (s_lo, lo), (s_hi, hi) = sorted([(s, min((_split(w, k + 1, k + n0) for k in table.band(n0, ks)), key=_order))
+                                         for s, ks in ((a, range(k_min - n0, k_min)), (b, range(k_min, k_max + 1)))],
+                                        key=itemgetter(0))
+        coef, step, m = hi if (below := _sign(lo, hi) > 0) else lo, Fraction(1), 0
         if s_hi > 1 and below:
             # hi * s_hi**m grows to meet lo * s_lo**m: the supremum is at the last m up to it or the next
-            meet = LogGap((*lo, *hi_inv), s_lo / s_hi)
+            meet = LogGap((*lo, *[(q, -e) for q, e in hi]), s_lo / s_hi)
             m = meet.least_crossing()  # the first m with hi * s_hi**m >= lo * s_lo**m
             m -= meet.sign(m) < 0
-            hi_wins = LogGap((*hi, *lo_inv, (s_lo, -1)), s_hi / s_lo).sign(m) >= 0  # hi * s_hi**m >= lo * s_lo**(m + 1)
+            hi_wins = LogGap((*meet.terms, (s_lo, 1)), meet.r).sign(m) <= 0  # hi * s_hi**m >= lo * s_lo**(m + 1)
             coef, step, m = (hi, s_hi, m) if hi_wins else (lo, s_lo, m + 1)
         if arg == 0 or LogGap((*coef, (value, -1)), step).sign(m) > 0:
             # built, unless bit lengths allow it more digits than int-to-str's 4300: then its parts

@@ -9,6 +9,7 @@ expected to fall back to floats explicitly.  No silent precision loss.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -56,15 +57,33 @@ def as_fraction(value: object, field: str = "value") -> Fraction:
     raise ConfigError(f"{field}: expected a rational string, got {type(value).__name__}")
 
 
+RESIDUE_BITS = 4096  # operands past this many bits meet the residue test before a root is taken
+
+
+@functools.lru_cache(maxsize=16)
+def _residue_primes(k: int) -> tuple[int, tuple[int, ...]]:
+    """The 16 least primes l = 1 (mod k), k >= 2, and their product."""
+    primes = tuple(itertools.islice((l for l in itertools.count(k + 1, k)
+                                     if all(l % d for d in range(2, math.isqrt(l) + 1))), 16))
+    return math.prod(primes), primes
+
+
 def int_nthroot(n: int, k: int) -> int | None:
     """Exact k-th root of a nonnegative integer, or None if n is not a
-    perfect k-th power."""
+    perfect k-th power.  Past RESIDUE_BITS, n is first tested as a k-th
+    power residue mod 16 primes l = 1 (mod k) (Cohen, GTM 138, section 1.7):
+    a k-th power is 0 mod l or has n**((l - 1) / k) = 1 mod l, and a residue
+    test costs a remainder where a root of a million bits takes seconds."""
     if n < 0 or k < 1:
         raise ValueError("int_nthroot needs n >= 0 and k >= 1")
     if n in (0, 1) or k == 1:
         return n
-    if k >= n.bit_length():
+    if k >= (bits := n.bit_length()):
         return None  # 1 < root < 2, as 2 ** k > n
+    if bits > RESIDUE_BITS:
+        modulus, primes = _residue_primes(k)
+        if any(pow(r % l, (l - 1) // k, l) > 1 for r in [n % modulus] for l in primes):
+            return None
     if k == 2:
         r = math.isqrt(n)
     else:
@@ -91,10 +110,11 @@ def fraction_root(q: Fraction, k: int) -> Fraction | None:
 
 
 def _root_pair(n: int, d: int, k: int) -> tuple[int, int] | None:
-    """The exact k-th roots of n >= 0 and d > 0, or None where either is not a perfect power."""
-    num = int_nthroot(n, k)
-    den = None if num is None else int_nthroot(d, k)
-    return None if den is None else (num, den)
+    """The exact k-th roots of n >= 0 and d > 0, or None where either is not a perfect power.
+    d is rooted first, so a long non-power d fails int_nthroot's residue test before n is rooted."""
+    den = int_nthroot(d, k)
+    num = None if den is None else int_nthroot(n, k)
+    return None if num is None else (num, den)
 
 
 def fraction_pow(q: Fraction, expo: Fraction) -> Fraction | None:

@@ -1,5 +1,5 @@
 """Seeded generators that only the tests use: random windowed systems,
-systems with a guaranteed backward decay, two draws with tails near 1 and
+systems with a guaranteed backward decay, three draws with tails near 1 and
 level-indexed functionals; and an exact reference for the uniform decay step."""
 
 import decimal
@@ -107,6 +107,19 @@ def near_1_menet_tie(half_span: int) -> dict:
     mu["18"][1], mu["43"][2] = "9e20", "4e16"
     return {"p": "2", "window": {"min": -half_span, "max": half_span}, "cells": ["B1", "B2", "B3", "B4"],
             "mu": mu, "tails": {"left": "1e-858", "right": str(1 + Fraction(1, 10**300))}}
+
+
+def near_1_menet_draw() -> dict:
+    """The config of a valid draw whose menet engine runs near 1 far out: 4
+    cells of masses randint(1, 5) / 3**|k| (random.Random(1)) on levels -882
+    .. 882, then mu["-512"][2] = 2e14, mu["264"][1] = 9e281 and mu["627"][2]
+    = 4e226, p = 2, left tail 1e-858, right tail 1 + 10**-2800: a cap within
+    10**-2800 of 1 and a menet supremum of millions of bits."""
+    rng = random.Random(1)
+    mu = {str(k): [str(Fraction(rng.randint(1, 5), 3 ** abs(k))) for _ in range(4)] for k in range(-882, 883)}
+    mu["-512"][2], mu["264"][1], mu["627"][2] = "2e14", "9e281", "4e226"
+    return {"p": "2", "window": {"min": -882, "max": 882}, "cells": ["B1", "B2", "B3", "B4"],
+            "mu": mu, "tails": {"left": "1e-858", "right": str(1 + Fraction(1, 10**2800))}}
 
 
 def random_functional(

@@ -40,7 +40,14 @@ from shiftlab.errors import HypothesisViolated, NoAdmissibleLevels, ShiftlabErro
 from shiftlab.rationals import fraction_pow
 from shiftlab.sampling import support_levels
 
-from generators import near_1_menet_tie, near_1_tails_draw, random_functional, random_system, uniform_decay_step_reference
+from generators import (
+    near_1_menet_draw,
+    near_1_menet_tie,
+    near_1_tails_draw,
+    random_functional,
+    random_system,
+    uniform_decay_step_reference,
+)
 
 
 def single_cell(masses: dict[int, Fraction], left, right, p="1") -> MeasureSystem:
@@ -347,6 +354,36 @@ def test_menet_crosses_the_cap_on_the_argmin_blocks_terms(monkeypatch):
     assert sizes and max(sizes) <= system.right_tail.numerator.bit_length() == 997
 
 
+def counted_ln_fixed(monkeypatch) -> list:
+    """The arguments of every rationals._ln_fixed call from here on."""
+    calls, ln_fixed = [], rationals._ln_fixed
+    monkeypatch.setattr(rationals, "_ln_fixed", lambda *args: calls.append(args) or ln_fixed(*args))
+    return calls
+
+
+def test_menet_takes_a_cap_crossing_only_where_it_stops_the_loop(monkeypatch):
+    # the cap here is within 10**-300 of 1, so its crossings need long
+    # fixed-point logs: one past the loop's last q could not stop it and is
+    # not taken (taking every new best's crossing made 73 calls)
+    calls = counted_ln_fixed(monkeypatch)
+    report = menet_unilateral(derive_weights(MeasureSystem.from_json(json.dumps(near_1_menet_tie(60)))))
+    assert report.witness["attained_at_n"] == 25
+    assert len(calls) <= 2
+
+
+def test_the_near_1_menet_draw_takes_few_long_logs_and_no_long_root(monkeypatch):
+    # a cap within 10**-2800 of 1, whose crossings at every new best took
+    # 1,114 fixed-point logs; and a 3.4M-bit square numerator over a
+    # non-square denominator, whose two roots took math.isqrt seconds each
+    calls, sizes, isqrt = counted_ln_fixed(monkeypatch), [], math.isqrt
+    monkeypatch.setattr(math, "isqrt", lambda n: sizes.append(n.bit_length()) or isqrt(n))
+    report = menet_unilateral(derive_weights(MeasureSystem.from_json(json.dumps(near_1_menet_draw()))))
+    assert (report.witness["attained_at_n"], report.witness["sup_inf"]) == (363, 1.0)
+    assert report.witness["sup_inf_wp"].numerator.bit_length() > 3 * 10**6
+    assert len(calls) <= 17
+    assert [b for b in sizes if b > 10**6] == []  # the fixed-point logs' own roots stay near 2 * 9,300 bits
+
+
 def flat_window(half_span: int, left, right, seed: int = 1) -> MeasureSystem:
     """Four cells of masses m / 2**e (m <= 8, e <= 4) on every level: no
     decay inside the window, so the tails alone decide the verdicts."""
@@ -614,6 +651,46 @@ def test_conditionmix_builds_no_tail_power_past_the_span(monkeypatch, half_span,
     report = conditionmix_lhs(system, w)
     assert powers == []
     assert (report.witness["value"], report.witness["attained_at_n"]) == (value, 1)
+
+
+TERM_BASES = (Fraction(1, 2), Fraction(2), Fraction(4), Fraction(2, 3), Fraction(9, 4), Fraction(5, 7),
+              1 + Fraction(1, 10**30), 1 - Fraction(1, 10**30))
+
+
+@st.composite
+def term_lists(draw) -> list[list[tuple[Fraction, int]]]:
+    """1 to 6 LogGap term lists over a few small rationals, bases repeated; about
+    half rewrite an earlier list's product, an exact tie: reordered, a base split
+    off or squared, or a base and its inverse added."""
+    lists: list[list[tuple[Fraction, int]]] = []
+    for _ in range(draw(st.integers(1, 6))):
+        terms = draw(st.lists(st.tuples(st.sampled_from(TERM_BASES), st.integers(-3, 3)), max_size=4))
+        if lists and draw(st.booleans()):
+            terms = list(draw(st.sampled_from(lists)))
+            how, j = draw(st.sampled_from(("shuffle", "split", "square", "pad"))), draw(st.integers(0, 3))
+            if how == "shuffle":
+                terms = draw(st.permutations(terms))
+            elif how == "pad" or not terms:
+                terms += [(TERM_BASES[j], 1), (TERM_BASES[j], -1)]
+            else:
+                q, e = terms.pop(j % len(terms))
+                terms += [(q, e - 1), (q, 1)] if how == "split" else [(q * q, 1), (q, e - 2)]
+        lists.append(terms)
+    return lists
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists())
+def test_the_exact_order_of_term_lists_is_the_order_of_their_built_products(lists):
+    # _sign is the sign of prod x - prod y, and min and max by _order pick the
+    # index they pick over the built products: the first on exact ties
+    built = [math.prod((q**e for q, e in terms), start=Fraction(1)) for terms in lists]
+    for x, bx in zip(lists, built):
+        for y, by in zip(lists, built):
+            assert criteria._sign(x, y) == (bx > by) - (bx < by)
+    for pick in (min, max):
+        indices = range(len(lists))
+        assert pick(indices, key=lambda j: criteria._order(lists[j])) == pick(indices, key=built.__getitem__)
 
 
 # products equal, or within 10**-12 .. 10**-60 of each other in relative

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from shiftlab import rationals
 from shiftlab.errors import ConfigError
 from shiftlab.rationals import (
+    RESIDUE_BITS,
     LogGap,
     _float_log,
     _ln_fixed,
@@ -148,6 +149,30 @@ def test_int_nthroot_with_an_index_past_the_bit_length():
     assert int_nthroot(2**64, 65) is None
     assert int_nthroot(2**64, 64) == 2
     assert int_nthroot(3, 2) is None
+
+
+def test_a_non_square_past_the_residue_gate_takes_no_isqrt(monkeypatch):
+    # x**2 / (x**2 + 1), both past RESIDUE_BITS: the denominator is rooted
+    # first and fails the residue test, where rooting both took two isqrt
+    sizes, isqrt = [], math.isqrt
+    monkeypatch.setattr(math, "isqrt", lambda n: sizes.append(n.bit_length()) or isqrt(n))
+    x = 3**3000 + 2
+    q = Fraction(x * x, x * x + 1)
+    assert q.denominator.bit_length() > RESIDUE_BITS
+    assert pow_maybe_exact(q, Fraction(1, 2)) == math.exp(log_fraction(q) / 2)
+    assert [b for b in sizes if b > RESIDUE_BITS] == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from((2, 3, 4, 5, 7)), x=st.integers(2**2100, 2**2200),
+       factor=st.sampled_from((1, 3, 7 * 11, 2 * 3 * 5 * 7 * 11 * 13)))
+def test_the_residue_test_keeps_every_power(k, x, factor):
+    # powers past RESIDUE_BITS, some divisible by the test's primes (a zero
+    # residue), keep their roots; the next integer has none
+    n = (x * factor) ** k
+    assert n.bit_length() > RESIDUE_BITS
+    assert int_nthroot(n, k) == x * factor
+    assert int_nthroot(n + 1, k) is None
 
 
 def test_the_root_path_refuses_a_sign_by_message():
