@@ -70,7 +70,7 @@ from .errors import HypothesisViolated, NoAdmissibleLevels
 from .measure_system import MeasureSystem
 from .rationals import LogGap, _float_log, abs_pow, pow_maybe_exact
 from .sampling import support_levels
-from .shift_space import UNILATERAL, WeightSequence, _split, wp_product
+from .shift_space import UNILATERAL, WeightSequence, _product, _split, wp_product
 
 
 class Verdict(str, Enum):
@@ -344,7 +344,7 @@ class _LogTable:
     def of_weights(cls, w: WeightSequence, first: int, last: int) -> "_LogTable":
         """Logs of the prefix products P(j) of w's powers, P(lo - 1) = 1, from ``w._prefix_logs``."""
         if first < (lo := w.lo - 1) and w.left_tail is None:
-            wp_product(w, first + 1, lo)  # raises TailRuleMissing on index first + 1
+            _split(w, first + 1, lo)  # raises TailRuleMissing on index first + 1
         return cls((w._prefix_logs,), lo, _tail_logs(w.left_tail, lo - first), _tail_logs(w.right_tail, last - w.hi))
 
     def gaps(self, n: int, ks: range) -> list[list[float]]:
@@ -502,7 +502,7 @@ def conditionmix_lhs(system: MeasureSystem, w: WeightSequence) -> CriterionRepor
             coef, step, m = (hi, s_hi, m) if hi_wins else (lo, s_lo, m + 1)
         if arg == 0 or LogGap((*coef, (value, -1)), step).sign(m) > 0:
             # built, unless bit lengths allow it more digits than int-to-str's 4300: then its parts
-            coef = math.prod(t**e for t, e in coef)
+            coef = _product(coef, w._powers)
             bits = max(coef.numerator.bit_length() + m * step.numerator.bit_length(),
                        coef.denominator.bit_length() + m * step.denominator.bit_length())
             value, arg = (coef * step**m if bits * 30103 < 4299 * 10**5 else UnbuiltPower(coef, step, m)), n0 + m

@@ -14,11 +14,11 @@ terms (q, e) at O(1) cost in the block length: the window part is a
 quotient of two entries of a prefix table, and each tail run is a power of
 its period product times fewer than one period of leftover entries.  The
 table is built on first use, not at construction, because validating a
-model or printing its weights never reads it.  ``wp_product`` multiplies
-the terms, each distinct whole-period power built once per sequence; the
-shifts' float memo, for every block it reads, folds them into the block's
-reduced integer pair and roots that, with the same float and no other
-Fraction built; the sup-inf engine in ``criteria`` reads them unbuilt.
+model or printing its weights never reads it.  One function, ``_product``,
+multiplies the terms, each distinct whole-period power built once per
+sequence: ``wp_product`` returns it, and the shifts' float memo roots its
+reduced pair for every block it reads; the sup-inf engine in ``criteria``
+reads the terms unbuilt.
 
 The shifts, the sum and the p-norm distances run on plain entry dicts
 through one private kernel each, which the ``SeqVector`` functions below
@@ -110,13 +110,13 @@ class WeightSequence:
     @cached_property
     def _floats(self) -> Callable[[int, int], float]:
         """(i, j) -> ``float(weight_product(self, i, j))``, the shifts' one
-        read of the weights: ``_split``, ``_pair`` and ``float_root``, each
+        read of the weights: ``_split``, ``_product`` and ``float_root``, each
         block and each distinct reduced pair once, lazily (a weight never
         read may overflow), for as long as the sequence lives.  It holds the
         sequence weakly, so it forms no reference cycle."""
         expo, ref, powers = 1 / self.p, weakref.ref(self), self._powers
         root = cache(lambda n, d: float_root(n, d, expo))
-        return cache(lambda i, j: root(*_pair(_split(ref(), i, j), powers)))
+        return cache(lambda i, j: root(*_product(_split(ref(), i, j), powers).as_integer_ratio()))
 
     def has_tail_rules(self) -> bool:
         if self.side == UNILATERAL:
@@ -178,37 +178,20 @@ def _split(w: WeightSequence, i: int, j: int) -> list[tuple[Fraction, int]]:
     return terms
 
 
-def _pair(terms: list[tuple[Fraction, int]], powers: Callable[[Fraction, int], Fraction]) -> tuple[int, int]:
-    """The reduced (numerator, denominator) of the product of ``_split``'s
-    terms, folded term by term as ``Fraction``'s * and / fold them, each
-    whole-period power read from powers, the sequence's ``_powers``."""
-    n = d = 1
+def _product(terms: list[tuple[Fraction, int]], powers: Callable[[Fraction, int], Fraction]) -> Fraction:
+    """The product of ``_split``'s terms, the first with e > 0, multiplied or divided in, whole-period
+    powers read from powers, the sequence's ``_powers`` (a one-term block with e = 1 is its q); 1 if none."""
+    out = None
     for q, e in terms:
-        q = powers(q, e) if e > 1 else q
-        a, b = (q.numerator, q.denominator) if e > 0 else (q.denominator, q.numerator)
-        n, d = (a, b) if n == d == 1 else _times(n, d, a, b)
-    return n, d
-
-
-def _times(n: int, d: int, a: int, b: int) -> tuple[int, int]:
-    """(n / d) * (a / b) for reduced pairs, cancelled crosswise as ``Fraction._mul``
-    does: each gcd is of two reduced entries, never of two products."""
-    if (g := math.gcd(n, b)) > 1:
-        n, b = n // g, b // g
-    if (h := math.gcd(a, d)) > 1:
-        a, d = a // h, d // h
-    return n * a, d * b
+        q = q if abs(e) == 1 else powers(q, e)
+        out = q if out is None else out * q if e > 0 else out / q
+    return Fraction(1) if out is None else out
 
 
 def wp_product(w: WeightSequence, i: int, j: int) -> Fraction:
     """Exact product of weight powers over the inclusive block [i, j], O(1) in its length:
-    ``_split``'s terms, the first with e > 0, multiplied or divided in, whole-period powers
-    from the sequence's ``_powers`` (a one-term block with e = 1 is its q); empty blocks give 1."""
-    out = None
-    for q, e in _split(w, i, j):
-        q = q if abs(e) == 1 else w._powers(q, e)
-        out = q if out is None else out * q if e > 0 else out / q
-    return Fraction(1) if out is None else out
+    ``_product`` of ``_split``'s terms; empty blocks give 1."""
+    return _product(_split(w, i, j), w._powers)
 
 
 def weight_product(w: WeightSequence, i: int, j: int) -> Fraction | float:

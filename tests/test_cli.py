@@ -87,6 +87,23 @@ def test_semicheck_sees_only_exact_zero_defects(capsys):
     assert doc["semicheck"] == {"samples": 25, "exact_zero": 25, "max_defect": "0"}
 
 
+def test_semicheck_on_a_one_level_window_without_tails_has_nothing_to_shift(capsys, tmp_path):
+    # without tails the window floor's image has no measure, so a one-level
+    # window leaves semicheck no level and every criterion inconclusive
+    config = tmp_path / "one_level.json"
+    config.write_text(json.dumps({"cells": ["A", "B"], "mu": {"0": ["1/2", "1/2"]}, "p": "2",
+                                  "window": {"min": 0, "max": 0}}))
+    code, out, _ = run(capsys, "report", "--config", str(config))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["semicheck"] == {"exact_zero": 0, "max_defect": "0",
+                                "note": "window too small to shift a step function", "samples": 0}
+    assert [r["verdict"] for r in doc["reports"]] == ["InconclusiveWindow"] * 7
+    code, out, _ = run(capsys, "semicheck", "--config", str(config), "--output", "csv")
+    assert code == 0
+    assert out.splitlines()[-1] == "semicheck,max_defect,0,"
+
+
 def test_orbit_experiment(capsys):
     code, out, _ = run(capsys, "orbit", "--config", str(CONFIGS / "dyadic.json"))
     assert code == 0

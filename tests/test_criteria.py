@@ -905,10 +905,13 @@ def test_cofinite_witness_without_constraints(dyadic):
 
 def test_cofinite_witness_annihilates_functionals(dyadic):
     rng = random.Random(8)
-    for m in (1, 2, 3):
-        functionals = [
-            random_functional(rng, range(-9 - m, -5)) for _ in range(m)
-        ]
+    sparse = [[random_functional(rng, range(-9 - m, -5)) for _ in range(m)] for m in (1, 2, 3)]
+    # dense over the witness levels -7 - m .. -7, so the kernel solver
+    # eliminates every other row at each pivot
+    dense = [[{k: Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3)) for k in range(-7 - m, -6)}
+              for _ in range(m)] for m in (2, 3, 4)]
+    for functionals in sparse + dense:
+        m = len(functionals)
         witness = cofinite_quotient_witness(dyadic, 1, functionals)
         assert len(witness.levels) == m + 1
         assert any(a != 0 for a in witness.coeffs)

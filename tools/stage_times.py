@@ -40,6 +40,17 @@ script does not time the parse has no ``from_json`` entry, and its
 ``total`` leaves the parse out.  ``--command`` other than ``report`` is
 passed on to PATH's script, which must then know the option too.
 
+The quartiles of one interleaved run understate the drift between runs.
+Two runs of a checkout against an identical copy, 10 rounds each on
+``wide100``, ``wide200``, ``dyadic`` and ``decay32``, gave a median |Δ|
+over 47 stage medians of 1.8% and 2.5%, a largest |Δ| of 7.7% and 12.1%,
+and 8 and 9 medians outside the other side's quartiles: "no slower than
+the parent beyond its quartile spread" flags about one stage in five on
+unchanged code.  Alternating both trees' packages in one process was not
+more reliable (one of three such runs read 43 of 46 stages slower on the
+same side).  So a stage criterion must hold in two runs, or be stated as
+a count of the stages it flags.
+
 Standard library only; it imports ``shiftlab`` from this checkout's ``src/``.
 """
 
