@@ -9,10 +9,10 @@ Both stages check the sides once and then run on plain entry dicts through
 ``shift_space``'s shift, sum and distance kernels, which the ``SeqVector``
 functions wrap, so the floats are theirs bit for bit.  The kernels read the
 sequence's float memo, where every block is split once and every distinct
-reduced pair rooted once, so a target's forward-inverse blocks serve again
-as backward ones.  The orbit is scanned as per-entry trajectories, each
-tail phase's weight read once per path; on an error only the failing chunk
-is replayed step by step.
+product rooted once by ``pow_maybe_exact``, so a target's forward-inverse
+blocks serve again as backward ones.  The orbit is scanned as per-entry
+trajectories, each tail phase's weight read once per path; on an error
+only the failing chunk is replayed step by step.
 """
 
 from __future__ import annotations

@@ -102,19 +102,13 @@ def int_nthroot(n: int, k: int) -> int | None:
 
 
 def fraction_root(q: Fraction, k: int) -> Fraction | None:
-    """Exact k-th root of a nonnegative rational, or None."""
+    """Exact k-th root of a nonnegative rational, or None.  The denominator is rooted
+    first, so a long non-power one fails int_nthroot's residue test before the numerator is rooted."""
     if q.numerator < 0:
         raise ValueError("fraction_root needs q >= 0")
-    pair = _root_pair(q.numerator, q.denominator, k)
-    return None if pair is None else Fraction(*pair)
-
-
-def _root_pair(n: int, d: int, k: int) -> tuple[int, int] | None:
-    """The exact k-th roots of n >= 0 and d > 0, or None where either is not a perfect power.
-    d is rooted first, so a long non-power d fails int_nthroot's residue test before n is rooted."""
-    den = int_nthroot(d, k)
-    num = None if den is None else int_nthroot(n, k)
-    return None if num is None else (num, den)
+    den = int_nthroot(q.denominator, k)
+    num = None if den is None else int_nthroot(q.numerator, k)
+    return None if num is None else Fraction(num, den)
 
 
 def fraction_pow(q: Fraction, expo: Fraction) -> Fraction | None:
@@ -127,10 +121,10 @@ def fraction_pow(q: Fraction, expo: Fraction) -> Fraction | None:
     if expo.numerator < 0:
         base = fraction_pow(q, -expo)
         return None if base is None else 1 / base
-    # gcd(a, b) = 1, so q**a is a perfect b-th power exactly when q is: root first
+    # gcd(a, b) = 1, so q**a is a perfect b-th power exactly when q is: root first (a = 1: no power)
     a, b = expo.numerator, expo.denominator
     root = q if b == 1 else fraction_root(q, b)
-    return None if root is None else root**a
+    return root if root is None or a == 1 else root**a
 
 
 def log_fraction(q: Fraction | float) -> float:
@@ -140,17 +134,14 @@ def log_fraction(q: Fraction | float) -> float:
     range, is taken as log(numerator) - log(denominator), which math.log
     computes for big ints from their leading bits and bit count.
     """
-    return math.log(q) if isinstance(q, float) else _log_pair(q.numerator, q.denominator)
-
-
-def _log_pair(n: int, d: int) -> float:
-    """``log_fraction`` of n / d: math.log of the correctly rounded quotient where it is normal."""
+    if isinstance(q, float):
+        return math.log(q)
     try:
-        if (f := n / d) >= sys.float_info.min:
-            return math.log(f)
+        if (f := q.numerator / q.denominator) >= sys.float_info.min:
+            return math.log(f)  # the correctly rounded float(q), where it is normal
     except OverflowError:
         pass
-    return math.log(n) - math.log(d)
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def pow_maybe_exact(q: Fraction, expo: Fraction) -> Fraction | float:
@@ -159,16 +150,6 @@ def pow_maybe_exact(q: Fraction, expo: Fraction) -> Fraction | float:
     if exact is not None:
         return exact
     return math.exp(float(expo) * log_fraction(q))
-
-
-def float_root(n: int, d: int, expo: Fraction) -> float:
-    """``float(pow_maybe_exact(n / d, expo))`` bit for bit, for coprime n, d > 0 and expo > 0,
-    built from the pair: the correctly rounded quotient of the exact power, else exp of the log."""
-    a, b = expo.numerator, expo.denominator
-    root = (n, d) if b == 1 else _root_pair(n, d, b)
-    if root is None:
-        return math.exp(float(expo) * _log_pair(n, d))
-    return root[0] ** a / root[1] ** a
 
 
 def abs_pow(value: Fraction | float | complex, expo: Fraction) -> Fraction | float:

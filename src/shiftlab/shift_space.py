@@ -16,9 +16,10 @@ its period product times fewer than one period of leftover entries.  The
 table is built on first use, not at construction, because validating a
 model or printing its weights never reads it.  One function, ``_product``,
 multiplies the terms, each distinct whole-period power built once per
-sequence: ``wp_product`` returns it, and the shifts' float memo roots its
-reduced pair for every block it reads; the sup-inf engine in ``criteria``
-reads the terms unbuilt.
+sequence: ``wp_product`` returns it, and the shifts' float memo roots each
+distinct reduced pair it reads through ``pow_maybe_exact``, the one root of
+an exact product into a float; the sup-inf engine in ``criteria`` reads the
+terms unbuilt.
 
 The shifts, the sum and the p-norm distances run on plain entry dicts
 through one private kernel each, which the ``SeqVector`` functions below
@@ -39,7 +40,7 @@ from operator import mul
 
 from .errors import ConfigError, TailRuleMissing
 from .measure_system import MeasureSystem
-from .rationals import _float_log, float_root, pow_maybe_exact
+from .rationals import _float_log, pow_maybe_exact
 
 BILATERAL = "bilateral"
 UNILATERAL = "unilateral"
@@ -109,14 +110,16 @@ class WeightSequence:
 
     @cached_property
     def _floats(self) -> Callable[[int, int], float]:
-        """(i, j) -> ``float(weight_product(self, i, j))``, the shifts' one
-        read of the weights: ``_split``, ``_product`` and ``float_root``, each
-        block and each distinct reduced pair once, lazily (a weight never
-        read may overflow), for as long as the sequence lives.  It holds the
-        sequence weakly, so it forms no reference cycle."""
-        expo, ref, powers = 1 / self.p, weakref.ref(self), self._powers
-        root = cache(lambda n, d: float_root(n, d, expo))
-        return cache(lambda i, j: root(*_product(_split(ref(), i, j), powers).as_integer_ratio()))
+        """(i, j) -> ``float(weight_product(self, i, j))``, the shifts' one read of the weights:
+        ``_split`` and ``_product`` once per block, ``pow_maybe_exact`` once per distinct product,
+        keyed on its reduced pair, lazily (a weight never read may overflow), for as long as the
+        sequence lives.  It holds the sequence weakly, so it forms no reference cycle."""
+        expo, ref, powers, roots = 1 / self.p, weakref.ref(self), self._powers, {}
+
+        def read(i: int, j: int) -> float:
+            pair = (q := _product(_split(ref(), i, j), powers)).as_integer_ratio()
+            return roots[pair] if pair in roots else roots.setdefault(pair, float(pow_maybe_exact(q, expo)))
+        return cache(read)
 
     def has_tail_rules(self) -> bool:
         if self.side == UNILATERAL:

@@ -13,6 +13,7 @@ from shiftlab import (
     MeasureSystem,
     StepFunction,
     apply_Tf,
+    apply_backward,
     derive_weights,
     project,
     semiconjugacy_defect,
@@ -105,6 +106,21 @@ def test_defect_positive_for_wrong_weights(dyadic):
 def test_rho_must_be_positive():
     with pytest.raises(ValueError):
         ExactSeqVector(p=Fraction(2), entries={0: (Fraction(1), Fraction(0))})
+    # equals reads p, side and support before any value
+    one = ExactSeqVector(p=Fraction(2), side=UNILATERAL, entries={0: (Fraction(1), Fraction(1))})
+    assert one.equals(ExactSeqVector(p=Fraction(2), side=UNILATERAL, entries={0: (Fraction(1), Fraction(1))}))
+    assert not one.equals(ExactSeqVector(p=Fraction(3), side=UNILATERAL, entries=one.entries))
+    assert not one.equals(ExactSeqVector(p=Fraction(2), side=BILATERAL, entries=one.entries))
+    assert not one.equals(ExactSeqVector(p=Fraction(2), side=UNILATERAL, entries={1: (Fraction(1), Fraction(1))}))
+    w = WeightSequence(p=Fraction(2), side=UNILATERAL, lo=1, hi=3, right_tail=(Fraction(1, 4),),
+                       wp={1: Fraction(4), 2: Fraction(9, 4), 3: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="^steps must be >= 0$"):
+        tagged_backward(w, one, -1)
+    # an entry shifted past index 0 is dropped, as the float shift drops it
+    x = ExactSeqVector(p=Fraction(2), side=UNILATERAL,
+                       entries={0: (Fraction(1), Fraction(1)), 2: (Fraction(3), Fraction(2))})
+    shifted = tagged_backward(w, x, 1).collapse()
+    assert shifted.entries.keys() == apply_backward(w, x.collapse(), 1).entries.keys() == {1}
 
 
 def test_every_finite_sequence_lifts_to_a_step_function():

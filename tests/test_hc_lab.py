@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +26,7 @@ from shiftlab import (
     weight_product,
 )
 from shiftlab.errors import HorizonExhausted
-from shiftlab.rationals import float_root
+from shiftlab.rationals import pow_maybe_exact
 
 from generators import TAIL_POOL, random_system
 
@@ -82,6 +81,11 @@ def test_eps_must_be_positive(dyadic):
     w = derive_weights(dyadic)
     with pytest.raises(ValueError):
         construct_hc_approx(w, canonical_targets(), eps=0.0)
+    x = SeqVector(BILATERAL, {0: 1.0})
+    with pytest.raises(ValueError, match="^eps must be positive$"):
+        orbit_density_report(w, x, canonical_targets(), eps=0.0)
+    with pytest.raises(ValueError, match="^cannot compare vectors of different sides$"):
+        orbit_density_report(w, x, [SeqVector(UNILATERAL, {0: 1.0})])
 
 
 def test_orbit_density_full_hit(dyadic):
@@ -312,18 +316,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("path, distinct", [("configs/dyadic.json", 13), ("tests/golden/decay2.json", 16)])
 def test_the_experiment_roots_each_distinct_power_once(monkeypatch, path, distinct):
-    # counted at the memo's pair root, wherever a shiftlab module binds
-    # float_root: the two stages share the sequence's memo, so neither
-    # roots a power again
+    # counted where shift_space binds pow_maybe_exact, the memo's root of
+    # each distinct pair: the two stages share the sequence's memo, so
+    # neither roots a power again
     calls = []
 
-    def counting(n, d, expo):
-        calls.append((n, d))
-        return float_root(n, d, expo)
+    def counting(q, expo):
+        calls.append(q)
+        return pow_maybe_exact(q, expo)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("shiftlab") and getattr(module, "float_root", None) is float_root:
-            monkeypatch.setattr(module, "float_root", counting)
+    monkeypatch.setattr(shift_space, "pow_maybe_exact", counting)
     system = MeasureSystem.from_json((ROOT / path).read_text())
     assert "error" not in cli._experiment(system, derive_weights(system), eps=1e-2, horizon=64)
     assert len(calls) == len(set(calls)) == distinct
@@ -577,17 +579,33 @@ def test_the_distance_takes_every_abs_before_a_power():
     assert outcome == ("OverflowError", "absolute value too large")
 
 
-def test_a_late_error_replays_only_its_chunk():
+def _counted(monkeypatch, name):
+    """The calls of hc_lab's binding of name, each recorded as it is made."""
+    calls, real = [], getattr(hc_lab, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hc_lab, name, counting)
+    return calls
+
+
+def test_a_late_error_replays_only_its_chunk(monkeypatch):
     # under a left tail of weight 1.001 at p = 2, |v|**2 of the entry from 0
     # leaves the float range near step 355,000; the whole step loop takes
-    # over a second on a 2-core VM, the scan up to the error about 0.2 s
+    # over a second on a 2-core VM, the scan up to the error about 0.2 s.
+    # The count pins the same without the clock: the step loop's shifts
+    # cover the failing chunk and no more
     w = WeightSequence(p=Fraction(2), side=BILATERAL, lo=0, hi=-1, wp={},
                        left_tail=(Fraction(1002001, 1000000),), right_tail=(Fraction(1),))
+    shifts = _counted(monkeypatch, "_backward")
     start = time.perf_counter()
     with pytest.raises(OverflowError) as raised:
         orbit_density_report(w, SeqVector(BILATERAL, {0: 1.0}), canonical_targets(), horizon=400_000)
     assert time.perf_counter() - start < 0.5
     assert str(raised.value) == "(34, 'Numerical result out of range')"
+    assert 0 < len(shifts) <= hc_lab._CHUNK + 1
 
 
 def _no_replay(*args):
@@ -604,15 +622,19 @@ def test_the_scan_needs_no_replay_on_dyadic(monkeypatch, dyadic, horizon):
     assert _experiment(w, canonical_targets(), horizon, x) == expected
 
 
-def test_a_million_steps_on_dyadic_stop_with_the_last_live_entry(dyadic):
+def test_a_million_steps_on_dyadic_stop_with_the_last_live_entry(monkeypatch, dyadic):
     # every entry underflows to 0 within about 1100 steps, after which each
     # step repeats the same distances; the step loop took about 1.7 s on a
-    # 2-core VM
+    # 2-core VM.  The counts pin the same without the clock: no step loop,
+    # and the scan sums 5 of its 3,907 chunks, steps 0 to 1279, once each
     w = derive_weights(dyadic)
     x = construct_hc_approx(w, canonical_targets(), eps=1e-2, horizon=64).vector
+    monkeypatch.setattr(hc_lab, "_backward", _no_replay)
+    chunks = _counted(monkeypatch, "zip_longest")
     start = time.perf_counter()
     report = orbit_density_report(w, x, canonical_targets(), eps=1e-2, horizon=10**6)
     assert time.perf_counter() - start < 0.2
+    assert len(chunks) == 5
     assert report.fraction == 1.0
     assert [(h.best_step, h.best_distance.hex()) for h in report.hits] == [
         (16, "0x1.0002000000000p-15"), (32, "0x1.4000000000000p-14"), (48, "0x1.4000400000000p-14")]

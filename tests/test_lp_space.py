@@ -65,6 +65,8 @@ def test_gs_decay_check_returns_both_norms(dyadic):
     assert bwd == Fraction(1, 16)
     with pytest.raises(ValueError):
         gs_decay_check(dyadic, phi, -1)
+    with pytest.raises(ValueError, match="^steps must be >= 0$"):
+        apply_Tf_inverse(phi, -1)
 
 
 def test_norm_square_root_exact_or_float(dyadic_p2):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab import rationals
+from shiftlab import BILATERAL, WeightSequence, rationals, weight_product
 from shiftlab.errors import ConfigError
 from shiftlab.rationals import (
     RESIDUE_BITS,
@@ -22,7 +22,6 @@ from shiftlab.rationals import (
     abs_pow,
     as_fraction,
     fraction_pow,
-    float_root,
     fraction_root,
     int_nthroot,
     log_fraction,
@@ -253,13 +252,14 @@ def _outcome(run):
     p=st.sampled_from(["1", "3/2", "2", "3", "5/3", "7/2", "9111/9110"]),
 )
 def test_float_root_is_the_float_of_pow_maybe_exact(base, power, exact, p):
-    """From the reduced pair, bit for bit, errors in type and text: q a
-    perfect power of p's numerator or not, normal, subnormal, 0.0 and past
-    the float range as an exact power and through the log."""
+    """The orbit's float memo roots a block's reduced pair as its exact
+    product's float, bit for bit, errors in type and text: q a perfect power
+    of p's numerator or not, normal, subnormal, 0.0 and past the float range
+    as an exact power and through the log."""
     expo = 1 / Fraction(p)
     q = base ** (int(power / expo.denominator) * expo.denominator if exact else power)
-    assert _outcome(lambda: float_root(q.numerator, q.denominator, expo)) == \
-        _outcome(lambda: float(pow_maybe_exact(q, expo)))
+    w = WeightSequence(p=Fraction(p), side=BILATERAL, lo=0, hi=0, wp={0: q})
+    assert _outcome(lambda: w._floats(0, 0)) == _outcome(lambda: float(weight_product(w, 0, 0)))
 
 
 def test_abs_pow_handles_sign_zero_and_complex():
@@ -267,6 +267,7 @@ def test_abs_pow_handles_sign_zero_and_complex():
     assert abs_pow(Fraction(0), Fraction(3, 2)) == 0
     assert abs_pow(complex(3, 4), Fraction(2)) == pytest.approx(25.0)
     assert abs_pow(-1.5, Fraction(1)) == pytest.approx(1.5)
+    assert abs_pow(0.0, Fraction(3, 2)) == 0.0
 
 
 # -- LogGap: the sign and least crossing of ln(k * r**m) ---------------------

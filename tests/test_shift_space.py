@@ -89,6 +89,12 @@ def test_weight_sequence_validation():
     with pytest.raises(ValueError):
         WeightSequence(p=Fraction(1), side=UNILATERAL, lo=1, hi=0, wp={},
                        right_tail=(Fraction(2),)).wp_at(0)
+    with pytest.raises(ConfigError, match="^p: must be >= 1, got 1/2$"):
+        WeightSequence(p=Fraction(1, 2), side=BILATERAL, lo=1, hi=0, wp={})
+    with pytest.raises(ConfigError, match="^weights: hi may not drop below lo - 1$"):
+        WeightSequence(p=Fraction(1), side=BILATERAL, lo=1, hi=-1, wp={})
+    with pytest.raises(ConfigError, match="^weights: left tail must be nonempty$"):
+        WeightSequence(p=Fraction(1), side=BILATERAL, lo=1, hi=0, wp={}, left_tail=(), right_tail=(Fraction(2),))
 
 
 def test_weight_sign_checks_keep_their_messages():
@@ -199,12 +205,19 @@ def test_lp_distance_matches_the_norm_of_the_difference(x, y, support, p, others
 def test_lp_distance_rejects_mixed_sides():
     with pytest.raises(ValueError):
         lp_distance(SeqVector(BILATERAL, {0: 1.0}), SeqVector(UNILATERAL, {0: 1.0}), 1)
+    with pytest.raises(ValueError, match="^cannot add vectors of different sides$"):
+        SeqVector(BILATERAL, {0: 1.0}).plus(SeqVector(UNILATERAL, {0: 1.0}))
+    with pytest.raises(ConfigError, match="^side: expected bilateral or unilateral, got 'diagonal'$"):
+        SeqVector("diagonal", {0: 1.0})
 
 
 def test_side_mismatch_rejected(dyadic):
     w = derive_weights(dyadic)
     with pytest.raises(ValueError):
         apply_backward(w, SeqVector(UNILATERAL, {0: 1.0}))
+    for shift in (apply_backward, apply_forward_inverse):
+        with pytest.raises(ValueError, match="^steps must be >= 0$"):
+            shift(w, SeqVector(BILATERAL, {0: 1.0}), -1)
 
 
 def test_constant_system_has_unit_weights():
