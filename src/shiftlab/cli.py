@@ -89,6 +89,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name in COMMANDS:
         sub.add_parser(name, help=_HELP[name], parents=[flags])
+    parser.commands = sub.choices  # main enters a subcommand's parser directly when argv names it
     return parser
 
 
@@ -249,22 +250,25 @@ def _encode(value):
     raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
+# the JSON text of each leaf type, as json writes it; a subclass takes the entry of its nearest base
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LEAF = {
+    Fraction: lambda value: encode_basestring_ascii(_encode(value)),
+    str: encode_basestring_ascii,
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: lambda value: _NONFINITE.get(text := float.__repr__(value), text),
+    type(None): lambda value: "null",
+}
+
+
 def _scalar(value) -> str | None:
     """The JSON text of a Fraction (through ``_encode``), str, number, bool
     or None as ``json`` writes it, ``NaN`` and the infinities included; None
     for any other value."""
-    if isinstance(value, Fraction):
-        return encode_basestring_ascii(_encode(value))
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    for cls in type(value).__mro__:
+        if (text := _LEAF.get(cls)) is not None:
+            return text(value)
     return None
 
 
@@ -329,7 +333,10 @@ def render_csv(result: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in parser.commands:  # the subparser the outer parser would hand the rest to
+            args = parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
         if not 0 <= args.seed < 2**64:
             parser.error("--seed must fit in an unsigned 64-bit integer")
         if not (math.isfinite(args.eps) and args.eps > 0):
@@ -344,7 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help has printed the help
         return exc.code
     try:
-        raw = Path(args.config).read_bytes()
+        with open(Path(args.config), "rb", buffering=0) as file:  # Path's normal form names a fault
+            raw = file.read()
     except OSError as exc:
         print(f"shiftlab: cannot read config: {exc}", file=sys.stderr)
         return 2

@@ -33,9 +33,9 @@ def as_fraction(value: object, field: str = "value") -> Fraction:
     """Parse a JSON-ish value into an exact Fraction.
 
     Accepts int, Fraction, or a string like "3/4" or "2".  Floats are
-    rejected: configs must be exact.  A string goes to Fraction(str),
-    unless its decimal exponent e has |e| >= the int-string digit limit, as
-    10**|e| would pass that limit and take Fraction(str) seconds to build.
+    rejected: configs must be exact.  Any string plain_pair cannot read goes
+    to Fraction(str), unless its decimal exponent e has |e| >= the int-string
+    digit limit, as 10**|e| would pass that limit and take seconds to build.
     """
     if isinstance(value, Fraction):
         return value
@@ -44,6 +44,10 @@ def as_fraction(value: object, field: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        try:
+            return Fraction(*plain_pair(value))
+        except (ValueError, ZeroDivisionError):
+            pass  # the general parse below reads the value or names its fault
         try:
             _, e, exponent = value.lower().rpartition("e")
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

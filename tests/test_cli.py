@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import enum
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -398,6 +400,38 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
 
 
+_DYADIC, _WINDOW_ONLY = str(CONFIGS / "dyadic.json"), str(CONFIGS / "window_only.json")
+# argv pieces: the flags whole, abbreviated, with "=", out of range or repeated,
+# "--", help, stray values and unknown flags, and --config without its value
+_PIECES = st.sampled_from([
+    ["--config", _DYADIC], ["--conf", _WINDOW_ONLY], [f"--config={_DYADIC}"], ["--config"],
+    ["--seed=7"], ["--seed", "-7"], ["--seed", str(2**64)], ["--see", "x"],
+    ["--horizon", "0"], ["--horizon", "3"], ["--hor=-1"], ["--samples", "-1"], ["--samples", "2"],
+    ["--eps", "-1e-2"], ["--eps", "nan"], ["--eps", "0.5"], ["--output", "csv"], ["--outp", "xml"], ["--out"],
+    ["--strict"], ["--strict=1"], ["--h"], ["--he"], ["-h"], ["--"], ["--frob"], ["-x"], ["-5"], ["validate"],
+])
+_HEADS = st.sampled_from([*cli.COMMANDS, "frobnicate", "val", "-h", "--help", "--seed", "--", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(head=st.lists(_HEADS, max_size=1), pieces=st.lists(_PIECES, max_size=5))
+def test_a_command_named_first_parses_as_the_outer_parser_parses_it(head, pieces):
+    # main hands argv[1:] straight to the subparser argv[0] names; with an
+    # empty map in its place every argv takes the outer parser, with the
+    # same outcome
+    argv = [*head, *(token for piece in pieces for token in piece)]
+
+    def outcome() -> tuple:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    dispatched = outcome()
+    with mock.patch.object(cli.build_parser(), "commands", {}):
+        assert outcome() == dispatched, argv
+
+
 def test_importing_the_cli_builds_no_parser():
     proc = _python("-c", "import shiftlab.cli as cli; print(cli.build_parser.cache_info().currsize)")
     assert (proc.returncode, proc.stdout) == (0, "0\n")
@@ -439,10 +473,25 @@ def test_render_json_refuses_a_type_it_does_not_know(value):
         cli.render_json({"a": [{"b": value}]})
 
 
+class _Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 2**70
+
+
+class _Float(float):
+    def __repr__(self) -> str:
+        return "not a float's repr"
+
+
+class _Ratio(Fraction):
+    pass
+
+
 # leaves of every kind render_json meets: json's scalars (strings with
 # quotes, escapes, control and non-ASCII characters; ints past the 4300-digit
 # str limit; floats with -0.0, subnormals and the non-finite three), and the
-# values _encode turns into them, a Verdict among them
+# values _encode turns into them, a Verdict among them; and subclasses of
+# int, float and Fraction, which take their base's text as json gives it
 _LEAVES = (
     st.text()
     | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\ud800"])
@@ -454,6 +503,9 @@ _LEAVES = (
     | st.none()
     | st.fractions()
     | st.sampled_from(list(Verdict))
+    | st.sampled_from(list(_Level))
+    | st.floats(allow_nan=True, allow_infinity=True).map(_Float)
+    | st.fractions().map(_Ratio)
     | st.builds(lambda entries: SeqVector(BILATERAL, entries),
                 st.dictionaries(st.integers(-5, 5), st.complex_numbers(allow_nan=False, allow_infinity=False),
                                 max_size=3))
@@ -525,6 +577,17 @@ def test_missing_file_is_validation_error(capsys):
     code, _, err = run(capsys, "validate", "--config", "no-such-file.json")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_a_config_path_is_read_in_its_normal_form(capsys):
+    # the config is opened as Path(path), whose normal form names the fault
+    # or opens the file: "" is ".", no trailing slash
+    for path, message in (("", "Is a directory: '.'"), ("./no-such-file.json", "No such file or directory: "
+                                                                               "'no-such-file.json'")):
+        code, out, err = run(capsys, "validate", "--config", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("shiftlab: cannot read config: [Errno ") and err.endswith(f"] {message}\n")
+    assert run(capsys, "validate", "--config", _DYADIC + "/") == run(capsys, "validate", "--config", _DYADIC)
 
 
 def test_bad_json_is_validation_error(tmp_path, capsys):

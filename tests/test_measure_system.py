@@ -159,6 +159,9 @@ def test_json_round_trip_on_generated_systems(seed):
 def test_from_dict_validation_messages():
     with pytest.raises(ConfigError):
         MeasureSystem.from_json("not json")
+    for text in ("[]", "3"):
+        with pytest.raises(ConfigError, match="^config: expected a JSON object$"):
+            MeasureSystem.from_json(text)
     with pytest.raises(ConfigError):
         MeasureSystem.from_dict({"window": {"min": 0, "max": 0}, "cells": ["B1"]})
     with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@ import decimal
 import math
 import random
 import signal
+import sys
 import time
 from contextlib import contextmanager
 from decimal import Decimal
@@ -80,6 +81,46 @@ def test_as_fraction_reads_strings_as_fraction_does(text):
         else:
             assert type(pair) is tuple and all(type(n) is int for n in pair)
             assert pair == want.as_integer_ratio()
+
+
+def _fraction_or_message(text: str, field: str) -> Fraction | str:
+    """What as_fraction gave for a string when every string went to
+    Fraction(str): the value, or the message of its ConfigError."""
+    _, e, exponent = text.lower().rpartition("e")
+    limit = sys.get_int_max_str_digits()
+    try:
+        if e and limit and abs(int(exponent)) >= limit:
+            return f"{field}: the exponent of {text!r} passes the {limit}-digit limit"
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return f"{field}: cannot parse {text!r} as a rational"
+
+
+@settings(max_examples=500, deadline=None)
+@example(text="1/0")
+@example(text="-0")
+@example(text="+3")
+@example(text=" 1")
+@example(text="1_0")
+@example(text="\u0663")
+@example(text="1e5")
+@example(text="1e4300")
+@example(text="2E-4301")
+@example(text="1" * 4301)
+@example(text="-" + "7" * 4301 + "/3")
+@example(text="3/" + "2" * 4301)
+@given(text=st.text(alphabet="0123456789-+/_. \teE\u0663", max_size=12).filter(lambda t: _small_exponent(t.lower())))
+def test_as_fraction_reads_p_and_the_tails_as_fraction_does(text):
+    # p and the two tails read a plain string through plain_pair, and any
+    # other string as before: the same value, or the same message
+    want = _fraction_or_message(text, "p")
+    if isinstance(want, str):
+        with pytest.raises(ConfigError) as info:
+            as_fraction(text, "p")
+        assert str(info.value) == want
+    else:
+        got = as_fraction(text, "p")
+        assert type(got) is Fraction and (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 def test_format_round_trips():

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,7 +30,9 @@ def test_stage_times_writes_the_medians_of_each_stage(tmp_path):
     assert "orbit_density_report" not in stages
     assert {"construct_hc_approx", "orbit_density_report"} <= set(doc["configs"]["dyadic"])
     assert all(t >= 0 for t in stages.values())
-    assert sum(t for name, t in stages.items() if name != "total") <= stages["total"]
+    assert sum(t for name, t in stages.items() if name not in ("total", "main")) <= stages["total"]
+    # main is a whole in-process cli.main call, timed apart from the stages
+    assert stages["main"] > 0
     assert isinstance(doc["bytecode_cache"], bool)
     # no timed figure depends on --seed or --samples: the tool takes neither
     assert not {"seed", "samples"} & set(doc)
@@ -49,7 +53,7 @@ def test_stage_times_times_the_stages_of_the_quick_commands(tmp_path):
         doc = json.loads((tmp_path / f"BENCH_{command}.json").read_text())
         assert doc["command"] == command
         assert set(doc["configs"]["flat"]) == {"from_json", "validate_star", "distortion_constant", "render_json",
-                                               "total"} | extra
+                                               "total", "main"} | extra
 
 
 def test_stage_times_interleaves_two_checkouts(tmp_path):
@@ -66,7 +70,7 @@ def test_stage_times_interleaves_two_checkouts(tmp_path):
     assert doc["sides"] == {"this": str(ROOT), "against": str(ROOT)}
     for side in ("this", "against"):
         stages = doc["configs"][side]["flat"]
-        assert {"from_json", "construct_hc_approx", "conditionmix_lhs", "total"} <= set(stages)
+        assert {"from_json", "construct_hc_approx", "conditionmix_lhs", "total", "main"} <= set(stages)
         assert all(0 <= s["q1"] <= s["median"] <= s["q3"] for s in stages.values())
         walls = doc["process_wall"][side]["flat"]
         assert set(walls) == {"validate", "report"}
@@ -119,14 +123,31 @@ def _load_stage_times():
 
 def test_each_timed_run_starts_after_a_full_collection(monkeypatch):
     # a collection of earlier runs' garbage would land in whichever stage
-    # crosses the threshold: one gc.collect() per run, before the stages
-    # are wrapped and the clock starts
+    # crosses the threshold: per run, one gc.collect() before the stages
+    # are wrapped and the clock starts, and one before main, with the
+    # stages unwrapped again
     stage_times = _load_stage_times()
     seen = []
     monkeypatch.setattr(stage_times.gc, "collect", lambda: seen.append(vars(stage_times.MeasureSystem)["from_json"]))
     original = vars(stage_times.MeasureSystem)["from_json"]
     stage_times.time_config(ROOT / "configs" / "flat.json", 3, "validate")
-    assert seen == [original] * 3
+    assert seen == [original] * 6
+
+
+def test_the_main_figure_is_a_whole_cli_call(monkeypatch):
+    # main runs the timed command on the timed config, its output captured
+    # and not printed, once untimed and then once per run; a call that
+    # exits nonzero stops the timing
+    stage_times = _load_stage_times()
+    calls = []
+    main = stage_times.cli.main
+    monkeypatch.setattr(stage_times.cli, "main", lambda argv: calls.append(argv) or main(argv))
+    flat = ROOT / "configs" / "flat.json"
+    assert stage_times.time_config(flat, 2, "weights")["main"] > 0
+    assert calls == [["weights", "--config", str(flat)]] * 3
+    monkeypatch.setattr(stage_times.cli, "main", lambda argv: 2)
+    with pytest.raises(SystemExit, match="exited with 2"):
+        stage_times.time_config(flat, 1, "validate")
 
 
 def test_the_default_family_holds_the_generated_decaying_window(tmp_path):

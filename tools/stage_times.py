@@ -21,6 +21,12 @@ stages, ``construct_hc_approx`` and ``orbit_density_report``; a stage
 called inside another counts only in the outer one, and a stage the
 command does not reach is left out.  ``render_json`` of the result is one
 more stage, and ``total`` covers the parse, ``run_command`` and the render.
+``main`` is the time of a whole in-process ``cli.main([command, "--config",
+path])`` call, with its standard output captured, timed apart from the
+stages (after its own full collection, with no stage wrapped, and after one
+untimed call per config, as a process's first call builds the parser), so
+that ``main - total`` is the CLI front end's share: argument parsing, the
+read of the file, its hash and the write.
 
 It also writes, per config, the median wall time of whole ``python -m
 shiftlab validate`` and ``report`` processes over the same repeat, which is
@@ -57,7 +63,9 @@ Standard library only; it imports ``shiftlab`` from this checkout's ``src/``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import platform
@@ -110,9 +118,23 @@ def _timed(name: str, fn, times: dict[str, float], depth: list[int]):
     return stage
 
 
+def _main_seconds(argv: list[str]) -> float:
+    """Wall seconds of one in-process ``cli.main(argv)`` call, its standard output captured."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        seconds = time.perf_counter() - start
+    if code != 0:
+        raise SystemExit(f"shiftlab {' '.join(argv)} exited with {code}")
+    return seconds
+
+
 def time_config(path: Path, repeat: int, command: str) -> dict:
-    """Median seconds of each stage and of the whole parse, run_command and render over repeat runs."""
+    """Median seconds of each stage, of the whole parse, run_command and render, and of ``cli.main``
+    over repeat runs."""
     text = path.read_text()
+    argv = [command, "--config", str(path)]
+    _main_seconds(argv)  # untimed: a process's first call builds the parser
     runs: list[dict[str, float]] = []
     for _ in range(repeat):
         times: dict[str, float] = {}
@@ -133,6 +155,8 @@ def time_config(path: Path, repeat: int, command: str) -> dict:
         finally:
             for owner, name, fn in saved:
                 setattr(owner, name, fn)
+        gc.collect()
+        times["main"] = _main_seconds(argv)
         runs.append(times)
     return {name: statistics.median(run[name] for run in runs) for name in runs[0]}
 
